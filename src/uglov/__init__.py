@@ -21,6 +21,7 @@ from .diagrams import (
     parse_bipartition,
     removable_nodes,
     residue,
+    uglov_max,
 )
 from .crystal import (
     CrystalParams,
@@ -33,7 +34,7 @@ from .crystal import (
     is_uglov,
     max_of_monomial,
 )
-from .isomorphism import MovePath, psi, psi_to, reduce_to_fundamental
+from .isomorphism import psi_to, reduce_to_fundamental
 from .admissible import (
     adm,
     adm_flotw,
@@ -47,7 +48,6 @@ __all__ = [
     "Bipartition",
     "Node",
     "CrystalParams",
-    "MovePath",
     "addable_nodes",
     "adm",
     "adm_flotw",
@@ -70,11 +70,11 @@ __all__ = [
     "nature_table",
     "node_less",
     "parse_bipartition",
-    "psi",
     "psi_to",
     "reduce_to_fundamental",
     "removable_class",
     "removable_nodes",
     "residue",
+    "uglov_max",
     "verify_djm_forward",
 ]

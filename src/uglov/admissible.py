@@ -28,7 +28,6 @@ from .diagrams import (
     addable_nodes,
     bipartition_to_json,
     bipartitions_of,
-    compare_uglov,
     content,
     node_key,
     node_less,
@@ -37,6 +36,7 @@ from .diagrams import (
     removable_nodes,
     residue,
     residue_slots,
+    uglov_max,
 )
 from .isomorphism import psi_to, reduce_to_fundamental
 
@@ -201,11 +201,9 @@ def adm(bp: Bipartition, p: CrystalParams) -> list:
     """Admissible residue sequence of an arbitrary Uglov bipartition."""
     if p.e is None:
         raise ValueError("admissible sequences need finite e")
-    if not is_uglov(bp, p):
-        raise ValueError("%r is not Uglov at %r" % (bp, p))
-    path = reduce_to_fundamental(p.charge, p.e)
-    image = psi_to(bp, p.charge, path.end, p.e)
-    return adm_flotw(image, CrystalParams(p.e, path.end))
+    fundamental = reduce_to_fundamental(p.charge, p.e)
+    image = psi_to(bp, p.charge, fundamental, p.e)
+    return adm_flotw(image, CrystalParams(p.e, fundamental))
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +215,7 @@ def verify_djm_forward(bp: Bipartition, p: CrystalParams) -> dict:
     vec = {EMPTY: 1}
     for j in seq:  # oldest residue acts first
         vec = f_action(vec, j, p)
-    ok = vec.get(bp, 0) != 0 and all(
-        mu == bp or compare_uglov(mu, bp, p.charge) < 0 for mu in vec)
+    ok = bp in vec and uglov_max(vec, p.charge) == bp
     return {
         "bp": bipartition_to_json(bp),
         "adm": list(seq),
@@ -234,15 +231,15 @@ def verify_djm_converse(n: int, p: CrystalParams) -> dict:
     if p.e is None:
         raise ValueError("the converse sweep needs finite e")
     failures = []
+    verdicts = {}  # many words share one maximum
     for word in itertools.product(range(p.e), repeat=n):
         vec = expand_monomial(word, p)
         if not vec:
             continue
-        best = None
-        for mu in vec:
-            if best is None or compare_uglov(best, mu, p.charge) < 0:
-                best = mu
-        if not is_uglov(best, p):
+        best = uglov_max(vec, p.charge)
+        if best not in verdicts:
+            verdicts[best] = is_uglov(best, p)
+        if not verdicts[best]:
             failures.append({"word": list(word),
                              "max": bipartition_to_json(best)})
     return {"n": n, "words": p.e ** n, "failures": failures,
@@ -289,8 +286,7 @@ def verify_djm_corollary(bp: Bipartition, p: CrystalParams) -> dict:
     """Row-standard reformulation: bp dominates every shape of its word."""
     seq = adm(bp, p)
     shapes = row_standard_shapes(seq, p)
-    ok = bp in shapes and all(
-        mu == bp or compare_uglov(mu, bp, p.charge) < 0 for mu in shapes)
+    ok = bp in shapes and uglov_max(shapes, p.charge) == bp
     return {
         "bp": bipartition_to_json(bp),
         "adm": list(seq),
@@ -307,14 +303,11 @@ def propb_checks(bp: Bipartition, p: CrystalParams) -> dict:
     and the vertical/horizontal exclusion at its residue."""
     if p.e is None:
         raise ValueError("needs finite e")
-    if not is_uglov(bp, p):
-        raise ValueError("%r is not Uglov at %r" % (bp, p))
     report = {"bp": bipartition_to_json(bp), "pass": True, "failures": []}
     if bp == EMPTY:
         return report
-    path = reduce_to_fundamental(p.charge, p.e)
-    fp = CrystalParams(p.e, path.end)
-    lam = psi_to(bp, p.charge, path.end, p.e)
+    fp = CrystalParams(p.e, reduce_to_fundamental(p.charge, p.e))
+    lam = psi_to(bp, p.charge, fp.charge, p.e)
     seed = max_normal_removable_node(lam, fp)
     cls = removable_class(lam, seed, fp)
     j = residue(seed, fp.charge, fp.e)

@@ -41,7 +41,31 @@ def parse_window(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("window must be 'lo,hi'")
-    return (int(parts[0]), int(parts[1]))
+    lo, hi = int(parts[0]), int(parts[1])
+    if lo > hi:
+        raise argparse.ArgumentTypeError("window needs lo <= hi")
+    return (lo, hi)
+
+
+def parse_rank(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError("n must be >= 0")
+    return n
+
+
+def parse_workers(text: str) -> int:
+    k = int(text)
+    if k < 1:
+        raise argparse.ArgumentTypeError("workers must be >= 1")
+    return k
+
+
+def parse_rendering(text: str):
+    """A rendering name, or the target charge of 'psi:S1,S2'."""
+    if text.startswith("psi:"):
+        return parse_charge(text[len("psi:"):])
+    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,21 +78,21 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="S1,S2")
     parser.add_argument("--format", choices=("text", "json", "dot"),
                         default="text")
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=parse_workers, default=1)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_enum = sub.add_parser("enumerate",
                             help="list the crystal component up to rank n")
-    p_enum.add_argument("--n", type=int, required=True)
+    p_enum.add_argument("--n", type=parse_rank, required=True)
 
     p_verify = sub.add_parser("verify", help="run an exhaustive sweep")
     p_verify.add_argument("--mode", required=True, choices=(
         "forward", "converse", "corollary", "propb", "psi-nature"))
-    p_verify.add_argument("--n", type=int, required=True)
+    p_verify.add_argument("--n", type=parse_rank, required=True)
 
     p_show = sub.add_parser("show", help="render data for one bipartition")
     p_show.add_argument("bp", type=parse_bipartition)
-    p_show.add_argument("what",
+    p_show.add_argument("what", type=parse_rendering,
                         help="natures | boundary | adm | psi:S1,S2")
     p_show.add_argument("--window", type=parse_window, default=None,
                         metavar="LO,HI")
@@ -84,7 +108,7 @@ def cmd_enumerate(args) -> int:
     p = CrystalParams(args.e, args.charge)
     layers = crystal.uglov_layers(args.n, p)
     if args.format == "dot":
-        print(render_dot(args.n, p))
+        print(render_dot(layers, p))
         return 0
     bps = sorted(layers[args.n])
     if args.format == "json":
@@ -96,15 +120,11 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-def render_dot(n: int, p: CrystalParams) -> str:
+def render_dot(layers, p: CrystalParams) -> str:
     lines = ["digraph crystal {"]
-    seen = set()
-    for layer in crystal.uglov_layers(n, p):
-        for bp in sorted(layer):
-            seen.add(bp)
-    for bp in sorted(seen):
+    for bp in sorted(set().union(*layers)):
         lines.append('  "%s";' % format_bipartition(bp))
-    for src, j, dst in sorted(crystal.crystal_edges(n, p)):
+    for src, j, dst in sorted(crystal.crystal_edges(layers, p)):
         lines.append('  "%s" -> "%s" [label="%s"];'
                      % (format_bipartition(src), format_bipartition(dst), j))
     lines.append("}")
@@ -131,18 +151,15 @@ _SWEEP_FUNCS = {"forward": _forward_one, "corollary": _corollary_one,
 
 
 def cmd_verify(args) -> int:
+    if args.e is None:
+        print("verify needs finite e", file=sys.stderr)
+        return 2
     p = CrystalParams(args.e, args.charge)
     reports = []
     if args.mode == "converse":
-        if args.e is None:
-            print("converse mode needs finite e", file=sys.stderr)
-            return 2
         for n in range(args.n + 1):
             reports.append(admissible.verify_djm_converse(n, p))
     elif args.mode == "psi-nature":
-        if args.e is None:
-            print("psi-nature mode needs finite e", file=sys.stderr)
-            return 2
         target = (args.charge[1], args.charge[0])
         for layer in crystal.uglov_layers(args.n, p):
             for bp in sorted(layer):
@@ -205,10 +222,9 @@ def cmd_show(args) -> int:
             print(json.dumps(seq))
         else:
             print(",".join(str(j) for j in seq))
-    elif args.what.startswith("psi:"):
-        target = parse_charge(args.what[len("psi:"):])
+    elif isinstance(args.what, tuple):  # psi:S1,S2
         try:
-            image = isomorphism.psi_to(bp, charge, target, args.e)
+            image = isomorphism.psi_to(bp, charge, args.what, args.e)
         except ValueError as exc:
             print("error: %s" % exc, file=sys.stderr)
             return 1

@@ -7,7 +7,6 @@ charge (s1, s2).
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .diagrams import (
@@ -16,12 +15,12 @@ from .diagrams import (
     Node,
     add_node,
     addable_nodes,
-    compare_uglov,
     node_key,
     part,
     remove_node,
     removable_nodes,
     residue,
+    uglov_max,
 )
 
 
@@ -125,25 +124,31 @@ def removable_residues(bp, p: CrystalParams):
 # ---------------------------------------------------------------------------
 # Uglov bipartitions
 
-@lru_cache(maxsize=None)
-def _is_uglov(bp: Bipartition, e, charge) -> bool:
-    if bp == EMPTY:
-        return True
-    p = CrystalParams(e, charge)
-    for j in removable_residues(bp, p):
-        g = good_removable_node(bp, j, p)
-        if g is None:
-            continue
-        child = remove_node(bp, g)
-        if good_addable_node(child, j, p) == g and _is_uglov(child, e, charge):
-            return True
-    return False
+def peel_word(bp: Bipartition, p: CrystalParams) -> Optional[list]:
+    """Residues of successive good-node removals down to empty, or None.
+
+    Each step removes the good node of the smallest residue that has one.
+    The e-operators never leave a crystal component, and the empty
+    bipartition is the only highest-weight vertex of its component, so
+    this greedy peel reaches empty exactly when bp is Uglov.
+    """
+    _check_e(p.e)
+    out = []
+    while bp != EMPTY:
+        for j in removable_residues(bp, p):
+            g = good_removable_node(bp, j, p)
+            if g is not None:
+                bp = remove_node(bp, g)
+                out.append(j)
+                break
+        else:
+            return None
+    return out
 
 
 def is_uglov(bp: Bipartition, p: CrystalParams) -> bool:
     """Reachable from the empty bipartition by good-node additions."""
-    _check_e(p.e)
-    return _is_uglov(bp, p.e, tuple(p.charge))
+    return peel_word(bp, p) is not None
 
 
 def enumerate_uglov(n: int, p: CrystalParams) -> set[Bipartition]:
@@ -166,10 +171,10 @@ def uglov_layers(n: int, p: CrystalParams) -> list[set[Bipartition]]:
     return layers
 
 
-def crystal_edges(n: int, p: CrystalParams):
-    """Good-node edges (bp, residue, bp') between layers up to rank n."""
+def crystal_edges(layers: list[set[Bipartition]], p: CrystalParams):
+    """Good-node edges (bp, residue, bp') between consecutive layers."""
     edges = []
-    for layer in uglov_layers(n - 1, p) if n else []:
+    for layer in layers[:-1]:
         for bp in layer:
             for j in addable_residues(bp, p):
                 g = good_addable_node(bp, j, p)
@@ -226,8 +231,4 @@ def max_of_monomial(word, p: CrystalParams) -> Bipartition:
     if not vec:
         raise ValueError("monomial %r vanishes on the empty bipartition"
                          % (list(word),))
-    best = None
-    for bp in vec:
-        if best is None or compare_uglov(best, bp, p.charge) < 0:
-            best = bp
-    return best
+    return uglov_max(vec, p.charge)

@@ -14,6 +14,7 @@ stands for e = infinity throughout the package).
 from __future__ import annotations
 
 import itertools
+from functools import cmp_to_key
 from typing import Iterator, NamedTuple, Optional
 
 
@@ -299,6 +300,13 @@ def compare_uglov(bp1: Bipartition, bp2: Bipartition,
             return -1 if node_less(g1, g2, charge) else 1
     raise AssertionError("distinct bipartitions with equal boundary "
                          "sequences: %r, %r" % (bp1, bp2))
+
+
+def uglov_max(bps, charge: tuple[int, int]) -> Bipartition:
+    """The largest of a nonempty collection of bipartitions under
+    compare_uglov."""
+    return max(bps, key=cmp_to_key(
+        lambda bp1, bp2: compare_uglov(bp1, bp2, charge)))
 
 
 def compare_lex(bp1: Bipartition, bp2: Bipartition) -> int:

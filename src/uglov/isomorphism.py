@@ -1,115 +1,54 @@
-"""Extended affine symmetric group action on charges and the crystal
-isomorphisms between Uglov sets.
+"""Crystal isomorphisms between Uglov sets at different charges.
 
-The group acts on charges by sigma1.(s1,s2)=(s2,s1), y1.(s1,s2)=(s1+e,s2),
-y2.(s1,s2)=(s1,s2+e) and tau = sigma1*y1.  The charge-change bijection is
-computed by peeling a bipartition to empty at the start charge (recording
-the residues of the good nodes removed) and rebuilding along the reversed
-residue word at the end charge; being a crystal isomorphism fixing the
-empty bipartition, this is forced to agree with the map itself.
+The isomorphisms relate charges in one orbit of the extended affine
+symmetric group, generated by (s1,s2) -> (s2,s1), (s1+e,s2) and
+(s1,s2+e).  Each orbit meets the fundamental domain 0 <= s1 <= s2 < e
+once, at the sorted residues mod e.  The charge-change bijection is
+computed by peeling a bipartition to empty at the start charge
+(recording the residues of the good nodes removed) and rebuilding along
+the reversed residue word at the end charge; being a crystal
+isomorphism fixing the empty bipartition, this is forced to agree with
+the map itself.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .crystal import (
     CrystalParams,
     add_node,
     good_addable_node,
-    good_removable_node,
     is_uglov,
-    removable_residues,
+    peel_word,
 )
-from .diagrams import EMPTY, Bipartition, nature_at, remove_node
-
-MOVE_KINDS = ("sigma1", "tau", "y1", "y2")
+from .diagrams import EMPTY, Bipartition, nature_at
 
 
-class ChargeMove(NamedTuple):
-    kind: str
-    power: int = 1  # +-1 for y1/y2/tau; ignored for the involution sigma1
-
-
-class MovePath(NamedTuple):
-    start: tuple[int, int]
-    moves: tuple[ChargeMove, ...]
-    e: int
-
-    @property
-    def end(self) -> tuple[int, int]:
-        charge = self.start
-        for m in self.moves:
-            charge = apply_move(charge, m, self.e)
-        return charge
-
-
-def apply_move(charge, move: ChargeMove, e: int) -> tuple[int, int]:
+def reduce_to_fundamental(charge, e: int) -> tuple[int, int]:
+    """The fundamental-domain member of the orbit of charge."""
     s1, s2 = charge
-    kind, power = move
-    if kind == "sigma1":
-        return (s2, s1)
-    if kind == "y1":
-        return (s1 + power * e, s2)
-    if kind == "y2":
-        return (s1, s2 + power * e)
-    if kind == "tau":
-        # tau.(s1,s2) = (s2, s1+e); tau^-1.(s1,s2) = (s2-e, s1)
-        for _ in range(abs(power)):
-            s1, s2 = (s2, s1 + e) if power > 0 else (s2 - e, s1)
-        return (s1, s2)
-    raise ValueError("unknown move kind %r" % (kind,))
-
-
-def move_name(move: ChargeMove) -> str:
-    if move.kind == "sigma1" or move.power == 1:
-        return move.kind
-    return "%s^%d" % (move.kind, move.power)
-
-
-def reduce_to_fundamental(charge, e: int) -> MovePath:
-    """A path from charge to the fundamental-domain member of its orbit."""
-    s1, s2 = charge
-    moves = []
-    if s1 % e != s1:
-        moves.append(ChargeMove("y1", -(s1 // e)))
-    if s2 % e != s2:
-        moves.append(ChargeMove("y2", -(s2 // e)))
-    if s1 % e > s2 % e:
-        moves.append(ChargeMove("sigma1"))
-    path = MovePath(tuple(charge), tuple(moves), e)
-    t1, t2 = path.end
-    assert 0 <= t1 <= t2 < e
-    return path
+    return tuple(sorted((s1 % e, s2 % e)))
 
 
 def same_orbit(c1, c2, e: int) -> bool:
-    return (reduce_to_fundamental(c1, e).end
-            == reduce_to_fundamental(c2, e).end)
+    return reduce_to_fundamental(c1, e) == reduce_to_fundamental(c2, e)
 
 
 # ---------------------------------------------------------------------------
 # peel / rebuild
 
 def peel_residues(bp: Bipartition, p: CrystalParams) -> list:
-    """Residues of successive good-node removals down to empty.
+    """The peel_word of bp, which must be Uglov.
 
-    Several residues may admit a removal; the smallest is taken.  Any
-    valid choice rebuilds to the same image since the isomorphism
-    commutes with the crystal operators.
+    Several residues may admit a removal and peel_word takes the
+    smallest; any valid choice rebuilds to the same image since the
+    isomorphism commutes with the crystal operators.
     """
-    out = []
-    while bp != EMPTY:
-        for j in removable_residues(bp, p):
-            g = good_removable_node(bp, j, p)
-            if g is not None:
-                bp = remove_node(bp, g)
-                out.append(j)
-                break
-        else:
-            raise ValueError("bipartition %r is not in the crystal of the "
-                             "empty bipartition" % (bp,))
-    return out
+    word = peel_word(bp, p)
+    if word is None:
+        raise ValueError("%r is not Uglov at charge %r" % (bp, p.charge))
+    return word
 
 
 def rebuild_from_residues(word, p: CrystalParams) -> Bipartition:
@@ -128,19 +67,9 @@ def psi_to(bp: Bipartition, charge_from, charge_to,
     if e is not None and not same_orbit(charge_from, charge_to, e):
         raise ValueError("charges %r and %r are not in one orbit"
                          % (charge_from, charge_to))
-    p_from = CrystalParams(e, tuple(charge_from))
-    if not is_uglov(bp, p_from):
-        raise ValueError("%r is not an Uglov bipartition at charge %r"
-                         % (bp, charge_from))
-    word = peel_residues(bp, p_from)
+    word = peel_residues(bp, CrystalParams(e, tuple(charge_from)))
     p_to = CrystalParams(e, tuple(charge_to))
     return rebuild_from_residues(reversed(word), p_to)
-
-
-def psi(bp: Bipartition, path: MovePath,
-        p: Optional[CrystalParams] = None) -> Bipartition:
-    e = p.e if p is not None else path.e
-    return psi_to(bp, path.start, path.end, e)
 
 
 # ---------------------------------------------------------------------------

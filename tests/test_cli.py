@@ -148,6 +148,27 @@ def test_show_unknown_rendering(capsys):
     assert "unknown" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--n", "-1"],
+    ["verify", "--mode", "forward", "--n", "-1"],
+    ["--workers", "0", "verify", "--mode", "propb", "--n", "2"],
+    ["show", "1,-", "natures", "--window=5,1"],
+    ["show", "1,-", "psi:x,1"],
+    ["show", "1,-", "psi:1"],
+    ["--e", "inf", "verify", "--mode", "forward", "--n", "2"],
+    ["--e", "inf", "verify", "--mode", "corollary", "--n", "2"],
+    ["--e", "inf", "verify", "--mode", "propb", "--n", "2"],
+    ["--e", "inf", "verify", "--mode", "psi-nature", "--n", "2"],
+])
+def test_bad_arguments_exit_2(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the value
+        code = exc.code
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_determinism(capsys):
     first = run(capsys, ["--format", "json", "verify",
                          "--mode", "forward", "--n", "3"])

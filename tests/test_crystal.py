@@ -147,16 +147,19 @@ def test_enumerate_uglov_small():
 
 
 def test_is_uglov_matches_enumeration():
-    for n in range(6):
-        layer = enumerate_uglov(n, P01)
-        assert layer == {bp for bp in bipartitions_of(n)
-                         if is_uglov(bp, P01)}
+    for e in (2, 3, 4, None):
+        for charge in ((0, 0), (0, 1), (1, 0), (0, 2), (2, -1)):
+            p = CrystalParams(e, charge)
+            for n, layer in enumerate(uglov_layers(6, p)):
+                assert layer == {bp for bp in bipartitions_of(n)
+                                 if is_uglov(bp, p)}, (e, charge, n)
 
 
 def test_uglov_layers_nested_by_edges():
     p = CrystalParams(2, (0, 0))
     layers = uglov_layers(4, p)
-    edges = crystal_edges(4, p)
+    edges = crystal_edges(layers, p)
+    assert {dst for _, _, dst in edges} == set().union(*layers[1:])
     for src, j, dst in edges:
         assert src.rank + 1 == dst.rank
         assert dst in layers[dst.rank]

@@ -1,4 +1,4 @@
-"""Unit tests for the charge moves and the charge-change bijections."""
+"""Unit tests for charge reduction and the charge-change bijections."""
 
 import pytest
 
@@ -11,12 +11,7 @@ from uglov.crystal import (
 )
 from uglov.diagrams import Bipartition, add_node, parse_bipartition
 from uglov.isomorphism import (
-    ChargeMove,
-    MovePath,
-    apply_move,
-    move_name,
     peel_residues,
-    psi,
     psi_e_independence_check,
     psi_nature_check,
     psi_to,
@@ -28,38 +23,14 @@ from uglov.isomorphism import (
 P = parse_bipartition
 
 
-def test_apply_move_examples():
-    assert apply_move((0, 1), ChargeMove("sigma1"), 3) == (1, 0)
-    assert apply_move((0, 1), ChargeMove("tau"), 3) == (1, 3)
-    assert apply_move((1, 3), ChargeMove("tau", -1), 3) == (0, 1)
-    assert apply_move((0, 1), ChargeMove("y1", 2), 3) == (6, 1)
-    assert apply_move((0, 1), ChargeMove("y2", -1), 3) == (0, -2)
-    with pytest.raises(ValueError):
-        apply_move((0, 1), ChargeMove("bogus"), 3)
-
-
-def test_tau_powers_compose():
-    charge = (0, 1)
-    step = charge
-    for k in range(1, 4):
-        step = apply_move(step, ChargeMove("tau"), 3)
-        assert apply_move(charge, ChargeMove("tau", k), 3) == step
-        assert apply_move(step, ChargeMove("tau", -k), 3) == charge
-
-
-def test_move_name():
-    assert move_name(ChargeMove("sigma1")) == "sigma1"
-    assert move_name(ChargeMove("y1", -2)) == "y1^-2"
-
-
 def test_reduce_to_fundamental():
-    assert reduce_to_fundamental((1, 0), 3).end == (0, 1)
-    assert reduce_to_fundamental((7, -2), 3).end == (1, 1)
-    assert reduce_to_fundamental((0, 1), 3).end == (0, 1)
-    for charge in ((5, 5), (-1, 4), (2, -7), (0, 0)):
-        path = MovePath(charge, reduce_to_fundamental(charge, 3).moves, 3)
-        t1, t2 = path.end
-        assert 0 <= t1 <= t2 < 3
+    assert reduce_to_fundamental((1, 0), 3) == (0, 1)
+    assert reduce_to_fundamental((7, -2), 3) == (1, 1)
+    assert reduce_to_fundamental((0, 1), 3) == (0, 1)
+    assert reduce_to_fundamental((5, 5), 3) == (2, 2)
+    assert reduce_to_fundamental((-1, 4), 3) == (1, 2)
+    assert reduce_to_fundamental((2, -7), 3) == (2, 2)
+    assert reduce_to_fundamental((0, 0), 3) == (0, 0)
 
 
 def test_same_orbit():
@@ -80,7 +51,7 @@ def test_peel_rebuild_identity():
 
 def test_peel_rejects_non_member():
     p = CrystalParams(3, (0, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not Uglov"):
         peel_residues(P("1.1.1,-"), p)
 
 
@@ -90,11 +61,6 @@ def test_psi_identity_and_errors():
         psi_to(P("1,-"), (0, 1), (0, 0), 3)  # charges in different orbits
     with pytest.raises(ValueError):
         psi_to(P("1.1.1,-"), (0, 0), (3, 0), 3)  # not Uglov at the source
-
-
-def test_psi_along_path_matches_psi_to():
-    path = reduce_to_fundamental((1, 0), 3)
-    assert psi(P("5.2.1,3"), path) == psi_to(P("5.2.1,3"), (1, 0), (0, 1), 3)
 
 
 def test_psi_bijective_between_charges():
