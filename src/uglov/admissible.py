@@ -14,7 +14,6 @@ from typing import Optional
 
 from .crystal import (
     CrystalParams,
-    expand_monomial,
     f_action,
     in_fundamental_domain,
     is_flotw,
@@ -227,21 +226,35 @@ def verify_djm_forward(bp: Bipartition, p: CrystalParams) -> dict:
 
 
 def verify_djm_converse(n: int, p: CrystalParams) -> dict:
-    """Every monomial maximum over rank n is Uglov."""
+    """Every monomial maximum over rank n is Uglov.
+
+    The words are visited depth first by shared suffix: expand_monomial
+    applies the last residue first, so prepending one residue to a suffix
+    is one f_action on the suffix's vector, and a suffix whose vector
+    vanishes is pruned with every word that ends in it.  Failures are
+    reported in increasing word order.
+    """
     if p.e is None:
         raise ValueError("the converse sweep needs finite e")
     failures = []
     verdicts = {}  # many words share one maximum
-    for word in itertools.product(range(p.e), repeat=n):
-        vec = expand_monomial(word, p)
-        if not vec:
-            continue
-        best = uglov_max(vec, p.charge)
-        if best not in verdicts:
-            verdicts[best] = is_uglov(best, p)
-        if not verdicts[best]:
-            failures.append({"word": list(word),
-                             "max": bipartition_to_json(best)})
+
+    def visit(suffix, vec):
+        if len(suffix) == n:
+            best = uglov_max(vec, p.charge)
+            if best not in verdicts:
+                verdicts[best] = is_uglov(best, p)
+            if not verdicts[best]:
+                failures.append({"word": list(suffix),
+                                 "max": bipartition_to_json(best)})
+            return
+        for j in range(p.e):
+            nxt = f_action(vec, j, p)
+            if nxt:
+                visit((j,) + suffix, nxt)
+
+    visit((), {EMPTY: 1})
+    failures.sort(key=lambda f: f["word"])
     return {"n": n, "words": p.e ** n, "failures": failures,
             "pass": not failures}
 

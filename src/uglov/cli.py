@@ -154,6 +154,10 @@ def cmd_verify(args) -> int:
     if args.e is None:
         print("verify needs finite e", file=sys.stderr)
         return 2
+    if args.workers > 1 and args.mode not in _SWEEP_FUNCS:
+        print("--workers applies to forward, corollary and propb, "
+              "not %s" % args.mode, file=sys.stderr)
+        return 2
     p = CrystalParams(args.e, args.charge)
     reports = []
     if args.mode == "converse":
@@ -185,8 +189,12 @@ def cmd_verify(args) -> int:
         for r in reports:
             print(json.dumps(r, sort_keys=True))
     else:
-        print("checked %d instances, %d counterexamples"
-              % (len(reports), len(failed)))
+        if args.mode == "converse":  # one report per rank, many words each
+            checked = "%d words" % sum(r["words"] for r in reports)
+            count = sum(len(r["failures"]) for r in reports)
+        else:
+            checked, count = "%d instances" % len(reports), len(failed)
+        print("checked %s, %d counterexamples" % (checked, count))
         for r in failed:
             print(json.dumps(r, sort_keys=True))
     return 1 if failed else 0
@@ -217,7 +225,7 @@ def cmd_show(args) -> int:
             seq = admissible.adm(bp, p)
         except ValueError as exc:
             print("error: %s" % exc, file=sys.stderr)
-            return 1
+            return 2
         if args.format == "json":
             print(json.dumps(seq))
         else:
@@ -227,7 +235,7 @@ def cmd_show(args) -> int:
             image = isomorphism.psi_to(bp, charge, args.what, args.e)
         except ValueError as exc:
             print("error: %s" % exc, file=sys.stderr)
-            return 1
+            return 2
         if args.format == "json":
             print(json.dumps(diagrams.bipartition_to_json(image)))
         else:

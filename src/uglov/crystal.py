@@ -46,10 +46,12 @@ def fock_vector(bp: Bipartition) -> dict[Bipartition, int]:
 def f_action(vec: dict[Bipartition, int], j, p: CrystalParams) -> dict:
     """Linear extension of: sum over mu obtained by adding a j-node."""
     _check_e(p.e)
+    e, charge = p.e, p.charge
     out: dict[Bipartition, int] = {}
     for bp, coeff in vec.items():
         for g in addable_nodes(bp):
-            if residue(g, p.charge, p.e) == j:
+            cont = g.b - g.a + charge[g.c - 1]
+            if (cont if e is None else cont % e) == j:
                 mu = add_node(bp, g)
                 out[mu] = out.get(mu, 0) + coeff
     return {bp: c for bp, c in out.items() if c != 0}
@@ -69,11 +71,14 @@ def e_action(vec: dict[Bipartition, int], j, p: CrystalParams) -> dict:
 
 def signature_word(bp: Bipartition, j, p: CrystalParams) -> list[SigEntry]:
     """Addable and removable j-nodes read in increasing node order."""
-    entries = [SigEntry(g, "A") for g in addable_nodes(bp)
-               if residue(g, p.charge, p.e) == j]
-    entries += [SigEntry(g, "R") for g in removable_nodes(bp)
-                if residue(g, p.charge, p.e) == j]
-    return sorted(entries, key=lambda s: node_key(s.node, p.charge))
+    e, charge = p.e, p.charge
+    entries = []
+    for tag, nodes in (("A", addable_nodes(bp)), ("R", removable_nodes(bp))):
+        for g in nodes:
+            cont = g.b - g.a + charge[g.c - 1]
+            if (cont if e is None else cont % e) == j:
+                entries.append(SigEntry(g, tag))
+    return sorted(entries, key=lambda s: node_key(s.node, charge))
 
 
 def reduce_word(word: list[SigEntry]) -> list[SigEntry]:

@@ -9,12 +9,18 @@ virtual column-0 nodes (a, 0, c) with a > len(lambda^c).
 The content of (a, b, c) under a charge (s1, s2) is b - a + s_c; the
 residue is the content mod e (the content itself when e is None, which
 stands for e = infinity throughout the package).
+
+The Uglov order on bipartitions compares boundary sequences.  The
+vertical-boundary node (a, lambda^c_a, c) has content lambda^c_a - a + s_c,
+a beta-number of lambda^c, so a bipartition's sequence is determined by
+its merged beta-set {2 beta - c}: Uglov's level-two to level-one wedge.
+uglov_key builds that set as a decreasing tuple of integers, and the
+order is the lexicographic order on these keys.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import cmp_to_key
 from typing import Iterator, NamedTuple, Optional
 
 
@@ -120,53 +126,53 @@ def is_extended_node(bp: Bipartition, node: Node) -> bool:
 
 def removable_nodes(bp: Bipartition) -> set[Node]:
     out = set()
-    for c in (1, 2):
-        lam = bp.component(c)
-        for a in range(1, len(lam) + 1):
-            if lam[a - 1] > part(lam, a + 1):
-                out.add(Node(a, lam[a - 1], c))
+    for c, lam in ((1, bp.c1), (2, bp.c2)):
+        for a, here in enumerate(lam, 1):
+            if a == len(lam) or here > lam[a]:
+                out.add(Node(a, here, c))
     return out
 
 
 def addable_nodes(bp: Bipartition) -> set[Node]:
     out = set()
-    for c in (1, 2):
-        lam = bp.component(c)
-        for a in range(1, len(lam) + 2):
-            here, above = part(lam, a), part(lam, a - 1) if a > 1 else None
+    for c, lam in ((1, bp.c1), (2, bp.c2)):
+        above = None
+        for a, here in enumerate(lam, 1):
             if above is None or here < above:
                 out.add(Node(a, here + 1, c))
+            above = here
+        out.add(Node(len(lam) + 1, 1, c))
     return out
 
 
 def add_node(bp: Bipartition, node: Node) -> Bipartition:
     a, b, c = node
-    lam = list(bp.component(c)) + [0]
-    if (not 1 <= a <= len(lam)) or lam[a - 1] + 1 != b \
+    lam = bp.c1 if c == 1 else bp.c2
+    if (not 1 <= a <= len(lam) + 1) or part(lam, a) + 1 != b \
             or (a > 1 and lam[a - 2] < b):
         raise ValueError("node %r not addable to %r" % (node, bp))
-    lam[a - 1] += 1
-    new = make_partition(lam)
+    new = lam[:a - 1] + (b,) + lam[a:]
     return Bipartition(new, bp.c2) if c == 1 else Bipartition(bp.c1, new)
 
 
 def remove_node(bp: Bipartition, node: Node) -> Bipartition:
     a, b, c = node
-    lam = list(bp.component(c))
+    lam = bp.c1 if c == 1 else bp.c2
     if (not 1 <= a <= len(lam)) or lam[a - 1] != b \
             or part(lam, a + 1) >= b:
         raise ValueError("node %r not removable from %r" % (node, bp))
-    lam[a - 1] -= 1
-    new = make_partition(lam)
+    # b == 1 only in the last row, which then disappears
+    new = lam[:a - 1] + (b - 1,) + lam[a:] if b > 1 else lam[:a - 1]
     return Bipartition(new, bp.c2) if c == 1 else Bipartition(bp.c1, new)
 
 
 # ---------------------------------------------------------------------------
 # the order on nodes
 
-def node_key(node: Node, charge: tuple[int, int]) -> tuple[int, int]:
-    # equal content: component 2 is the smaller node
-    return (content(node, charge), -node.c)
+def node_key(node: Node, charge: tuple[int, int]) -> int:
+    """2 * content - c: orders nodes by content, and at equal content
+    puts component 2 first."""
+    return 2 * content(node, charge) - node.c
 
 
 def node_less(g1: Node, g2: Node, charge: tuple[int, int]) -> bool:
@@ -279,34 +285,36 @@ def boundary_sequence(bp: Bipartition, charge: tuple[int, int],
     return sorted(nodes, key=lambda g: node_key(g, charge), reverse=True)
 
 
+def uglov_key(bp: Bipartition, charge: tuple[int, int]) -> tuple[int, ...]:
+    """The node_key values of the row-end vertical-boundary nodes of both
+    components, decreasing: the merged beta-set of bp.
+
+    Keys compare as the boundary sequences do.  Those sequences go on
+    with the virtual column-0 nodes (a, 0, c) below each component's last
+    row, which the key leaves out.  They never decide a comparison: if
+    the largest node in only one of two sequences were (a, 0, c), both
+    sequences would hold rows 1..a-1 of component c above it, and the
+    other's row-a node, of content at least that of (a, 0, c), would be
+    above it too.
+    """
+    s1, s2 = charge
+    out = [2 * (x - a + s1) - 1 for a, x in enumerate(bp.c1, 1)]
+    out += [2 * (x - a + s2) - 2 for a, x in enumerate(bp.c2, 1)]
+    out.sort(reverse=True)
+    return tuple(out)
+
+
 def compare_uglov(bp1: Bipartition, bp2: Bipartition,
                   charge: tuple[int, int]) -> int:
-    """-1, 0 or 1 for the boundary-sequence order on bipartitions.
-
-    The infinite sequences are truncated once all deeper vertical-boundary
-    nodes are the shape-independent virtual column-0 tail; equal row counts
-    on both sides keep positions aligned.
-    """
-    if bp1 == bp2:
-        return 0
-    n = max(bp1.rank, bp2.rank)
-    rows = max(len(bp1.c1), len(bp1.c2), len(bp2.c1), len(bp2.c2),
-               abs(charge[0] - charge[1]) + n + 2)
-    key = lambda g: node_key(g, charge)
-    seq1 = sorted(_vertical_rows(bp1, rows), key=key, reverse=True)
-    seq2 = sorted(_vertical_rows(bp2, rows), key=key, reverse=True)
-    for g1, g2 in zip(seq1, seq2):
-        if g1 != g2:
-            return -1 if node_less(g1, g2, charge) else 1
-    raise AssertionError("distinct bipartitions with equal boundary "
-                         "sequences: %r, %r" % (bp1, bp2))
+    """-1, 0 or 1 for the boundary-sequence order on bipartitions."""
+    k1, k2 = uglov_key(bp1, charge), uglov_key(bp2, charge)
+    return (k1 > k2) - (k1 < k2)
 
 
 def uglov_max(bps, charge: tuple[int, int]) -> Bipartition:
     """The largest of a nonempty collection of bipartitions under
     compare_uglov."""
-    return max(bps, key=cmp_to_key(
-        lambda bp1, bp2: compare_uglov(bp1, bp2, charge)))
+    return max(bps, key=lambda bp: uglov_key(bp, charge))
 
 
 def compare_lex(bp1: Bipartition, bp2: Bipartition) -> int:

@@ -19,7 +19,6 @@ from .crystal import (
     CrystalParams,
     add_node,
     good_addable_node,
-    is_uglov,
     peel_word,
 )
 from .diagrams import EMPTY, Bipartition, nature_at
@@ -125,9 +124,11 @@ def psi_e_independence_check(bp: Bipartition, charge_from,
     s1, s2 = charge_from
     if s1 > s2:
         raise ValueError("requires s1 <= s2, got %r" % (charge_from,))
-    charge_to = (s2, s1)
-    if not (is_uglov(bp, CrystalParams(e, tuple(charge_from)))
-            and is_uglov(bp, CrystalParams(None, tuple(charge_from)))):
-        return None
-    return (psi_to(bp, charge_from, charge_to, e)
-            == psi_to(bp, charge_from, charge_to, None))
+    images = []
+    for e_or_inf in (e, None):
+        word = peel_word(bp, CrystalParams(e_or_inf, (s1, s2)))
+        if word is None:
+            return None
+        images.append(rebuild_from_residues(reversed(word),
+                                            CrystalParams(e_or_inf, (s2, s1))))
+    return images[0] == images[1]

@@ -20,13 +20,22 @@ from uglov.admissible import (
     verify_djm_corollary,
     verify_djm_forward,
 )
-from uglov.crystal import CrystalParams, enumerate_uglov, max_of_monomial
+from uglov import admissible
+from uglov.crystal import (
+    CrystalParams,
+    enumerate_uglov,
+    expand_monomial,
+    is_uglov,
+    max_of_monomial,
+)
 from uglov.diagrams import (
     EMPTY,
     Node,
+    bipartition_to_json,
     bipartitions_of,
     parse_bipartition,
     remove_node,
+    uglov_max,
 )
 
 P = parse_bipartition
@@ -177,6 +186,41 @@ def test_verify_djm_converse_small():
         assert report["words"] == 2 ** n
     with pytest.raises(ValueError):
         verify_djm_converse(2, CrystalParams(None, (0, 1)))
+
+
+def _converse_brute(n, p, member):
+    # Reference: expand every word on its own, in itertools.product order.
+    failures = []
+    for word in itertools.product(range(p.e), repeat=n):
+        vec = expand_monomial(word, p)
+        if vec:
+            best = uglov_max(vec, p.charge)
+            if not member(best, p):
+                failures.append({"word": list(word),
+                                 "max": bipartition_to_json(best)})
+    return {"n": n, "words": p.e ** n, "failures": failures,
+            "pass": not failures}
+
+
+CONVERSE_GRID = [CrystalParams(e, charge) for e in (2, 3, 4)
+                 for charge in ((0, 0), (0, 1), (1, 0), (2, -1))]
+
+
+@pytest.mark.parametrize("p", CONVERSE_GRID, ids=str)
+def test_verify_djm_converse_matches_brute_force(p, monkeypatch):
+    for n in range(6):
+        assert verify_djm_converse(n, p) == _converse_brute(n, p, is_uglov)
+
+    def member(bp, p):  # forces failures, to check their order
+        return bp.c1[:1] != (1,) and is_uglov(bp, p)
+
+    monkeypatch.setattr(admissible, "is_uglov", member)
+    failures = 0
+    for n in range(6):
+        report = verify_djm_converse(n, p)
+        assert report == _converse_brute(n, p, member)
+        failures += len(report["failures"])
+    assert failures > 1
 
 
 def _row_standard_shapes_brute(word, p):

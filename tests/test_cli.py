@@ -74,6 +74,13 @@ def test_verify_converse_ok(capsys):
     assert "0 counterexamples" in out
 
 
+def test_verify_converse_counts_words(capsys):
+    # ranks 0..3 at e = 3: 1 + 3 + 9 + 27 words
+    code, out, _ = run(capsys, ["verify", "--mode", "converse", "--n", "3"])
+    assert code == 0
+    assert out == "checked 40 words, 0 counterexamples\n"
+
+
 def test_verify_converse_needs_finite_e(capsys):
     code, _, err = run(capsys, ["--e", "inf", "verify",
                                 "--mode", "converse", "--n", "2"])
@@ -103,7 +110,7 @@ def test_show_adm(capsys):
 
 def test_show_adm_rejects_non_member(capsys):
     code, _, err = run(capsys, ["--charge", "0,0", "show", "1.1.1,-", "adm"])
-    assert code == 1
+    assert code == 2
     assert "not Uglov" in err
 
 
@@ -118,7 +125,7 @@ def test_show_psi(capsys):
 
 def test_show_psi_rejects_other_orbit(capsys):
     code, _, err = run(capsys, ["show", "1,-", "psi:0,0"])
-    assert code == 1
+    assert code == 2
     assert "orbit" in err
 
 
@@ -159,6 +166,8 @@ def test_show_unknown_rendering(capsys):
     ["--e", "inf", "verify", "--mode", "corollary", "--n", "2"],
     ["--e", "inf", "verify", "--mode", "propb", "--n", "2"],
     ["--e", "inf", "verify", "--mode", "psi-nature", "--n", "2"],
+    ["--workers", "2", "verify", "--mode", "converse", "--n", "2"],
+    ["--workers", "2", "verify", "--mode", "psi-nature", "--n", "2"],
 ])
 def test_bad_arguments_exit_2(capsys, argv):
     try:

@@ -1,6 +1,7 @@
 """Unit tests for bipartitions, extended diagrams, natures and orders."""
 
 import itertools
+from functools import cmp_to_key
 
 import pytest
 
@@ -9,6 +10,7 @@ from uglov.diagrams import (
     Bipartition,
     NATURE_TRANSITIONS,
     Node,
+    _vertical_rows,
     add_node,
     addable_nodes,
     bipartition_from_json,
@@ -21,6 +23,7 @@ from uglov.diagrams import (
     format_bipartition,
     is_extended_node,
     make_bipartition,
+    make_partition,
     nature_at,
     nature_table,
     node_key,
@@ -32,9 +35,86 @@ from uglov.diagrams import (
     remove_node,
     removable_nodes,
     residue,
+    uglov_key,
+    uglov_max,
 )
 
 P = parse_bipartition
+
+
+def compare_uglov_oracle(bp1, bp2, charge):
+    """The boundary-sequence comparison node by node: both sequences are
+    truncated past every shape-dependent row and sorted by the node order
+    (content, then component 2 first)."""
+    if bp1 == bp2:
+        return 0
+    n = max(bp1.rank, bp2.rank)
+    rows = max(len(bp1.c1), len(bp1.c2), len(bp2.c1), len(bp2.c2),
+               abs(charge[0] - charge[1]) + n + 2)
+    key = lambda g: (content(g, charge), -g.c)
+    seq1 = sorted(_vertical_rows(bp1, rows), key=key, reverse=True)
+    seq2 = sorted(_vertical_rows(bp2, rows), key=key, reverse=True)
+    for g1, g2 in zip(seq1, seq2):
+        if g1 != g2:
+            return -1 if node_less(g1, g2, charge) else 1
+    raise AssertionError("equal boundary sequences: %r, %r" % (bp1, bp2))
+
+
+def _bipartitions_up_to(n):
+    return [bp for k in range(n + 1) for bp in bipartitions_of(k)]
+
+
+# Reference node primitives, row by row through part() and
+# make_partition, to check the one-pass and slicing versions against.
+
+def _removable_nodes_ref(bp):
+    out = set()
+    for c in (1, 2):
+        lam = bp.component(c)
+        for a in range(1, len(lam) + 1):
+            if lam[a - 1] > part(lam, a + 1):
+                out.add(Node(a, lam[a - 1], c))
+    return out
+
+
+def _addable_nodes_ref(bp):
+    out = set()
+    for c in (1, 2):
+        lam = bp.component(c)
+        for a in range(1, len(lam) + 2):
+            here, above = part(lam, a), part(lam, a - 1) if a > 1 else None
+            if above is None or here < above:
+                out.add(Node(a, here + 1, c))
+    return out
+
+
+def _add_node_ref(bp, node):
+    a, b, c = node
+    lam = list(bp.component(c)) + [0]
+    if (not 1 <= a <= len(lam)) or lam[a - 1] + 1 != b \
+            or (a > 1 and lam[a - 2] < b):
+        raise ValueError("node %r not addable to %r" % (node, bp))
+    lam[a - 1] += 1
+    new = make_partition(lam)
+    return Bipartition(new, bp.c2) if c == 1 else Bipartition(bp.c1, new)
+
+
+def _remove_node_ref(bp, node):
+    a, b, c = node
+    lam = list(bp.component(c))
+    if (not 1 <= a <= len(lam)) or lam[a - 1] != b \
+            or part(lam, a + 1) >= b:
+        raise ValueError("node %r not removable from %r" % (node, bp))
+    lam[a - 1] -= 1
+    new = make_partition(lam)
+    return Bipartition(new, bp.c2) if c == 1 else Bipartition(bp.c1, new)
+
+
+def _outcome(fn, bp, node):
+    try:
+        return fn(bp, node)
+    except ValueError:
+        return ValueError
 
 
 def test_make_partition_rejects_bad_input():
@@ -214,6 +294,35 @@ def test_compare_uglov_examples():
     assert compare_uglov(P("6.3,2"), P("6.1,2.2"), (0, 1)) == 1
     assert compare_uglov(P("1,1"), P("2,-"), (0, 1)) == -1
     assert compare_uglov(EMPTY, EMPTY, (0, 1)) == 0
+
+
+def test_node_primitives_match_reference():
+    for bp in _bipartitions_up_to(8):
+        assert removable_nodes(bp) == _removable_nodes_ref(bp)
+        assert addable_nodes(bp) == _addable_nodes_ref(bp)
+        # every node near the diagram, valid or not
+        rows = max(len(bp.c1), len(bp.c2)) + 2
+        cols = max(bp.c1[:1] + bp.c2[:1] + (0,)) + 2
+        for node in itertools.product(range(rows + 1), range(cols + 1),
+                                      (1, 2)):
+            node = Node(*node)
+            assert (_outcome(add_node, bp, node)
+                    == _outcome(_add_node_ref, bp, node))
+            assert (_outcome(remove_node, bp, node)
+                    == _outcome(_remove_node_ref, bp, node))
+
+
+@pytest.mark.parametrize("charge", [(0, 0), (0, 1), (1, 0), (0, 2),
+                                    (2, -1), (5, 0)])
+def test_uglov_key_matches_boundary_sequence_oracle(charge):
+    bps = _bipartitions_up_to(8)
+    expected = sorted(bps, key=cmp_to_key(
+        lambda x, y: compare_uglov_oracle(x, y, charge)))
+    assert sorted(bps, key=lambda bp: uglov_key(bp, charge)) == expected
+    assert uglov_max(bps, charge) == expected[-1]
+    for x, y in zip(expected, expected[1:]):
+        assert compare_uglov(x, y, charge) == -1
+        assert compare_uglov(y, x, charge) == 1
 
 
 def test_compare_uglov_total_order():

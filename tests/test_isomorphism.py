@@ -154,3 +154,21 @@ def test_e_independence_of_sigma1():
     assert seen_applicable
     with pytest.raises(ValueError):
         psi_e_independence_check(P("1,-"), (1, 0), 3)
+
+
+def test_e_independence_peels_once_per_e(monkeypatch):
+    from uglov import crystal, isomorphism
+    calls, peel = [], crystal.peel_word
+
+    def counting(bp, p):
+        calls.append(p.e)
+        return peel(bp, p)
+
+    monkeypatch.setattr(crystal, "peel_word", counting)
+    monkeypatch.setattr(isomorphism, "peel_word", counting)
+    p = CrystalParams(3, (0, 1))
+    for n in range(5):
+        for bp in enumerate_uglov(n, p):
+            calls.clear()
+            psi_e_independence_check(bp, (0, 1), 3)
+            assert calls == [3, None]
