@@ -25,9 +25,9 @@ from .diagrams import (
     Bipartition,
     Node,
     addable_nodes,
+    beta_set,
     bipartition_to_json,
     bipartitions_of,
-    content,
     node_key,
     node_less,
     part,
@@ -51,12 +51,10 @@ def has_period(bp: Bipartition, p: CrystalParams) -> bool:
     by one, components weakly increasing."""
     if p.e is None:
         raise ValueError("periods need finite e")
-    comps: dict[int, set[int]] = {}
+    comps: dict[int, set[int]] = {}  # bead -> components holding it
     for c in (1, 2):
-        lam = bp.component(c)
-        for a in range(1, len(lam) + 1):
-            g = Node(a, lam[a - 1], c)
-            comps.setdefault(content(g, p.charge), set()).add(c)
+        for x in beta_set(bp.component(c), p.charge[c - 1]):
+            comps.setdefault(x, set()).add(c)
     for start in comps:
         lowest = 0  # smallest usable component so far
         ok = True
@@ -103,13 +101,6 @@ def two_connected(bp: Bipartition, g1: Node,
         if part(bp.c1, a2) == bp.c2[a - 1] and a2 >= 1:
             return Node(a2, part(bp.c1, a2), 1)
     return None
-
-
-def max_removable_node(bp: Bipartition, charge) -> Optional[Node]:
-    rem = removable_nodes(bp)
-    if not rem:
-        return None
-    return max(rem, key=lambda g: node_key(g, charge))
 
 
 def max_normal_removable_node(bp: Bipartition,
@@ -225,38 +216,39 @@ def verify_djm_forward(bp: Bipartition, p: CrystalParams) -> dict:
     }
 
 
-def verify_djm_converse(n: int, p: CrystalParams) -> dict:
-    """Every monomial maximum over rank n is Uglov.
+def verify_djm_converse(n: int, p: CrystalParams) -> list[dict]:
+    """Every monomial maximum is Uglov: one report per rank 0..n.
 
     The words are visited depth first by shared suffix: expand_monomial
     applies the last residue first, so prepending one residue to a suffix
     is one f_action on the suffix's vector, and a suffix whose vector
-    vanishes is pruned with every word that ends in it.  Failures are
-    reported in increasing word order.
+    vanishes is pruned with every word that ends in it.  Each suffix is a
+    word of its own rank, so one walk to depth n checks every rank.
+    Failures are reported in increasing word order.
     """
     if p.e is None:
         raise ValueError("the converse sweep needs finite e")
-    failures = []
+    failures = [[] for _ in range(n + 1)]  # by rank
     verdicts = {}  # many words share one maximum
 
     def visit(suffix, vec):
-        if len(suffix) == n:
-            best = uglov_max(vec, p.charge)
-            if best not in verdicts:
-                verdicts[best] = is_uglov(best, p)
-            if not verdicts[best]:
-                failures.append({"word": list(suffix),
-                                 "max": bipartition_to_json(best)})
-            return
-        for j in range(p.e):
-            nxt = f_action(vec, j, p)
-            if nxt:
-                visit((j,) + suffix, nxt)
+        best = uglov_max(vec, p.charge)
+        if best not in verdicts:
+            verdicts[best] = is_uglov(best, p)
+        if not verdicts[best]:
+            failures[len(suffix)].append({"word": list(suffix),
+                                          "max": bipartition_to_json(best)})
+        if len(suffix) < n:
+            for j in range(p.e):
+                nxt = f_action(vec, j, p)
+                if nxt:
+                    visit((j,) + suffix, nxt)
 
     visit((), {EMPTY: 1})
-    failures.sort(key=lambda f: f["word"])
-    return {"n": n, "words": p.e ** n, "failures": failures,
-            "pass": not failures}
+    for found in failures:
+        found.sort(key=lambda f: f["word"])
+    return [{"n": k, "words": p.e ** k, "failures": found,
+             "pass": not found} for k, found in enumerate(failures)]
 
 
 # ---------------------------------------------------------------------------

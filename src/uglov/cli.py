@@ -131,38 +131,30 @@ def render_dot(layers, p: CrystalParams) -> str:
     return "\n".join(lines)
 
 
-def _forward_one(task):
-    bp, e, charge = task
-    return admissible.verify_djm_forward(bp, CrystalParams(e, charge))
+# the admissible function each per-bipartition sweep runs
+_SWEEPS = {"forward": "verify_djm_forward",
+           "corollary": "verify_djm_corollary", "propb": "propb_checks"}
 
 
-def _corollary_one(task):
-    bp, e, charge = task
-    return admissible.verify_djm_corollary(bp, CrystalParams(e, charge))
-
-
-def _propb_one(task):
-    bp, e, charge = task
-    return admissible.propb_checks(bp, CrystalParams(e, charge))
-
-
-_SWEEP_FUNCS = {"forward": _forward_one, "corollary": _corollary_one,
-                "propb": _propb_one}
+def _sweep_one(task):
+    # looked up by name at call time, so a rebinding of the admissible
+    # function is seen here too
+    name, bp, e, charge = task
+    return getattr(admissible, name)(bp, CrystalParams(e, charge))
 
 
 def cmd_verify(args) -> int:
     if args.e is None:
         print("verify needs finite e", file=sys.stderr)
         return 2
-    if args.workers > 1 and args.mode not in _SWEEP_FUNCS:
+    if args.workers > 1 and args.mode not in _SWEEPS:
         print("--workers applies to forward, corollary and propb, "
               "not %s" % args.mode, file=sys.stderr)
         return 2
     p = CrystalParams(args.e, args.charge)
     reports = []
     if args.mode == "converse":
-        for n in range(args.n + 1):
-            reports.append(admissible.verify_djm_converse(n, p))
+        reports = admissible.verify_djm_converse(args.n, p)
     elif args.mode == "psi-nature":
         target = (args.charge[1], args.charge[0])
         for layer in crystal.uglov_layers(args.n, p):
@@ -174,15 +166,15 @@ def cmd_verify(args) -> int:
                                 "image": diagrams.bipartition_to_json(image),
                                 "pass": ok})
     else:
-        func = _SWEEP_FUNCS[args.mode]
-        tasks = [(bp, args.e, args.charge)
+        name = _SWEEPS[args.mode]
+        tasks = [(name, bp, args.e, args.charge)
                  for layer in crystal.uglov_layers(args.n, p)
                  for bp in sorted(layer)]
         if args.workers > 1:
             with ProcessPoolExecutor(max_workers=args.workers) as pool:
-                reports = list(pool.map(func, tasks))
+                reports = list(pool.map(_sweep_one, tasks))
         else:
-            reports = [func(t) for t in tasks]
+            reports = [_sweep_one(t) for t in tasks]
     reports.sort(key=lambda r: json.dumps(r, sort_keys=True))
     failed = [r for r in reports if not r["pass"]]
     if args.format == "json":

@@ -10,12 +10,14 @@ The content of (a, b, c) under a charge (s1, s2) is b - a + s_c; the
 residue is the content mod e (the content itself when e is None, which
 stands for e = infinity throughout the package).
 
-The Uglov order on bipartitions compares boundary sequences.  The
-vertical-boundary node (a, lambda^c_a, c) has content lambda^c_a - a + s_c,
-a beta-number of lambda^c, so a bipartition's sequence is determined by
-its merged beta-set {2 beta - c}: Uglov's level-two to level-one wedge.
-uglov_key builds that set as a decreasing tuple of integers, and the
-order is the lexicographic order on these keys.
+The vertical-boundary node (a, lambda^c_a, c) has content
+lambda^c_a - a + s_c, a beta-number of lambda^c.  beta_set lists these
+contents for one component; with the tail of beads below its last row it
+is the one reading of the boundary.  Natures (nature_at), boundary
+sequences and periods (admissible.has_period) are read from it.  The
+Uglov order compares boundary sequences, so it is the lexicographic order
+on the merged beta-set {2 beta - c}, Uglov's level-two to level-one
+wedge, which uglov_key builds as a decreasing tuple of integers.
 """
 
 from __future__ import annotations
@@ -110,6 +112,16 @@ def residue(node: Node, charge: tuple[int, int], e: Optional[int]) -> int:
     return cont if e is None else cont % e
 
 
+def beta_set(lam: tuple[int, ...], s: int) -> list[int]:
+    """The contents lam_a - a + s of the row-end nodes (a, lam_a) of a
+    component of charge s, decreasing: its charged beta-set.
+
+    Every content below s - len(lam) is a bead too: the virtual column-0
+    nodes (a, 0) with a > len(lam), which the list leaves out.
+    """
+    return [x - a + s for a, x in enumerate(lam, 1)]
+
+
 def is_extended_node(bp: Bipartition, node: Node) -> bool:
     a, b, c = node
     if c not in (1, 2) or a < 0 or b < 0:
@@ -187,47 +199,20 @@ def node_less(g1: Node, g2: Node, charge: tuple[int, int]) -> bool:
 
 def nature_at(bp: Bipartition, charge: tuple[int, int], j: int,
               c: int) -> NatureEntry:
-    """The unique addable-or-boundary node of content j in component c."""
-    lam = bp.component(c)
-    d = j - charge[c - 1]  # b - a along the diagonal of content j
-    found: dict[Node, set[str]] = {}
+    """The unique addable-or-boundary node of content j in component c.
 
-    def mark(node, flag):
-        found.setdefault(node, set()).add(flag)
-
-    for a in range(1, len(lam) + 2):
-        here, above = part(lam, a), part(lam, a - 1) if a > 1 else None
-        if (above is None or here < above) and (here + 1) - a == d:
-            mark(Node(a, here + 1, c), "add")
-    # vertical boundary: one node per row, (a, lam_a, c)
-    for a in range(1, len(lam) + 1):
-        if lam[a - 1] - a == d:
-            mark(Node(a, lam[a - 1], c), "vert")
-    if -d > len(lam):
-        mark(Node(-d, 0, c), "vert")
-    # horizontal boundary: row a holds columns (lam_{a+1}, lam_a]
-    for a in range(1, len(lam) + 1):
-        b = d + a
-        if part(lam, a + 1) < b <= lam[a - 1]:
-            mark(Node(a, b, c), "horiz")
-    if d >= 1 and d > part(lam, 1):
-        mark(Node(0, d, c), "horiz")
-
-    if len(found) != 1:
-        raise AssertionError(
-            "slot (content=%d, c=%d) of %r has %d candidates: %r"
-            % (j, c, bp, len(found), found))
-    node, flags = next(iter(found.items()))
-    if "add" in flags:
-        kind = A
-    elif flags >= {"vert", "horiz"}:
-        kind = R
-    elif "vert" in flags:
-        kind = BV
-    else:
-        kind = BH
-    virtual = kind != A and (node.a == 0 or node.b == 0)
-    return NatureEntry(kind, node, virtual)
+    Its kind is read from the beads at j and j - 1: R when only j is a
+    bead, Bv when both are, A when only j - 1 is, Bh when neither is.
+    Its row counts the beads above j, plus one unless it is Bh.
+    """
+    s = charge[c - 1]
+    beads = beta_set(bp.component(c), s)
+    floor = s - len(beads)
+    on, below = (x < floor or x in beads for x in (j, j - 1))
+    kind = (BV if below else R) if on else (A if below else BH)
+    a = sum(x > j for x in beads) + max(0, floor - 1 - j) + (kind != BH)
+    node = Node(a, j - s + a, c)
+    return NatureEntry(kind, node, kind != A and (a == 0 or node.b == 0))
 
 
 def nature_table(bp: Bipartition, charge: tuple[int, int],
@@ -265,29 +250,27 @@ NATURE_TRANSITIONS = {
 # ---------------------------------------------------------------------------
 # boundary sequence and the order on bipartitions
 
-def _vertical_rows(bp: Bipartition, rows: int) -> list[Node]:
-    out = []
-    for c in (1, 2):
-        lam = bp.component(c)
-        for a in range(1, rows + 1):
-            out.append(Node(a, part(lam, a), c))
-    return out
-
-
 def boundary_sequence(bp: Bipartition, charge: tuple[int, int],
                       window: tuple[int, int]) -> list[Node]:
-    """Vertical-boundary nodes with content in the window, decreasing."""
+    """Vertical-boundary nodes with content in the window, decreasing.
+
+    Row a of component c holds the bead x = beta_set(...)[a - 1], or the
+    tail bead s_c - a below the last row, at node (a, x - s_c + a, c).
+    """
     lo, hi = window
-    smax = max(charge)
-    rows = max(len(bp.c1), len(bp.c2), smax - lo + 1) + 1
-    nodes = [g for g in _vertical_rows(bp, rows)
-             if lo <= content(g, charge) <= hi]
+    nodes = []
+    for c, s in ((1, charge[0]), (2, charge[1])):
+        beads = beta_set(bp.component(c), s)
+        beads += range(s - len(beads) - 1, lo - 1, -1)
+        nodes += [Node(a, x - s + a, c) for a, x in enumerate(beads, 1)
+                  if lo <= x <= hi]
     return sorted(nodes, key=lambda g: node_key(g, charge), reverse=True)
 
 
 def uglov_key(bp: Bipartition, charge: tuple[int, int]) -> tuple[int, ...]:
     """The node_key values of the row-end vertical-boundary nodes of both
-    components, decreasing: the merged beta-set of bp.
+    components, decreasing: 2 * beta_set - c over both components, merged
+    (computed inline, as this is the hot key of uglov_max).
 
     Keys compare as the boundary sequences do.  Those sequences go on
     with the virtual column-0 nodes (a, 0, c) below each component's last
@@ -367,7 +350,7 @@ def bipartition_from_json(obj: dict) -> Bipartition:
     return make_bipartition(obj["c1"], obj["c2"])
 
 
-def render_nature_table(tables: dict[str, list], charge_labels=None) -> str:
+def render_nature_table(tables: dict[str, list]) -> str:
     """Aligned text rendering: Component row, Content row, one nature row
     per named bipartition.  `tables` maps a label to the slot list from
     nature_table (all over the same window)."""

@@ -24,13 +24,16 @@ from .crystal import (
 from .diagrams import EMPTY, Bipartition, nature_at
 
 
-def reduce_to_fundamental(charge, e: int) -> tuple[int, int]:
-    """The fundamental-domain member of the orbit of charge."""
+def reduce_to_fundamental(charge, e: Optional[int]) -> tuple[int, int]:
+    """The fundamental-domain member of the orbit of charge; at e = None
+    (no translations) the orbit is the charge and its swap."""
+    if e is None:
+        return tuple(sorted(charge))
     s1, s2 = charge
     return tuple(sorted((s1 % e, s2 % e)))
 
 
-def same_orbit(c1, c2, e: int) -> bool:
+def same_orbit(c1, c2, e: Optional[int]) -> bool:
     return reduce_to_fundamental(c1, e) == reduce_to_fundamental(c2, e)
 
 
@@ -63,7 +66,7 @@ def rebuild_from_residues(word, p: CrystalParams) -> Bipartition:
 def psi_to(bp: Bipartition, charge_from, charge_to,
            e: Optional[int]) -> Bipartition:
     """Image of bp under the crystal isomorphism between the two charges."""
-    if e is not None and not same_orbit(charge_from, charge_to, e):
+    if not same_orbit(charge_from, charge_to, e):
         raise ValueError("charges %r and %r are not in one orbit"
                          % (charge_from, charge_to))
     word = peel_residues(bp, CrystalParams(e, tuple(charge_from)))

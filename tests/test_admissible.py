@@ -9,7 +9,6 @@ from uglov.admissible import (
     adm_flotw,
     has_period,
     max_normal_removable_node,
-    max_removable_node,
     one_connected,
     propb_checks,
     remove_all,
@@ -33,8 +32,11 @@ from uglov.diagrams import (
     Node,
     bipartition_to_json,
     bipartitions_of,
+    content,
+    node_key,
     parse_bipartition,
     remove_node,
+    removable_nodes,
     uglov_max,
 )
 
@@ -50,6 +52,40 @@ def test_has_period_examples():
     assert not has_period(EMPTY, P01)
     with pytest.raises(ValueError):
         has_period(EMPTY, CrystalParams(None, (0, 1)))
+
+
+def _has_period_oracle(bp, p):
+    # Reference: contents of the row-end Nodes, then the same chain search.
+    comps = {}
+    for c in (1, 2):
+        lam = bp.component(c)
+        for a in range(1, len(lam) + 1):
+            g = Node(a, lam[a - 1], c)
+            comps.setdefault(content(g, p.charge), set()).add(c)
+    for start in comps:
+        lowest, ok = 0, True
+        for j in range(start, start + p.e):
+            choices = [c for c in comps.get(j, ()) if c >= lowest]
+            if not choices:
+                ok = False
+                break
+            lowest = min(choices)
+        if ok:
+            return True
+    return False
+
+
+def test_has_period_matches_oracle():
+    bps = [bp for n in range(9) for bp in bipartitions_of(n)]
+    periodic = 0
+    for e in (2, 3, 4):
+        for charge in ((0, 0), (0, 1), (1, 0), (2, -1)):
+            p = CrystalParams(e, charge)
+            for bp in bps:
+                verdict = has_period(bp, p)
+                assert verdict == _has_period_oracle(bp, p)
+                periodic += verdict
+    assert 0 < periodic < 12 * len(bps)
 
 
 def test_no_uglov_bipartition_has_period():
@@ -97,7 +133,8 @@ def test_max_normal_vs_max_removable():
     # The largest removable node of ((1),(1)) is cancelled by a larger
     # addable node of the same residue, so the normal maximum differs.
     bp = P("1,1")
-    assert max_removable_node(bp, P01.charge) == Node(1, 1, 2)
+    assert (max(removable_nodes(bp), key=lambda g: node_key(g, P01.charge))
+            == Node(1, 1, 2))
     assert max_normal_removable_node(bp, P01) == Node(1, 1, 1)
     assert max_normal_removable_node(EMPTY, P01) is None
 
@@ -180,8 +217,10 @@ def test_verify_djm_forward_small_grid():
 
 def test_verify_djm_converse_small():
     p = CrystalParams(2, (0, 1))
-    for n in range(4):
-        report = verify_djm_converse(n, p)
+    reports = verify_djm_converse(3, p)
+    assert [r["n"] for r in reports] == [0, 1, 2, 3]
+    for n, report in enumerate(reports):
+        assert report == _converse_brute(n, p, is_uglov)
         assert report["pass"]
         assert report["words"] == 2 ** n
     with pytest.raises(ValueError):
@@ -208,19 +247,16 @@ CONVERSE_GRID = [CrystalParams(e, charge) for e in (2, 3, 4)
 
 @pytest.mark.parametrize("p", CONVERSE_GRID, ids=str)
 def test_verify_djm_converse_matches_brute_force(p, monkeypatch):
-    for n in range(6):
-        assert verify_djm_converse(n, p) == _converse_brute(n, p, is_uglov)
+    assert verify_djm_converse(5, p) == [_converse_brute(n, p, is_uglov)
+                                         for n in range(6)]
 
     def member(bp, p):  # forces failures, to check their order
         return bp.c1[:1] != (1,) and is_uglov(bp, p)
 
     monkeypatch.setattr(admissible, "is_uglov", member)
-    failures = 0
-    for n in range(6):
-        report = verify_djm_converse(n, p)
-        assert report == _converse_brute(n, p, member)
-        failures += len(report["failures"])
-    assert failures > 1
+    reports = verify_djm_converse(5, p)
+    assert reports == [_converse_brute(n, p, member) for n in range(6)]
+    assert sum(len(r["failures"]) for r in reports) > 1
 
 
 def _row_standard_shapes_brute(word, p):

@@ -129,6 +129,18 @@ def test_show_psi_rejects_other_orbit(capsys):
     assert "orbit" in err
 
 
+def test_show_psi_rejects_translation_at_infinity(capsys):
+    # at e = inf the orbit of (0,1) is {(0,1), (1,0)}
+    code, out, err = run(capsys, ["--e", "inf", "show", "1,-", "psi:0,3"])
+    assert code == 2
+    assert out == ""
+    assert "not in one orbit" in err
+    assert "Traceback" not in err
+    code, out, _ = run(capsys, ["--e", "inf", "show", "1,-", "psi:1,0"])
+    assert code == 0
+    assert out.strip() == "-,1"
+
+
 def test_show_natures_layout(capsys):
     code, out, _ = run(capsys, ["show", "6.1,2.2", "natures",
                                 "--window=-3,6"])

@@ -10,9 +10,10 @@ from uglov.diagrams import (
     Bipartition,
     NATURE_TRANSITIONS,
     Node,
-    _vertical_rows,
+    NatureEntry,
     add_node,
     addable_nodes,
+    beta_set,
     bipartition_from_json,
     bipartition_to_json,
     bipartitions_of,
@@ -40,6 +41,67 @@ from uglov.diagrams import (
 )
 
 P = parse_bipartition
+
+
+def _vertical_rows(bp, rows):
+    """Row-end nodes (a, lambda^c_a, c) of rows 1..rows, column 0 past
+    the last row."""
+    return [Node(a, part(bp.component(c), a), c)
+            for c in (1, 2) for a in range(1, rows + 1)]
+
+
+def _boundary_sequence_oracle(bp, charge, window):
+    """boundary_sequence row by row: enough rows to pass below lo."""
+    lo, hi = window
+    rows = max(len(bp.c1), len(bp.c2), max(charge) - lo + 1) + 1
+    nodes = [g for g in _vertical_rows(bp, rows)
+             if lo <= content(g, charge) <= hi]
+    return sorted(nodes, key=lambda g: node_key(g, charge), reverse=True)
+
+
+def nature_at_oracle(bp, charge, j, c):
+    """nature_at from the diagram: mark the addable, vertical-boundary and
+    horizontal-boundary nodes of content j and require exactly one."""
+    lam = bp.component(c)
+    d = j - charge[c - 1]  # b - a along the diagonal of content j
+    found = {}
+
+    def mark(node, flag):
+        found.setdefault(node, set()).add(flag)
+
+    for a in range(1, len(lam) + 2):
+        here, above = part(lam, a), part(lam, a - 1) if a > 1 else None
+        if (above is None or here < above) and (here + 1) - a == d:
+            mark(Node(a, here + 1, c), "add")
+    # vertical boundary: one node per row, (a, lam_a, c)
+    for a in range(1, len(lam) + 1):
+        if lam[a - 1] - a == d:
+            mark(Node(a, lam[a - 1], c), "vert")
+    if -d > len(lam):
+        mark(Node(-d, 0, c), "vert")
+    # horizontal boundary: row a holds columns (lam_{a+1}, lam_a]
+    for a in range(1, len(lam) + 1):
+        b = d + a
+        if part(lam, a + 1) < b <= lam[a - 1]:
+            mark(Node(a, b, c), "horiz")
+    if d >= 1 and d > part(lam, 1):
+        mark(Node(0, d, c), "horiz")
+
+    if len(found) != 1:
+        raise AssertionError(
+            "slot (content=%d, c=%d) of %r has %d candidates: %r"
+            % (j, c, bp, len(found), found))
+    node, flags = next(iter(found.items()))
+    if "add" in flags:
+        kind = "A"
+    elif flags >= {"vert", "horiz"}:
+        kind = "R"
+    elif "vert" in flags:
+        kind = "Bv"
+    else:
+        kind = "Bh"
+    virtual = kind != "A" and (node.a == 0 or node.b == 0)
+    return NatureEntry(kind, node, virtual)
 
 
 def compare_uglov_oracle(bp1, bp2, charge):
@@ -227,6 +289,43 @@ def test_nature_at_examples():
     assert (ent.kind, ent.node, ent.virtual) == ("R", Node(1, 2, 2), False)
     ent = nature_at(bp, charge, -4, 1)
     assert (ent.kind, ent.node, ent.virtual) == ("Bv", Node(4, 0, 1), True)
+
+
+def test_beta_set_examples():
+    assert beta_set((3, 3, 1), 0) == [2, 1, -2]
+    assert beta_set((6, 1), 1) == [6, 0]
+    assert beta_set((), 5) == []
+
+
+# every bipartition of rank <= 8 at these charges, for contents
+# min(s) - n - 4 .. max(s) + n + 3 in both components
+NATURE_GRID_CHARGES = [(0, 0), (0, 1), (1, 0), (-2, 3), (5, 0), (0, 2),
+                       (2, -1)]
+
+
+@pytest.mark.parametrize("charge", NATURE_GRID_CHARGES)
+def test_nature_at_matches_oracle(charge):
+    for bp in _bipartitions_up_to(8):
+        n = bp.rank
+        for j in range(min(charge) - n - 4, max(charge) + n + 4):
+            for c in (1, 2):
+                assert (nature_at(bp, charge, j, c)
+                        == nature_at_oracle(bp, charge, j, c))
+
+
+@pytest.mark.parametrize("charge", [(0, 0), (0, 1), (1, 0), (-2, 3),
+                                    (5, 0), (2, -1)])
+def test_boundary_sequence_matches_oracle(charge):
+    s_lo, s_hi = min(charge), max(charge)
+    for bp in _bipartitions_up_to(8):
+        n = bp.rank
+        windows = [(s_lo - n - 1, s_hi + n + 1),  # the default window
+                   (s_lo - n - 4, s_lo - n - 2),  # below every row
+                   (s_lo - 2, s_hi + 2), (s_hi, s_hi), (s_hi + n + 1,
+                                                          s_hi + n + 3)]
+        for window in windows:
+            assert (boundary_sequence(bp, charge, window)
+                    == _boundary_sequence_oracle(bp, charge, window))
 
 
 def test_nature_table_empty_bipartition():

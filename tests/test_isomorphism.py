@@ -31,6 +31,9 @@ def test_reduce_to_fundamental():
     assert reduce_to_fundamental((-1, 4), 3) == (1, 2)
     assert reduce_to_fundamental((2, -7), 3) == (2, 2)
     assert reduce_to_fundamental((0, 0), 3) == (0, 0)
+    # e = infinity: no translations, only the swap
+    assert reduce_to_fundamental((1, 0), None) == (0, 1)
+    assert reduce_to_fundamental((7, -2), None) == (-2, 7)
 
 
 def test_same_orbit():
@@ -38,6 +41,8 @@ def test_same_orbit():
     assert same_orbit((0, 1), (1, 3), 3)
     assert same_orbit((0, 1), (-2, 0), 3)
     assert not same_orbit((0, 1), (0, 0), 3)
+    assert same_orbit((0, 1), (1, 0), None)
+    assert not same_orbit((0, 1), (0, 3), None)
 
 
 def test_peel_rebuild_identity():
@@ -61,11 +66,13 @@ def test_psi_identity_and_errors():
         psi_to(P("1,-"), (0, 1), (0, 0), 3)  # charges in different orbits
     with pytest.raises(ValueError):
         psi_to(P("1.1.1,-"), (0, 0), (3, 0), 3)  # not Uglov at the source
+    with pytest.raises(ValueError, match="not in one orbit"):
+        psi_to(P("1,-"), (0, 1), (0, 3), None)  # no translations at e = inf
 
 
 def test_psi_bijective_between_charges():
-    e = 3
-    for c_from, c_to in (((0, 1), (1, 0)), ((0, 1), (1, 3))):
+    for e, c_from, c_to in ((3, (0, 1), (1, 0)), (3, (0, 1), (1, 3)),
+                            (None, (0, 1), (1, 0))):
         p_from, p_to = CrystalParams(e, c_from), CrystalParams(e, c_to)
         for n in range(6):
             src, dst = enumerate_uglov(n, p_from), enumerate_uglov(n, p_to)

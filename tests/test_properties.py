@@ -1,17 +1,29 @@
-"""Hypothesis properties of the Uglov order and the dotted notation."""
+"""Hypothesis properties of the Uglov order, natures, the charge-change
+isomorphism and the dotted notation."""
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
-from test_diagrams import compare_uglov_oracle  # noqa: E402
+from test_diagrams import compare_uglov_oracle, nature_at_oracle  # noqa: E402
+from uglov.crystal import (  # noqa: E402
+    CrystalParams,
+    good_addable_node,
+    is_uglov,
+)
 from uglov.diagrams import (  # noqa: E402
+    EMPTY,
     Bipartition,
+    add_node,
+    addable_nodes,
     compare_uglov,
     format_bipartition,
+    nature_at,
     parse_bipartition,
+    residue,
 )
+from uglov.isomorphism import psi_to  # noqa: E402
 
 MAX_RANK = 20
 
@@ -43,3 +55,43 @@ def test_compare_uglov_matches_oracle(bp1, bp2, charge):
 @given(bipartitions())
 def test_parse_format_round_trip(bp):
     assert parse_bipartition(format_bipartition(bp)) == bp
+
+
+@given(bipartitions(), charges)
+def test_nature_at_matches_oracle(bp, charge):
+    n = bp.rank
+    for j in range(min(charge) - n - 4, max(charge) + n + 4):
+        for c in (1, 2):
+            assert nature_at(bp, charge, j, c) \
+                == nature_at_oracle(bp, charge, j, c)
+
+
+@st.composite
+def uglov_instances(draw):
+    """(bp, e, s, t): bp is built by good additions along a drawn residue
+    word at charge s, so it is Uglov there; t is the swap of s or, for
+    finite e, s shifted by e in one component."""
+    e = draw(st.sampled_from([2, 3, 4, None]))
+    s = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+    p = CrystalParams(e, s)
+    bp = EMPTY
+    for _ in range(draw(st.integers(0, MAX_RANK))):
+        # each letter is drawn among the residues with a good addable node
+        nodes = {residue(g, s, e): good_addable_node(bp, residue(g, s, e), p)
+                 for g in addable_nodes(bp)}
+        j = draw(st.sampled_from(sorted(j for j in nodes if nodes[j])))
+        bp = add_node(bp, nodes[j])
+    moves = [(s[1], s[0])]
+    if e is not None:
+        moves += [(s[0] + e, s[1]), (s[0], s[1] + e),
+                  (s[0] - e, s[1]), (s[0], s[1] - e)]
+    return bp, e, s, draw(st.sampled_from(moves))
+
+
+@given(uglov_instances())
+def test_psi_round_trip(instance):
+    bp, e, s, t = instance
+    image = psi_to(bp, s, t, e)
+    assert is_uglov(image, CrystalParams(e, t))
+    assert image.rank == bp.rank
+    assert psi_to(image, t, s, e) == bp
