@@ -15,10 +15,11 @@ from typing import Optional
 from .crystal import (
     CrystalParams,
     f_action,
-    in_fundamental_domain,
     is_flotw,
     is_uglov,
     normal_removable_nodes,
+    require_fundamental,
+    signature_word,
 )
 from .diagrams import (
     EMPTY,
@@ -38,12 +39,6 @@ from .diagrams import (
     uglov_max,
 )
 from .isomorphism import psi_to, reduce_to_fundamental
-
-
-def _require_fundamental(p: CrystalParams):
-    if p.e is None or not in_fundamental_domain(p.charge, p.e):
-        raise ValueError("charge %r not in the fundamental domain for e=%r"
-                         % (p.charge, p.e))
 
 
 def has_period(bp: Bipartition, p: CrystalParams) -> bool:
@@ -87,7 +82,7 @@ def one_connected(bp: Bipartition, g1: Node, g2: Node,
 def two_connected(bp: Bipartition, g1: Node,
                   p: CrystalParams) -> Optional[Node]:
     """The shifted equal-part partner of a removable node, if any."""
-    _require_fundamental(p)
+    require_fundamental(p)
     e, (s1, s2) = p.e, p.charge
     if g1 not in removable_nodes(bp):
         raise ValueError("%r is not removable from %r" % (g1, bp))
@@ -114,21 +109,16 @@ def max_normal_removable_node(bp: Bipartition,
     the removed set is not a stretch of normal nodes and the monomial
     expansion of the residue sequence overshoots the bipartition.
     """
-    best = None
-    for j in range(p.e):
-        nodes = normal_removable_nodes(bp, j, p)
-        if nodes and (best is None
-                      or node_key(nodes[-1], p.charge)
-                      > node_key(best, p.charge)):
-            best = nodes[-1]
-    return best
+    return max((rems[-1] for _, rems in signature_word(bp, p).values()
+                if rems),
+               key=lambda g: node_key(g, p.charge), default=None)
 
 
 def removable_class(bp: Bipartition, seed: Node,
                     p: CrystalParams) -> list[Node]:
     """Equivalence class of the maximal normal removable node under the
     transitive closure of (1)- and (2)-connectedness, increasing."""
-    _require_fundamental(p)
+    require_fundamental(p)
     if seed != max_normal_removable_node(bp, p):
         raise ValueError("seed %r is not the maximal normal removable node"
                          % (seed,))
@@ -163,7 +153,7 @@ def remove_all(bp: Bipartition, nodes) -> Bipartition:
 
 def adm_flotw(bp: Bipartition, p: CrystalParams) -> list:
     """Admissible residue sequence by successive class removals."""
-    _require_fundamental(p)
+    require_fundamental(p)
     if not is_flotw(bp, p):
         raise ValueError("%r is not FLOTW at %r" % (bp, p))
     segments = []

@@ -91,7 +91,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n", type=parse_rank, required=True)
 
     p_show = sub.add_parser("show", help="render data for one bipartition")
-    p_show.add_argument("bp", type=parse_bipartition)
+    p_show.add_argument("bp", type=parse_bipartition,
+                        help="dotted notation, e.g. 6.1,2.2; an empty first "
+                             "component is written ,3.1 (or -- -,3.1), "
+                             "since a leading '-' reads as an option")
     p_show.add_argument("what", type=parse_rendering,
                         help="natures | boundary | adm | psi:S1,S2")
     p_show.add_argument("--window", type=parse_window, default=None,

@@ -3,6 +3,11 @@
 A Fock vector is a dict Bipartition -> nonzero int whose keys all share
 one rank.  The crystal parameters bundle e (None for infinity) with the
 charge (s1, s2).
+
+signature_word is the one place that applies the signature rule: one
+scan of a bipartition gives every residue's normal addable and normal
+removable nodes, and from them its good nodes.  Greedy peeling, good
+additions and the per-residue readers all read that scan.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ from .diagrams import (
     Node,
     add_node,
     addable_nodes,
-    node_key,
     part,
     remove_node,
     removable_nodes,
@@ -27,11 +31,6 @@ from .diagrams import (
 class CrystalParams(NamedTuple):
     e: Optional[int]  # None means e = infinity
     charge: tuple[int, int]
-
-
-class SigEntry(NamedTuple):
-    node: Node
-    tag: str  # "A" (addable) or "R" (removable)
 
 
 def _check_e(e):
@@ -69,41 +68,46 @@ def e_action(vec: dict[Bipartition, int], j, p: CrystalParams) -> dict:
     return {bp: c for bp, c in out.items() if c != 0}
 
 
-def signature_word(bp: Bipartition, j, p: CrystalParams) -> list[SigEntry]:
-    """Addable and removable j-nodes read in increasing node order."""
+def signature_word(bp: Bipartition, p: CrystalParams) -> dict:
+    """{j: (normal addable j-nodes, normal removable j-nodes)}, each list
+    increasing, for every residue j of an addable or removable node.
+
+    All addable and removable nodes are sorted once by node_key (computed
+    inline), which is unique per node, so the sort never compares two
+    nodes.  Read in that order, an addable node cancels the largest
+    uncancelled removable node of its residue if there is one, so each
+    reduced j-word reads A...A R...R.
+    """
     e, charge = p.e, p.charge
     entries = []
     for tag, nodes in (("A", addable_nodes(bp)), ("R", removable_nodes(bp))):
         for g in nodes:
             cont = g.b - g.a + charge[g.c - 1]
-            if (cont if e is None else cont % e) == j:
-                entries.append(SigEntry(g, tag))
-    return sorted(entries, key=lambda s: node_key(s.node, charge))
-
-
-def reduce_word(word: list[SigEntry]) -> list[SigEntry]:
-    """Cancel every removable-immediately-before-addable pair."""
-    stack: list[SigEntry] = []
-    for entry in word:
-        if entry.tag == "A" and stack and stack[-1].tag == "R":
-            stack.pop()
+            entries.append((2 * cont - g.c, cont if e is None else cont % e,
+                            tag, g))
+    entries.sort()
+    out: dict = {}
+    for _, j, tag, g in entries:
+        pair = out.get(j)
+        if pair is None:
+            pair = out[j] = ([], [])
+        if tag == "R":
+            pair[1].append(g)
+        elif pair[1]:
+            pair[1].pop()
         else:
-            stack.append(entry)
-    tags = "".join(e.tag for e in stack)
-    assert tags == "A" * tags.count("A") + "R" * tags.count("R")
-    return stack
+            pair[0].append(g)
+    return out
 
 
 def normal_addable_nodes(bp, j, p: CrystalParams) -> list[Node]:
     """Addable j-nodes surviving the cancellation, increasing."""
-    return [e.node for e in reduce_word(signature_word(bp, j, p))
-            if e.tag == "A"]
+    return signature_word(bp, p).get(j, ([], []))[0]
 
 
 def normal_removable_nodes(bp, j, p: CrystalParams) -> list[Node]:
     """Removable j-nodes surviving the cancellation, increasing."""
-    return [e.node for e in reduce_word(signature_word(bp, j, p))
-            if e.tag == "R"]
+    return signature_word(bp, p).get(j, ([], []))[1]
 
 
 def good_addable_node(bp, j, p: CrystalParams) -> Optional[Node]:
@@ -118,12 +122,12 @@ def good_removable_node(bp, j, p: CrystalParams) -> Optional[Node]:
     return survivors[0] if survivors else None
 
 
-def addable_residues(bp, p: CrystalParams):
-    return sorted({residue(g, p.charge, p.e) for g in addable_nodes(bp)})
-
-
-def removable_residues(bp, p: CrystalParams):
-    return sorted({residue(g, p.charge, p.e) for g in removable_nodes(bp)})
+def good_additions(bp: Bipartition, p: CrystalParams) -> list:
+    """(j, bp plus its good addable j-node) for every residue j that has
+    one, in increasing j."""
+    return [(j, add_node(bp, adds[-1]))
+            for j, (adds, _) in sorted(signature_word(bp, p).items())
+            if adds]
 
 
 # ---------------------------------------------------------------------------
@@ -140,14 +144,12 @@ def peel_word(bp: Bipartition, p: CrystalParams) -> Optional[list]:
     _check_e(p.e)
     out = []
     while bp != EMPTY:
-        for j in removable_residues(bp, p):
-            g = good_removable_node(bp, j, p)
-            if g is not None:
-                bp = remove_node(bp, g)
-                out.append(j)
-                break
-        else:
+        sig = signature_word(bp, p)
+        j = min((j for j, (_, rems) in sig.items() if rems), default=None)
+        if j is None:
             return None
+        bp = remove_node(bp, sig[j][1][0])
+        out.append(j)
     return out
 
 
@@ -166,26 +168,15 @@ def uglov_layers(n: int, p: CrystalParams) -> list[set[Bipartition]]:
     _check_e(p.e)
     layers = [{EMPTY}]
     for _ in range(n):
-        nxt = set()
-        for bp in layers[-1]:
-            for j in addable_residues(bp, p):
-                g = good_addable_node(bp, j, p)
-                if g is not None:
-                    nxt.add(add_node(bp, g))
-        layers.append(nxt)
+        layers.append({dst for bp in layers[-1]
+                       for _, dst in good_additions(bp, p)})
     return layers
 
 
 def crystal_edges(layers: list[set[Bipartition]], p: CrystalParams):
     """Good-node edges (bp, residue, bp') between consecutive layers."""
-    edges = []
-    for layer in layers[:-1]:
-        for bp in layer:
-            for j in addable_residues(bp, p):
-                g = good_addable_node(bp, j, p)
-                if g is not None:
-                    edges.append((bp, j, add_node(bp, g)))
-    return edges
+    return [(bp, j, dst) for layer in layers[:-1] for bp in layer
+            for j, dst in good_additions(bp, p)]
 
 
 # ---------------------------------------------------------------------------
@@ -196,12 +187,18 @@ def in_fundamental_domain(charge, e: int) -> bool:
     return 0 <= s1 <= s2 < e
 
 
+def require_fundamental(p: CrystalParams):
+    """Raise ValueError unless e is finite and the charge is in the
+    fundamental domain."""
+    if p.e is None or not in_fundamental_domain(p.charge, p.e):
+        raise ValueError("charge %r not in the fundamental domain for e=%r"
+                         % (p.charge, p.e))
+
+
 def is_flotw(bp: Bipartition, p: CrystalParams) -> bool:
     """Cyclic dominance inequalities plus the missing-residue condition."""
+    require_fundamental(p)
     e, (s1, s2) = p.e, p.charge
-    if e is None or not in_fundamental_domain(p.charge, e):
-        raise ValueError("charge %r not in the fundamental domain for e=%r"
-                         % (p.charge, e))
     lam1, lam2 = bp.c1, bp.c2
     for i in range(1, max(len(lam1), len(lam2)) + 1):
         if part(lam1, i) < part(lam2, i + s2 - s1):

@@ -215,27 +215,27 @@ def nature_at(bp: Bipartition, charge: tuple[int, int], j: int,
     return NatureEntry(kind, node, kind != A and (a == 0 or node.b == 0))
 
 
-def nature_table(bp: Bipartition, charge: tuple[int, int],
-                 window: tuple[int, int]) -> list[tuple[int, int, NatureEntry]]:
-    """Slots (content, component, entry) listed in increasing node order."""
+def _window_contents(window: tuple[int, int]) -> range:
     lo, hi = window
     if lo > hi:
         raise ValueError("empty window %r" % (window,))
-    out = []
-    for j in range(lo, hi + 1):
-        for c in (2, 1):
-            out.append((j, c, nature_at(bp, charge, j, c)))
-    return out
+    return range(lo, hi + 1)
+
+
+def nature_table(bp: Bipartition, charge: tuple[int, int],
+                 window: tuple[int, int]) -> list[tuple[int, int, NatureEntry]]:
+    """Slots (content, component, entry) listed in increasing node order."""
+    return [(j, c, nature_at(bp, charge, j, c))
+            for j in _window_contents(window) for c in (2, 1)]
 
 
 def residue_slots(bp: Bipartition, charge: tuple[int, int], j: int,
                   e: Optional[int],
                   window: tuple[int, int]) -> list[tuple[int, int, NatureEntry]]:
     """The slots of the nature table whose content has residue j."""
-    table = nature_table(bp, charge, window)
-    if e is None:
-        return [s for s in table if s[0] == j]
-    return [s for s in table if s[0] % e == j % e]
+    return [(k, c, nature_at(bp, charge, k, c))
+            for k in _window_contents(window)
+            if (k == j if e is None else (k - j) % e == 0) for c in (2, 1)]
 
 
 NATURE_TRANSITIONS = {

@@ -154,6 +154,16 @@ def test_show_natures_layout(capsys):
         "Bv", "Bh", "A", "Bh", "Bh", "Bh", "Bh", "R", "Bh", "A"]
 
 
+def test_show_empty_first_component(capsys):
+    # a leading "-" reads as an option, so the empty first component is
+    # written as an empty piece, or the operands follow "--"
+    code, out, _ = run(capsys, ["show", ",3.1", "natures", "--window=-1,1"])
+    assert code == 0
+    assert out.splitlines()[2].split("|")[0].strip() == "-,3.1"
+    code, _, _ = run(capsys, ["show", "--", "-,-", "adm"])
+    assert code == 0
+
+
 def test_show_boundary(capsys):
     code, out, _ = run(capsys, ["show", "6.1,2.2", "boundary",
                                 "--window=-3,5"])

@@ -4,9 +4,9 @@ import itertools
 
 import pytest
 
+from uglov.admissible import max_normal_removable_node
 from uglov.crystal import (
     CrystalParams,
-    addable_residues,
     crystal_edges,
     e_action,
     enumerate_uglov,
@@ -14,6 +14,7 @@ from uglov.crystal import (
     f_action,
     fock_vector,
     good_addable_node,
+    good_additions,
     good_removable_node,
     in_fundamental_domain,
     is_flotw,
@@ -21,8 +22,6 @@ from uglov.crystal import (
     max_of_monomial,
     normal_addable_nodes,
     normal_removable_nodes,
-    reduce_word,
-    removable_residues,
     signature_word,
     uglov_layers,
 )
@@ -30,13 +29,61 @@ from uglov.diagrams import (
     EMPTY,
     Node,
     add_node,
+    addable_nodes,
     bipartitions_of,
+    node_key,
     parse_bipartition,
     remove_node,
+    removable_nodes,
+    residue,
 )
 
 P = parse_bipartition
 P01 = CrystalParams(3, (0, 1))
+
+# (e, charge) grid of the exhaustive checks of the signature scan
+SCAN_GRID = [CrystalParams(e, charge) for e in (2, 3, 4, 5, None)
+             for charge in ((0, 0), (0, 1), (1, 0), (0, 2), (2, -1),
+                            (-2, 3), (5, 0))]
+SCAN_RANK = 8
+
+
+def signature_word_oracle(bp, j, p):
+    """The addable and removable j-nodes as (node, tag) pairs, tag "A" or
+    "R", in increasing node order: the signature j-word before
+    cancellation, built one residue at a time."""
+    entries = [(g, tag) for tag, nodes in (("A", addable_nodes(bp)),
+                                           ("R", removable_nodes(bp)))
+               for g in nodes if residue(g, p.charge, p.e) == j]
+    return sorted(entries, key=lambda ent: node_key(ent[0], p.charge))
+
+
+def reduce_word_oracle(word):
+    """Cancel every removable-immediately-before-addable pair, as a stack;
+    the reduced word reads A...A R...R."""
+    stack = []
+    for entry in word:
+        if entry[1] == "A" and stack and stack[-1][1] == "R":
+            stack.pop()
+        else:
+            stack.append(entry)
+    tags = "".join(tag for _, tag in stack)
+    assert tags == "A" * tags.count("A") + "R" * tags.count("R")
+    return stack
+
+
+def normal_pair_oracle(bp, j, p):
+    """(normal addable, normal removable) j-nodes, each increasing."""
+    reduced = reduce_word_oracle(signature_word_oracle(bp, j, p))
+    return ([g for g, tag in reduced if tag == "A"],
+            [g for g, tag in reduced if tag == "R"])
+
+
+def scan_cases():
+    for p in SCAN_GRID:
+        for n in range(SCAN_RANK + 1):
+            for bp in bipartitions_of(n):
+                yield bp, p
 
 
 def test_params_validation():
@@ -58,20 +105,58 @@ def test_e_f_adjoint_counts():
         for bp in bipartitions_of(n):
             for j in range(3):
                 vec = e_action(f_action(fock_vector(bp), j, P01), j, P01)
-                count = len([g for g in signature_word(bp, j, P01)
-                             if g.tag == "A"])
+                count = sum(residue(g, P01.charge, P01.e) == j
+                            for g in addable_nodes(bp))
                 assert vec.get(bp, 0) == count
 
 
 def test_signature_word_example():
     p = CrystalParams(3, (0, 2))
-    word = signature_word(P("3.1.1,3.2.2.1.1"), 1, p)
-    removables = [ent.node for ent in word if ent.tag == "R"]
-    assert removables == [Node(5, 1, 2), Node(3, 1, 1),
-                          Node(3, 2, 2), Node(1, 3, 2)]
-    keys = [(ent.node.b - ent.node.a + p.charge[ent.node.c - 1],
-             -ent.node.c) for ent in word]
-    assert keys == sorted(keys)
+    sig = signature_word(P("3.1.1,3.2.2.1.1"), p)
+    # no addable 1-node, so all four removable 1-nodes are normal,
+    # increasing by content and, at equal content, component 2 first
+    assert sig[1] == ([], [Node(5, 1, 2), Node(3, 1, 1),
+                           Node(3, 2, 2), Node(1, 3, 2)])
+    assert sig[0] == ([Node(6, 1, 2), Node(4, 1, 1), Node(4, 2, 2),
+                       Node(2, 2, 1), Node(2, 3, 2), Node(1, 4, 1)], [])
+    assert sig[2] == ([], [])  # every 2-node cancels
+    assert sorted(sig) == [0, 1, 2]
+
+
+def test_signature_word_matches_oracle():
+    # one scan against the per-residue word and stack reduction
+    for bp, p in scan_cases():
+        sig = signature_word(bp, p)
+        nodes = addable_nodes(bp) | removable_nodes(bp)
+        assert set(sig) == {residue(g, p.charge, p.e) for g in nodes}
+        for j, pair in sig.items():
+            assert pair == normal_pair_oracle(bp, j, p), (bp, p, j)
+
+
+def test_max_normal_removable_node_matches_residue_loop():
+    for bp, p in scan_cases():
+        if p.e is None:
+            continue
+        best = None
+        for j in range(p.e):
+            nodes = normal_pair_oracle(bp, j, p)[1]
+            if nodes and (best is None
+                          or node_key(nodes[-1], p.charge)
+                          > node_key(best, p.charge)):
+                best = nodes[-1]
+        assert max_normal_removable_node(bp, p) == best, (bp, p)
+
+
+def test_good_additions_match_residue_loop():
+    for bp, p in scan_cases():
+        residues = sorted({residue(g, p.charge, p.e)
+                           for g in addable_nodes(bp)})
+        expected = []
+        for j in residues:
+            adds = normal_pair_oracle(bp, j, p)[0]
+            if adds:
+                expected.append((j, add_node(bp, adds[-1])))
+        assert good_additions(bp, p) == expected, (bp, p)
 
 
 def _reduce_by_scanning(tags):
@@ -93,10 +178,12 @@ def test_reduce_word_against_scanning_oracle():
         for bp in bipartitions_of(n):
             for charge in ((0, 1), (0, 0), (-2, 1)):
                 p = CrystalParams(3, charge)
+                sig = signature_word(bp, p)
                 for j in range(3):
-                    word = signature_word(bp, j, p)
-                    got = [ent.tag for ent in reduce_word(word)]
-                    assert got == _reduce_by_scanning(ent.tag for ent in word)
+                    adds, rems = sig.get(j, ([], []))
+                    tags = _reduce_by_scanning(
+                        tag for _, tag in signature_word_oracle(bp, j, p))
+                    assert tags == ["A"] * len(adds) + ["R"] * len(rems)
 
 
 def test_good_node_examples():
@@ -130,14 +217,18 @@ def test_normal_nodes_are_subsets():
             for j in range(3):
                 add = normal_addable_nodes(bp, j, P01)
                 rem = normal_removable_nodes(bp, j, P01)
-                word = signature_word(bp, j, P01)
-                assert set(add) <= {e.node for e in word if e.tag == "A"}
-                assert set(rem) <= {e.node for e in word if e.tag == "R"}
+                assert set(add) <= {g for g in addable_nodes(bp)
+                                    if residue(g, P01.charge, P01.e) == j}
+                assert set(rem) <= {g for g in removable_nodes(bp)
+                                    if residue(g, P01.charge, P01.e) == j}
 
 
 def test_residue_sets():
-    assert addable_residues(EMPTY, P01) == [0, 1]
-    assert removable_residues(P("3.3.1,2.1"), P01) == [0, 1, 2]
+    # the scan has a key for every residue of an addable or removable node
+    assert sorted(signature_word(EMPTY, P01)) == [0, 1]
+    sig = signature_word(P("3.3.1,2.1"), P01)
+    assert sorted(sig) == [0, 1, 2]
+    assert sig[2] == ([Node(3, 1, 2), Node(3, 2, 1)], [Node(1, 2, 2)])
 
 
 def test_enumerate_uglov_small():

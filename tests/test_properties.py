@@ -1,16 +1,18 @@
-"""Hypothesis properties of the Uglov order, natures, the charge-change
-isomorphism and the dotted notation."""
+"""Hypothesis properties of the Uglov order, natures, the signature scan,
+the charge-change isomorphism and the dotted notation."""
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
+from test_crystal import normal_pair_oracle  # noqa: E402
 from test_diagrams import compare_uglov_oracle, nature_at_oracle  # noqa: E402
 from uglov.crystal import (  # noqa: E402
     CrystalParams,
     good_addable_node,
     is_uglov,
+    signature_word,
 )
 from uglov.diagrams import (  # noqa: E402
     EMPTY,
@@ -21,6 +23,7 @@ from uglov.diagrams import (  # noqa: E402
     format_bipartition,
     nature_at,
     parse_bipartition,
+    removable_nodes,
     residue,
 )
 from uglov.isomorphism import psi_to  # noqa: E402
@@ -64,6 +67,16 @@ def test_nature_at_matches_oracle(bp, charge):
         for c in (1, 2):
             assert nature_at(bp, charge, j, c) \
                 == nature_at_oracle(bp, charge, j, c)
+
+
+@given(bipartitions(), charges, st.sampled_from([2, 3, 4, None]))
+def test_signature_word_matches_oracle(bp, charge, e):
+    p = CrystalParams(e, charge)
+    sig = signature_word(bp, p)
+    nodes = addable_nodes(bp) | removable_nodes(bp)
+    assert set(sig) == {residue(g, charge, e) for g in nodes}
+    for j, pair in sig.items():
+        assert pair == normal_pair_oracle(bp, j, p)
 
 
 @st.composite
