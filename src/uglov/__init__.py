@@ -25,7 +25,6 @@ from .diagrams import (
 )
 from .crystal import (
     CrystalParams,
-    e_action,
     enumerate_uglov,
     f_action,
     good_addable_node,
@@ -55,7 +54,6 @@ __all__ = [
     "compare_lex",
     "compare_uglov",
     "content",
-    "e_action",
     "enumerate_uglov",
     "f_action",
     "format_bipartition",

@@ -143,7 +143,13 @@ def _sweep_one(task):
     # looked up by name at call time, so a rebinding of the admissible
     # function is seen here too
     name, bp, e, charge = task
-    return getattr(admissible, name)(bp, CrystalParams(e, charge))
+    try:
+        return getattr(admissible, name)(bp, CrystalParams(e, charge))
+    except AssertionError as exc:
+        # an internal inconsistency is this bipartition's counterexample,
+        # not the end of the sweep
+        return {"bp": diagrams.bipartition_to_json(bp), "pass": False,
+                "error": str(exc)}
 
 
 def cmd_verify(args) -> int:
@@ -160,14 +166,14 @@ def cmd_verify(args) -> int:
         reports = admissible.verify_djm_converse(args.n, p)
     elif args.mode == "psi-nature":
         target = (args.charge[1], args.charge[0])
-        for layer in crystal.uglov_layers(args.n, p):
-            for bp in sorted(layer):
-                image = isomorphism.psi_to(bp, args.charge, target, args.e)
-                ok = isomorphism.psi_nature_check(bp, image, args.charge,
-                                                  target, p)
-                reports.append({"bp": diagrams.bipartition_to_json(bp),
-                                "image": diagrams.bipartition_to_json(image),
-                                "pass": ok})
+        images = isomorphism.psi_images(crystal.uglov_layers(args.n, p), p,
+                                        target)
+        for bp, image in images.items():
+            ok = isomorphism.psi_nature_check(bp, image, args.charge,
+                                              target, p)
+            reports.append({"bp": diagrams.bipartition_to_json(bp),
+                            "image": diagrams.bipartition_to_json(image),
+                            "pass": ok})
     else:
         name = _SWEEPS[args.mode]
         tasks = [(name, bp, args.e, args.charge)
@@ -178,11 +184,13 @@ def cmd_verify(args) -> int:
                 reports = list(pool.map(_sweep_one, tasks))
         else:
             reports = [_sweep_one(t) for t in tasks]
-    reports.sort(key=lambda r: json.dumps(r, sort_keys=True))
-    failed = [r for r in reports if not r["pass"]]
+    # each report serialized once: its line is also its sort key
+    lines = sorted((json.dumps(r, sort_keys=True), r["pass"])
+                   for r in reports)
+    failed = [line for line, ok in lines if not ok]
     if args.format == "json":
-        for r in reports:
-            print(json.dumps(r, sort_keys=True))
+        for line, _ in lines:
+            print(line)
     else:
         if args.mode == "converse":  # one report per rank, many words each
             checked = "%d words" % sum(r["words"] for r in reports)
@@ -190,8 +198,8 @@ def cmd_verify(args) -> int:
         else:
             checked, count = "%d instances" % len(reports), len(failed)
         print("checked %s, %d counterexamples" % (checked, count))
-        for r in failed:
-            print(json.dumps(r, sort_keys=True))
+        for line in failed:
+            print(line)
     return 1 if failed else 0
 
 

@@ -56,18 +56,6 @@ def f_action(vec: dict[Bipartition, int], j, p: CrystalParams) -> dict:
     return {bp: c for bp, c in out.items() if c != 0}
 
 
-def e_action(vec: dict[Bipartition, int], j, p: CrystalParams) -> dict:
-    """Linear extension of: sum over mu obtained by removing a j-node."""
-    _check_e(p.e)
-    out: dict[Bipartition, int] = {}
-    for bp, coeff in vec.items():
-        for g in removable_nodes(bp):
-            if residue(g, p.charge, p.e) == j:
-                mu = remove_node(bp, g)
-                out[mu] = out.get(mu, 0) + coeff
-    return {bp: c for bp, c in out.items() if c != 0}
-
-
 def signature_word(bp: Bipartition, p: CrystalParams) -> dict:
     """{j: (normal addable j-nodes, normal removable j-nodes)}, each list
     increasing, for every residue j of an addable or removable node.

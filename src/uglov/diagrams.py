@@ -13,16 +13,16 @@ stands for e = infinity throughout the package).
 The vertical-boundary node (a, lambda^c_a, c) has content
 lambda^c_a - a + s_c, a beta-number of lambda^c.  beta_set lists these
 contents for one component; with the tail of beads below its last row it
-is the one reading of the boundary.  Natures (nature_at), boundary
-sequences and periods (admissible.has_period) are read from it.  The
-Uglov order compares boundary sequences, so it is the lexicographic order
-on the merged beta-set {2 beta - c}, Uglov's level-two to level-one
-wedge, which uglov_key builds as a decreasing tuple of integers.
+is the one reading of the boundary.  Natures (nature_kinds, and
+nature_at on top of it), boundary sequences and periods
+(admissible.has_period) are read from it.  The Uglov order compares
+boundary sequences, so it is the lexicographic order on the merged
+beta-set {2 beta - c}, Uglov's level-two to level-one wedge, which
+uglov_key builds as a decreasing tuple of integers.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterator, NamedTuple, Optional
 
 
@@ -122,20 +122,6 @@ def beta_set(lam: tuple[int, ...], s: int) -> list[int]:
     return [x - a + s for a, x in enumerate(lam, 1)]
 
 
-def is_extended_node(bp: Bipartition, node: Node) -> bool:
-    a, b, c = node
-    if c not in (1, 2) or a < 0 or b < 0:
-        return False
-    lam = bp.component(c)
-    if a >= 1 and b >= 1:
-        return a <= len(lam) and b <= lam[a - 1]
-    if a == 0:
-        return b > part(lam, 1)
-    if b == 0:
-        return a > len(lam)
-    return False
-
-
 def removable_nodes(bp: Bipartition) -> set[Node]:
     out = set()
     for c, lam in ((1, bp.c1), (2, bp.c2)):
@@ -197,20 +183,37 @@ def node_less(g1: Node, g2: Node, charge: tuple[int, int]) -> bool:
 # ---------------------------------------------------------------------------
 # natures
 
+def nature_kinds(lam: tuple[int, ...], s: int, lo: int,
+                 hi: int) -> tuple[str, ...]:
+    """The nature kinds at contents lo..hi of a component of charge s.
+
+    One increasing pass reads the beads at j and j - 1: R when only j is
+    a bead, Bv when both are, A when only j - 1 is, Bh when neither is.
+    """
+    beads = set(beta_set(lam, s))
+    floor = s - len(lam)
+    kinds = []
+    below = lo - 1 < floor or lo - 1 in beads
+    for j in range(lo, hi + 1):
+        on = j < floor or j in beads
+        kinds.append((BV if below else R) if on else (A if below else BH))
+        below = on
+    return tuple(kinds)
+
+
 def nature_at(bp: Bipartition, charge: tuple[int, int], j: int,
               c: int) -> NatureEntry:
     """The unique addable-or-boundary node of content j in component c.
 
-    Its kind is read from the beads at j and j - 1: R when only j is a
-    bead, Bv when both are, A when only j - 1 is, Bh when neither is.
-    Its row counts the beads above j, plus one unless it is Bh.
+    Its kind is nature_kinds at j.  Its row counts the beads above j,
+    plus one unless it is Bh.
     """
     s = charge[c - 1]
-    beads = beta_set(bp.component(c), s)
-    floor = s - len(beads)
-    on, below = (x < floor or x in beads for x in (j, j - 1))
-    kind = (BV if below else R) if on else (A if below else BH)
-    a = sum(x > j for x in beads) + max(0, floor - 1 - j) + (kind != BH)
+    lam = bp.component(c)
+    kind = nature_kinds(lam, s, j, j)[0]
+    floor = s - len(lam)
+    a = sum(x > j for x in beta_set(lam, s)) + max(0, floor - 1 - j) \
+        + (kind != BH)
     node = Node(a, j - s + a, c)
     return NatureEntry(kind, node, kind != A and (a == 0 or node.b == 0))
 
@@ -307,16 +310,6 @@ def compare_lex(bp1: Bipartition, bp2: Bipartition) -> int:
     return -1 if (bp1.c1, bp1.c2) < (bp2.c1, bp2.c2) else 1
 
 
-def orders_agree_asymptotic(n: int, charge: tuple[int, int]) -> bool:
-    """Self-test: with s1 - s2 > n - 1 both orders coincide on rank n."""
-    s1, s2 = charge
-    if s1 - s2 <= n - 1:
-        raise ValueError("requires s1 - s2 > n - 1, got %r" % (charge,))
-    bps = bipartitions_of(n)
-    return all(compare_uglov(x, y, charge) == compare_lex(x, y)
-               for x, y in itertools.combinations(bps, 2))
-
-
 # ---------------------------------------------------------------------------
 # text notation and JSON encoding
 
@@ -344,10 +337,6 @@ def format_bipartition(bp: Bipartition) -> str:
 
 def bipartition_to_json(bp: Bipartition) -> dict:
     return {"c1": list(bp.c1), "c2": list(bp.c2)}
-
-
-def bipartition_from_json(obj: dict) -> Bipartition:
-    return make_bipartition(obj["c1"], obj["c2"])
 
 
 def render_nature_table(tables: dict[str, list]) -> str:

@@ -9,6 +9,12 @@ computed by peeling a bipartition to empty at the start charge
 the reversed residue word at the end charge; being a crystal
 isomorphism fixing the empty bipartition, this is forced to agree with
 the map itself.
+
+A sweep over a whole crystal component needs no peeling: psi_images
+walks the good edges of the component once and adds one good node per
+image.  The psi-nature sweep checks those images against the sigma1
+nature table, with the natures of each component read by one
+diagrams.nature_kinds pass.
 """
 
 from __future__ import annotations
@@ -18,10 +24,11 @@ from typing import Optional
 from .crystal import (
     CrystalParams,
     add_node,
+    crystal_edges,
     good_addable_node,
     peel_word,
 )
-from .diagrams import EMPTY, Bipartition, nature_at
+from .diagrams import EMPTY, Bipartition, nature_kinds
 
 
 def reduce_to_fundamental(charge, e: Optional[int]) -> tuple[int, int]:
@@ -35,6 +42,12 @@ def reduce_to_fundamental(charge, e: Optional[int]) -> tuple[int, int]:
 
 def same_orbit(c1, c2, e: Optional[int]) -> bool:
     return reduce_to_fundamental(c1, e) == reduce_to_fundamental(c2, e)
+
+
+def require_same_orbit(c1, c2, e: Optional[int]):
+    """Raise ValueError unless the two charges are in one orbit."""
+    if not same_orbit(c1, c2, e):
+        raise ValueError("charges %r and %r are not in one orbit" % (c1, c2))
 
 
 # ---------------------------------------------------------------------------
@@ -53,25 +66,46 @@ def peel_residues(bp: Bipartition, p: CrystalParams) -> list:
     return word
 
 
+def add_good_node(bp: Bipartition, j, p: CrystalParams) -> Bipartition:
+    """bp plus its good addable j-node; ValueError if it has none."""
+    g = good_addable_node(bp, j, p)
+    if g is None:
+        raise ValueError("no good addable %r-node on %r" % (j, bp))
+    return add_node(bp, g)
+
+
 def rebuild_from_residues(word, p: CrystalParams) -> Bipartition:
     bp = EMPTY
     for j in word:
-        g = good_addable_node(bp, j, p)
-        if g is None:
-            raise ValueError("no good addable %r-node on %r" % (j, bp))
-        bp = add_node(bp, g)
+        bp = add_good_node(bp, j, p)
     return bp
 
 
 def psi_to(bp: Bipartition, charge_from, charge_to,
            e: Optional[int]) -> Bipartition:
     """Image of bp under the crystal isomorphism between the two charges."""
-    if not same_orbit(charge_from, charge_to, e):
-        raise ValueError("charges %r and %r are not in one orbit"
-                         % (charge_from, charge_to))
+    require_same_orbit(charge_from, charge_to, e)
     word = peel_residues(bp, CrystalParams(e, tuple(charge_from)))
     p_to = CrystalParams(e, tuple(charge_to))
     return rebuild_from_residues(reversed(word), p_to)
+
+
+def psi_images(layers, p_from: CrystalParams, charge_to) -> dict:
+    """{bp: psi_to(bp, p_from.charge, charge_to, p_from.e)} for every bp
+    of the layers that uglov_layers built at p_from.
+
+    The isomorphism fixes the empty bipartition and commutes with the
+    crystal operators, so along each good edge (bp, j, dst) the image of
+    dst is the image of bp plus its good j-node at charge_to: one
+    signature scan per image, walking the edges layer by layer.
+    """
+    require_same_orbit(p_from.charge, charge_to, p_from.e)
+    p_to = CrystalParams(p_from.e, tuple(charge_to))
+    images = {EMPTY: EMPTY}
+    for bp, j, dst in crystal_edges(layers, p_from):
+        if dst not in images:
+            images[dst] = add_good_node(images[bp], j, p_to)
+    return images
 
 
 # ---------------------------------------------------------------------------
@@ -101,20 +135,23 @@ SIGMA1_NATURE_MAP = {
 
 def psi_nature_check(bp: Bipartition, image: Bipartition, charge_from,
                      charge_to, p: CrystalParams) -> bool:
-    """Per-content nature pairs must transform along the sigma1 table."""
+    """Per-content nature pairs must transform along the sigma1 table.
+
+    The table maps the pairs at the charge (s1, s2) with s1 <= s2 to those
+    at its swap, so when s1 > s2 it maps the image's pairs to bp's.
+    """
     if tuple(charge_to) != (charge_from[1], charge_from[0]):
         raise ValueError("charge_to must be sigma1 . charge_from")
     n = max(bp.rank, image.rank)
-    lo = min(*charge_from, *charge_to) - n - 1
-    hi = max(*charge_from, *charge_to) + n + 1
-    for j in range(lo, hi + 1):
-        before = (nature_at(bp, charge_from, j, 2).kind,
-                  nature_at(bp, charge_from, j, 1).kind)
-        after = (nature_at(image, charge_to, j, 2).kind,
-                 nature_at(image, charge_to, j, 1).kind)
-        if after not in SIGMA1_NATURE_MAP[before]:
-            return False
-    return True
+    s1, s2 = charge_from
+    lo, hi = min(s1, s2) - n - 1, max(s1, s2) + n + 1
+    before = zip(nature_kinds(bp.c2, s2, lo, hi),
+                 nature_kinds(bp.c1, s1, lo, hi))
+    after = zip(nature_kinds(image.c2, s1, lo, hi),
+                nature_kinds(image.c1, s2, lo, hi))
+    if s1 > s2:
+        before, after = after, before
+    return all(a in SIGMA1_NATURE_MAP[b] for b, a in zip(before, after))
 
 
 def psi_e_independence_check(bp: Bipartition, charge_from,

@@ -95,6 +95,28 @@ def test_verify_psi_nature_ok(capsys):
     assert "0 counterexamples" in out
 
 
+def test_verify_psi_nature_first_charge_larger(capsys):
+    # the sigma1 table is read from the image back when s1 > s2
+    code, out, _ = run(capsys, ["--charge", "1,0", "verify",
+                                "--mode", "psi-nature", "--n", "8"])
+    assert code == 0
+    assert out == "checked 166 instances, 0 counterexamples\n"
+
+
+def test_verify_forward_internal_error_is_a_counterexample(capsys):
+    # adm_flotw's class assertion fails on 3.2.1,3.1 at e=3, s=(0,0)
+    code, out, err = run(capsys, ["--charge", "0,0", "verify",
+                                  "--mode", "forward", "--n", "10"])
+    assert code == 1
+    assert "Traceback" not in out + err
+    lines = out.splitlines()
+    assert lines[0] == "checked 248 instances, 1 counterexamples"
+    report = json.loads(lines[1])
+    assert report["bp"] == {"c1": [3, 2, 1], "c2": [3, 1]}
+    assert report["pass"] is False
+    assert "is not the top normal" in report["error"]
+
+
 def test_verify_propb_with_workers(capsys):
     code, out, _ = run(capsys, ["--workers", "2", "verify",
                                 "--mode", "propb", "--n", "3"])

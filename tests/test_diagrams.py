@@ -14,7 +14,6 @@ from uglov.diagrams import (
     add_node,
     addable_nodes,
     beta_set,
-    bipartition_from_json,
     bipartition_to_json,
     bipartitions_of,
     boundary_sequence,
@@ -22,14 +21,13 @@ from uglov.diagrams import (
     compare_uglov,
     content,
     format_bipartition,
-    is_extended_node,
     make_bipartition,
     make_partition,
     nature_at,
+    nature_kinds,
     nature_table,
     node_key,
     node_less,
-    orders_agree_asymptotic,
     parse_bipartition,
     part,
     partitions_of,
@@ -120,6 +118,36 @@ def compare_uglov_oracle(bp1, bp2, charge):
         if g1 != g2:
             return -1 if node_less(g1, g2, charge) else 1
     raise AssertionError("equal boundary sequences: %r, %r" % (bp1, bp2))
+
+
+def is_extended_node(bp, node):
+    """node is a node of the extended Young diagram of bp: a node of the
+    diagram, a virtual row-0 node or a virtual column-0 node."""
+    a, b, c = node
+    if c not in (1, 2) or a < 0 or b < 0:
+        return False
+    lam = bp.component(c)
+    if a >= 1 and b >= 1:
+        return a <= len(lam) and b <= lam[a - 1]
+    if a == 0:
+        return b > part(lam, 1)
+    if b == 0:
+        return a > len(lam)
+    return False
+
+
+def orders_agree_asymptotic(n, charge):
+    """With s1 - s2 > n - 1 both orders coincide on rank n."""
+    s1, s2 = charge
+    if s1 - s2 <= n - 1:
+        raise ValueError("requires s1 - s2 > n - 1, got %r" % (charge,))
+    bps = bipartitions_of(n)
+    return all(compare_uglov(x, y, charge) == compare_lex(x, y)
+               for x, y in itertools.combinations(bps, 2))
+
+
+def bipartition_from_json(obj):
+    return make_bipartition(obj["c1"], obj["c2"])
 
 
 def _bipartitions_up_to(n):
@@ -311,6 +339,24 @@ def test_nature_at_matches_oracle(charge):
             for c in (1, 2):
                 assert (nature_at(bp, charge, j, c)
                         == nature_at_oracle(bp, charge, j, c))
+
+
+@pytest.mark.parametrize("charge", NATURE_GRID_CHARGES)
+def test_nature_kinds_matches_oracle(charge):
+    # the full window reaches below every row and above every bead; the
+    # other windows start or end at the floor of the beads or the top bead
+    for bp in _bipartitions_up_to(8):
+        n = bp.rank
+        lo, hi = min(charge) - n - 4, max(charge) + n + 3
+        for c in (1, 2):
+            lam, s = bp.component(c), charge[c - 1]
+            kinds = [nature_at_oracle(bp, charge, j, c).kind
+                     for j in range(lo, hi + 1)]
+            floor, top = s - len(lam), s + part(lam, 1) - 1
+            for w_lo, w_hi in ((lo, hi), (lo, floor - 1), (floor, hi),
+                               (lo, top), (top + 1, hi), (floor, top)):
+                assert (nature_kinds(lam, s, w_lo, w_hi)
+                        == tuple(kinds[w_lo - lo:w_hi - lo + 1]))
 
 
 @pytest.mark.parametrize("charge", [(0, 0), (0, 1), (1, 0), (-2, 3),

@@ -8,11 +8,13 @@ from uglov.crystal import (
     good_addable_node,
     normal_addable_nodes,
     normal_removable_nodes,
+    uglov_layers,
 )
 from uglov.diagrams import Bipartition, add_node, parse_bipartition
 from uglov.isomorphism import (
     peel_residues,
     psi_e_independence_check,
+    psi_images,
     psi_nature_check,
     psi_to,
     rebuild_from_residues,
@@ -136,9 +138,11 @@ def test_psi_preserves_normal_node_counts():
 
 
 def test_sigma1_nature_map():
-    for e in (2, 3):
-        c_from = (0, 1)
-        c_to = (1, 0)
+    # with s1 > s2 the table is read from the image back to bp
+    for e, c_from in ((2, (0, 1)), (3, (0, 1)), (5, (3, -2)), (2, (2, -1)),
+                      (3, (1, 0)), (3, (4, 0)), (4, (2, 0)), (4, (5, -2)),
+                      (3, (12, 0))):
+        c_to = (c_from[1], c_from[0])
         p = CrystalParams(e, c_from)
         for n in range(5):
             for bp in enumerate_uglov(n, p):
@@ -147,6 +151,19 @@ def test_sigma1_nature_map():
     with pytest.raises(ValueError):
         psi_nature_check(P("1,-"), P("1,-"), (0, 1), (0, 4),
                          CrystalParams(3, (0, 1)))
+
+
+@pytest.mark.parametrize("e", [2, 3, 4, 5])
+def test_psi_images_match_psi_to(e):
+    for c_from in ((0, 1), (1, 0), (0, 0), (2, -1), (5, -2)):
+        c_to = (c_from[1], c_from[0])
+        layers = uglov_layers(8, CrystalParams(e, c_from))
+        images = psi_images(layers, CrystalParams(e, c_from), c_to)
+        assert set(images) == set().union(*layers)
+        for bp, image in images.items():
+            assert image == psi_to(bp, c_from, c_to, e)
+    with pytest.raises(ValueError, match="not in one orbit"):
+        psi_images(layers[:1], CrystalParams(e, (0, 1)), (0, 0))
 
 
 def test_e_independence_of_sigma1():

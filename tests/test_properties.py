@@ -22,6 +22,7 @@ from uglov.diagrams import (  # noqa: E402
     compare_uglov,
     format_bipartition,
     nature_at,
+    nature_kinds,
     parse_bipartition,
     removable_nodes,
     residue,
@@ -63,10 +64,15 @@ def test_parse_format_round_trip(bp):
 @given(bipartitions(), charges)
 def test_nature_at_matches_oracle(bp, charge):
     n = bp.rank
-    for j in range(min(charge) - n - 4, max(charge) + n + 4):
-        for c in (1, 2):
-            assert nature_at(bp, charge, j, c) \
-                == nature_at_oracle(bp, charge, j, c)
+    lo, hi = min(charge) - n - 4, max(charge) + n + 3
+    for c in (1, 2):
+        kinds = []
+        for j in range(lo, hi + 1):
+            entry = nature_at_oracle(bp, charge, j, c)
+            assert nature_at(bp, charge, j, c) == entry
+            kinds.append(entry.kind)
+        assert nature_kinds(bp.component(c), charge[c - 1], lo, hi) \
+            == tuple(kinds)
 
 
 @given(bipartitions(), charges, st.sampled_from([2, 3, 4, None]))
