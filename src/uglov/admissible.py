@@ -29,6 +29,7 @@ from .diagrams import (
     beta_set,
     bipartition_to_json,
     bipartitions_of,
+    default_window,
     node_key,
     node_less,
     part,
@@ -323,9 +324,8 @@ def propb_checks(bp: Bipartition, p: CrystalParams) -> dict:
     for g in addable_nodes(bp):
         if residue(g, p.charge, p.e) == j and node_key(g, p.charge) > key1:
             fail("addable %r-node %r greater than eta1 %r" % (j, g, eta1))
-    n = bp.rank
-    lo, hi = min(p.charge) - n - 1, max(p.charge) + n + 1
-    slots = residue_slots(bp, p.charge, j, p.e, (lo, hi))
+    slots = residue_slots(bp, p.charge, j, p.e,
+                          default_window(bp, p.charge))
     greater = [entry for (_, _, entry) in slots
                if node_key(entry.node, p.charge) > key1]
     if (any(ent.kind == "Bh" and not ent.virtual for ent in greater)

@@ -102,11 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def default_window(bp, charge) -> tuple[int, int]:
-    n = bp.rank
-    return (min(charge) - n - 1, max(charge) + n + 1)
-
-
 def cmd_enumerate(args) -> int:
     p = CrystalParams(args.e, args.charge)
     layers = crystal.uglov_layers(args.n, p)
@@ -165,12 +160,10 @@ def cmd_verify(args) -> int:
     if args.mode == "converse":
         reports = admissible.verify_djm_converse(args.n, p)
     elif args.mode == "psi-nature":
-        target = (args.charge[1], args.charge[0])
         images = isomorphism.psi_images(crystal.uglov_layers(args.n, p), p,
-                                        target)
+                                        args.charge[::-1])
         for bp, image in images.items():
-            ok = isomorphism.psi_nature_check(bp, image, args.charge,
-                                              target, p)
+            ok = isomorphism.psi_nature_check(bp, image, args.charge)
             reports.append({"bp": diagrams.bipartition_to_json(bp),
                             "image": diagrams.bipartition_to_json(image),
                             "pass": ok})
@@ -205,8 +198,10 @@ def cmd_verify(args) -> int:
 
 def cmd_show(args) -> int:
     bp, charge = args.bp, args.charge
-    p = CrystalParams(args.e, charge)
-    window = args.window or default_window(bp, charge)
+    if args.window and (args.what == "adm" or isinstance(args.what, tuple)):
+        print("--window applies to natures and boundary only", file=sys.stderr)
+        return 2
+    window = args.window or diagrams.default_window(bp, charge)
     if args.what == "natures":
         table = diagrams.nature_table(bp, charge, window)
         if args.format == "json":
@@ -215,8 +210,8 @@ def cmd_show(args) -> int:
                  "node": list(ent.node), "virtual": ent.virtual}
                 for j, c, ent in table]))
         else:
-            print(diagrams.render_nature_table(
-                {format_bipartition(bp): table}))
+            print(diagrams.render_nature_table(format_bipartition(bp),
+                                               table))
     elif args.what == "boundary":
         seq = diagrams.boundary_sequence(bp, charge, window)
         if args.format == "json":
@@ -225,7 +220,7 @@ def cmd_show(args) -> int:
             print(" ".join("(%d,%d,%d)" % g for g in seq))
     elif args.what == "adm":
         try:
-            seq = admissible.adm(bp, p)
+            seq = admissible.adm(bp, CrystalParams(args.e, charge))
         except ValueError as exc:
             print("error: %s" % exc, file=sys.stderr)
             return 2
@@ -251,6 +246,9 @@ def cmd_show(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.format == "dot" and args.command != "enumerate":
+        print("--format dot applies to enumerate only", file=sys.stderr)
+        return 2
     if args.command == "enumerate":
         return cmd_enumerate(args)
     if args.command == "verify":

@@ -1,6 +1,6 @@
 """Integral Fock-space operators, good nodes and Uglov/FLOTW membership.
 
-A Fock vector is a dict Bipartition -> nonzero int whose keys all share
+A Fock vector is a dict Bipartition -> positive int whose keys all share
 one rank.  The crystal parameters bundle e (None for infinity) with the
 charge (s1, s2).
 
@@ -24,7 +24,6 @@ from .diagrams import (
     remove_node,
     removable_nodes,
     residue,
-    uglov_max,
 )
 
 
@@ -38,12 +37,9 @@ def _check_e(e):
         raise ValueError("e must be >= 2 or None (infinity), got %r" % (e,))
 
 
-def fock_vector(bp: Bipartition) -> dict[Bipartition, int]:
-    return {bp: 1}
-
-
 def f_action(vec: dict[Bipartition, int], j, p: CrystalParams) -> dict:
-    """Linear extension of: sum over mu obtained by adding a j-node."""
+    """Linear extension of: sum over mu obtained by adding a j-node.
+    Coefficients are positive, so no term cancels."""
     _check_e(p.e)
     e, charge = p.e, p.charge
     out: dict[Bipartition, int] = {}
@@ -53,7 +49,7 @@ def f_action(vec: dict[Bipartition, int], j, p: CrystalParams) -> dict:
             if (cont if e is None else cont % e) == j:
                 mu = add_node(bp, g)
                 out[mu] = out.get(mu, 0) + coeff
-    return {bp: c for bp, c in out.items() if c != 0}
+    return out
 
 
 def signature_word(bp: Bipartition, p: CrystalParams) -> dict:
@@ -146,11 +142,6 @@ def is_uglov(bp: Bipartition, p: CrystalParams) -> bool:
     return peel_word(bp, p) is not None
 
 
-def enumerate_uglov(n: int, p: CrystalParams) -> set[Bipartition]:
-    """Breadth-first closure of good-node additions, rank-n layer."""
-    return uglov_layers(n, p)[n]
-
-
 def uglov_layers(n: int, p: CrystalParams) -> list[set[Bipartition]]:
     """Layers 0..n of the crystal component of the empty bipartition."""
     _check_e(p.e)
@@ -170,15 +161,10 @@ def crystal_edges(layers: list[set[Bipartition]], p: CrystalParams):
 # ---------------------------------------------------------------------------
 # FLOTW characterization (charge in the fundamental domain)
 
-def in_fundamental_domain(charge, e: int) -> bool:
-    s1, s2 = charge
-    return 0 <= s1 <= s2 < e
-
-
 def require_fundamental(p: CrystalParams):
     """Raise ValueError unless e is finite and the charge is in the
     fundamental domain."""
-    if p.e is None or not in_fundamental_domain(p.charge, p.e):
+    if p.e is None or not 0 <= p.charge[0] <= p.charge[1] < p.e:
         raise ValueError("charge %r not in the fundamental domain for e=%r"
                          % (p.charge, p.e))
 
@@ -209,16 +195,8 @@ def is_flotw(bp: Bipartition, p: CrystalParams) -> bool:
 
 def expand_monomial(word, p: CrystalParams) -> dict[Bipartition, int]:
     """Apply f-operators to the empty bipartition, last residue first."""
-    vec = fock_vector(EMPTY)
+    vec = {EMPTY: 1}
     for j in reversed(list(word)):
         vec = f_action(vec, j, p)
     return vec
 
-
-def max_of_monomial(word, p: CrystalParams) -> Bipartition:
-    """The order-maximal support element of the monomial expansion."""
-    vec = expand_monomial(word, p)
-    if not vec:
-        raise ValueError("monomial %r vanishes on the empty bipartition"
-                         % (list(word),))
-    return uglov_max(vec, p.charge)

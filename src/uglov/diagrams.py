@@ -65,10 +65,6 @@ def make_partition(parts) -> tuple[int, ...]:
     return parts
 
 
-def make_bipartition(c1, c2) -> Bipartition:
-    return Bipartition(make_partition(c1), make_partition(c2))
-
-
 def part(lam: tuple[int, ...], i: int) -> int:
     """i-th part of a partition, 1-based, zero beyond the length."""
     return lam[i - 1] if 1 <= i <= len(lam) else 0
@@ -218,6 +214,13 @@ def nature_at(bp: Bipartition, charge: tuple[int, int], j: int,
     return NatureEntry(kind, node, kind != A and (a == 0 or node.b == 0))
 
 
+def default_window(bp: Bipartition, charge) -> tuple[int, int]:
+    """Contents min(charge) - n - 1 .. max(charge) + n + 1 at rank n: the
+    contents of every node and addable node of bp, one more each side."""
+    n = bp.rank
+    return (min(charge) - n - 1, max(charge) + n + 1)
+
+
 def _window_contents(window: tuple[int, int]) -> range:
     lo, hi = window
     if lo > hi:
@@ -339,27 +342,17 @@ def bipartition_to_json(bp: Bipartition) -> dict:
     return {"c1": list(bp.c1), "c2": list(bp.c2)}
 
 
-def render_nature_table(tables: dict[str, list]) -> str:
-    """Aligned text rendering: Component row, Content row, one nature row
-    per named bipartition.  `tables` maps a label to the slot list from
-    nature_table (all over the same window)."""
-    labels = list(tables)
-    slots = tables[labels[0]]
-    header = [("Component", [str(c) for (_, c, _) in slots]),
-              ("Content", [str(j) for (j, _, _) in slots])]
-    body = []
-    for label in labels:
-        cells = []
-        for (_, _, entry) in tables[label]:
-            mark = "*" if entry.virtual else ""
-            cells.append(entry.kind + mark)
-        body.append((label, cells))
-    rows = header + body
+def render_nature_table(label: str, slots: list) -> str:
+    """Aligned text rendering of the slot list from nature_table: Component
+    row, Content row and the nature row named label, virtual nodes
+    starred."""
+    rows = [("Component", [str(c) for (_, c, _) in slots]),
+            ("Content", [str(j) for (j, _, _) in slots]),
+            (label, [entry.kind + ("*" if entry.virtual else "")
+                     for (_, _, entry) in slots])]
     name_w = max(len(name) for name, _ in rows)
-    col_w = [max(len(row[1][i]) for row in rows)
-             for i in range(len(slots))]
-    lines = []
-    for name, cells in rows:
-        padded = [cells[i].rjust(col_w[i]) for i in range(len(cells))]
-        lines.append("%s | %s" % (name.ljust(name_w), " ".join(padded)))
-    return "\n".join(lines)
+    col_w = [max(map(len, col)) for col in zip(*(cells for _, cells in rows))]
+    return "\n".join(
+        "%s | %s" % (name.ljust(name_w),
+                     " ".join(c.rjust(w) for c, w in zip(cells, col_w)))
+        for name, cells in rows)

@@ -28,7 +28,7 @@ from .crystal import (
     good_addable_node,
     peel_word,
 )
-from .diagrams import EMPTY, Bipartition, nature_kinds
+from .diagrams import EMPTY, Bipartition, default_window, nature_kinds
 
 
 def reduce_to_fundamental(charge, e: Optional[int]) -> tuple[int, int]:
@@ -40,13 +40,9 @@ def reduce_to_fundamental(charge, e: Optional[int]) -> tuple[int, int]:
     return tuple(sorted((s1 % e, s2 % e)))
 
 
-def same_orbit(c1, c2, e: Optional[int]) -> bool:
-    return reduce_to_fundamental(c1, e) == reduce_to_fundamental(c2, e)
-
-
 def require_same_orbit(c1, c2, e: Optional[int]):
     """Raise ValueError unless the two charges are in one orbit."""
-    if not same_orbit(c1, c2, e):
+    if reduce_to_fundamental(c1, e) != reduce_to_fundamental(c2, e):
         raise ValueError("charges %r and %r are not in one orbit" % (c1, c2))
 
 
@@ -133,18 +129,15 @@ SIGMA1_NATURE_MAP = {
 }
 
 
-def psi_nature_check(bp: Bipartition, image: Bipartition, charge_from,
-                     charge_to, p: CrystalParams) -> bool:
-    """Per-content nature pairs must transform along the sigma1 table.
+def psi_nature_check(bp: Bipartition, image: Bipartition, charge) -> bool:
+    """Per-content nature pairs of bp at charge (s1, s2) and of its image
+    at (s2, s1) must transform along the sigma1 table.
 
     The table maps the pairs at the charge (s1, s2) with s1 <= s2 to those
     at its swap, so when s1 > s2 it maps the image's pairs to bp's.
     """
-    if tuple(charge_to) != (charge_from[1], charge_from[0]):
-        raise ValueError("charge_to must be sigma1 . charge_from")
-    n = max(bp.rank, image.rank)
-    s1, s2 = charge_from
-    lo, hi = min(s1, s2) - n - 1, max(s1, s2) + n + 1
+    s1, s2 = charge
+    lo, hi = default_window(bp, charge)
     before = zip(nature_kinds(bp.c2, s2, lo, hi),
                  nature_kinds(bp.c1, s1, lo, hi))
     after = zip(nature_kinds(image.c2, s1, lo, hi),

@@ -29,7 +29,6 @@ from uglov.admissible import (
 )
 from uglov.crystal import (
     CrystalParams,
-    enumerate_uglov,
     good_addable_node,
     good_removable_node,
     is_flotw,
@@ -237,7 +236,7 @@ def test_criterion_6_isomorphism_suite():
         p_from, p_to = CrystalParams(e, c_from), CrystalParams(e, c_to)
         far = (1, 2) if e == 2 else (-2, 3)
         for n in range(7):
-            src = enumerate_uglov(n, p_from)
+            src = uglov_layers(n, p_from)[n]
             images = set()
             for bp in src:
                 image = psi_to(bp, c_from, c_to, e)
@@ -266,12 +265,12 @@ def test_criterion_6_isomorphism_suite():
                         len(normal_removable_nodes(bp, j, p_from))
                         == len(normal_removable_nodes(image, j, p_to)))
                 # sigma1 nature-table conformance
-                ok = ok and psi_nature_check(bp, image, c_from, c_to, p_from)
+                ok = ok and psi_nature_check(bp, image, c_from)
                 # e-independence of the sigma1 map
                 verdict = psi_e_independence_check(bp, c_from, e)
                 ok = ok and verdict is not False
             # bijectivity onto the target enumeration
-            ok = ok and images == enumerate_uglov(n, p_to)
+            ok = ok and images == uglov_layers(n, p_to)[n]
     report("6 (isomorphism suite)", ok)
 
 

@@ -22,10 +22,9 @@ from uglov.admissible import (
 from uglov import admissible
 from uglov.crystal import (
     CrystalParams,
-    enumerate_uglov,
     expand_monomial,
     is_uglov,
-    max_of_monomial,
+    uglov_layers,
 )
 from uglov.diagrams import (
     EMPTY,
@@ -94,7 +93,7 @@ def test_no_uglov_bipartition_has_period():
             for s2 in range(s1, e):
                 p = CrystalParams(e, (s1, s2))
                 for n in range(6):
-                    for bp in enumerate_uglov(n, p):
+                    for bp in uglov_layers(n, p)[n]:
                         assert not has_period(bp, p)
 
 
@@ -183,7 +182,7 @@ def test_adm_residue_multiset_matches_diagram():
     # Adm permutes the residue multiset of the diagram: each operator in
     # the rebuilt monomial adds exactly one node of its residue.
     for n in range(6):
-        for bp in enumerate_uglov(n, P01):
+        for bp in uglov_layers(n, P01)[n]:
             seq = adm(bp, P01)
             diagram = sorted(
                 (b - a + P01.charge[c - 1]) % 3
@@ -196,7 +195,8 @@ def test_adm_residue_multiset_matches_diagram():
 def test_adm_word_reaches_bp_as_monomial_maximum():
     # reversed(Adm) read as a monomial applies the oldest residue first.
     bp = P("6.1,2.2")
-    assert max_of_monomial(list(reversed(adm(bp, P01))), P01) == bp
+    vec = expand_monomial(list(reversed(adm(bp, P01))), P01)
+    assert uglov_max(vec, P01.charge) == bp
 
 
 def test_verify_djm_forward_examples():
@@ -211,7 +211,7 @@ def test_verify_djm_forward_small_grid():
         for charge in ((0, 0), (0, 1), (1, 0), (-2, 1)):
             p = CrystalParams(e, charge)
             for n in range(5):
-                for bp in enumerate_uglov(n, p):
+                for bp in uglov_layers(n, p)[n]:
                     assert verify_djm_forward(bp, p)["pass"]
 
 
@@ -295,7 +295,7 @@ def test_row_standard_shapes_examples():
 
 def test_verify_djm_corollary_small():
     for n in range(5):
-        for bp in enumerate_uglov(n, P01):
+        for bp in uglov_layers(n, P01)[n]:
             assert verify_djm_corollary(bp, P01)["pass"]
 
 
@@ -304,6 +304,6 @@ def test_propb_checks_small():
         for charge in ((0, 1), (1, 0)):
             p = CrystalParams(e, charge)
             for n in range(5):
-                for bp in enumerate_uglov(n, p):
+                for bp in uglov_layers(n, p)[n]:
                     report = propb_checks(bp, p)
                     assert report["pass"], report["failures"]

@@ -212,6 +212,10 @@ def test_show_unknown_rendering(capsys):
     ["--e", "inf", "verify", "--mode", "psi-nature", "--n", "2"],
     ["--workers", "2", "verify", "--mode", "converse", "--n", "2"],
     ["--workers", "2", "verify", "--mode", "psi-nature", "--n", "2"],
+    ["--format", "dot", "verify", "--mode", "forward", "--n", "2"],
+    ["--format", "dot", "show", "1,-", "natures"],
+    ["show", "1,-", "adm", "--window=0,1"],
+    ["show", "1,-", "psi:1,0", "--window=0,1"],
 ])
 def test_bad_arguments_exit_2(capsys, argv):
     try:

@@ -8,19 +8,16 @@ from uglov.admissible import max_normal_removable_node
 from uglov.crystal import (
     CrystalParams,
     crystal_edges,
-    enumerate_uglov,
     expand_monomial,
     f_action,
-    fock_vector,
     good_addable_node,
     good_additions,
     good_removable_node,
-    in_fundamental_domain,
     is_flotw,
     is_uglov,
-    max_of_monomial,
     normal_addable_nodes,
     normal_removable_nodes,
+    require_fundamental,
     signature_word,
     uglov_layers,
 )
@@ -35,6 +32,7 @@ from uglov.diagrams import (
     remove_node,
     removable_nodes,
     residue,
+    uglov_max,
 )
 
 P = parse_bipartition
@@ -87,14 +85,14 @@ def scan_cases():
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        f_action(fock_vector(EMPTY), 0, CrystalParams(1, (0, 0)))
+        f_action({EMPTY: 1}, 0, CrystalParams(1, (0, 0)))
 
 
 def test_f_action_examples():
-    assert f_action(fock_vector(EMPTY), 0, P01) == {P("1,-"): 1}
-    assert f_action(fock_vector(EMPTY), 1, P01) == {P("-,1"): 1}
-    assert f_action(fock_vector(EMPTY), 2, P01) == {}
-    both = f_action(fock_vector(EMPTY), 0, CrystalParams(2, (0, 0)))
+    assert f_action({EMPTY: 1}, 0, P01) == {P("1,-"): 1}
+    assert f_action({EMPTY: 1}, 1, P01) == {P("-,1"): 1}
+    assert f_action({EMPTY: 1}, 2, P01) == {}
+    both = f_action({EMPTY: 1}, 0, CrystalParams(2, (0, 0)))
     assert both == {P("1,-"): 1, P("-,1"): 1}
 
 
@@ -114,7 +112,7 @@ def test_e_f_adjoint_counts():
     for n in range(4):
         for bp in bipartitions_of(n):
             for j in range(3):
-                vec = e_action(f_action(fock_vector(bp), j, P01), j, P01)
+                vec = e_action(f_action({bp: 1}, j, P01), j, P01)
                 count = sum(residue(g, P01.charge, P01.e) == j
                             for g in addable_nodes(bp))
                 assert vec.get(bp, 0) == count
@@ -242,9 +240,9 @@ def test_residue_sets():
 
 
 def test_enumerate_uglov_small():
-    assert enumerate_uglov(0, P01) == {EMPTY}
-    assert enumerate_uglov(1, P01) == {P("1,-"), P("-,1")}
-    assert P("6.1,2.2") in enumerate_uglov(11, P01)
+    assert uglov_layers(0, P01)[0] == {EMPTY}
+    assert uglov_layers(1, P01)[1] == {P("1,-"), P("-,1")}
+    assert P("6.1,2.2") in uglov_layers(11, P01)[11]
 
 
 def test_is_uglov_matches_enumeration():
@@ -268,9 +266,10 @@ def test_uglov_layers_nested_by_edges():
 
 
 def test_fundamental_domain():
-    assert in_fundamental_domain((0, 1), 3)
-    assert not in_fundamental_domain((1, 0), 3)
-    assert not in_fundamental_domain((0, 3), 3)
+    require_fundamental(CrystalParams(3, (0, 1)))
+    for charge in ((1, 0), (0, 3)):
+        with pytest.raises(ValueError, match="fundamental domain"):
+            require_fundamental(CrystalParams(3, charge))
 
 
 def test_is_flotw_examples():
@@ -301,10 +300,9 @@ def test_expand_monomial_applies_last_residue_first():
 
 
 def test_max_of_monomial_examples():
-    assert max_of_monomial([0], P01) == P("1,-")
-    assert max_of_monomial([1, 0], P01) == P("2,-")
-    with pytest.raises(ValueError):
-        max_of_monomial([2], P01)
+    assert uglov_max(expand_monomial([0], P01), P01.charge) == P("1,-")
+    assert uglov_max(expand_monomial([1, 0], P01), P01.charge) == P("2,-")
+    assert expand_monomial([2], P01) == {}
 
 
 def test_monomial_maxima_are_uglov_small():
@@ -312,5 +310,7 @@ def test_monomial_maxima_are_uglov_small():
     for n in range(1, 5):
         for word in itertools.product(range(2), repeat=n):
             vec = expand_monomial(word, p)
+            # positive coefficients: f_action never drops a cancelled term
+            assert all(coeff > 0 for coeff in vec.values())
             if vec:
-                assert is_uglov(max_of_monomial(word, p), p)
+                assert is_uglov(uglov_max(vec, p.charge), p)

@@ -21,7 +21,6 @@ from uglov.diagrams import (
     compare_uglov,
     content,
     format_bipartition,
-    make_bipartition,
     make_partition,
     nature_at,
     nature_kinds,
@@ -147,7 +146,7 @@ def orders_agree_asymptotic(n, charge):
 
 
 def bipartition_from_json(obj):
-    return make_bipartition(obj["c1"], obj["c2"])
+    return Bipartition(make_partition(obj["c1"]), make_partition(obj["c2"]))
 
 
 def _bipartitions_up_to(n):
@@ -209,10 +208,11 @@ def _outcome(fn, bp, node):
 
 def test_make_partition_rejects_bad_input():
     with pytest.raises(ValueError):
-        make_bipartition((1, 2), ())
+        make_partition((1, 2))
     with pytest.raises(ValueError):
-        make_bipartition((-1,), ())
-    assert make_bipartition((3, 2, 0, 0), (0,)) == Bipartition((3, 2), ())
+        make_partition((-1,))
+    assert make_partition((3, 2, 0, 0)) == (3, 2)
+    assert make_partition((0,)) == ()
 
 
 def test_part_indexing():

@@ -4,7 +4,6 @@ import pytest
 
 from uglov.crystal import (
     CrystalParams,
-    enumerate_uglov,
     good_addable_node,
     normal_addable_nodes,
     normal_removable_nodes,
@@ -19,7 +18,7 @@ from uglov.isomorphism import (
     psi_to,
     rebuild_from_residues,
     reduce_to_fundamental,
-    same_orbit,
+    require_same_orbit,
 )
 
 P = parse_bipartition
@@ -39,18 +38,24 @@ def test_reduce_to_fundamental():
 
 
 def test_same_orbit():
-    assert same_orbit((0, 1), (1, 0), 3)
-    assert same_orbit((0, 1), (1, 3), 3)
-    assert same_orbit((0, 1), (-2, 0), 3)
-    assert not same_orbit((0, 1), (0, 0), 3)
-    assert same_orbit((0, 1), (1, 0), None)
-    assert not same_orbit((0, 1), (0, 3), None)
+    # two charges share an orbit when they reduce to one fundamental charge
+    for c1, c2, e, same in (((0, 1), (1, 0), 3, True),
+                            ((0, 1), (1, 3), 3, True),
+                            ((0, 1), (-2, 0), 3, True),
+                            ((0, 1), (0, 0), 3, False),
+                            ((0, 1), (1, 0), None, True),
+                            ((0, 1), (0, 3), None, False)):
+        assert (reduce_to_fundamental(c1, e)
+                == reduce_to_fundamental(c2, e)) == same
+    require_same_orbit((0, 1), (-2, 0), 3)
+    with pytest.raises(ValueError, match="not in one orbit"):
+        require_same_orbit((0, 1), (0, 3), None)
 
 
 def test_peel_rebuild_identity():
     p = CrystalParams(3, (0, 1))
     for n in range(6):
-        for bp in enumerate_uglov(n, p):
+        for bp in uglov_layers(n, p)[n]:
             word = peel_residues(bp, p)
             assert len(word) == n
             assert rebuild_from_residues(reversed(word), p) == bp
@@ -77,7 +82,7 @@ def test_psi_bijective_between_charges():
                             (None, (0, 1), (1, 0))):
         p_from, p_to = CrystalParams(e, c_from), CrystalParams(e, c_to)
         for n in range(6):
-            src, dst = enumerate_uglov(n, p_from), enumerate_uglov(n, p_to)
+            src, dst = uglov_layers(n, p_from)[n], uglov_layers(n, p_to)[n]
             images = {psi_to(bp, c_from, c_to, e) for bp in src}
             assert images == dst
             for bp in src:
@@ -90,7 +95,7 @@ def test_psi_functorial():
     charges = ((0, 1), (1, 0), (1, 3), (-2, 0))
     p0 = CrystalParams(e, charges[0])
     for n in range(5):
-        for bp in enumerate_uglov(n, p0):
+        for bp in uglov_layers(n, p0)[n]:
             for c1 in charges:
                 x = psi_to(bp, charges[0], c1, e)
                 for c2 in charges:
@@ -104,7 +109,7 @@ def test_tau_shortcut_is_component_swap():
         target = (charge[1], charge[0] + e)
         p = CrystalParams(e, charge)
         for n in range(6):
-            for bp in enumerate_uglov(n, p):
+            for bp in uglov_layers(n, p)[n]:
                 assert (psi_to(bp, charge, target, e)
                         == Bipartition(bp.c2, bp.c1))
 
@@ -113,7 +118,7 @@ def test_psi_commutes_with_crystal_operators():
     e, c_from, c_to = 3, (0, 1), (1, 0)
     p_from, p_to = CrystalParams(e, c_from), CrystalParams(e, c_to)
     for n in range(5):
-        for bp in enumerate_uglov(n, p_from):
+        for bp in uglov_layers(n, p_from)[n]:
             image = psi_to(bp, c_from, c_to, e)
             for j in range(e):
                 g = good_addable_node(bp, j, p_from)
@@ -128,7 +133,7 @@ def test_psi_preserves_normal_node_counts():
     e, c_from, c_to = 3, (0, 1), (-2, 0)
     p_from, p_to = CrystalParams(e, c_from), CrystalParams(e, c_to)
     for n in range(5):
-        for bp in enumerate_uglov(n, p_from):
+        for bp in uglov_layers(n, p_from)[n]:
             image = psi_to(bp, c_from, c_to, e)
             for j in range(e):
                 assert (len(normal_removable_nodes(bp, j, p_from))
@@ -145,12 +150,9 @@ def test_sigma1_nature_map():
         c_to = (c_from[1], c_from[0])
         p = CrystalParams(e, c_from)
         for n in range(5):
-            for bp in enumerate_uglov(n, p):
+            for bp in uglov_layers(n, p)[n]:
                 image = psi_to(bp, c_from, c_to, e)
-                assert psi_nature_check(bp, image, c_from, c_to, p)
-    with pytest.raises(ValueError):
-        psi_nature_check(P("1,-"), P("1,-"), (0, 1), (0, 4),
-                         CrystalParams(3, (0, 1)))
+                assert psi_nature_check(bp, image, c_from)
 
 
 @pytest.mark.parametrize("e", [2, 3, 4, 5])
@@ -170,7 +172,7 @@ def test_e_independence_of_sigma1():
     p = CrystalParams(3, (0, 1))
     seen_applicable = False
     for n in range(5):
-        for bp in enumerate_uglov(n, p):
+        for bp in uglov_layers(n, p)[n]:
             verdict = psi_e_independence_check(bp, (0, 1), 3)
             if verdict is not None:
                 seen_applicable = True
@@ -192,7 +194,7 @@ def test_e_independence_peels_once_per_e(monkeypatch):
     monkeypatch.setattr(isomorphism, "peel_word", counting)
     p = CrystalParams(3, (0, 1))
     for n in range(5):
-        for bp in enumerate_uglov(n, p):
+        for bp in uglov_layers(n, p)[n]:
             calls.clear()
             psi_e_independence_check(bp, (0, 1), 3)
             assert calls == [3, None]
