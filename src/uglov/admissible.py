@@ -39,7 +39,7 @@ from .diagrams import (
     residue_slots,
     uglov_max,
 )
-from .isomorphism import psi_to, reduce_to_fundamental
+from .isomorphism import psi_images, psi_to, reduce_to_fundamental
 
 
 def has_period(bp: Bipartition, p: CrystalParams) -> bool:
@@ -99,6 +99,12 @@ def two_connected(bp: Bipartition, g1: Node,
     return None
 
 
+def _top_normal(sig: dict, charge) -> Optional[Node]:
+    # the largest normal removable node of one signature_word scan
+    return max((rems[-1] for _, rems in sig.values() if rems),
+               key=lambda g: node_key(g, charge), default=None)
+
+
 def max_normal_removable_node(bp: Bipartition,
                               p: CrystalParams) -> Optional[Node]:
     """The largest removable node that survives signature cancellation.
@@ -110,19 +116,11 @@ def max_normal_removable_node(bp: Bipartition,
     the removed set is not a stretch of normal nodes and the monomial
     expansion of the residue sequence overshoots the bipartition.
     """
-    return max((rems[-1] for _, rems in signature_word(bp, p).values()
-                if rems),
-               key=lambda g: node_key(g, p.charge), default=None)
+    return _top_normal(signature_word(bp, p), p.charge)
 
 
-def removable_class(bp: Bipartition, seed: Node,
-                    p: CrystalParams) -> list[Node]:
-    """Equivalence class of the maximal normal removable node under the
-    transitive closure of (1)- and (2)-connectedness, increasing."""
-    require_fundamental(p)
-    if seed != max_normal_removable_node(bp, p):
-        raise ValueError("seed %r is not the maximal normal removable node"
-                         % (seed,))
+def _connected_class(bp: Bipartition, seed: Node,
+                     p: CrystalParams) -> list[Node]:
     j = residue(seed, p.charge, p.e)
     nodes = sorted((g for g in removable_nodes(bp)
                     if residue(g, p.charge, p.e) == j),
@@ -146,10 +144,47 @@ def removable_class(bp: Bipartition, seed: Node,
     return sorted(seen, key=lambda g: node_key(g, p.charge))
 
 
+def removable_class(bp: Bipartition, seed: Node,
+                    p: CrystalParams) -> list[Node]:
+    """Equivalence class of the maximal normal removable node under the
+    transitive closure of (1)- and (2)-connectedness, increasing."""
+    require_fundamental(p)
+    if seed != max_normal_removable_node(bp, p):
+        raise ValueError("seed %r is not the maximal normal removable node"
+                         % (seed,))
+    return _connected_class(bp, seed, p)
+
+
 def remove_all(bp: Bipartition, nodes) -> Bipartition:
     for g in sorted(nodes, key=lambda g: (g.c, -g.a)):
         bp = remove_node(bp, g)
     return bp
+
+
+def class_step(bp: Bipartition, p: CrystalParams) -> tuple:
+    """(j, r, rest): one step of the FLOTW a-sequence recursion
+    Adm(bp) = Adm(rest) followed by [j]^r, for a nonempty FLOTW bp at a
+    fundamental charge p.
+
+    The class of the maximal normal removable node has r nodes of
+    residue j, and rest is bp without it.  The seed and the normal
+    j-nodes come from one signature scan.  AssertionError if the class
+    is not the top normal j-nodes or rest is not FLOTW.
+    """
+    sig = signature_word(bp, p)
+    seed = _top_normal(sig, p.charge)
+    if seed is None:
+        raise AssertionError("no normal removable node on %r" % (bp,))
+    j = residue(seed, p.charge, p.e)
+    cls = _connected_class(bp, seed, p)
+    normal = sig[j][1]
+    if cls != normal[len(normal) - len(cls):]:
+        raise AssertionError("class %r is not the top normal %r-nodes "
+                             "of %r" % (cls, j, bp))
+    rest = remove_all(bp, cls)
+    if not is_flotw(rest, p):
+        raise AssertionError("class removal left non-FLOTW %r" % (rest,))
+    return j, len(cls), rest
 
 
 def adm_flotw(bp: Bipartition, p: CrystalParams) -> list:
@@ -159,19 +194,8 @@ def adm_flotw(bp: Bipartition, p: CrystalParams) -> list:
         raise ValueError("%r is not FLOTW at %r" % (bp, p))
     segments = []
     while bp != EMPTY:
-        seed = max_normal_removable_node(bp, p)
-        if seed is None:
-            raise AssertionError("no normal removable node on %r" % (bp,))
-        j = residue(seed, p.charge, p.e)
-        cls = removable_class(bp, seed, p)
-        normal = normal_removable_nodes(bp, j, p)
-        if cls != normal[len(normal) - len(cls):]:
-            raise AssertionError("class %r is not the top normal %r-nodes "
-                                 "of %r" % (cls, j, bp))
-        segments.append((j, len(cls)))
-        bp = remove_all(bp, cls)
-        if not is_flotw(bp, p):
-            raise AssertionError("class removal left non-FLOTW %r" % (bp,))
+        j, r, bp = class_step(bp, p)
+        segments.append((j, r))
     out = []
     for j, r in reversed(segments):
         out.extend([j] * r)
@@ -190,21 +214,56 @@ def adm(bp: Bipartition, p: CrystalParams) -> list:
 # ---------------------------------------------------------------------------
 # theorem verifiers
 
-def verify_djm_forward(bp: Bipartition, p: CrystalParams) -> dict:
-    """Expand the Adm monomial and check bp is its strict maximum."""
-    seq = adm(bp, p)
-    vec = {EMPTY: 1}
-    for j in seq:  # oldest residue acts first
-        vec = f_action(vec, j, p)
-    ok = bp in vec and uglov_max(vec, p.charge) == bp
-    return {
-        "bp": bipartition_to_json(bp),
-        "adm": list(seq),
-        "expansion": [{"bp": bipartition_to_json(mu), "coeff": coeff}
-                      for mu, coeff in sorted(vec.items())],
-        "max": bipartition_to_json(bp) if ok else None,
-        "pass": ok,
-    }
+def verify_djm_forward(n: int, p: CrystalParams):
+    """Yield one report per Uglov bipartition bp of rank <= n: bp must be
+    the strict Uglov maximum of its Adm monomial.
+
+    Adm is read at the fundamental charge, from the psi_images of the
+    bipartitions, visited in increasing rank.  By the recursion
+    Adm(bp) = Adm(rest) followed by [j]^r (class_step), each image takes
+    one class step, and its rest, an image of lower rank, already holds
+    its Adm and the vector of its monomial, f-operators applied oldest
+    residue first; r f_action steps extend that vector.  An
+    AssertionError of a class step is the counterexample of every
+    bipartition whose chain of steps passes through it, with its text
+    in the report's "error" field.
+    """
+    if p.e is None:
+        raise ValueError("admissible sequences need finite e")
+    fp = CrystalParams(p.e, reduce_to_fundamental(p.charge, p.e))
+    done = {EMPTY: ([], {EMPTY: 1})}  # image -> (Adm, vector) or error
+
+    def extend(image):
+        try:
+            j, r, rest = class_step(image, fp)
+        except AssertionError as exc:
+            return str(exc)
+        found = done[rest]
+        if isinstance(found, str):
+            return found
+        seq, vec = found
+        for _ in range(r):
+            vec = f_action(vec, j, p)
+        return seq + [j] * r, vec
+
+    for bp, image in psi_images(n, p, fp.charge).items():
+        if image not in done:
+            done[image] = extend(image)
+        found = done[image]
+        if isinstance(found, str):
+            yield {"bp": bipartition_to_json(bp), "pass": False,
+                   "error": found}
+            continue
+        seq, vec = found
+        ok = bp in vec and uglov_max(vec, p.charge) == bp
+        yield {
+            "bp": bipartition_to_json(bp),
+            "adm": seq,
+            "expansion": [{"bp": bipartition_to_json(mu), "coeff": coeff}
+                          for mu, coeff in sorted(vec.items())],
+            "max": bipartition_to_json(bp) if ok else None,
+            "pass": ok,
+        }
 
 
 def verify_djm_converse(n: int, p: CrystalParams) -> list[dict]:
@@ -304,10 +363,11 @@ def propb_checks(bp: Bipartition, p: CrystalParams) -> dict:
         return report
     fp = CrystalParams(p.e, reduce_to_fundamental(p.charge, p.e))
     lam = psi_to(bp, p.charge, fp.charge, p.e)
-    seed = max_normal_removable_node(lam, fp)
-    cls = removable_class(lam, seed, fp)
+    sig = signature_word(lam, fp)
+    seed = _top_normal(sig, fp.charge)
+    cls = _connected_class(lam, seed, fp)
     j = residue(seed, fp.charge, fp.e)
-    normal_lam = normal_removable_nodes(lam, j, fp)
+    normal_lam = sig[j][1]
     normal_mu = normal_removable_nodes(bp, j, p)
 
     def fail(what):

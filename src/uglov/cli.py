@@ -104,11 +104,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_enumerate(args) -> int:
     p = CrystalParams(args.e, args.charge)
-    layers = crystal.uglov_layers(args.n, p)
     if args.format == "dot":
-        print(render_dot(layers, p))
+        print(render_dot(args.n, p))
         return 0
-    bps = sorted(layers[args.n])
+    bps = sorted(crystal.uglov_layers(args.n, p)[args.n])
     if args.format == "json":
         print(json.dumps([diagrams.bipartition_to_json(bp) for bp in bps]))
     else:
@@ -118,11 +117,12 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-def render_dot(layers, p: CrystalParams) -> str:
+def render_dot(n: int, p: CrystalParams) -> str:
+    edges = sorted(crystal.crystal_edges(n, p))
     lines = ["digraph crystal {"]
-    for bp in sorted(set().union(*layers)):
+    for bp in sorted({diagrams.EMPTY}.union(dst for _, _, dst in edges)):
         lines.append('  "%s";' % format_bipartition(bp))
-    for src, j, dst in sorted(crystal.crystal_edges(layers, p)):
+    for src, j, dst in edges:
         lines.append('  "%s" -> "%s" [label="%s"];'
                      % (format_bipartition(src), format_bipartition(dst), j))
     lines.append("}")
@@ -130,8 +130,7 @@ def render_dot(layers, p: CrystalParams) -> str:
 
 
 # the admissible function each per-bipartition sweep runs
-_SWEEPS = {"forward": "verify_djm_forward",
-           "corollary": "verify_djm_corollary", "propb": "propb_checks"}
+_SWEEPS = {"corollary": "verify_djm_corollary", "propb": "propb_checks"}
 
 
 def _sweep_one(task):
@@ -152,21 +151,21 @@ def cmd_verify(args) -> int:
         print("verify needs finite e", file=sys.stderr)
         return 2
     if args.workers > 1 and args.mode not in _SWEEPS:
-        print("--workers applies to forward, corollary and propb, "
+        print("--workers applies to corollary and propb, "
               "not %s" % args.mode, file=sys.stderr)
         return 2
     p = CrystalParams(args.e, args.charge)
-    reports = []
     if args.mode == "converse":
         reports = admissible.verify_djm_converse(args.n, p)
+    elif args.mode == "forward":  # a walk that yields its reports
+        reports = admissible.verify_djm_forward(args.n, p)
     elif args.mode == "psi-nature":
-        images = isomorphism.psi_images(crystal.uglov_layers(args.n, p), p,
-                                        args.charge[::-1])
-        for bp, image in images.items():
-            ok = isomorphism.psi_nature_check(bp, image, args.charge)
-            reports.append({"bp": diagrams.bipartition_to_json(bp),
-                            "image": diagrams.bipartition_to_json(image),
-                            "pass": ok})
+        images = isomorphism.psi_images(args.n, p, args.charge[::-1])
+        reports = ({"bp": diagrams.bipartition_to_json(bp),
+                    "image": diagrams.bipartition_to_json(image),
+                    "pass": isomorphism.psi_nature_check(bp, image,
+                                                         args.charge)}
+                   for bp, image in images.items())
     else:
         name = _SWEEPS[args.mode]
         tasks = [(name, bp, args.e, args.charge)
@@ -176,8 +175,9 @@ def cmd_verify(args) -> int:
             with ProcessPoolExecutor(max_workers=args.workers) as pool:
                 reports = list(pool.map(_sweep_one, tasks))
         else:
-            reports = [_sweep_one(t) for t in tasks]
-    # each report serialized once: its line is also its sort key
+            reports = map(_sweep_one, tasks)
+    # each report serialized once, as it arrives: its line is also its
+    # sort key, and no report dict outlives its line
     lines = sorted((json.dumps(r, sort_keys=True), r["pass"])
                    for r in reports)
     failed = [line for line, ok in lines if not ok]
@@ -189,7 +189,7 @@ def cmd_verify(args) -> int:
             checked = "%d words" % sum(r["words"] for r in reports)
             count = sum(len(r["failures"]) for r in reports)
         else:
-            checked, count = "%d instances" % len(reports), len(failed)
+            checked, count = "%d instances" % len(lines), len(failed)
         print("checked %s, %d counterexamples" % (checked, count))
         for line in failed:
             print(line)

@@ -152,10 +152,23 @@ def uglov_layers(n: int, p: CrystalParams) -> list[set[Bipartition]]:
     return layers
 
 
-def crystal_edges(layers: list[set[Bipartition]], p: CrystalParams):
-    """Good-node edges (bp, residue, bp') between consecutive layers."""
-    return [(bp, j, dst) for layer in layers[:-1] for bp in layer
-            for j, dst in good_additions(bp, p)]
+def crystal_edges(n: int, p: CrystalParams):
+    """Yield the good-node edges (bp, residue, bp') of the crystal
+    component of the empty bipartition up to rank n, in increasing rank
+    of bp.
+
+    The walk keeps each layer as it finds it, so every bipartition of
+    rank below n is scanned once, as uglov_layers scans it.
+    """
+    _check_e(p.e)
+    layer = {EMPTY}
+    for _ in range(n):
+        nxt = set()
+        for bp in layer:
+            for j, dst in good_additions(bp, p):
+                nxt.add(dst)
+                yield bp, j, dst
+        layer = nxt
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ The vertical-boundary node (a, lambda^c_a, c) has content
 lambda^c_a - a + s_c, a beta-number of lambda^c.  beta_set lists these
 contents for one component; with the tail of beads below its last row it
 is the one reading of the boundary.  Natures (nature_kinds, and
-nature_at on top of it), boundary sequences and periods
+nature_entries on top of it), boundary sequences and periods
 (admissible.has_period) are read from it.  The Uglov order compares
 boundary sequences, so it is the lexicographic order on the merged
 beta-set {2 beta - c}, Uglov's level-two to level-one wedge, which
@@ -197,21 +197,34 @@ def nature_kinds(lam: tuple[int, ...], s: int, lo: int,
     return tuple(kinds)
 
 
+def nature_entries(lam: tuple[int, ...], s: int, c: int, lo: int,
+                   hi: int) -> list[NatureEntry]:
+    """The addable-or-boundary nodes of contents lo..hi of component c of
+    charge s: kinds from one nature_kinds pass.
+
+    The row of the node at content j counts the beads above j, plus one
+    unless it is Bh; the beads are the contents of kind R or Bv, so one
+    decreasing pass counts them from those above hi.
+    """
+    kinds = nature_kinds(lam, s, lo, hi)
+    floor = s - len(lam)
+    above = sum(x > hi for x in beta_set(lam, s)) + max(0, floor - 1 - hi)
+    out = []
+    for j in range(hi, lo - 1, -1):
+        kind = kinds[j - lo]
+        a = above + (kind != BH)
+        node = Node(a, j - s + a, c)
+        out.append(NatureEntry(kind, node,
+                               kind != A and (a == 0 or node.b == 0)))
+        above += kind in (R, BV)
+    out.reverse()
+    return out
+
+
 def nature_at(bp: Bipartition, charge: tuple[int, int], j: int,
               c: int) -> NatureEntry:
-    """The unique addable-or-boundary node of content j in component c.
-
-    Its kind is nature_kinds at j.  Its row counts the beads above j,
-    plus one unless it is Bh.
-    """
-    s = charge[c - 1]
-    lam = bp.component(c)
-    kind = nature_kinds(lam, s, j, j)[0]
-    floor = s - len(lam)
-    a = sum(x > j for x in beta_set(lam, s)) + max(0, floor - 1 - j) \
-        + (kind != BH)
-    node = Node(a, j - s + a, c)
-    return NatureEntry(kind, node, kind != A and (a == 0 or node.b == 0))
+    """The unique addable-or-boundary node of content j in component c."""
+    return nature_entries(bp.component(c), charge[c - 1], c, j, j)[0]
 
 
 def default_window(bp: Bipartition, charge) -> tuple[int, int]:
@@ -230,18 +243,21 @@ def _window_contents(window: tuple[int, int]) -> range:
 
 def nature_table(bp: Bipartition, charge: tuple[int, int],
                  window: tuple[int, int]) -> list[tuple[int, int, NatureEntry]]:
-    """Slots (content, component, entry) listed in increasing node order."""
-    return [(j, c, nature_at(bp, charge, j, c))
-            for j in _window_contents(window) for c in (2, 1)]
+    """Slots (content, component, entry) listed in increasing node order;
+    one nature_entries pass per component."""
+    contents = _window_contents(window)
+    lo, hi = window
+    rows = {c: nature_entries(bp.component(c), charge[c - 1], c, lo, hi)
+            for c in (1, 2)}
+    return [(k, c, rows[c][k - lo]) for k in contents for c in (2, 1)]
 
 
 def residue_slots(bp: Bipartition, charge: tuple[int, int], j: int,
                   e: Optional[int],
                   window: tuple[int, int]) -> list[tuple[int, int, NatureEntry]]:
     """The slots of the nature table whose content has residue j."""
-    return [(k, c, nature_at(bp, charge, k, c))
-            for k in _window_contents(window)
-            if (k == j if e is None else (k - j) % e == 0) for c in (2, 1)]
+    return [slot for slot in nature_table(bp, charge, window)
+            if (slot[0] == j if e is None else (slot[0] - j) % e == 0)]
 
 
 NATURE_TRANSITIONS = {

@@ -14,7 +14,8 @@ A sweep over a whole crystal component needs no peeling: psi_images
 walks the good edges of the component once and adds one good node per
 image.  The psi-nature sweep checks those images against the sigma1
 nature table, with the natures of each component read by one
-diagrams.nature_kinds pass.
+diagrams.nature_kinds pass, and the forward DJM sweep reads its
+admissible sequences at the fundamental charge from them.
 """
 
 from __future__ import annotations
@@ -86,19 +87,19 @@ def psi_to(bp: Bipartition, charge_from, charge_to,
     return rebuild_from_residues(reversed(word), p_to)
 
 
-def psi_images(layers, p_from: CrystalParams, charge_to) -> dict:
-    """{bp: psi_to(bp, p_from.charge, charge_to, p_from.e)} for every bp
-    of the layers that uglov_layers built at p_from.
+def psi_images(n: int, p_from: CrystalParams, charge_to) -> dict:
+    """{bp: psi_to(bp, p_from.charge, charge_to, p_from.e)} for every
+    Uglov bipartition bp of rank <= n at p_from, in increasing rank.
 
     The isomorphism fixes the empty bipartition and commutes with the
     crystal operators, so along each good edge (bp, j, dst) the image of
     dst is the image of bp plus its good j-node at charge_to: one
-    signature scan per image, walking the edges layer by layer.
+    signature scan per image, and one per bipartition of the walk.
     """
     require_same_orbit(p_from.charge, charge_to, p_from.e)
     p_to = CrystalParams(p_from.e, tuple(charge_to))
     images = {EMPTY: EMPTY}
-    for bp, j, dst in crystal_edges(layers, p_from):
+    for bp, j, dst in crystal_edges(n, p_from):
         if dst not in images:
             images[dst] = add_good_node(images[bp], j, p_to)
     return images

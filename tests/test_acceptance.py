@@ -54,6 +54,8 @@ from uglov.diagrams import (
 )
 from uglov.isomorphism import psi_e_independence_check, psi_nature_check, psi_to
 
+from test_admissible import forward_reports
+
 P = parse_bipartition
 CHARGES = ((0, 0), (0, 1), (0, 2), (1, 0), (3, 0), (-2, 1))
 
@@ -171,8 +173,8 @@ def test_criterion_1e_corrected_adm_value():
     seq = [1, 0, 0, 2, 2, 1, 1, 2, 0, 1, 2]
     ok = adm(P("6.1,2.2"), CrystalParams(3, (0, 1))) == seq
     ok = ok and adm(P("5.2.1,3"), CrystalParams(3, (1, 0))) == seq
-    ok = ok and verify_djm_forward(P("6.1,2.2"),
-                                   CrystalParams(3, (0, 1)))["pass"]
+    ok = ok and forward_reports(11, CrystalParams(3, (0, 1)))[
+        P("6.1,2.2")]["pass"]
     report("1e (corrected admissible sequence)", ok)
 
 
@@ -188,9 +190,9 @@ def test_criterion_2_forward_sweep():
     for e in (2, 3):
         for charge in CHARGES:
             p = CrystalParams(e, charge)
-            for bp in all_uglov_up_to(7, p):
+            for r in verify_djm_forward(7, p):
                 checked += 1
-                ok = ok and verify_djm_forward(bp, p)["pass"]
+                ok = ok and r["pass"]
     ok = ok and checked > 0
     report("2 (forward sweep, %d instances)" % checked, ok)
 

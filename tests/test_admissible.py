@@ -1,6 +1,7 @@
 """Unit tests for connectedness, admissible sequences and the verifiers."""
 
 import itertools
+import json
 
 import pytest
 
@@ -23,11 +24,13 @@ from uglov import admissible
 from uglov.crystal import (
     CrystalParams,
     expand_monomial,
+    f_action,
     is_uglov,
     uglov_layers,
 )
 from uglov.diagrams import (
     EMPTY,
+    Bipartition,
     Node,
     bipartition_to_json,
     bipartitions_of,
@@ -199,20 +202,87 @@ def test_adm_word_reaches_bp_as_monomial_maximum():
     assert uglov_max(vec, P01.charge) == bp
 
 
+def forward_oracle(bp, p):
+    # Reference: one bipartition on its own, sharing no work with any
+    # other.  Adm by transport to the fundamental charge and class
+    # removals down to empty, then the monomial expanded from the empty
+    # bipartition, oldest residue first.
+    try:
+        seq = adm(bp, p)
+    except AssertionError as exc:
+        return {"bp": bipartition_to_json(bp), "pass": False,
+                "error": str(exc)}
+    vec = {EMPTY: 1}
+    for j in seq:
+        vec = f_action(vec, j, p)
+    ok = bp in vec and uglov_max(vec, p.charge) == bp
+    return {
+        "bp": bipartition_to_json(bp),
+        "adm": list(seq),
+        "expansion": [{"bp": bipartition_to_json(mu), "coeff": coeff}
+                      for mu, coeff in sorted(vec.items())],
+        "max": bipartition_to_json(bp) if ok else None,
+        "pass": ok,
+    }
+
+
+def forward_reports(n, p):
+    """The sweep's reports up to rank n, by bipartition."""
+    return {Bipartition(tuple(r["bp"]["c1"]), tuple(r["bp"]["c2"])): r
+            for r in verify_djm_forward(n, p)}
+
+
 def test_verify_djm_forward_examples():
-    assert verify_djm_forward(EMPTY, P01)["pass"]
-    report = verify_djm_forward(P("6.1,2.2"), P01)
+    assert forward_reports(0, P01)[EMPTY]["pass"]
+    report = forward_reports(11, P01)[P("6.1,2.2")]
     assert report["pass"]
     assert report["max"] == {"c1": [6, 1], "c2": [2, 2]}
+    assert report == forward_oracle(P("6.1,2.2"), P01)
+    with pytest.raises(ValueError):
+        list(verify_djm_forward(2, CrystalParams(None, (0, 1))))
 
 
 def test_verify_djm_forward_small_grid():
     for e in (2, 3):
         for charge in ((0, 0), (0, 1), (1, 0), (-2, 1)):
             p = CrystalParams(e, charge)
-            for n in range(5):
-                for bp in uglov_layers(n, p)[n]:
-                    assert verify_djm_forward(bp, p)["pass"]
+            reports = list(verify_djm_forward(4, p))
+            assert len(reports) == sum(map(len, uglov_layers(4, p)))
+            assert all(r["pass"] for r in reports)
+
+
+FORWARD_GRID = [CrystalParams(e, charge) for e in (2, 3, 4)
+                for charge in ((0, 1), (0, 0), (1, 0), (2, -1), (0, 4),
+                               (11, 0), (5, -2))]
+
+
+@pytest.mark.parametrize("p", FORWARD_GRID, ids=str)
+def test_verify_djm_forward_matches_oracle(p):
+    def line(report):
+        return json.dumps(report, sort_keys=True)
+
+    swept = sorted(map(line, verify_djm_forward(7, p)))
+    expected = sorted(line(forward_oracle(bp, p))
+                      for layer in uglov_layers(7, p) for bp in layer)
+    assert swept == expected
+    # up to rank 7, only the cells with |s1 - s2| > e at e = 3, 4 fail
+    fails = p.e > 2 and abs(p.charge[0] - p.charge[1]) > p.e
+    assert any('"pass": false' in x for x in swept) == fails
+
+
+def test_verify_djm_forward_error_is_inherited():
+    # The class step of 3.2.1,3.1 fails at e=3, s=(0,0); 4.2.1,3.1 loses
+    # its class to reach it, so it carries the same text.
+    p = CrystalParams(3, (0, 0))
+    text = ("class [Node(a=2, b=1, c=2), Node(a=1, b=3, c=2), "
+            "Node(a=1, b=3, c=1)] is not the top normal 2-nodes of "
+            "Bipartition(c1=(3, 2, 1), c2=(3, 1))")
+    reports = forward_reports(11, p)
+    errors = {bp: r["error"] for bp, r in reports.items() if "error" in r}
+    assert errors == {P("3.2.1,3.1"): text, P("4.2.1,3.1"): text}
+    for bp in errors:
+        assert reports[bp] == forward_oracle(bp, p)
+        assert reports[bp]["pass"] is False
 
 
 def test_verify_djm_converse_small():

@@ -216,6 +216,7 @@ def test_show_unknown_rendering(capsys):
     ["--format", "dot", "show", "1,-", "natures"],
     ["show", "1,-", "adm", "--window=0,1"],
     ["show", "1,-", "psi:1,0", "--window=0,1"],
+    ["--workers", "2", "verify", "--mode", "forward", "--n", "2"],
 ])
 def test_bad_arguments_exit_2(capsys, argv):
     try:

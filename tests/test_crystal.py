@@ -257,7 +257,8 @@ def test_is_uglov_matches_enumeration():
 def test_uglov_layers_nested_by_edges():
     p = CrystalParams(2, (0, 0))
     layers = uglov_layers(4, p)
-    edges = crystal_edges(layers, p)
+    edges = list(crystal_edges(4, p))
+    assert len(edges) == len(set(edges))
     assert {dst for _, _, dst in edges} == set().union(*layers[1:])
     for src, j, dst in edges:
         assert src.rank + 1 == dst.rank

@@ -160,12 +160,14 @@ def test_psi_images_match_psi_to(e):
     for c_from in ((0, 1), (1, 0), (0, 0), (2, -1), (5, -2)):
         c_to = (c_from[1], c_from[0])
         layers = uglov_layers(8, CrystalParams(e, c_from))
-        images = psi_images(layers, CrystalParams(e, c_from), c_to)
+        images = psi_images(8, CrystalParams(e, c_from), c_to)
         assert set(images) == set().union(*layers)
+        ranks = [bp.rank for bp in images]
+        assert ranks == sorted(ranks)
         for bp, image in images.items():
             assert image == psi_to(bp, c_from, c_to, e)
     with pytest.raises(ValueError, match="not in one orbit"):
-        psi_images(layers[:1], CrystalParams(e, (0, 1)), (0, 0))
+        psi_images(0, CrystalParams(e, (0, 1)), (0, 0))
 
 
 def test_e_independence_of_sigma1():
