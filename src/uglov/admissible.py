@@ -25,6 +25,7 @@ from .diagrams import (
     EMPTY,
     Bipartition,
     Node,
+    add_node,
     addable_nodes,
     beta_set,
     bipartition_to_json,
@@ -269,36 +270,70 @@ def verify_djm_forward(n: int, p: CrystalParams):
 def verify_djm_converse(n: int, p: CrystalParams) -> list[dict]:
     """Every monomial maximum is Uglov: one report per rank 0..n.
 
-    The words are visited depth first by shared suffix: expand_monomial
-    applies the last residue first, so prepending one residue to a suffix
-    is one f_action on the suffix's vector, and a suffix whose vector
-    vanishes is pruned with every word that ends in it.  Each suffix is a
-    word of its own rank, so one walk to depth n checks every rank.
+    Every f_action coefficient is positive, so no term of a monomial's
+    expansion cancels: the support of f_j(v) is the union of the
+    j-children of the support of v, and the Uglov maximum of a word's
+    monomial depends on its support alone.  So the walk goes rank by rank
+    over distinct supports, not words.  A word w of rank k+1 is j
+    followed by a word of rank k (expand_monomial applies the last
+    residue first), and its support is the j-children of that word's
+    support; a support records each such (j, parent support).  The
+    children of each bipartition by residue are read once per call.
+    Each support takes one maximum and one membership verdict, and the
+    words of failing supports alone are spelled out from the records.
     Failures are reported in increasing word order.
     """
     if p.e is None:
         raise ValueError("the converse sweep needs finite e")
-    failures = [[] for _ in range(n + 1)]  # by rank
-    verdicts = {}  # many words share one maximum
+    e, charge = p.e, p.charge
+    children = {}  # bipartition -> its children, by residue
+    keys = {}  # bipartition -> uglov_key, read once per call
+    verdicts = {}  # many supports share one maximum
+    root = frozenset([EMPTY])
+    parents = {root: []}  # support -> its (j, parent support)
+    spelled = {root: [()]}  # support -> its words, spelled on demand
 
-    def visit(suffix, vec):
-        best = uglov_max(vec, p.charge)
-        if best not in verdicts:
-            verdicts[best] = is_uglov(best, p)
-        if not verdicts[best]:
-            failures[len(suffix)].append({"word": list(suffix),
-                                          "max": bipartition_to_json(best)})
-        if len(suffix) < n:
-            for j in range(p.e):
-                nxt = f_action(vec, j, p)
-                if nxt:
-                    visit((j,) + suffix, nxt)
+    def kids(bp):
+        by_residue = children.get(bp)
+        if by_residue is None:
+            by_residue = children[bp] = [[] for _ in range(e)]
+            for g in addable_nodes(bp):
+                by_residue[(g.b - g.a + charge[g.c - 1]) % e].append(
+                    add_node(bp, g))
+        return by_residue
 
-    visit((), {EMPTY: 1})
-    for found in failures:
+    def words(support):
+        if support not in spelled:
+            spelled[support] = [(j,) + w for j, parent in parents[support]
+                                for w in words(parent)]
+        return spelled[support]
+
+    reports = []
+    layer = [root]
+    for k in range(n + 1):
+        found = []
+        for support in layer:
+            best = uglov_max(support, charge, keys)
+            if best not in verdicts:
+                verdicts[best] = is_uglov(best, p)
+            if not verdicts[best]:
+                found += ({"word": list(w), "max": bipartition_to_json(best)}
+                          for w in words(support))
         found.sort(key=lambda f: f["word"])
-    return [{"n": k, "words": p.e ** k, "failures": found,
-             "pass": not found} for k, found in enumerate(failures)]
+        reports.append({"n": k, "words": e ** k, "failures": found,
+                        "pass": not found})
+        if k == n:
+            break
+        nxt = {}
+        for support in layer:
+            rows = [kids(bp) for bp in support]
+            for j in range(e):
+                child = frozenset(mu for row in rows for mu in row[j])
+                if child:
+                    nxt.setdefault(child, []).append((j, support))
+        parents.update(nxt)
+        layer = list(nxt)
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -330,11 +365,29 @@ def _row_standard_filling_exists(bp: Bipartition, word, charge, e) -> bool:
                for state in states)
 
 
+def _box_residues(bp: Bipartition, charge, e) -> list:
+    # the residues of the boxes of bp, sorted
+    out = []
+    for lam, s in ((bp.c1, charge[0]), (bp.c2, charge[1])):
+        for a, row in enumerate(lam, 1):
+            out += range(s + 1 - a, s + 1 - a + row)  # contents of row a
+    if e is not None:
+        out = [cont % e for cont in out]
+    out.sort()
+    return out
+
+
 def row_standard_shapes(word, p: CrystalParams) -> set[Bipartition]:
-    """Shapes admitting a row-standard tableau with this residue word."""
-    n = len(word)
-    return {bp for bp in bipartitions_of(n)
-            if _row_standard_filling_exists(bp, word, p.charge, p.e)}
+    """Shapes admitting a row-standard tableau with this residue word.
+
+    Such a tableau puts each letter of the word in a box of that residue,
+    so a shape whose box residues differ from the letters as multisets is
+    skipped before the row-filling DP.
+    """
+    letters = sorted(word)
+    return {bp for bp in bipartitions_of(len(word))
+            if _box_residues(bp, p.charge, p.e) == letters
+            and _row_standard_filling_exists(bp, word, p.charge, p.e)}
 
 
 def verify_djm_corollary(bp: Bipartition, p: CrystalParams) -> dict:

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import random
 
 import pytest
 
@@ -32,6 +33,7 @@ from uglov.diagrams import (
     EMPTY,
     Bipartition,
     Node,
+    addable_nodes,
     bipartition_to_json,
     bipartitions_of,
     content,
@@ -329,6 +331,83 @@ def test_verify_djm_converse_matches_brute_force(p, monkeypatch):
     assert sum(len(r["failures"]) for r in reports) > 1
 
 
+def converse_word_oracle(n, p, member):
+    # Reference: the words visited depth first by shared suffix.
+    # expand_monomial applies the last residue first, so prepending one
+    # residue to a suffix is one f_action on the suffix's vector, and a
+    # suffix whose vector vanishes is pruned with every word that ends in
+    # it.  Every word's maximum takes its own membership verdict.
+    failures = [[] for _ in range(n + 1)]  # by rank
+
+    def visit(suffix, vec):
+        best = uglov_max(vec, p.charge)
+        if not member(best, p):
+            failures[len(suffix)].append({"word": list(suffix),
+                                          "max": bipartition_to_json(best)})
+        if len(suffix) < n:
+            for j in range(p.e):
+                nxt = f_action(vec, j, p)
+                if nxt:
+                    visit((j,) + suffix, nxt)
+
+    visit((), {EMPTY: 1})
+    for found in failures:
+        found.sort(key=lambda f: f["word"])
+    return [{"n": k, "words": p.e ** k, "failures": found,
+             "pass": not found} for k, found in enumerate(failures)]
+
+
+def _forced_member(bp, p):
+    # forces failures, to check their words and order
+    return bp.c1[:1] != (1,) and is_uglov(bp, p)
+
+
+WALK_GRID = [CrystalParams(e, charge) for e in (2, 3, 4)
+             for charge in ((0, 0), (0, 1), (1, 0), (2, -1), (0, 4), (11, 0))]
+
+
+@pytest.mark.parametrize("p", WALK_GRID, ids=str)
+def test_verify_djm_converse_matches_word_oracle(p, monkeypatch):
+    assert verify_djm_converse(7, p) == converse_word_oracle(7, p, is_uglov)
+    monkeypatch.setattr(admissible, "is_uglov", _forced_member)
+    reports = verify_djm_converse(7, p)
+    assert reports == converse_word_oracle(7, p, _forced_member)
+    assert sum(len(r["failures"]) for r in reports) > 1
+
+
+def test_converse_forced_failures_share_supports():
+    # The forced failures include supports reached from several (residue,
+    # parent support) pairs, so the walk's spelling of their words is
+    # checked across parents, not only along one chain.
+    p = CrystalParams(3, (0, 1))
+    failures = converse_word_oracle(6, p, _forced_member)[6]["failures"]
+
+    def support(word):
+        return frozenset(expand_monomial(word, p))
+
+    parents = {}
+    for f in failures:
+        word = f["word"]
+        parents.setdefault(support(word), set()).add(
+            (word[0], support(word[1:])))
+    assert max(map(len, parents.values())) > 1
+
+
+def test_converse_reads_children_once_per_bipartition(monkeypatch):
+    # The walk reads the addable nodes of each bipartition it expands
+    # once: every bipartition of rank below n lies in some support.
+    calls = []
+
+    def counted(bp):
+        calls.append(bp)
+        return addable_nodes(bp)
+
+    monkeypatch.setattr(admissible, "addable_nodes", counted)
+    verify_djm_converse(8, P01)
+    assert len(calls) == len(set(calls))
+    assert set(calls) == {bp for k in range(8) for bp in bipartitions_of(k)}
+
+
 def _row_standard_shapes_brute(word, p):
     # Oracle: try every assignment of 1..n to the boxes of each shape.
     # Row-standard means each box is placed after its left neighbor.
@@ -361,6 +440,34 @@ def test_row_standard_shapes_examples():
     for word in itertools.product(range(2), repeat=2):
         assert (row_standard_shapes(list(word), p)
                 == _row_standard_shapes_brute(list(word), p))
+
+
+def _row_standard_shapes_unfiltered(word, p):
+    # Oracle: the row-filling DP on every shape of the word's rank.
+    return {bp for bp in bipartitions_of(len(word))
+            if admissible._row_standard_filling_exists(bp, word, p.charge,
+                                                       p.e)}
+
+
+def test_row_standard_shapes_match_unfiltered():
+    words = []
+    for p in (P01, CrystalParams(2, (1, 0))):  # the corollary fails on both
+        words += [(list(adm(bp, p)), p)
+                  for layer in uglov_layers(7, p) for bp in layer]
+    rng = random.Random(20261018)
+    for _ in range(200):
+        p = CrystalParams(rng.choice((2, 3, 4)),
+                          (rng.randint(-3, 3), rng.randint(-3, 3)))
+        words.append(([rng.randrange(p.e) for _ in range(rng.randint(0, 6))],
+                       p))
+    words.append(([2, 2], P01))  # no shape has two boxes of residue 2
+    empty = 0
+    for word, p in words:
+        shapes = row_standard_shapes(word, p)
+        assert shapes == _row_standard_shapes_unfiltered(word, p)
+        empty += not shapes
+    assert 0 < empty < len(words)
+    assert row_standard_shapes([2, 2], P01) == set()
 
 
 def test_verify_djm_corollary_small():
