@@ -5,6 +5,11 @@ A period is a chain of e vertical-boundary nodes of the Young diagram
 (virtual nodes excluded, see has_period) whose contents increase by one
 and whose components weakly increase; its presence excludes membership
 in the crystal component of the empty bipartition.
+
+The forward, corollary and propb sweeps read their bipartitions at the
+fundamental charge from one isomorphism.psi_images walk: propb checks
+each image's top_class, and adm_walk, feeding forward and corollary,
+takes one class_step per image onto the Adm of its remainder.
 """
 
 from __future__ import annotations
@@ -162,23 +167,29 @@ def remove_all(bp: Bipartition, nodes) -> Bipartition:
     return bp
 
 
-def class_step(bp: Bipartition, p: CrystalParams) -> tuple:
-    """(j, r, rest): one step of the FLOTW a-sequence recursion
-    Adm(bp) = Adm(rest) followed by [j]^r, for a nonempty FLOTW bp at a
-    fundamental charge p.
-
-    The class of the maximal normal removable node has r nodes of
-    residue j, and rest is bp without it.  The seed and the normal
-    j-nodes come from one signature scan.  AssertionError if the class
-    is not the top normal j-nodes or rest is not FLOTW.
-    """
+def top_class(bp: Bipartition, p: CrystalParams) -> tuple:
+    """(j, class, normal j-nodes) of a nonempty bp at a fundamental charge:
+    the class of the maximal normal removable node, of residue j, and the
+    normal removable j-nodes, both increasing, from one signature scan.
+    AssertionError if bp has no normal removable node."""
     sig = signature_word(bp, p)
     seed = _top_normal(sig, p.charge)
     if seed is None:
         raise AssertionError("no normal removable node on %r" % (bp,))
     j = residue(seed, p.charge, p.e)
-    cls = _connected_class(bp, seed, p)
-    normal = sig[j][1]
+    return j, _connected_class(bp, seed, p), sig[j][1]
+
+
+def class_step(bp: Bipartition, p: CrystalParams) -> tuple:
+    """(j, r, rest): one step of the FLOTW a-sequence recursion
+    Adm(bp) = Adm(rest) followed by [j]^r, for a nonempty FLOTW bp at a
+    fundamental charge p.
+
+    The top_class of bp has r nodes of residue j, and rest is bp without
+    it.  AssertionError if the class is not the top normal j-nodes or
+    rest is not FLOTW.
+    """
+    j, cls, normal = top_class(bp, p)
     if cls != normal[len(normal) - len(cls):]:
         raise AssertionError("class %r is not the top normal %r-nodes "
                              "of %r" % (cls, j, bp))
@@ -215,47 +226,53 @@ def adm(bp: Bipartition, p: CrystalParams) -> list:
 # ---------------------------------------------------------------------------
 # theorem verifiers
 
-def verify_djm_forward(n: int, p: CrystalParams):
-    """Yield one report per Uglov bipartition bp of rank <= n: bp must be
-    the strict Uglov maximum of its Adm monomial.
-
-    Adm is read at the fundamental charge, from the psi_images of the
-    bipartitions, visited in increasing rank.  By the recursion
-    Adm(bp) = Adm(rest) followed by [j]^r (class_step), each image takes
-    one class step, and its rest, an image of lower rank, already holds
-    its Adm and the vector of its monomial, f-operators applied oldest
-    residue first; r f_action steps extend that vector.  An
-    AssertionError of a class step is the counterexample of every
-    bipartition whose chain of steps passes through it, with its text
-    in the report's "error" field.
+def adm_walk(n: int, p: CrystalParams):
+    """Yield (bp, image, found) for every Uglov bipartition bp of rank
+    <= n, in increasing rank: image is its psi_images image at the
+    fundamental charge, and found is (Adm(bp), the class_step of image,
+    None if empty) or the AssertionError text of the first failing class
+    step from image down to empty.  The rest of each step, of lower rank,
+    already holds its found: Adm(bp) = Adm(rest) followed by [j]^r.
     """
     if p.e is None:
         raise ValueError("admissible sequences need finite e")
     fp = CrystalParams(p.e, reduce_to_fundamental(p.charge, p.e))
-    done = {EMPTY: ([], {EMPTY: 1})}  # image -> (Adm, vector) or error
-
-    def extend(image):
-        try:
-            j, r, rest = class_step(image, fp)
-        except AssertionError as exc:
-            return str(exc)
-        found = done[rest]
-        if isinstance(found, str):
-            return found
-        seq, vec = found
-        for _ in range(r):
-            vec = f_action(vec, j, p)
-        return seq + [j] * r, vec
-
+    done = {EMPTY: ([], None)}  # image -> found; psi is a bijection
     for bp, image in psi_images(n, p, fp.charge).items():
-        if image not in done:
-            done[image] = extend(image)
-        found = done[image]
+        if image != EMPTY:
+            try:
+                j, r, rest = step = class_step(image, fp)
+            except AssertionError as exc:
+                done[image] = str(exc)
+            else:
+                below = done[rest]
+                done[image] = (below if isinstance(below, str)
+                               else (below[0] + [j] * r, step))
+        yield bp, image, done[image]
+
+
+def verify_djm_forward(n: int, p: CrystalParams):
+    """Yield one report per Uglov bipartition bp of rank <= n: bp must be
+    the strict Uglov maximum of its Adm monomial.
+
+    Adm comes from adm_walk, and the vector of each image's monomial,
+    f-operators applied oldest residue first, is the vector of its rest
+    extended by r f_action steps.  A walk error is the "error" field.
+    """
+    vecs = {EMPTY: {EMPTY: 1}}  # image -> vector of its Adm monomial
+    for bp, image, found in adm_walk(n, p):
         if isinstance(found, str):
             yield {"bp": bipartition_to_json(bp), "pass": False,
                    "error": found}
             continue
-        seq, vec = found
+        seq, step = found
+        if step:
+            j, r, rest = step
+            vec = vecs[rest]
+            for _ in range(r):
+                vec = f_action(vec, j, p)
+            vecs[image] = vec
+        vec = vecs[image]
         ok = bp in vec and uglov_max(vec, p.charge) == bp
         yield {
             "bp": bipartition_to_json(bp),
@@ -390,58 +407,62 @@ def row_standard_shapes(word, p: CrystalParams) -> set[Bipartition]:
             and _row_standard_filling_exists(bp, word, p.charge, p.e)}
 
 
-def verify_djm_corollary(bp: Bipartition, p: CrystalParams) -> dict:
-    """Row-standard reformulation: bp dominates every shape of its word."""
-    seq = adm(bp, p)
-    shapes = row_standard_shapes(seq, p)
-    ok = bp in shapes and uglov_max(shapes, p.charge) == bp
-    return {
-        "bp": bipartition_to_json(bp),
-        "adm": list(seq),
-        "shapes": [bipartition_to_json(mu) for mu in sorted(shapes)],
-        "pass": ok,
-    }
+def verify_djm_corollary(n: int, p: CrystalParams):
+    """Yield one report per Uglov bipartition bp of rank <= n, row-standard
+    reformulation: bp dominates every shape of its word, Adm from
+    adm_walk."""
+    for bp, _, found in adm_walk(n, p):
+        if isinstance(found, str):
+            yield {"bp": bipartition_to_json(bp), "pass": False,
+                   "error": found}
+            continue
+        seq = found[0]
+        shapes = row_standard_shapes(seq, p)
+        ok = bp in shapes and uglov_max(shapes, p.charge) == bp
+        yield {
+            "bp": bipartition_to_json(bp),
+            "adm": list(seq),
+            "shapes": [bipartition_to_json(mu) for mu in sorted(shapes)],
+            "pass": ok,
+        }
 
 
 # ---------------------------------------------------------------------------
 # structural checks on the transported class
 
-def propb_checks(bp: Bipartition, p: CrystalParams) -> dict:
-    """Dominance of the smallest transported class node over addable nodes
-    and the vertical/horizontal exclusion at its residue."""
+def propb_checks(n: int, p: CrystalParams):
+    """Yield one report per Uglov bipartition bp of rank <= n: dominance
+    of the smallest transported class node over addable nodes and the
+    vertical/horizontal exclusion at its residue.  The class is the
+    top_class of bp's psi_images image at the fundamental charge."""
     if p.e is None:
         raise ValueError("needs finite e")
-    report = {"bp": bipartition_to_json(bp), "pass": True, "failures": []}
-    if bp == EMPTY:
-        return report
     fp = CrystalParams(p.e, reduce_to_fundamental(p.charge, p.e))
-    lam = psi_to(bp, p.charge, fp.charge, p.e)
-    sig = signature_word(lam, fp)
-    seed = _top_normal(sig, fp.charge)
-    cls = _connected_class(lam, seed, fp)
-    j = residue(seed, fp.charge, fp.e)
-    normal_lam = sig[j][1]
+    for bp, image in psi_images(n, p, fp.charge).items():
+        failures = [] if bp == EMPTY else _propb_failures(bp, image, p, fp)
+        yield {"bp": bipartition_to_json(bp), "pass": not failures,
+               "failures": failures}
+
+
+def _propb_failures(bp: Bipartition, image: Bipartition, p: CrystalParams,
+                    fp: CrystalParams) -> list:
+    j, cls, normal_lam = top_class(image, fp)
     normal_mu = normal_removable_nodes(bp, j, p)
-
-    def fail(what):
-        report["pass"] = False
-        report["failures"].append(what)
-
-    if cls != normal_lam[len(normal_lam) - len(cls):]:
-        fail("class is not the top normal nodes at the fundamental charge")
+    out = ([] if cls == normal_lam[len(normal_lam) - len(cls):] else
+           ["class is not the top normal nodes at the fundamental charge"])
     if len(normal_mu) != len(normal_lam):
-        fail("normal-node count not preserved by the isomorphism")
-        return report
+        return out + ["normal-node count not preserved by the isomorphism"]
     eta1 = normal_mu[len(normal_mu) - len(cls)]
     key1 = node_key(eta1, p.charge)
-    for g in addable_nodes(bp):
-        if residue(g, p.charge, p.e) == j and node_key(g, p.charge) > key1:
-            fail("addable %r-node %r greater than eta1 %r" % (j, g, eta1))
+    out += ["addable %r-node %r greater than eta1 %r" % (j, g, eta1)
+            for g in addable_nodes(bp)
+            if residue(g, p.charge, p.e) == j and node_key(g, p.charge) > key1]
     slots = residue_slots(bp, p.charge, j, p.e,
                           default_window(bp, p.charge))
     greater = [entry for (_, _, entry) in slots
                if node_key(entry.node, p.charge) > key1]
     if (any(ent.kind == "Bh" and not ent.virtual for ent in greater)
             and any(ent.kind == "Bv" for ent in greater)):
-        fail("both a non-virtual Bh and a Bv %r-node exceed eta1" % (j,))
-    return report
+        out.append("both a non-virtual Bh and a Bv %r-node exceed eta1"
+                   % (j,))
+    return out

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import admissible, crystal, diagrams, isomorphism
 from .crystal import CrystalParams
@@ -55,10 +54,9 @@ def parse_rank(text: str) -> int:
 
 
 def parse_workers(text: str) -> int:
-    k = int(text)
-    if k < 1:
-        raise argparse.ArgumentTypeError("workers must be >= 1")
-    return k
+    if int(text) != 1:
+        raise argparse.ArgumentTypeError("workers must be 1")
+    return 1
 
 
 def parse_rendering(text: str):
@@ -129,53 +127,18 @@ def render_dot(n: int, p: CrystalParams) -> str:
     return "\n".join(lines)
 
 
-# the admissible function each per-bipartition sweep runs
-_SWEEPS = {"corollary": "verify_djm_corollary", "propb": "propb_checks"}
-
-
-def _sweep_one(task):
-    # looked up by name at call time, so a rebinding of the admissible
-    # function is seen here too
-    name, bp, e, charge = task
-    try:
-        return getattr(admissible, name)(bp, CrystalParams(e, charge))
-    except AssertionError as exc:
-        # an internal inconsistency is this bipartition's counterexample,
-        # not the end of the sweep
-        return {"bp": diagrams.bipartition_to_json(bp), "pass": False,
-                "error": str(exc)}
-
-
 def cmd_verify(args) -> int:
     if args.e is None:
         print("verify needs finite e", file=sys.stderr)
         return 2
-    if args.workers > 1 and args.mode not in _SWEEPS:
-        print("--workers applies to corollary and propb, "
-              "not %s" % args.mode, file=sys.stderr)
-        return 2
-    p = CrystalParams(args.e, args.charge)
-    if args.mode == "converse":
-        reports = admissible.verify_djm_converse(args.n, p)
-    elif args.mode == "forward":  # a walk that yields its reports
-        reports = admissible.verify_djm_forward(args.n, p)
-    elif args.mode == "psi-nature":
-        images = isomorphism.psi_images(args.n, p, args.charge[::-1])
-        reports = ({"bp": diagrams.bipartition_to_json(bp),
-                    "image": diagrams.bipartition_to_json(image),
-                    "pass": isomorphism.psi_nature_check(bp, image,
-                                                         args.charge)}
-                   for bp, image in images.items())
-    else:
-        name = _SWEEPS[args.mode]
-        tasks = [(name, bp, args.e, args.charge)
-                 for layer in crystal.uglov_layers(args.n, p)
-                 for bp in sorted(layer)]
-        if args.workers > 1:
-            with ProcessPoolExecutor(max_workers=args.workers) as pool:
-                reports = list(pool.map(_sweep_one, tasks))
-        else:
-            reports = map(_sweep_one, tasks)
+    sweeps = {  # built per call, so a rebound sweep function is seen
+        "forward": admissible.verify_djm_forward,
+        "converse": admissible.verify_djm_converse,
+        "corollary": admissible.verify_djm_corollary,
+        "propb": admissible.propb_checks,
+        "psi-nature": isomorphism.verify_psi_nature,
+    }
+    reports = sweeps[args.mode](args.n, CrystalParams(args.e, args.charge))
     # each report serialized once, as it arrives: its line is also its
     # sort key, and no report dict outlives its line
     lines = sorted((json.dumps(r, sort_keys=True), r["pass"])
@@ -221,9 +184,10 @@ def cmd_show(args) -> int:
     elif args.what == "adm":
         try:
             seq = admissible.adm(bp, CrystalParams(args.e, charge))
-        except ValueError as exc:
+        except (ValueError, AssertionError) as exc:
             print("error: %s" % exc, file=sys.stderr)
-            return 2
+            # an internal inconsistency is a counterexample
+            return 1 if isinstance(exc, AssertionError) else 2
         if args.format == "json":
             print(json.dumps(seq))
         else:

@@ -12,10 +12,10 @@ the map itself.
 
 A sweep over a whole crystal component needs no peeling: psi_images
 walks the good edges of the component once and adds one good node per
-image.  The psi-nature sweep checks those images against the sigma1
-nature table, with the natures of each component read by one
-diagrams.nature_kinds pass, and the forward DJM sweep reads its
-admissible sequences at the fundamental charge from them.
+image.  It feeds four sweeps: verify_psi_nature checks its images
+against the sigma1 nature table (one diagrams.nature_kinds pass per
+component), and at the fundamental charge propb reads their classes and
+admissible.adm_walk the Adm of the forward and corollary sweeps.
 """
 
 from __future__ import annotations
@@ -29,7 +29,13 @@ from .crystal import (
     good_addable_node,
     peel_word,
 )
-from .diagrams import EMPTY, Bipartition, default_window, nature_kinds
+from .diagrams import (
+    EMPTY,
+    Bipartition,
+    bipartition_to_json,
+    default_window,
+    nature_kinds,
+)
 
 
 def reduce_to_fundamental(charge, e: Optional[int]) -> tuple[int, int]:
@@ -146,6 +152,15 @@ def psi_nature_check(bp: Bipartition, image: Bipartition, charge) -> bool:
     if s1 > s2:
         before, after = after, before
     return all(a in SIGMA1_NATURE_MAP[b] for b, a in zip(before, after))
+
+
+def verify_psi_nature(n: int, p: CrystalParams):
+    """Yield one psi_nature_check report per Uglov bipartition of rank
+    <= n at p, with its psi_images image at the swapped charge."""
+    for bp, image in psi_images(n, p, p.charge[::-1]).items():
+        yield {"bp": bipartition_to_json(bp),
+               "image": bipartition_to_json(image),
+               "pass": psi_nature_check(bp, image, p.charge)}
 
 
 def psi_e_independence_check(bp: Bipartition, charge_from,

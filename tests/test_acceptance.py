@@ -323,8 +323,7 @@ def test_criterion_7_structural_suites():
                             ok = ok and good_removable_node(
                                 add_node(bp, g), j, p) == g
             # recursion law of the admissible sequence and propb
-            for bp in all_uglov_up_to(6, p):
-                ok = ok and propb_checks(bp, p)["pass"]
+            ok = ok and all(r["pass"] for r in propb_checks(6, p))
         for s1 in range(e):
             for s2 in range(s1, e):
                 fp = CrystalParams(e, (s1, s2))

@@ -27,6 +27,8 @@ from uglov.crystal import (
     expand_monomial,
     f_action,
     is_uglov,
+    normal_removable_nodes,
+    signature_word,
     uglov_layers,
 )
 from uglov.diagrams import (
@@ -37,12 +39,16 @@ from uglov.diagrams import (
     bipartition_to_json,
     bipartitions_of,
     content,
+    default_window,
     node_key,
     parse_bipartition,
     remove_node,
     removable_nodes,
+    residue,
+    residue_slots,
     uglov_max,
 )
+from uglov.isomorphism import psi_to, reduce_to_fundamental
 
 P = parse_bipartition
 P01 = CrystalParams(3, (0, 1))
@@ -470,17 +476,161 @@ def test_row_standard_shapes_match_unfiltered():
     assert row_standard_shapes([2, 2], P01) == set()
 
 
+def corollary_oracle(bp, p):
+    # Reference: one bipartition on its own, Adm by transport to the
+    # fundamental charge and class removals down to empty, then the
+    # row-standard shapes of that word.
+    try:
+        seq = adm(bp, p)
+    except AssertionError as exc:
+        return {"bp": bipartition_to_json(bp), "pass": False,
+                "error": str(exc)}
+    shapes = row_standard_shapes(seq, p)
+    ok = bp in shapes and uglov_max(shapes, p.charge) == bp
+    return {
+        "bp": bipartition_to_json(bp),
+        "adm": list(seq),
+        "shapes": [bipartition_to_json(mu) for mu in sorted(shapes)],
+        "pass": ok,
+    }
+
+
+def _propb_one(bp, p):
+    report = {"bp": bipartition_to_json(bp), "pass": True, "failures": []}
+    if bp == EMPTY:
+        return report
+    fp = CrystalParams(p.e, reduce_to_fundamental(p.charge, p.e))
+    lam = psi_to(bp, p.charge, fp.charge, p.e)
+    sig = signature_word(lam, fp)
+    seed = admissible._top_normal(sig, fp.charge)
+    cls = admissible._connected_class(lam, seed, fp)
+    j = residue(seed, fp.charge, fp.e)
+    normal_lam = sig[j][1]
+    normal_mu = normal_removable_nodes(bp, j, p)
+
+    def fail(what):
+        report["pass"] = False
+        report["failures"].append(what)
+
+    if cls != normal_lam[len(normal_lam) - len(cls):]:
+        fail("class is not the top normal nodes at the fundamental charge")
+    if len(normal_mu) != len(normal_lam):
+        fail("normal-node count not preserved by the isomorphism")
+        return report
+    eta1 = normal_mu[len(normal_mu) - len(cls)]
+    key1 = node_key(eta1, p.charge)
+    for g in addable_nodes(bp):
+        if residue(g, p.charge, p.e) == j and node_key(g, p.charge) > key1:
+            fail("addable %r-node %r greater than eta1 %r" % (j, g, eta1))
+    slots = residue_slots(bp, p.charge, j, p.e,
+                          default_window(bp, p.charge))
+    greater = [entry for (_, _, entry) in slots
+               if node_key(entry.node, p.charge) > key1]
+    if (any(ent.kind == "Bh" and not ent.virtual for ent in greater)
+            and any(ent.kind == "Bv" for ent in greater)):
+        fail("both a non-virtual Bh and a Bv %r-node exceed eta1" % (j,))
+    return report
+
+
+def propb_oracle(bp, p):
+    # Reference: one bipartition on its own, transported with psi_to and
+    # its class read from its own signature scan.
+    try:
+        return _propb_one(bp, p)
+    except AssertionError as exc:
+        return {"bp": bipartition_to_json(bp), "pass": False,
+                "error": str(exc)}
+
+
+def _lines(reports):
+    return sorted(json.dumps(r, sort_keys=True) for r in reports)
+
+
+def _oracle_lines(oracle, n, p):
+    return _lines(oracle(bp, p) for layer in uglov_layers(n, p)
+                  for bp in layer)
+
+
+@pytest.mark.parametrize("p", WALK_GRID, ids=str)
+def test_verify_djm_corollary_matches_oracle(p, monkeypatch):
+    assert (_lines(verify_djm_corollary(6, p))
+            == _oracle_lines(corollary_oracle, 6, p))
+    # a class step forced to fail on one image: every bipartition whose
+    # chain of class steps passes through it carries its text
+    fp = CrystalParams(p.e, reduce_to_fundamental(p.charge, p.e))
+    chosen = min(uglov_layers(2, fp)[2])
+    real = admissible.class_step
+
+    def forced(bp, q):
+        if bp == chosen:
+            raise AssertionError("forced on %r" % (bp,))
+        return real(bp, q)
+
+    monkeypatch.setattr(admissible, "class_step", forced)
+    swept = _lines(verify_djm_corollary(6, p))
+    assert swept == _oracle_lines(corollary_oracle, 6, p)
+    assert sum('"error": "forced on' in x for x in swept) > 1
+
+
+@pytest.mark.parametrize("p", WALK_GRID, ids=str)
+def test_propb_checks_matches_oracle(p):
+    assert (_lines(propb_checks(7, p))
+            == _oracle_lines(propb_oracle, 7, p))
+
+
+@pytest.mark.parametrize("e, charge, n", [
+    (2, (1, 0), 9),  # a non-virtual Bh and a Bv node exceed eta1
+    (3, (0, 1), 10),  # the same, on 3.3,2.1.1
+    (3, (0, 0), 10),  # the class is not the top normal nodes
+])
+def test_propb_checks_matches_oracle_where_it_fails(e, charge, n):
+    p = CrystalParams(e, charge)
+    swept = _lines(propb_checks(n, p))
+    assert swept == _oracle_lines(propb_oracle, n, p)
+    assert any('"pass": false' in x for x in swept)
+
+
+def test_corollary_and_propb_transport_nothing(monkeypatch):
+    # Both sweeps read their images from one psi_images walk: no
+    # bipartition is transported on its own, and no image takes a second
+    # class step.
+    p = CrystalParams(3, (0, 1))
+    psi_calls, steps = [], []
+    real_psi, real_step = admissible.psi_to, admissible.class_step
+
+    def counted_psi(*args):
+        psi_calls.append(args)
+        return real_psi(*args)
+
+    def counted_step(bp, q):
+        steps.append(bp)
+        return real_step(bp, q)
+
+    monkeypatch.setattr(admissible, "psi_to", counted_psi)
+    monkeypatch.setattr(admissible, "class_step", counted_step)
+    size = sum(map(len, uglov_layers(8, p)))
+    for sweep in (verify_djm_corollary, propb_checks):
+        del psi_calls[:], steps[:]
+        assert len(list(sweep(8, p))) == size
+        assert psi_calls == []
+        assert len(steps) == len(set(steps))
+
+
 def test_verify_djm_corollary_small():
-    for n in range(5):
-        for bp in uglov_layers(n, P01)[n]:
-            assert verify_djm_corollary(bp, P01)["pass"]
+    reports = list(verify_djm_corollary(4, P01))
+    assert len(reports) == sum(map(len, uglov_layers(4, P01)))
+    assert all(r["pass"] for r in reports)
+    with pytest.raises(ValueError):
+        list(verify_djm_corollary(2, CrystalParams(None, (0, 1))))
 
 
 def test_propb_checks_small():
     for e in (2, 3):
         for charge in ((0, 1), (1, 0)):
             p = CrystalParams(e, charge)
-            for n in range(5):
-                for bp in uglov_layers(n, p)[n]:
-                    report = propb_checks(bp, p)
-                    assert report["pass"], report["failures"]
+            reports = list(propb_checks(4, p))
+            assert len(reports) == sum(map(len, uglov_layers(4, p)))
+            for report in reports:
+                assert report["pass"], report["failures"]
+    with pytest.raises(ValueError):
+        list(propb_checks(2, CrystalParams(None, (0, 1))))

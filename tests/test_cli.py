@@ -117,13 +117,6 @@ def test_verify_forward_internal_error_is_a_counterexample(capsys):
     assert "is not the top normal" in report["error"]
 
 
-def test_verify_propb_with_workers(capsys):
-    code, out, _ = run(capsys, ["--workers", "2", "verify",
-                                "--mode", "propb", "--n", "3"])
-    assert code == 0
-    assert "0 counterexamples" in out
-
-
 def test_show_adm(capsys):
     code, out, _ = run(capsys, ["show", "6.1,2.2", "adm"])
     assert code == 0
@@ -134,6 +127,17 @@ def test_show_adm_rejects_non_member(capsys):
     code, _, err = run(capsys, ["--charge", "0,0", "show", "1.1.1,-", "adm"])
     assert code == 2
     assert "not Uglov" in err
+
+
+def test_show_adm_internal_error_is_a_counterexample(capsys):
+    # adm_flotw's class assertion fails on 3.2.1,3.1 at e=3, s=(0,0)
+    code, out, err = run(capsys, ["--charge", "0,0", "show", "3.2.1,3.1",
+                                  "adm"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: class ")
+    assert "is not the top normal 2-nodes" in err
+    assert "Traceback" not in err
 
 
 def test_show_psi(capsys):
@@ -217,6 +221,9 @@ def test_show_unknown_rendering(capsys):
     ["show", "1,-", "adm", "--window=0,1"],
     ["show", "1,-", "psi:1,0", "--window=0,1"],
     ["--workers", "2", "verify", "--mode", "forward", "--n", "2"],
+    ["--workers", "2", "verify", "--mode", "corollary", "--n", "2"],
+    ["--workers", "2", "verify", "--mode", "propb", "--n", "2"],
+    ["--workers", "2", "enumerate", "--n", "2"],
 ])
 def test_bad_arguments_exit_2(capsys, argv):
     try:
