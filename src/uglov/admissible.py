@@ -15,6 +15,8 @@ takes one class_step per image onto the Adm of its remainder.
 from __future__ import annotations
 
 import itertools
+from functools import reduce
+from operator import or_
 from typing import Optional
 
 from .crystal import (
@@ -43,6 +45,7 @@ from .diagrams import (
     removable_nodes,
     residue,
     residue_slots,
+    uglov_key,
     uglov_max,
 )
 from .isomorphism import psi_images, psi_to, reduce_to_fundamental
@@ -294,62 +297,65 @@ def verify_djm_converse(n: int, p: CrystalParams) -> list[dict]:
     over distinct supports, not words.  A word w of rank k+1 is j
     followed by a word of rank k (expand_monomial applies the last
     residue first), and its support is the j-children of that word's
-    support; a support records each such (j, parent support).  The
-    children of each bipartition by residue are read once per call.
-    Each support takes one maximum and one membership verdict, and the
-    words of failing supports alone are spelled out from the records.
-    Failures are reported in increasing word order.
+    support; a support records each such (j, parent support).
+
+    A support of rank k is an int: bit i stands for the i-th bipartition
+    of rank k in increasing Uglov order, so its maximum is its top bit.
+    Each bipartition has one child mask per residue, over the indices of
+    rank k+1, from one addable_nodes pass, and f_j of a support is the OR
+    of its members' j-masks.  Each distinct maximum takes one membership
+    verdict, and the words of failing supports alone are spelled out from
+    the records.  Failures are reported in increasing word order.
     """
     if p.e is None:
         raise ValueError("the converse sweep needs finite e")
     e, charge = p.e, p.charge
-    children = {}  # bipartition -> its children, by residue
-    keys = {}  # bipartition -> uglov_key, read once per call
     verdicts = {}  # many supports share one maximum
-    root = frozenset([EMPTY])
-    parents = {root: []}  # support -> its (j, parent support)
-    spelled = {root: [()]}  # support -> its words, spelled on demand
+    parents = [{1: []}]  # by rank: support -> its (j, parent support)
+    spelled = {(0, 1): [()]}  # (rank, support) -> its words, on demand
 
-    def kids(bp):
-        by_residue = children.get(bp)
-        if by_residue is None:
-            by_residue = children[bp] = [[] for _ in range(e)]
-            for g in addable_nodes(bp):
-                by_residue[(g.b - g.a + charge[g.c - 1]) % e].append(
-                    add_node(bp, g))
-        return by_residue
-
-    def words(support):
-        if support not in spelled:
-            spelled[support] = [(j,) + w for j, parent in parents[support]
-                                for w in words(parent)]
-        return spelled[support]
+    def words(k, support):
+        if (k, support) not in spelled:
+            spelled[k, support] = [(j,) + w
+                                   for j, parent in parents[k][support]
+                                   for w in words(k - 1, parent)]
+        return spelled[k, support]
 
     reports = []
-    layer = [root]
+    bps = [EMPTY]  # the bipartitions of rank k, increasing
     for k in range(n + 1):
         found = []
-        for support in layer:
-            best = uglov_max(support, charge, keys)
+        for support in parents[k]:
+            best = bps[support.bit_length() - 1]
             if best not in verdicts:
                 verdicts[best] = is_uglov(best, p)
             if not verdicts[best]:
                 found += ({"word": list(w), "max": bipartition_to_json(best)}
-                          for w in words(support))
+                          for w in words(k, support))
         found.sort(key=lambda f: f["word"])
         reports.append({"n": k, "words": e ** k, "failures": found,
                         "pass": not found})
         if k == n:
             break
+        up = sorted(bipartitions_of(k + 1),
+                    key=lambda bp: uglov_key(bp, charge))
+        index = {bp: i for i, bp in enumerate(up)}
+        masks = []  # masks[i][j]: the j-children of bps[i], as a support
+        for bp in bps:
+            row = [0] * e
+            for g in addable_nodes(bp):
+                row[residue(g, charge, e)] |= 1 << index[add_node(bp, g)]
+            masks.append(row)
         nxt = {}
-        for support in layer:
-            rows = [kids(bp) for bp in support]
-            for j in range(e):
-                child = frozenset(mu for row in rows for mu in row[j])
+        for support in parents[k]:
+            bits = format(support, "b")[::-1]  # bit i is character i
+            rows = [masks[i] for i, bit in enumerate(bits) if bit == "1"]
+            for j, column in enumerate(zip(*rows)):
+                child = reduce(or_, column)
                 if child:
                     nxt.setdefault(child, []).append((j, support))
-        parents.update(nxt)
-        layer = list(nxt)
+        parents.append(nxt)
+        bps = up
     return reports
 
 

@@ -316,25 +316,10 @@ def compare_uglov(bp1: Bipartition, bp2: Bipartition,
     return (k1 > k2) - (k1 < k2)
 
 
-def uglov_max(bps, charge: tuple[int, int],
-              keys: Optional[dict] = None) -> Bipartition:
+def uglov_max(bps, charge: tuple[int, int]) -> Bipartition:
     """The largest of a nonempty collection of bipartitions under
-    compare_uglov.
-
-    keys, if given, maps bipartitions to their uglov_key at this charge;
-    the call reads it and adds the keys it computes, so a caller that
-    meets one bipartition in many collections keys it once.
-    """
-    if keys is None:
-        return max(bps, key=lambda bp: uglov_key(bp, charge))
-
-    def key(bp):
-        found = keys.get(bp)
-        if found is None:
-            found = keys[bp] = uglov_key(bp, charge)
-        return found
-
-    return max(bps, key=key)
+    compare_uglov."""
+    return max(bps, key=lambda bp: uglov_key(bp, charge))
 
 
 def compare_lex(bp1: Bipartition, bp2: Bipartition) -> int:

@@ -46,6 +46,7 @@ from uglov.diagrams import (
     removable_nodes,
     residue,
     residue_slots,
+    uglov_key,
     uglov_max,
 )
 from uglov.isomorphism import psi_to, reduce_to_fundamental
@@ -381,6 +382,68 @@ def test_verify_djm_converse_matches_word_oracle(p, monkeypatch):
     assert sum(len(r["failures"]) for r in reports) > 1
 
 
+def converse_support_oracle(n, p, member):
+    # Reference: the walk over distinct supports, each a frozenset of
+    # bipartitions.  A support of rank k+1 is the j-children of a support
+    # of rank k and records each such (j, parent support); each support
+    # takes the maximum of its members' uglov_keys, and the words of
+    # failing supports are spelled out from the records.
+    children, keys = {}, {}  # bipartition -> its children by residue, key
+
+    def kids(bp):
+        if bp not in children:
+            children[bp] = [set(f_action({bp: 1}, j, p)) for j in range(p.e)]
+        return children[bp]
+
+    def key(bp):
+        if bp not in keys:
+            keys[bp] = uglov_key(bp, p.charge)
+        return keys[bp]
+
+    def words(support):
+        if not parents[support]:
+            return [()]
+        return [(j,) + w for j, parent in parents[support]
+                for w in words(parent)]
+
+    parents = {frozenset([EMPTY]): []}
+    layer = list(parents)
+    reports = []
+    for k in range(n + 1):
+        found = []
+        for support in layer:
+            best = max(support, key=key)
+            if not member(best, p):
+                found += ({"word": list(w), "max": bipartition_to_json(best)}
+                          for w in words(support))
+        found.sort(key=lambda f: f["word"])
+        reports.append({"n": k, "words": p.e ** k, "failures": found,
+                        "pass": not found})
+        if k == n:
+            break
+        nxt = {}
+        for support in layer:
+            rows = [kids(bp) for bp in support]
+            for j in range(p.e):
+                child = frozenset(mu for row in rows for mu in row[j])
+                if child:
+                    nxt.setdefault(child, []).append((j, support))
+        parents.update(nxt)
+        layer = list(nxt)
+    return reports
+
+
+@pytest.mark.parametrize("p", WALK_GRID, ids=str)
+def test_verify_djm_converse_matches_support_oracle(p, monkeypatch):
+    # two ranks past the word oracle's reach
+    assert verify_djm_converse(9, p) == converse_support_oracle(9, p,
+                                                                 is_uglov)
+    monkeypatch.setattr(admissible, "is_uglov", _forced_member)
+    reports = verify_djm_converse(9, p)
+    assert reports == converse_support_oracle(9, p, _forced_member)
+    assert sum(len(r["failures"]) for r in reports) > 1
+
+
 def test_converse_forced_failures_share_supports():
     # The forced failures include supports reached from several (residue,
     # parent support) pairs, so the walk's spelling of their words is
@@ -401,17 +464,25 @@ def test_converse_forced_failures_share_supports():
 
 def test_converse_reads_children_once_per_bipartition(monkeypatch):
     # The walk reads the addable nodes of each bipartition it expands
-    # once: every bipartition of rank below n lies in some support.
-    calls = []
+    # once: every bipartition of rank below n lies in some support.  It
+    # keys each bipartition at most once, to order its rank.
+    calls, keyed = [], []
 
     def counted(bp):
         calls.append(bp)
         return addable_nodes(bp)
 
+    def counted_key(bp, charge):
+        keyed.append(bp)
+        return uglov_key(bp, charge)
+
     monkeypatch.setattr(admissible, "addable_nodes", counted)
+    monkeypatch.setattr(admissible, "uglov_key", counted_key)
     verify_djm_converse(8, P01)
     assert len(calls) == len(set(calls))
     assert set(calls) == {bp for k in range(8) for bp in bipartitions_of(k)}
+    assert len(keyed) == len(set(keyed))
+    assert set(keyed) <= {bp for k in range(9) for bp in bipartitions_of(k)}
 
 
 def _row_standard_shapes_brute(word, p):

@@ -1,9 +1,13 @@
 """Unit tests for the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import uglov
 from uglov.cli import main, parse_charge, parse_e, parse_window
 
 
@@ -86,6 +90,32 @@ def test_verify_converse_needs_finite_e(capsys):
                                 "--mode", "converse", "--n", "2"])
     assert code == 2
     assert "finite" in err
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the peak resident set from /proc")
+def test_verify_converse_memory_ceiling():
+    # One int per support keeps rank 13 at the defaults far below the
+    # 115 MB that a frozenset per support took.  The child reports its
+    # own peak as VmHWM: Linux carries the parent's peak across exec into
+    # ru_maxrss, so under pytest that reads the test process's peak.
+    child = ("import sys\n"
+             "from uglov.cli import main\n"
+             "code = main(sys.argv[1:])\n"
+             "with open('/proc/self/status') as status:\n"
+             "    print(*[line for line in status\n"
+             "            if line.startswith('VmHWM:')], file=sys.stderr)\n"
+             "sys.exit(code)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(uglov.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", child, "--format", "json",
+         "verify", "--mode", "converse", "--n", "13"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    name, peak, unit = done.stderr.split()[-3:]
+    assert (name, unit) == ("VmHWM:", "kB")
+    assert int(peak) < 64 * 1024
 
 
 def test_verify_psi_nature_ok(capsys):

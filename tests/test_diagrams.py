@@ -465,12 +465,6 @@ def test_uglov_key_matches_boundary_sequence_oracle(charge):
         lambda x, y: compare_uglov_oracle(x, y, charge)))
     assert sorted(bps, key=lambda bp: uglov_key(bp, charge)) == expected
     assert uglov_max(bps, charge) == expected[-1]
-    keys = {}  # filled by the first call, read by the second
-    assert (uglov_max(bps[::2], charge, keys)
-            == max(bps[::2], key=expected.index))
-    assert len(keys) == len(bps[::2])
-    assert uglov_max(bps, charge, keys) == expected[-1]
-    assert keys == {bp: uglov_key(bp, charge) for bp in bps}
     for x, y in zip(expected, expected[1:]):
         assert compare_uglov(x, y, charge) == -1
         assert compare_uglov(y, x, charge) == 1
