@@ -32,12 +32,12 @@ from .diagrams import (
     EMPTY,
     Bipartition,
     Node,
-    add_node,
     addable_nodes,
     beta_set,
     bipartition_to_json,
     bipartitions_of,
     default_window,
+    grow,
     node_key,
     node_less,
     part,
@@ -45,6 +45,7 @@ from .diagrams import (
     removable_nodes,
     residue,
     residue_slots,
+    rim,
     uglov_key,
     uglov_max,
 )
@@ -301,9 +302,11 @@ def verify_djm_converse(n: int, p: CrystalParams) -> list[dict]:
 
     A support of rank k is an int: bit i stands for the i-th bipartition
     of rank k in increasing Uglov order, so its maximum is its top bit.
-    Each bipartition has one child mask per residue, over the indices of
-    rank k+1, from one addable_nodes pass, and f_j of a support is the OR
-    of its members' j-masks.  Each distinct maximum takes one membership
+    Each bipartition has one child mask per residue of its addable nodes,
+    over the indices of rank k+1, from one diagrams.rim pass, and f_j of
+    a support is the OR of its members' j-masks.  The masks of rank k
+    are laid out over the residues some bipartition of rank k has, never
+    over all e of them.  Each distinct maximum takes one membership
     verdict, and the words of failing supports alone are spelled out from
     the records.  Failures are reported in increasing word order.
     """
@@ -340,17 +343,21 @@ def verify_djm_converse(n: int, p: CrystalParams) -> list[dict]:
         up = sorted(bipartitions_of(k + 1),
                     key=lambda bp: uglov_key(bp, charge))
         index = {bp: i for i, bp in enumerate(up)}
-        masks = []  # masks[i][j]: the j-children of bps[i], as a support
+        children = []  # children[i]: {j: the j-children of bps[i]}
         for bp in bps:
-            row = [0] * e
-            for g in addable_nodes(bp):
-                row[residue(g, charge, e)] |= 1 << index[add_node(bp, g)]
-            masks.append(row)
+            row = {}
+            for _, cont, rem, a, b, c in rim(bp, charge):
+                if not rem:
+                    j = cont % e
+                    row[j] = row.get(j, 0) | 1 << index[grow(bp, a, b, c)]
+            children.append(row)
+        residues = sorted(set().union(*children))  # at most 4k + 2
+        masks = [[row.get(j, 0) for j in residues] for row in children]
         nxt = {}
         for support in parents[k]:
             bits = format(support, "b")[::-1]  # bit i is character i
             rows = [masks[i] for i, bit in enumerate(bits) if bit == "1"]
-            for j, column in enumerate(zip(*rows)):
+            for j, column in zip(residues, zip(*rows)):
                 child = reduce(or_, column)
                 if child:
                     nxt.setdefault(child, []).append((j, support))

@@ -5,9 +5,11 @@ one rank.  The crystal parameters bundle e (None for infinity) with the
 charge (s1, s2).
 
 signature_word is the one place that applies the signature rule: one
-scan of a bipartition gives every residue's normal addable and normal
-removable nodes, and from them its good nodes.  Greedy peeling, good
-additions and the per-residue readers all read that scan.
+sorted diagrams.rim pass over a bipartition gives every residue's normal
+addable and normal removable nodes, and from them its good nodes.
+Greedy peeling, good additions and the per-residue readers all read
+that scan.  f_action and good_additions build children with
+diagrams.grow from nodes the rim has certified addable.
 """
 
 from __future__ import annotations
@@ -18,12 +20,11 @@ from .diagrams import (
     EMPTY,
     Bipartition,
     Node,
-    add_node,
-    addable_nodes,
+    grow,
     part,
     remove_node,
-    removable_nodes,
     residue,
+    rim,
 )
 
 
@@ -44,10 +45,9 @@ def f_action(vec: dict[Bipartition, int], j, p: CrystalParams) -> dict:
     e, charge = p.e, p.charge
     out: dict[Bipartition, int] = {}
     for bp, coeff in vec.items():
-        for g in addable_nodes(bp):
-            cont = g.b - g.a + charge[g.c - 1]
-            if (cont if e is None else cont % e) == j:
-                mu = add_node(bp, g)
+        for _, cont, rem, a, b, c in rim(bp, charge):
+            if not rem and (cont if e is None else cont % e) == j:
+                mu = grow(bp, a, b, c)
                 out[mu] = out.get(mu, 0) + coeff
     return out
 
@@ -56,31 +56,28 @@ def signature_word(bp: Bipartition, p: CrystalParams) -> dict:
     """{j: (normal addable j-nodes, normal removable j-nodes)}, each list
     increasing, for every residue j of an addable or removable node.
 
-    All addable and removable nodes are sorted once by node_key (computed
-    inline), which is unique per node, so the sort never compares two
-    nodes.  Read in that order, an addable node cancels the largest
-    uncancelled removable node of its residue if there is one, so each
-    reduced j-word reads A...A R...R.
+    One diagrams.rim pass lists the addable and removable nodes, sorted
+    once by node_key, which is unique per node, so the sort never
+    compares further.  Read in that order, an addable node cancels the
+    largest uncancelled removable node of its residue if there is one,
+    so each reduced j-word reads A...A R...R.  No Node is made for an
+    addable node that cancels.
     """
-    e, charge = p.e, p.charge
-    entries = []
-    for tag, nodes in (("A", addable_nodes(bp)), ("R", removable_nodes(bp))):
-        for g in nodes:
-            cont = g.b - g.a + charge[g.c - 1]
-            entries.append((2 * cont - g.c, cont if e is None else cont % e,
-                            tag, g))
+    e = p.e
+    entries = rim(bp, p.charge)
     entries.sort()
     out: dict = {}
-    for _, j, tag, g in entries:
+    for _, cont, rem, a, b, c in entries:
+        j = cont if e is None else cont % e
         pair = out.get(j)
         if pair is None:
             pair = out[j] = ([], [])
-        if tag == "R":
-            pair[1].append(g)
+        if rem:
+            pair[1].append(Node(a, b, c))
         elif pair[1]:
             pair[1].pop()
         else:
-            pair[0].append(g)
+            pair[0].append(Node(a, b, c))
     return out
 
 
@@ -109,7 +106,7 @@ def good_removable_node(bp, j, p: CrystalParams) -> Optional[Node]:
 def good_additions(bp: Bipartition, p: CrystalParams) -> list:
     """(j, bp plus its good addable j-node) for every residue j that has
     one, in increasing j."""
-    return [(j, add_node(bp, adds[-1]))
+    return [(j, grow(bp, *adds[-1]))
             for j, (adds, _) in sorted(signature_word(bp, p).items())
             if adds]
 

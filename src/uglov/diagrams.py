@@ -10,6 +10,12 @@ The content of (a, b, c) under a charge (s1, s2) is b - a + s_c; the
 residue is the content mod e (the content itself when e is None, which
 stands for e = infinity throughout the package).
 
+The rim kernel is the one place where addable and removable nodes are
+read: one pass over the rows of each component lists them all with
+their keys and contents.  addable_nodes and removable_nodes are set
+views of it, and grow adds a node it lists without re-checking it;
+add_node is grow behind a check.
+
 The vertical-boundary node (a, lambda^c_a, c) has content
 lambda^c_a - a + s_c, a beta-number of lambda^c.  beta_set lists these
 contents for one component; with the tail of beads below its last row it
@@ -118,25 +124,46 @@ def beta_set(lam: tuple[int, ...], s: int) -> list[int]:
     return [x - a + s for a, x in enumerate(lam, 1)]
 
 
-def removable_nodes(bp: Bipartition) -> set[Node]:
-    out = set()
-    for c, lam in ((1, bp.c1), (2, bp.c2)):
-        for a, here in enumerate(lam, 1):
-            if a == len(lam) or here > lam[a]:
-                out.add(Node(a, here, c))
+def rim(bp: Bipartition, charge: tuple[int, int]) -> list[tuple]:
+    """Every addable and every removable node of bp, as tuples
+    (node_key, content, removable, a, b, c), from one pass over the rows
+    of each component; the one place these nodes are read.
+
+    Row 1 always takes the addable node (1, lam_1 + 1).  Below it, row a
+    has a removable node exactly when lam_a > lam_{a+1} (lam_{a+1} = 0
+    past the last row), and then row a + 1 has the addable node
+    (a + 1, lam_{a+1} + 1), one content lam_{a+1} - a + s below.  The
+    contents of one component's addable and removable nodes are
+    distinct, so the keys are too.
+    """
+    out = []
+    for c, lam, s in ((1, bp.c1, charge[0]), (2, bp.c2, charge[1])):
+        top = lam[0] if lam else 0
+        out.append((2 * (top + s) - c, top + s, False, 1, top + 1, c))
+        for a, (x, below) in enumerate(zip(lam, lam[1:] + (0,)), 1):
+            if x > below:
+                cont = x - a + s
+                out.append((2 * cont - c, cont, True, a, x, c))
+                cont = below - a + s
+                out.append((2 * cont - c, cont, False, a + 1, below + 1, c))
     return out
+
+
+def removable_nodes(bp: Bipartition) -> set[Node]:
+    return {Node(a, b, c) for _, _, rem, a, b, c in rim(bp, (0, 0)) if rem}
 
 
 def addable_nodes(bp: Bipartition) -> set[Node]:
-    out = set()
-    for c, lam in ((1, bp.c1), (2, bp.c2)):
-        above = None
-        for a, here in enumerate(lam, 1):
-            if above is None or here < above:
-                out.add(Node(a, here + 1, c))
-            above = here
-        out.add(Node(len(lam) + 1, 1, c))
-    return out
+    return {Node(a, b, c) for _, _, rem, a, b, c in rim(bp, (0, 0))
+            if not rem}
+
+
+def grow(bp: Bipartition, a: int, b: int, c: int) -> Bipartition:
+    """bp plus the node (a, b, c), which must be addable (as rim
+    certifies): no check."""
+    lam = bp.c1 if c == 1 else bp.c2
+    new = lam[:a - 1] + (b,) + lam[a:]
+    return Bipartition(new, bp.c2) if c == 1 else Bipartition(bp.c1, new)
 
 
 def add_node(bp: Bipartition, node: Node) -> Bipartition:
@@ -145,8 +172,7 @@ def add_node(bp: Bipartition, node: Node) -> Bipartition:
     if (not 1 <= a <= len(lam) + 1) or part(lam, a) + 1 != b \
             or (a > 1 and lam[a - 2] < b):
         raise ValueError("node %r not addable to %r" % (node, bp))
-    new = lam[:a - 1] + (b,) + lam[a:]
-    return Bipartition(new, bp.c2) if c == 1 else Bipartition(bp.c1, new)
+    return grow(bp, a, b, c)
 
 
 def remove_node(bp: Bipartition, node: Node) -> Bipartition:

@@ -24,7 +24,6 @@ from typing import Optional
 
 from .crystal import (
     CrystalParams,
-    add_node,
     crystal_edges,
     good_addable_node,
     peel_word,
@@ -32,6 +31,7 @@ from .crystal import (
 from .diagrams import (
     EMPTY,
     Bipartition,
+    add_node,
     bipartition_to_json,
     default_window,
     nature_kinds,

@@ -46,10 +46,12 @@ from uglov.diagrams import (
     removable_nodes,
     residue,
     residue_slots,
+    rim,
     uglov_key,
     uglov_max,
 )
 from uglov.isomorphism import psi_to, reduce_to_fundamental
+from test_crystal import forbid_validating_primitives
 
 P = parse_bipartition
 P01 = CrystalParams(3, (0, 1))
@@ -463,21 +465,24 @@ def test_converse_forced_failures_share_supports():
 
 
 def test_converse_reads_children_once_per_bipartition(monkeypatch):
-    # The walk reads the addable nodes of each bipartition it expands
-    # once: every bipartition of rank below n lies in some support.  It
-    # keys each bipartition at most once, to order its rank.
+    # The walk reads the rim of each bipartition it expands once: every
+    # bipartition of rank below n lies in some support.  It grows the
+    # children of the nodes the rim lists, with no validating add_node or
+    # addable_nodes.  It keys each bipartition at most once, to order its
+    # rank.
     calls, keyed = [], []
 
-    def counted(bp):
+    def counted(bp, charge):
         calls.append(bp)
-        return addable_nodes(bp)
+        return rim(bp, charge)
 
     def counted_key(bp, charge):
         keyed.append(bp)
         return uglov_key(bp, charge)
 
-    monkeypatch.setattr(admissible, "addable_nodes", counted)
+    monkeypatch.setattr(admissible, "rim", counted)
     monkeypatch.setattr(admissible, "uglov_key", counted_key)
+    forbid_validating_primitives(monkeypatch)
     verify_djm_converse(8, P01)
     assert len(calls) == len(set(calls))
     assert set(calls) == {bp for k in range(8) for bp in bipartitions_of(k)}

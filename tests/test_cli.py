@@ -1,5 +1,6 @@
 """Unit tests for the command-line front end."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -90,6 +91,19 @@ def test_verify_converse_needs_finite_e(capsys):
                                 "--mode", "converse", "--n", "2"])
     assert code == 2
     assert "finite" in err
+
+
+def test_verify_converse_huge_e(capsys):
+    # The child masks span the residues the rim yields, not all e of them.
+    e = 10 ** 12
+    code, out, _ = run(capsys, ["--e", str(e), "--format", "json", "verify",
+                                "--mode", "converse", "--n", "3"])
+    assert code == 0
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert [r["n"] for r in reports] == [0, 1, 2, 3]
+    for r in reports:
+        assert r["words"] == e ** r["n"]
+        assert r["pass"] is True
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
@@ -270,3 +284,29 @@ def test_determinism(capsys):
     second = run(capsys, ["--format", "json", "verify",
                           "--mode", "forward", "--n", "3"])
     assert first == second
+
+
+WORKLOADS = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench", "workloads.json")
+
+
+def _benchmark_sweeps():
+    with open(WORKLOADS) as fh:
+        spec = json.load(fh)
+    params = spec["params"]
+    for name, wl in sorted(spec["workloads"].items()):
+        argv = (["--e", str(params["e"]),
+                 "--charge", "%d,%d" % tuple(params["charge"]),
+                 "--workers", str(params["workers"]),
+                 "--format", params["format"]]
+                + wl["args"] + ["--n", str(wl["n"])])
+        yield pytest.param(argv, wl["reference"], id=name)
+
+
+@pytest.mark.parametrize("argv, reference", _benchmark_sweeps())
+def test_benchmark_sweeps_match_reference_digests(capsys, argv, reference):
+    # The benchmark's sweeps at their own ranks, in process: stdout
+    # sha256 and exit code as recorded in perfbench/workloads.json.
+    code, out, _ = run(capsys, argv)
+    assert code == reference["exit"]
+    assert hashlib.sha256(out.encode()).hexdigest() == reference["sha256"]

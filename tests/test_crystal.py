@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from uglov import admissible, cli, crystal, diagrams, isomorphism
 from uglov.admissible import max_normal_removable_node
 from uglov.crystal import (
     CrystalParams,
@@ -32,6 +33,7 @@ from uglov.diagrams import (
     remove_node,
     removable_nodes,
     residue,
+    rim,
     uglov_max,
 )
 
@@ -264,6 +266,44 @@ def test_uglov_layers_nested_by_edges():
         assert src.rank + 1 == dst.rank
         assert dst in layers[dst.rank]
         assert good_addable_node(src, j, p) is not None
+
+
+def forbid_validating_primitives(monkeypatch):
+    # Every uglov name bound to add_node, addable_nodes or removable_nodes
+    # raises from now on.
+    def forbidden(*args):
+        raise AssertionError("validating primitive called on %r" % (args,))
+
+    for module in (diagrams, crystal, isomorphism, admissible, cli):
+        for name in ("add_node", "addable_nodes", "removable_nodes"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+
+
+@pytest.mark.parametrize("p", [P01, CrystalParams(None, (0, 2))])
+def test_uglov_layers_reads_one_rim_per_bipartition(monkeypatch, p):
+    # One rim pass per Uglov bipartition of rank below n, and the children
+    # grown from it: signature_word and good_additions never validate.
+    n = 9
+    layers = uglov_layers(n, p)
+    calls = []
+
+    def counted(bp, charge):
+        calls.append(bp)
+        return rim(bp, charge)
+
+    monkeypatch.setattr(crystal, "rim", counted)
+    forbid_validating_primitives(monkeypatch)
+    assert uglov_layers(n, p) == layers
+    assert len(calls) == len(set(calls))
+    assert set(calls) == set().union(*layers[:n])
+
+
+def test_f_action_grows_without_validation(monkeypatch):
+    words = list(itertools.product(range(3), repeat=5))
+    vectors = [expand_monomial(w, P01) for w in words]
+    forbid_validating_primitives(monkeypatch)
+    assert [expand_monomial(w, P01) for w in words] == vectors
 
 
 def test_fundamental_domain():

@@ -21,6 +21,7 @@ from uglov.diagrams import (
     compare_uglov,
     content,
     format_bipartition,
+    grow,
     make_partition,
     nature_at,
     nature_kinds,
@@ -33,9 +34,11 @@ from uglov.diagrams import (
     remove_node,
     removable_nodes,
     residue,
+    rim,
     uglov_key,
     uglov_max,
 )
+from test_crystal import SCAN_GRID
 
 P = parse_bipartition
 
@@ -455,6 +458,28 @@ def test_node_primitives_match_reference():
                     == _outcome(_add_node_ref, bp, node))
             assert (_outcome(remove_node, bp, node)
                     == _outcome(_remove_node_ref, bp, node))
+
+
+def test_rim_matches_reference():
+    # The one-pass kernel against the row-by-row references, at every
+    # charge of the signature-scan grid: the same nodes, each with its
+    # node_key and content, keys unique, and grow adding what it lists.
+    charges = sorted({p.charge for p in SCAN_GRID})
+    for bp in _bipartitions_up_to(8):
+        for charge in charges:
+            entries = rim(bp, charge)
+            nodes = {tag: {Node(a, b, c)
+                           for _, _, rem, a, b, c in entries if rem == tag}
+                     for tag in (False, True)}
+            assert nodes[False] == _addable_nodes_ref(bp)
+            assert nodes[True] == _removable_nodes_ref(bp)
+            assert len(entries) == len(nodes[False]) + len(nodes[True])
+            for key, cont, _, a, b, c in entries:
+                assert key == node_key(Node(a, b, c), charge)
+                assert cont == content(Node(a, b, c), charge)
+            assert len({entry[0] for entry in entries}) == len(entries)
+        for g in _addable_nodes_ref(bp):
+            assert grow(bp, *g) == _add_node_ref(bp, g)
 
 
 @pytest.mark.parametrize("charge", [(0, 0), (0, 1), (1, 0), (0, 2),
