@@ -24,7 +24,6 @@ from .crystal import (
     f_action,
     is_flotw,
     is_uglov,
-    normal_removable_nodes,
     require_fundamental,
     signature_word,
 )
@@ -32,19 +31,17 @@ from .diagrams import (
     EMPTY,
     Bipartition,
     Node,
-    addable_nodes,
     beta_set,
     bipartition_to_json,
     bipartitions_of,
     default_window,
     grow,
+    nature_table,
     node_key,
-    node_less,
     part,
     remove_node,
     removable_nodes,
     residue,
-    residue_slots,
     rim,
     uglov_key,
     uglov_max,
@@ -85,7 +82,7 @@ def one_connected(bp: Bipartition, g1: Node, g2: Node,
         raise ValueError("both nodes must be removable")
     if residue(g1, p.charge, p.e) != residue(g2, p.charge, p.e):
         raise ValueError("nodes must share one residue")
-    if not node_less(g1, g2, p.charge):
+    if node_key(g1, p.charge) >= node_key(g2, p.charge):
         raise ValueError("expected g1 < g2, got %r, %r" % (g1, g2))
     return has_period(remove_node(bp, g2), p)
 
@@ -110,31 +107,22 @@ def two_connected(bp: Bipartition, g1: Node,
 
 
 def _top_normal(sig: dict, charge) -> Optional[Node]:
-    # the largest normal removable node of one signature_word scan
+    # The largest normal removable node of one signature_word scan.  The
+    # largest removable node itself can be cancelled by a larger addable
+    # node of its residue (e.g. (1,1,2) in ((1),(1)) at e=3, s=(0,1),
+    # below the addable (1,2,1)), so it must not seed the class: the
+    # removed set would not be a stretch of normal nodes, and the
+    # monomial of the residue sequence would overshoot the bipartition.
     return max((rems[-1] for _, rems in sig.values() if rems),
                key=lambda g: node_key(g, charge), default=None)
-
-
-def max_normal_removable_node(bp: Bipartition,
-                              p: CrystalParams) -> Optional[Node]:
-    """The largest removable node that survives signature cancellation.
-
-    The maximal removable node itself can be cancelled by a larger
-    addable node of the same residue (e.g. (1,1,2) in ((1),(1)) at
-    e=3, s=(0,1), where the addable (1,2,1) sits above it); class
-    peeling must start from the largest normal node instead, otherwise
-    the removed set is not a stretch of normal nodes and the monomial
-    expansion of the residue sequence overshoots the bipartition.
-    """
-    return _top_normal(signature_word(bp, p), p.charge)
 
 
 def _connected_class(bp: Bipartition, seed: Node,
                      p: CrystalParams) -> list[Node]:
     j = residue(seed, p.charge, p.e)
-    nodes = sorted((g for g in removable_nodes(bp)
-                    if residue(g, p.charge, p.e) == j),
-                   key=lambda g: node_key(g, p.charge))
+    nodes = [Node(a, b, c)  # increasing, from one sorted rim pass
+             for _, cont, rem, a, b, c in sorted(rim(bp, p.charge))
+             if rem and cont % p.e == j]
     adjacency = {g: set() for g in nodes}
     for g1, g2 in itertools.combinations(nodes, 2):  # g1 < g2 by sort order
         if one_connected(bp, g1, g2, p):
@@ -151,7 +139,7 @@ def _connected_class(bp: Bipartition, seed: Node,
             if other not in seen:
                 seen.add(other)
                 todo.append(other)
-    return sorted(seen, key=lambda g: node_key(g, p.charge))
+    return [g for g in nodes if g in seen]
 
 
 def removable_class(bp: Bipartition, seed: Node,
@@ -159,7 +147,7 @@ def removable_class(bp: Bipartition, seed: Node,
     """Equivalence class of the maximal normal removable node under the
     transitive closure of (1)- and (2)-connectedness, increasing."""
     require_fundamental(p)
-    if seed != max_normal_removable_node(bp, p):
+    if seed != _top_normal(signature_word(bp, p), p.charge):
         raise ValueError("seed %r is not the maximal normal removable node"
                          % (seed,))
     return _connected_class(bp, seed, p)
@@ -460,20 +448,22 @@ def propb_checks(n: int, p: CrystalParams):
 def _propb_failures(bp: Bipartition, image: Bipartition, p: CrystalParams,
                     fp: CrystalParams) -> list:
     j, cls, normal_lam = top_class(image, fp)
-    normal_mu = normal_removable_nodes(bp, j, p)
+    normal_mu = signature_word(bp, p).get(j, ([], []))[1]
     out = ([] if cls == normal_lam[len(normal_lam) - len(cls):] else
            ["class is not the top normal nodes at the fundamental charge"])
     if len(normal_mu) != len(normal_lam):
         return out + ["normal-node count not preserved by the isomorphism"]
+    if len(cls) > len(normal_mu):  # then the class failed: no eta1
+        return out
     eta1 = normal_mu[len(normal_mu) - len(cls)]
     key1 = node_key(eta1, p.charge)
-    out += ["addable %r-node %r greater than eta1 %r" % (j, g, eta1)
-            for g in addable_nodes(bp)
-            if residue(g, p.charge, p.e) == j and node_key(g, p.charge) > key1]
-    slots = residue_slots(bp, p.charge, j, p.e,
-                          default_window(bp, p.charge))
-    greater = [entry for (_, _, entry) in slots
-               if node_key(entry.node, p.charge) > key1]
+    out += ["addable %r-node %r greater than eta1 %r"
+            % (j, Node(a, b, c), eta1)
+            for key, cont, rem, a, b, c in sorted(rim(bp, p.charge))
+            if not rem and cont % p.e == j and key > key1]
+    table = nature_table(bp, p.charge, default_window(bp, p.charge))
+    greater = [entry for k, _, entry in table
+               if (k - j) % p.e == 0 and node_key(entry.node, p.charge) > key1]
     if (any(ent.kind == "Bh" and not ent.virtual for ent in greater)
             and any(ent.kind == "Bv" for ent in greater)):
         out.append("both a non-virtual Bh and a Bv %r-node exceed eta1"

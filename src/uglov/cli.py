@@ -73,7 +73,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--e", type=parse_e, default=3,
                         help="quantum characteristic, >= 2 or 'inf'")
     parser.add_argument("--charge", type=parse_charge, default=(0, 1),
-                        metavar="S1,S2")
+                        metavar="S1,S2",
+                        help="write a negative s1 as --charge=-2,1, since "
+                             "a leading '-' reads as an option")
     parser.add_argument("--format", choices=("text", "json", "dot"),
                         default="text")
     parser.add_argument("--workers", type=parse_workers, default=1)
@@ -160,51 +162,38 @@ def cmd_verify(args) -> int:
 
 
 def cmd_show(args) -> int:
-    bp, charge = args.bp, args.charge
-    if args.window and (args.what == "adm" or isinstance(args.what, tuple)):
+    bp, charge, what = args.bp, args.charge, args.what
+    if args.window and (what == "adm" or isinstance(what, tuple)):
         print("--window applies to natures and boundary only", file=sys.stderr)
         return 2
     window = args.window or diagrams.default_window(bp, charge)
-    if args.what == "natures":
-        table = diagrams.nature_table(bp, charge, window)
-        if args.format == "json":
-            print(json.dumps([
-                {"content": j, "component": c, "kind": ent.kind,
-                 "node": list(ent.node), "virtual": ent.virtual}
-                for j, c, ent in table]))
+    try:
+        if what == "natures":
+            table = diagrams.nature_table(bp, charge, window)
+            data = [{"content": j, "component": c, "kind": ent.kind,
+                     "node": list(ent.node), "virtual": ent.virtual}
+                    for j, c, ent in table]
+            text = diagrams.render_nature_table(format_bipartition(bp),
+                                                table)
+        elif what == "boundary":
+            seq = diagrams.boundary_sequence(bp, charge, window)
+            data = [list(g) for g in seq]
+            text = " ".join("(%d,%d,%d)" % g for g in seq)
+        elif what == "adm":
+            data = admissible.adm(bp, CrystalParams(args.e, charge))
+            text = ",".join(str(j) for j in data)
+        elif isinstance(what, tuple):  # psi:S1,S2
+            image = isomorphism.psi_to(bp, charge, what, args.e)
+            data = diagrams.bipartition_to_json(image)
+            text = format_bipartition(image)
         else:
-            print(diagrams.render_nature_table(format_bipartition(bp),
-                                               table))
-    elif args.what == "boundary":
-        seq = diagrams.boundary_sequence(bp, charge, window)
-        if args.format == "json":
-            print(json.dumps([list(g) for g in seq]))
-        else:
-            print(" ".join("(%d,%d,%d)" % g for g in seq))
-    elif args.what == "adm":
-        try:
-            seq = admissible.adm(bp, CrystalParams(args.e, charge))
-        except (ValueError, AssertionError) as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            # an internal inconsistency is a counterexample
-            return 1 if isinstance(exc, AssertionError) else 2
-        if args.format == "json":
-            print(json.dumps(seq))
-        else:
-            print(",".join(str(j) for j in seq))
-    elif isinstance(args.what, tuple):  # psi:S1,S2
-        try:
-            image = isomorphism.psi_to(bp, charge, args.what, args.e)
-        except ValueError as exc:
-            print("error: %s" % exc, file=sys.stderr)
+            print("unknown rendering %r" % (what,), file=sys.stderr)
             return 2
-        if args.format == "json":
-            print(json.dumps(diagrams.bipartition_to_json(image)))
-        else:
-            print(format_bipartition(image))
-    else:
-        print("unknown rendering %r" % (args.what,), file=sys.stderr)
-        return 2
+    except (ValueError, AssertionError) as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        # an internal inconsistency is a counterexample
+        return 1 if isinstance(exc, AssertionError) else 2
+    print(json.dumps(data) if args.format == "json" else text)
     return 0
 
 

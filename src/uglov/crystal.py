@@ -7,9 +7,9 @@ charge (s1, s2).
 signature_word is the one place that applies the signature rule: one
 sorted diagrams.rim pass over a bipartition gives every residue's normal
 addable and normal removable nodes, and from them its good nodes.
-Greedy peeling, good additions and the per-residue readers all read
-that scan.  f_action and good_additions build children with
-diagrams.grow from nodes the rim has certified addable.
+Greedy peeling, good additions and the good-node readers all read that
+scan.  f_action and good_additions build children with diagrams.grow
+from nodes the rim has certified addable.
 """
 
 from __future__ import annotations
@@ -81,26 +81,16 @@ def signature_word(bp: Bipartition, p: CrystalParams) -> dict:
     return out
 
 
-def normal_addable_nodes(bp, j, p: CrystalParams) -> list[Node]:
-    """Addable j-nodes surviving the cancellation, increasing."""
-    return signature_word(bp, p).get(j, ([], []))[0]
-
-
-def normal_removable_nodes(bp, j, p: CrystalParams) -> list[Node]:
-    """Removable j-nodes surviving the cancellation, increasing."""
-    return signature_word(bp, p).get(j, ([], []))[1]
-
-
 def good_addable_node(bp, j, p: CrystalParams) -> Optional[Node]:
-    """The largest surviving addable j-node, if any."""
-    survivors = normal_addable_nodes(bp, j, p)
-    return survivors[-1] if survivors else None
+    """The largest normal addable j-node, if any."""
+    adds = signature_word(bp, p).get(j, ([], []))[0]
+    return adds[-1] if adds else None
 
 
 def good_removable_node(bp, j, p: CrystalParams) -> Optional[Node]:
-    """The smallest surviving removable j-node, if any."""
-    survivors = normal_removable_nodes(bp, j, p)
-    return survivors[0] if survivors else None
+    """The smallest normal removable j-node, if any."""
+    rems = signature_word(bp, p).get(j, ([], []))[1]
+    return rems[0] if rems else None
 
 
 def good_additions(bp: Bipartition, p: CrystalParams) -> list:

@@ -195,13 +195,6 @@ def node_key(node: Node, charge: tuple[int, int]) -> int:
     return 2 * content(node, charge) - node.c
 
 
-def node_less(g1: Node, g2: Node, charge: tuple[int, int]) -> bool:
-    k1, k2 = node_key(g1, charge), node_key(g2, charge)
-    if k1 == k2 and g1 != g2:
-        raise ValueError("incomparable nodes %r, %r" % (g1, g2))
-    return k1 < k2
-
-
 # ---------------------------------------------------------------------------
 # natures
 
@@ -276,14 +269,6 @@ def nature_table(bp: Bipartition, charge: tuple[int, int],
     rows = {c: nature_entries(bp.component(c), charge[c - 1], c, lo, hi)
             for c in (1, 2)}
     return [(k, c, rows[c][k - lo]) for k in contents for c in (2, 1)]
-
-
-def residue_slots(bp: Bipartition, charge: tuple[int, int], j: int,
-                  e: Optional[int],
-                  window: tuple[int, int]) -> list[tuple[int, int, NatureEntry]]:
-    """The slots of the nature table whose content has residue j."""
-    return [slot for slot in nature_table(bp, charge, window)
-            if (slot[0] == j if e is None else (slot[0] - j) % e == 0)]
 
 
 NATURE_TRANSITIONS = {

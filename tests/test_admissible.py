@@ -10,7 +10,6 @@ from uglov.admissible import (
     adm,
     adm_flotw,
     has_period,
-    max_normal_removable_node,
     one_connected,
     propb_checks,
     remove_all,
@@ -27,7 +26,6 @@ from uglov.crystal import (
     expand_monomial,
     f_action,
     is_uglov,
-    normal_removable_nodes,
     signature_word,
     uglov_layers,
 )
@@ -40,12 +38,12 @@ from uglov.diagrams import (
     bipartitions_of,
     content,
     default_window,
+    nature_table,
     node_key,
     parse_bipartition,
     remove_node,
     removable_nodes,
     residue,
-    residue_slots,
     rim,
     uglov_key,
     uglov_max,
@@ -148,8 +146,9 @@ def test_max_normal_vs_max_removable():
     bp = P("1,1")
     assert (max(removable_nodes(bp), key=lambda g: node_key(g, P01.charge))
             == Node(1, 1, 2))
-    assert max_normal_removable_node(bp, P01) == Node(1, 1, 1)
-    assert max_normal_removable_node(EMPTY, P01) is None
+    top = admissible._top_normal
+    assert top(signature_word(bp, P01), P01.charge) == Node(1, 1, 1)
+    assert top(signature_word(EMPTY, P01), P01.charge) is None
 
 
 def test_removable_class_example():
@@ -582,7 +581,7 @@ def _propb_one(bp, p):
     cls = admissible._connected_class(lam, seed, fp)
     j = residue(seed, fp.charge, fp.e)
     normal_lam = sig[j][1]
-    normal_mu = normal_removable_nodes(bp, j, p)
+    normal_mu = signature_word(bp, p).get(j, ([], []))[1]
 
     def fail(what):
         report["pass"] = False
@@ -593,15 +592,16 @@ def _propb_one(bp, p):
     if len(normal_mu) != len(normal_lam):
         fail("normal-node count not preserved by the isomorphism")
         return report
+    if len(cls) > len(normal_mu):  # the class failed, and there is no eta1
+        return report
     eta1 = normal_mu[len(normal_mu) - len(cls)]
     key1 = node_key(eta1, p.charge)
-    for g in addable_nodes(bp):
+    for g in sorted(addable_nodes(bp), key=lambda g: node_key(g, p.charge)):
         if residue(g, p.charge, p.e) == j and node_key(g, p.charge) > key1:
             fail("addable %r-node %r greater than eta1 %r" % (j, g, eta1))
-    slots = residue_slots(bp, p.charge, j, p.e,
-                          default_window(bp, p.charge))
-    greater = [entry for (_, _, entry) in slots
-               if node_key(entry.node, p.charge) > key1]
+    slots = nature_table(bp, p.charge, default_window(bp, p.charge))
+    greater = [entry for (k, _, entry) in slots
+               if (k - j) % p.e == 0 and node_key(entry.node, p.charge) > key1]
     if (any(ent.kind == "Bh" and not ent.virtual for ent in greater)
             and any(ent.kind == "Bv" for ent in greater)):
         fail("both a non-virtual Bh and a Bv %r-node exceed eta1" % (j,))
@@ -664,6 +664,21 @@ def test_propb_checks_matches_oracle_where_it_fails(e, charge, n):
     swept = _lines(propb_checks(n, p))
     assert swept == _oracle_lines(propb_oracle, n, p)
     assert any('"pass": false' in x for x in swept)
+
+
+def test_propb_class_longer_than_the_normal_nodes():
+    # At e=2, s=(0,0) the class of 4.2,4.1 has three nodes but there are
+    # two normal 1-nodes, so there is no eta1 to compare with: the report
+    # holds the class failure alone.
+    p = CrystalParams(2, (0, 0))
+    bp = P("4.2,4.1")
+    j, cls, normal = admissible.top_class(bp, p)
+    assert (j, len(cls), len(normal)) == (1, 3, 2)
+    expected = {"bp": bipartition_to_json(bp), "pass": False, "failures": [
+        "class is not the top normal nodes at the fundamental charge"]}
+    assert [r for r in propb_checks(bp.rank, p)
+            if r["bp"] == expected["bp"]] == [expected]
+    assert propb_oracle(bp, p) == expected
 
 
 def test_corollary_and_propb_transport_nothing(monkeypatch):

@@ -193,6 +193,17 @@ def test_show_psi(capsys):
     assert out.strip() == "2.2,6.1"
 
 
+def test_negative_charge_is_written_with_equals(capsys):
+    # argparse reads "-2,1" after "--charge " as an option of its own
+    code, out, _ = run(capsys, ["--charge=-2,1", "show", ",1", "psi:1,-2"])
+    assert code == 0
+    assert out.strip() == "1,-"
+    with pytest.raises(SystemExit) as exc:
+        main(["--charge", "-2,1", "show", ",1", "psi:1,-2"])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
 def test_show_psi_rejects_other_orbit(capsys):
     code, _, err = run(capsys, ["show", "1,-", "psi:0,0"])
     assert code == 2

@@ -5,7 +5,6 @@ import itertools
 import pytest
 
 from uglov import admissible, cli, crystal, diagrams, isomorphism
-from uglov.admissible import max_normal_removable_node
 from uglov.crystal import (
     CrystalParams,
     crystal_edges,
@@ -16,8 +15,6 @@ from uglov.crystal import (
     good_removable_node,
     is_flotw,
     is_uglov,
-    normal_addable_nodes,
-    normal_removable_nodes,
     require_fundamental,
     signature_word,
     uglov_layers,
@@ -154,7 +151,8 @@ def test_max_normal_removable_node_matches_residue_loop():
                           or node_key(nodes[-1], p.charge)
                           > node_key(best, p.charge)):
                 best = nodes[-1]
-        assert max_normal_removable_node(bp, p) == best, (bp, p)
+        top = admissible._top_normal(signature_word(bp, p), p.charge)
+        assert top == best, (bp, p)
 
 
 def test_good_additions_match_residue_loop():
@@ -225,8 +223,7 @@ def test_normal_nodes_are_subsets():
     for n in range(5):
         for bp in bipartitions_of(n):
             for j in range(3):
-                add = normal_addable_nodes(bp, j, P01)
-                rem = normal_removable_nodes(bp, j, P01)
+                add, rem = signature_word(bp, P01).get(j, ([], []))
                 assert set(add) <= {g for g in addable_nodes(bp)
                                     if residue(g, P01.charge, P01.e) == j}
                 assert set(rem) <= {g for g in removable_nodes(bp)

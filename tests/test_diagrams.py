@@ -27,7 +27,6 @@ from uglov.diagrams import (
     nature_kinds,
     nature_table,
     node_key,
-    node_less,
     parse_bipartition,
     part,
     partitions_of,
@@ -118,7 +117,7 @@ def compare_uglov_oracle(bp1, bp2, charge):
     seq2 = sorted(_vertical_rows(bp2, rows), key=key, reverse=True)
     for g1, g2 in zip(seq1, seq2):
         if g1 != g2:
-            return -1 if node_less(g1, g2, charge) else 1
+            return -1 if key(g1) < key(g2) else 1
     raise AssertionError("equal boundary sequences: %r, %r" % (bp1, bp2))
 
 
@@ -304,11 +303,9 @@ def test_add_remove_preconditions():
 def test_node_order():
     charge = (0, 1)
     # smaller content first; equal content puts component 2 first
-    assert node_less(Node(1, 1, 1), Node(1, 2, 1), charge)
-    assert node_less(Node(1, 1, 2), Node(1, 2, 1), charge)  # contents 1 = 1
+    assert node_key(Node(1, 1, 1), charge) < node_key(Node(1, 2, 1), charge)
+    # contents 1 = 1
     assert node_key(Node(1, 1, 2), charge) < node_key(Node(1, 2, 1), charge)
-    with pytest.raises(ValueError):
-        node_less(Node(1, 2, 1), Node(2, 3, 1), charge)  # same slot, distinct
 
 
 def test_nature_at_examples():
