@@ -457,13 +457,11 @@ def _propb_failures(bp: Bipartition, image: Bipartition, p: CrystalParams,
         return out
     eta1 = normal_mu[len(normal_mu) - len(cls)]
     key1 = node_key(eta1, p.charge)
-    out += ["addable %r-node %r greater than eta1 %r"
-            % (j, Node(a, b, c), eta1)
-            for key, cont, rem, a, b, c in sorted(rim(bp, p.charge))
-            if not rem and cont % p.e == j and key > key1]
     table = nature_table(bp, p.charge, default_window(bp, p.charge))
     greater = [entry for k, _, entry in table
                if (k - j) % p.e == 0 and node_key(entry.node, p.charge) > key1]
+    out += ["addable %r-node %r greater than eta1 %r" % (j, ent.node, eta1)
+            for ent in greater if ent.kind == "A"]
     if (any(ent.kind == "Bh" and not ent.virtual for ent in greater)
             and any(ent.kind == "Bv" for ent in greater)):
         out.append("both a non-virtual Bh and a Bv %r-node exceed eta1"

@@ -53,12 +53,6 @@ def parse_rank(text: str) -> int:
     return n
 
 
-def parse_workers(text: str) -> int:
-    if int(text) != 1:
-        raise argparse.ArgumentTypeError("workers must be 1")
-    return 1
-
-
 def parse_rendering(text: str):
     """A rendering name, or the target charge of 'psi:S1,S2'."""
     if text.startswith("psi:"):
@@ -78,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "a leading '-' reads as an option")
     parser.add_argument("--format", choices=("text", "json", "dot"),
                         default="text")
-    parser.add_argument("--workers", type=parse_workers, default=1)
+    parser.add_argument("--workers", type=int, choices=(1,), default=1)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_enum = sub.add_parser("enumerate",

@@ -20,10 +20,10 @@ from .diagrams import (
     EMPTY,
     Bipartition,
     Node,
+    beta_set,
     grow,
     part,
     remove_node,
-    residue,
     rim,
 )
 
@@ -179,15 +179,11 @@ def is_flotw(bp: Bipartition, p: CrystalParams) -> bool:
             return False
         if part(lam2, i) < part(lam1, i + e + s1 - s2):
             return False
-    for k in set(lam1) | set(lam2):
-        found = set()
-        for c, lam in ((1, lam1), (2, lam2)):
-            for a in range(1, len(lam) + 1):
-                if lam[a - 1] == k:
-                    found.add(residue(Node(a, k, c), p.charge, e))
-        if len(found) == e:
-            return False
-    return True
+    found: dict[int, set[int]] = {}  # part -> residues of its row ends
+    for lam, s in ((lam1, s1), (lam2, s2)):
+        for k, x in zip(lam, beta_set(lam, s)):
+            found.setdefault(k, set()).add(x % e)
+    return all(len(res) < e for res in found.values())
 
 
 # ---------------------------------------------------------------------------

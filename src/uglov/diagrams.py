@@ -10,21 +10,24 @@ The content of (a, b, c) under a charge (s1, s2) is b - a + s_c; the
 residue is the content mod e (the content itself when e is None, which
 stands for e = infinity throughout the package).
 
-The rim kernel is the one place where addable and removable nodes are
-read: one pass over the rows of each component lists them all with
-their keys and contents.  addable_nodes and removable_nodes are set
+The rim kernel is the one row reader of addable and removable nodes:
+one pass over the rows of each component lists them all with their keys
+and contents.  addable_nodes and removable_nodes are set
 views of it, and grow adds a node it lists without re-checking it;
 add_node is grow behind a check.
 
 The vertical-boundary node (a, lambda^c_a, c) has content
 lambda^c_a - a + s_c, a beta-number of lambda^c.  beta_set lists these
 contents for one component; with the tail of beads below its last row it
-is the one reading of the boundary.  Natures (nature_kinds, and
-nature_entries on top of it), boundary sequences and periods
-(admissible.has_period) are read from it.  The Uglov order compares
-boundary sequences, so it is the lexicographic order on the merged
-beta-set {2 beta - c}, Uglov's level-two to level-one wedge, which
-uglov_key builds as a decreasing tuple of integers.
+is the one reading of the boundary.  The extended Young diagram over a
+window is nature_table: one nature per content and component, read from
+the beads (nature_kinds, and nature_entries on top of it).  Boundary
+sequences are its R and Bv slots, and admissible.propb_checks reads its
+addable and boundary nodes from it.  Periods (admissible.has_period) and
+the Uglov order read the beads directly, as both are hot.  The Uglov
+order compares boundary sequences, so it is the lexicographic order on
+the merged beta-set {2 beta - c}, Uglov's level-two to level-one wedge,
+which uglov_key builds as a decreasing tuple of integers.
 """
 
 from __future__ import annotations
@@ -127,7 +130,7 @@ def beta_set(lam: tuple[int, ...], s: int) -> list[int]:
 def rim(bp: Bipartition, charge: tuple[int, int]) -> list[tuple]:
     """Every addable and every removable node of bp, as tuples
     (node_key, content, removable, a, b, c), from one pass over the rows
-    of each component; the one place these nodes are read.
+    of each component; the one row reader of these nodes.
 
     Row 1 always takes the addable node (1, lam_1 + 1).  Below it, row a
     has a removable node exactly when lam_a > lam_{a+1} (lam_{a+1} = 0
@@ -253,22 +256,17 @@ def default_window(bp: Bipartition, charge) -> tuple[int, int]:
     return (min(charge) - n - 1, max(charge) + n + 1)
 
 
-def _window_contents(window: tuple[int, int]) -> range:
-    lo, hi = window
-    if lo > hi:
-        raise ValueError("empty window %r" % (window,))
-    return range(lo, hi + 1)
-
-
 def nature_table(bp: Bipartition, charge: tuple[int, int],
                  window: tuple[int, int]) -> list[tuple[int, int, NatureEntry]]:
     """Slots (content, component, entry) listed in increasing node order;
     one nature_entries pass per component."""
-    contents = _window_contents(window)
     lo, hi = window
+    if lo > hi:
+        raise ValueError("empty window %r" % (window,))
     rows = {c: nature_entries(bp.component(c), charge[c - 1], c, lo, hi)
             for c in (1, 2)}
-    return [(k, c, rows[c][k - lo]) for k in contents for c in (2, 1)]
+    return [(k, c, rows[c][k - lo]) for k in range(lo, hi + 1)
+            for c in (2, 1)]
 
 
 NATURE_TRANSITIONS = {
@@ -285,19 +283,10 @@ NATURE_TRANSITIONS = {
 
 def boundary_sequence(bp: Bipartition, charge: tuple[int, int],
                       window: tuple[int, int]) -> list[Node]:
-    """Vertical-boundary nodes with content in the window, decreasing.
-
-    Row a of component c holds the bead x = beta_set(...)[a - 1], or the
-    tail bead s_c - a below the last row, at node (a, x - s_c + a, c).
-    """
-    lo, hi = window
-    nodes = []
-    for c, s in ((1, charge[0]), (2, charge[1])):
-        beads = beta_set(bp.component(c), s)
-        beads += range(s - len(beads) - 1, lo - 1, -1)
-        nodes += [Node(a, x - s + a, c) for a, x in enumerate(beads, 1)
-                  if lo <= x <= hi]
-    return sorted(nodes, key=lambda g: node_key(g, charge), reverse=True)
+    """Vertical-boundary nodes with content in the window, decreasing:
+    the R and Bv slots of nature_table, read backwards."""
+    table = nature_table(bp, charge, window)
+    return [ent.node for _, _, ent in reversed(table) if ent.kind in (R, BV)]
 
 
 def uglov_key(bp: Bipartition, charge: tuple[int, int]) -> tuple[int, ...]:

@@ -9,6 +9,7 @@ import pytest
 from uglov.admissible import (
     adm,
     adm_flotw,
+    adm_walk,
     has_period,
     one_connected,
     propb_checks,
@@ -38,6 +39,7 @@ from uglov.diagrams import (
     bipartitions_of,
     content,
     default_window,
+    format_bipartition,
     nature_table,
     node_key,
     parse_bipartition,
@@ -293,6 +295,56 @@ def test_verify_djm_forward_error_is_inherited():
     for bp in errors:
         assert reports[bp] == forward_oracle(bp, p)
         assert reports[bp]["pass"] is False
+
+
+def words_by_max(n: int, p: CrystalParams) -> dict:
+    """{uglov_max of a nonzero expansion: the residue words of length
+    <= n that reach it, increasing}, f_action applied oldest residue
+    first, as verify_djm_forward applies an Adm word."""
+    out = {}
+    todo = [([], {EMPTY: 1})]
+    while todo:
+        word, vec = todo.pop()
+        out.setdefault(uglov_max(vec, p.charge), []).append(word)
+        if len(word) < n:
+            for j in range(p.e):
+                child = f_action(vec, j, p)
+                if child:
+                    todo.append((word + [j], child))
+    for words in out.values():
+        words.sort()
+    return out
+
+
+# verify_djm_forward's failing bipartitions on FORWARD_GRID at the ranks of
+# test_adm_oracle_matches_forward (6, 5, 4 at e = 2, 3, 4)
+ORACLE_FAILURES = {
+    CrystalParams(3, (0, 4)): {"3,2"},
+    CrystalParams(3, (11, 0)): {"1,3", "2,3"},
+    CrystalParams(3, (5, -2)): {"2,3"},
+}
+
+
+@pytest.mark.parametrize("p", FORWARD_GRID, ids=str)
+def test_adm_oracle_matches_forward(p):
+    # Every monomial maximum is Uglov and every Uglov bipartition is one;
+    # the forward sweep fails exactly where Adm is not one of the words
+    # whose maximum is the bipartition.
+    n = {2: 6, 3: 5, 4: 4}[p.e]
+    words = words_by_max(n, p)
+    assert set(words) == {bp for layer in uglov_layers(n, p) for bp in layer}
+    missed = {format_bipartition(bp) for bp, _, found in adm_walk(n, p)
+              if isinstance(found, str) or found[0] not in words[bp]}
+    failing = {format_bipartition(bp)
+               for bp, r in forward_reports(n, p).items() if not r["pass"]}
+    assert missed == failing == ORACLE_FAILURES.get(p, set())
+
+
+def test_adm_oracle_pins_a_failure():
+    p = CrystalParams(3, (11, 0))
+    bp = P("1,3")
+    assert words_by_max(4, p)[bp] == [[0, 1, 2, 2]]
+    assert adm(bp, p) == [0, 2, 1, 2]
 
 
 def test_verify_djm_converse_small():

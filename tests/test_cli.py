@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -297,8 +298,28 @@ def test_determinism(capsys):
     assert first == second
 
 
-WORKLOADS = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "perfbench", "workloads.json")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+WORKLOADS = os.path.join(ROOT, "perfbench", "workloads.json")
+
+
+def _readme_examples():
+    """The argument lists of the `uglov ...` lines in README.md's sh
+    blocks, trailing comments stripped."""
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        text = fh.read()
+    for block in text.split("```sh\n")[1:]:
+        for line in block.split("```")[0].splitlines():
+            if line.startswith("uglov "):
+                yield shlex.split(line, comments=True)[1:]
+
+
+def test_readme_examples_run(capsys):
+    examples = list(_readme_examples())
+    assert len(examples) == 12
+    for argv in examples:
+        code, out, err = run(capsys, argv)
+        assert code == 0, (argv, err)
+        assert out and "Traceback" not in err
 
 
 def _benchmark_sweeps():

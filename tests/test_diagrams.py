@@ -426,6 +426,13 @@ def test_boundary_sequence_empty():
                    Node(4, 0, 1), Node(4, 0, 2)]
 
 
+def test_empty_window_raises():
+    # boundary_sequence reads nature_table, so both refuse lo > hi
+    for read in (nature_table, boundary_sequence):
+        with pytest.raises(ValueError, match="empty window"):
+            read(P("2.1,1"), (0, 1), (1, 0))
+
+
 def test_boundary_sequence_leading_entries():
     # Vertical-boundary slots of (6.1,2.2) at (0,1) in decreasing order.
     seq = boundary_sequence(P("6.1,2.2"), (0, 1), (-3, 5))
