@@ -249,9 +249,11 @@ def verify_djm_forward(n: int, p: CrystalParams):
 
     Adm comes from adm_walk, and the vector of each image's monomial,
     f-operators applied oldest residue first, is the vector of its rest
-    extended by r f_action steps.  A walk error is the "error" field.
+    extended by r f_action steps, which share one table of children.  A
+    walk error is the "error" field.
     """
     vecs = {EMPTY: {EMPTY: 1}}  # image -> vector of its Adm monomial
+    table = {}  # bipartition -> its children at p, read once per sweep
     for bp, image, found in adm_walk(n, p):
         if isinstance(found, str):
             yield {"bp": bipartition_to_json(bp), "pass": False,
@@ -262,7 +264,7 @@ def verify_djm_forward(n: int, p: CrystalParams):
             j, r, rest = step
             vec = vecs[rest]
             for _ in range(r):
-                vec = f_action(vec, j, p)
+                vec = f_action(vec, j, p, table)
             vecs[image] = vec
         vec = vecs[image]
         ok = bp in vec and uglov_max(vec, p.charge) == bp

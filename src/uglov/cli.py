@@ -171,7 +171,7 @@ def cmd_show(args) -> int:
                                                 table)
         elif what == "boundary":
             seq = diagrams.boundary_sequence(bp, charge, window)
-            data = [list(g) for g in seq]
+            data = seq  # Nodes are tuples: JSON arrays
             text = " ".join("(%d,%d,%d)" % g for g in seq)
         elif what == "adm":
             data = admissible.adm(bp, CrystalParams(args.e, charge))

@@ -4,12 +4,16 @@ A Fock vector is a dict Bipartition -> positive int whose keys all share
 one rank.  The crystal parameters bundle e (None for infinity) with the
 charge (s1, s2).
 
-signature_word is the one place that applies the signature rule: one
+_normal_nodes is the one place that applies the signature rule: one
 sorted diagrams.rim pass over a bipartition gives every residue's normal
-addable and normal removable nodes, and from them its good nodes.
-Greedy peeling, good additions and the good-node readers all read that
-scan.  f_action and good_additions build children with diagrams.grow
-from nodes the rim has certified addable.
+addable and normal removable nodes as plain (a, b, c) tuples.  Greedy
+peeling and good additions read it directly; signature_word is its view
+with Node values, for the good-node readers and the class steps of
+admissible.  children lists a bipartition's children by residue from one
+rim pass, and f_action reads them from a table its caller owns, one per
+sweep or monomial, so each bipartition of a sweep is read once.
+children and good_additions grow bipartitions with diagrams.grow from
+nodes the rim has certified addable.
 """
 
 from __future__ import annotations
@@ -38,30 +42,48 @@ def _check_e(e):
         raise ValueError("e must be >= 2 or None (infinity), got %r" % (e,))
 
 
-def f_action(vec: dict[Bipartition, int], j, p: CrystalParams) -> dict:
-    """Linear extension of: sum over mu obtained by adding a j-node.
-    Coefficients are positive, so no term cancels."""
-    _check_e(p.e)
-    e, charge = p.e, p.charge
-    out: dict[Bipartition, int] = {}
-    for bp, coeff in vec.items():
-        for _, cont, rem, a, b, c in rim(bp, charge):
-            if not rem and (cont if e is None else cont % e) == j:
-                mu = grow(bp, a, b, c)
-                out[mu] = out.get(mu, 0) + coeff
+def children(bp: Bipartition, p: CrystalParams) -> dict:
+    """{j: the bipartitions bp plus one addable j-node}, for every residue
+    j of an addable node, from one diagrams.rim pass."""
+    e = p.e
+    out: dict = {}
+    for _, cont, rem, a, b, c in rim(bp, p.charge):
+        if not rem:
+            out.setdefault(cont if e is None else cont % e,
+                           []).append(grow(bp, a, b, c))
     return out
 
 
-def signature_word(bp: Bipartition, p: CrystalParams) -> dict:
+def f_action(vec: dict[Bipartition, int], j, p: CrystalParams,
+             table: dict) -> dict:
+    """Linear extension of: sum over mu obtained by adding a j-node.
+    Coefficients are positive, so no term cancels.
+
+    table maps a bipartition to its children at p; the caller owns it and
+    shares it between the f_action calls of one sweep, so each
+    bipartition's children are read once.
+    """
+    _check_e(p.e)
+    out: dict[Bipartition, int] = {}
+    for bp, coeff in vec.items():
+        row = table.get(bp)
+        if row is None:
+            row = table[bp] = children(bp, p)
+        for mu in row.get(j, ()):
+            out[mu] = out.get(mu, 0) + coeff
+    return out
+
+
+def _normal_nodes(bp: Bipartition, p: CrystalParams) -> dict:
     """{j: (normal addable j-nodes, normal removable j-nodes)}, each list
-    increasing, for every residue j of an addable or removable node.
+    increasing and each node a plain (a, b, c) tuple, for every residue j
+    of an addable or removable node.
 
     One diagrams.rim pass lists the addable and removable nodes, sorted
     once by node_key, which is unique per node, so the sort never
     compares further.  Read in that order, an addable node cancels the
     largest uncancelled removable node of its residue if there is one,
-    so each reduced j-word reads A...A R...R.  No Node is made for an
-    addable node that cancels.
+    so each reduced j-word reads A...A R...R.
     """
     e = p.e
     entries = rim(bp, p.charge)
@@ -73,12 +95,19 @@ def signature_word(bp: Bipartition, p: CrystalParams) -> dict:
         if pair is None:
             pair = out[j] = ([], [])
         if rem:
-            pair[1].append(Node(a, b, c))
+            pair[1].append((a, b, c))
         elif pair[1]:
             pair[1].pop()
         else:
-            pair[0].append(Node(a, b, c))
+            pair[0].append((a, b, c))
     return out
+
+
+def signature_word(bp: Bipartition, p: CrystalParams) -> dict:
+    """_normal_nodes with Node values: {j: (normal addable j-nodes, normal
+    removable j-nodes)}, each list increasing."""
+    return {j: ([Node(*g) for g in adds], [Node(*g) for g in rems])
+            for j, (adds, rems) in _normal_nodes(bp, p).items()}
 
 
 def good_addable_node(bp, j, p: CrystalParams) -> Optional[Node]:
@@ -97,7 +126,7 @@ def good_additions(bp: Bipartition, p: CrystalParams) -> list:
     """(j, bp plus its good addable j-node) for every residue j that has
     one, in increasing j."""
     return [(j, grow(bp, *adds[-1]))
-            for j, (adds, _) in sorted(signature_word(bp, p).items())
+            for j, (adds, _) in sorted(_normal_nodes(bp, p).items())
             if adds]
 
 
@@ -115,7 +144,7 @@ def peel_word(bp: Bipartition, p: CrystalParams) -> Optional[list]:
     _check_e(p.e)
     out = []
     while bp != EMPTY:
-        sig = signature_word(bp, p)
+        sig = _normal_nodes(bp, p)
         j = min((j for j, (_, rems) in sig.items() if rems), default=None)
         if j is None:
             return None
@@ -191,8 +220,8 @@ def is_flotw(bp: Bipartition, p: CrystalParams) -> bool:
 
 def expand_monomial(word, p: CrystalParams) -> dict[Bipartition, int]:
     """Apply f-operators to the empty bipartition, last residue first."""
-    vec = {EMPTY: 1}
+    vec, table = {EMPTY: 1}, {}
     for j in reversed(list(word)):
-        vec = f_action(vec, j, p)
+        vec = f_action(vec, j, p, table)
     return vec
 

@@ -21,17 +21,20 @@ lambda^c_a - a + s_c, a beta-number of lambda^c.  beta_set lists these
 contents for one component; with the tail of beads below its last row it
 is the one reading of the boundary.  The extended Young diagram over a
 window is nature_table: one nature per content and component, read from
-the beads (nature_kinds, and nature_entries on top of it).  Boundary
-sequences are its R and Bv slots, and admissible.propb_checks reads its
-addable and boundary nodes from it.  Periods (admissible.has_period) and
-the Uglov order read the beads directly, as both are hot.  The Uglov
-order compares boundary sequences, so it is the lexicographic order on
-the merged beta-set {2 beta - c}, Uglov's level-two to level-one wedge,
-which uglov_key builds as a decreasing tuple of integers.
+the beads (nature_kinds, then the rows of _slots and the nodes of
+nature_entries).  Boundary sequences are its R and Bv slots, read from
+_slots with no node made for the others, and admissible.propb_checks
+reads its addable and boundary nodes from nature_table.  Periods
+(admissible.has_period) and the Uglov order read the beads directly, as
+both are hot.  The Uglov order compares boundary sequences, so it is the
+lexicographic order on the merged beta-set {2 beta - c}, Uglov's
+level-two to level-one wedge, which uglov_key builds as a decreasing
+tuple of integers.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate, islice
 from typing import Iterator, NamedTuple, Optional
 
 
@@ -57,6 +60,7 @@ EMPTY = Bipartition((), ())
 
 # nature kinds
 A, R, BV, BH = "A", "R", "Bv", "Bh"
+VERTICAL = (R, BV)  # the kinds of the vertical-boundary nodes
 
 
 class NatureEntry(NamedTuple):
@@ -219,26 +223,36 @@ def nature_kinds(lam: tuple[int, ...], s: int, lo: int,
     return tuple(kinds)
 
 
+def _slots(lam: tuple[int, ...], s: int, lo: int, hi: int) -> tuple:
+    """(kinds, above) over contents hi down to lo of a component of charge
+    s, the one check for an empty window: kinds from one nature_kinds
+    pass, and an iterator whose i-th item is the number of beads above
+    content hi - i, with one more item, for lo - 1.
+
+    The beads are the contents of kind R or Bv, so above counts them
+    down from those above hi.  The node at content j is in row above + 1,
+    except a Bh node, in row above.
+    """
+    if lo > hi:
+        raise ValueError("empty window %r" % ((lo, hi),))
+    kinds = nature_kinds(lam, s, lo, hi)[::-1]
+    first = (sum(x > hi for x in beta_set(lam, s))
+             + max(0, s - len(lam) - 1 - hi))
+    return kinds, accumulate(map(VERTICAL.__contains__, kinds),
+                             initial=first)
+
+
 def nature_entries(lam: tuple[int, ...], s: int, c: int, lo: int,
                    hi: int) -> list[NatureEntry]:
     """The addable-or-boundary nodes of contents lo..hi of component c of
-    charge s: kinds from one nature_kinds pass.
-
-    The row of the node at content j counts the beads above j, plus one
-    unless it is Bh; the beads are the contents of kind R or Bv, so one
-    decreasing pass counts them from those above hi.
-    """
-    kinds = nature_kinds(lam, s, lo, hi)
-    floor = s - len(lam)
-    above = sum(x > hi for x in beta_set(lam, s)) + max(0, floor - 1 - hi)
+    charge s, read from _slots."""
+    kinds, above = _slots(lam, s, lo, hi)
     out = []
-    for j in range(hi, lo - 1, -1):
-        kind = kinds[j - lo]
-        a = above + (kind != BH)
+    for j, kind, beads in zip(range(hi, lo - 1, -1), kinds, above):
+        a = beads + (kind != BH)
         node = Node(a, j - s + a, c)
         out.append(NatureEntry(kind, node,
                                kind != A and (a == 0 or node.b == 0)))
-        above += kind in (R, BV)
     out.reverse()
     return out
 
@@ -261,8 +275,6 @@ def nature_table(bp: Bipartition, charge: tuple[int, int],
     """Slots (content, component, entry) listed in increasing node order;
     one nature_entries pass per component."""
     lo, hi = window
-    if lo > hi:
-        raise ValueError("empty window %r" % (window,))
     rows = {c: nature_entries(bp.component(c), charge[c - 1], c, lo, hi)
             for c in (1, 2)}
     return [(k, c, rows[c][k - lo]) for k in range(lo, hi + 1)
@@ -284,9 +296,21 @@ NATURE_TRANSITIONS = {
 def boundary_sequence(bp: Bipartition, charge: tuple[int, int],
                       window: tuple[int, int]) -> list[Node]:
     """Vertical-boundary nodes with content in the window, decreasing:
-    the R and Bv slots of nature_table, read backwards."""
-    table = nature_table(bp, charge, window)
-    return [ent.node for _, _, ent in reversed(table) if ent.kind in (R, BV)]
+    the R and Bv slots of nature_table, read backwards.  Only those slots
+    become nodes; a bead's row is the count of beads down to it."""
+    lo, hi = window
+    s1, s2 = charge
+    (kinds1, above1), (kinds2, above2) = (_slots(bp.c1, s1, lo, hi),
+                                          _slots(bp.c2, s2, lo, hi))
+    out = []
+    for j, k1, a1, k2, a2 in zip(range(hi, lo - 1, -1),
+                                 kinds1, islice(above1, 1, None),
+                                 kinds2, islice(above2, 1, None)):
+        if k1 in VERTICAL:
+            out.append(Node(a1, j - s1 + a1, 1))
+        if k2 in VERTICAL:
+            out.append(Node(a2, j - s2 + a2, 2))
+    return out
 
 
 def uglov_key(bp: Bipartition, charge: tuple[int, int]) -> tuple[int, ...]:

@@ -26,6 +26,7 @@ from .crystal import (
     CrystalParams,
     crystal_edges,
     good_addable_node,
+    good_additions,
     peel_word,
 )
 from .diagrams import (
@@ -99,15 +100,24 @@ def psi_images(n: int, p_from: CrystalParams, charge_to) -> dict:
 
     The isomorphism fixes the empty bipartition and commutes with the
     crystal operators, so along each good edge (bp, j, dst) the image of
-    dst is the image of bp plus its good j-node at charge_to: one
+    dst is the image of bp plus its good j-node at charge_to.  The edges
+    of one bp arrive together, and the good additions of its image are
+    read once, when the first of them reaches a new dst: at most one
     signature scan per image, and one per bipartition of the walk.
     """
     require_same_orbit(p_from.charge, charge_to, p_from.e)
     p_to = CrystalParams(p_from.e, tuple(charge_to))
     images = {EMPTY: EMPTY}
+    last = kids = None
     for bp, j, dst in crystal_edges(n, p_from):
-        if dst not in images:
-            images[dst] = add_good_node(images[bp], j, p_to)
+        if dst in images:
+            continue
+        if bp != last:
+            last, kids = bp, dict(good_additions(images[bp], p_to))
+        if j not in kids:
+            raise ValueError("no good addable %r-node on %r"
+                             % (j, images[bp]))
+        images[dst] = kids[j]
     return images
 
 

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import sys
 
 import pytest
 
@@ -21,7 +22,7 @@ from uglov.admissible import (
     verify_djm_corollary,
     verify_djm_forward,
 )
-from uglov import admissible
+from uglov import admissible, crystal
 from uglov.crystal import (
     CrystalParams,
     expand_monomial,
@@ -226,7 +227,7 @@ def forward_oracle(bp, p):
                 "error": str(exc)}
     vec = {EMPTY: 1}
     for j in seq:
-        vec = f_action(vec, j, p)
+        vec = f_action(vec, j, p, {})
     ok = bp in vec and uglov_max(vec, p.charge) == bp
     return {
         "bp": bipartition_to_json(bp),
@@ -282,6 +283,25 @@ def test_verify_djm_forward_matches_oracle(p):
     assert any('"pass": false' in x for x in swept) == fails
 
 
+def test_forward_reads_children_once_per_bipartition(monkeypatch):
+    # Every rim pass of the sweep in crystal is a child read or a
+    # signature scan, and the sweep's one f_action table reads the
+    # children of each bipartition once.
+    reports = list(verify_djm_forward(9, P01))
+    readers = []
+
+    def counted(bp, charge):
+        readers.append((sys._getframe(1).f_code.co_name, bp))
+        return rim(bp, charge)
+
+    monkeypatch.setattr(crystal, "rim", counted)
+    assert list(verify_djm_forward(9, P01)) == reports
+    kids = [bp for who, bp in readers if who == "children"]
+    assert len(kids) == len(set(kids))
+    assert {bp.rank for bp in kids} == set(range(9))
+    assert {who for who, _ in readers} == {"children", "_normal_nodes"}
+
+
 def test_verify_djm_forward_error_is_inherited():
     # The class step of 3.2.1,3.1 fails at e=3, s=(0,0); 4.2.1,3.1 loses
     # its class to reach it, so it carries the same text.
@@ -308,7 +328,7 @@ def words_by_max(n: int, p: CrystalParams) -> dict:
         out.setdefault(uglov_max(vec, p.charge), []).append(word)
         if len(word) < n:
             for j in range(p.e):
-                child = f_action(vec, j, p)
+                child = f_action(vec, j, p, {})
                 if child:
                     todo.append((word + [j], child))
     for words in out.values():
@@ -406,7 +426,7 @@ def converse_word_oracle(n, p, member):
                                           "max": bipartition_to_json(best)})
         if len(suffix) < n:
             for j in range(p.e):
-                nxt = f_action(vec, j, p)
+                nxt = f_action(vec, j, p, {})
                 if nxt:
                     visit((j,) + suffix, nxt)
 
@@ -445,7 +465,8 @@ def converse_support_oracle(n, p, member):
 
     def kids(bp):
         if bp not in children:
-            children[bp] = [set(f_action({bp: 1}, j, p)) for j in range(p.e)]
+            children[bp] = [set(f_action({bp: 1}, j, p, {}))
+                            for j in range(p.e)]
         return children[bp]
 
     def key(bp):

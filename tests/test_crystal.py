@@ -15,6 +15,7 @@ from uglov.crystal import (
     good_removable_node,
     is_flotw,
     is_uglov,
+    peel_word,
     require_fundamental,
     signature_word,
     uglov_layers,
@@ -84,14 +85,14 @@ def scan_cases():
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        f_action({EMPTY: 1}, 0, CrystalParams(1, (0, 0)))
+        f_action({EMPTY: 1}, 0, CrystalParams(1, (0, 0)), {})
 
 
 def test_f_action_examples():
-    assert f_action({EMPTY: 1}, 0, P01) == {P("1,-"): 1}
-    assert f_action({EMPTY: 1}, 1, P01) == {P("-,1"): 1}
-    assert f_action({EMPTY: 1}, 2, P01) == {}
-    both = f_action({EMPTY: 1}, 0, CrystalParams(2, (0, 0)))
+    assert f_action({EMPTY: 1}, 0, P01, {}) == {P("1,-"): 1}
+    assert f_action({EMPTY: 1}, 1, P01, {}) == {P("-,1"): 1}
+    assert f_action({EMPTY: 1}, 2, P01, {}) == {}
+    both = f_action({EMPTY: 1}, 0, CrystalParams(2, (0, 0)), {})
     assert both == {P("1,-"): 1, P("-,1"): 1}
 
 
@@ -111,7 +112,7 @@ def test_e_f_adjoint_counts():
     for n in range(4):
         for bp in bipartitions_of(n):
             for j in range(3):
-                vec = e_action(f_action({bp: 1}, j, P01), j, P01)
+                vec = e_action(f_action({bp: 1}, j, P01, {}), j, P01)
                 count = sum(residue(g, P01.charge, P01.e) == j
                             for g in addable_nodes(bp))
                 assert vec.get(bp, 0) == count
@@ -165,6 +166,57 @@ def test_good_additions_match_residue_loop():
             if adds:
                 expected.append((j, add_node(bp, adds[-1])))
         assert good_additions(bp, p) == expected, (bp, p)
+
+
+def test_children_match_addable_nodes():
+    for bp, p in scan_cases():
+        expected = {}
+        for g in addable_nodes(bp):
+            expected.setdefault(residue(g, p.charge, p.e),
+                                set()).add(add_node(bp, g))
+        got = crystal.children(bp, p)
+        assert {j: set(kids) for j, kids in got.items()} == expected, (bp, p)
+        assert sum(map(len, got.values())) == len(addable_nodes(bp))
+
+
+def test_peel_word_matches_oracle_peel():
+    # A peel built on signature_word_oracle: the good node of the smallest
+    # residue that has one, removed, then the peel of the rest, read off
+    # the rest of lower rank.
+    peels = {}
+    for bp, p in scan_cases():
+        if bp == EMPTY:
+            peels[p] = {EMPTY: []}
+            expected = []
+        else:
+            residues = sorted({residue(g, p.charge, p.e)
+                               for g in removable_nodes(bp)})
+            expected = None
+            for j in residues:
+                rems = normal_pair_oracle(bp, j, p)[1]
+                if rems:
+                    rest = peels[p][remove_node(bp, rems[0])]
+                    expected = None if rest is None else [j] + rest
+                    break
+            peels[p][bp] = expected
+        assert peel_word(bp, p) == expected, (bp, p)
+    assert any(p.e is None for p in peels)
+
+
+@pytest.mark.parametrize("e", [2, 3, 4])
+def test_shared_f_action_table_keeps_every_monomial(e):
+    # One table shared by every word of length <= 5 at one CrystalParams
+    # gives each word's expand_monomial, whose table is its own.
+    for charge in ((0, 0), (0, 1), (2, -1), (5, 0)):
+        p, table = CrystalParams(e, charge), {}
+        for k in range(6):
+            for word in itertools.product(range(e), repeat=k):
+                vec = {EMPTY: 1}
+                for j in reversed(word):
+                    vec = f_action(vec, j, p, table)
+                assert vec == expand_monomial(word, p), (word, p)
+        assert set(table) <= {bp for k in range(5)
+                              for bp in bipartitions_of(k)}
 
 
 def _reduce_by_scanning(tags):

@@ -427,7 +427,8 @@ def test_boundary_sequence_empty():
 
 
 def test_empty_window_raises():
-    # boundary_sequence reads nature_table, so both refuse lo > hi
+    # boundary_sequence and nature_table read one _slots pass per
+    # component, so both refuse lo > hi
     for read in (nature_table, boundary_sequence):
         with pytest.raises(ValueError, match="empty window"):
             read(P("2.1,1"), (0, 1), (1, 0))

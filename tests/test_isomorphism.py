@@ -2,13 +2,14 @@
 
 import pytest
 
+from uglov import crystal, isomorphism
 from uglov.crystal import (
     CrystalParams,
     good_addable_node,
     signature_word,
     uglov_layers,
 )
-from uglov.diagrams import Bipartition, add_node, parse_bipartition
+from uglov.diagrams import Bipartition, add_node, parse_bipartition, rim
 from uglov.isomorphism import (
     peel_residues,
     psi_e_independence_check,
@@ -19,6 +20,7 @@ from uglov.isomorphism import (
     reduce_to_fundamental,
     require_same_orbit,
 )
+from test_crystal import forbid_validating_primitives
 
 P = parse_bipartition
 
@@ -171,6 +173,35 @@ def test_psi_images_match_psi_to(e):
         psi_images(0, CrystalParams(e, (0, 1)), (0, 0))
 
 
+@pytest.mark.parametrize("c_from, c_to", [((0, 1), (1, 0)),
+                                          ((11, 0), (0, 2))])
+def test_psi_images_scan_each_image_once(monkeypatch, c_from, c_to):
+    # The good additions of an image are read in one rim pass at c_to,
+    # at most once per image, and the images grow without validation.
+    p = CrystalParams(3, c_from)
+    expected = psi_images(9, p, c_to)
+    scans = []
+
+    def counted(bp, charge):
+        if charge == c_to:
+            scans.append(bp)
+        return rim(bp, charge)
+
+    monkeypatch.setattr(crystal, "rim", counted)
+    forbid_validating_primitives(monkeypatch)
+    assert psi_images(9, p, c_to) == expected
+    assert len(scans) == len(set(scans))
+    assert set(scans) <= set(expected.values())
+    assert {image.rank for image in scans} == set(range(9))
+
+
+def test_psi_images_needs_the_good_child(monkeypatch):
+    # An image without the good j-node of its edge is a ValueError.
+    monkeypatch.setattr(isomorphism, "good_additions", lambda bp, p: [])
+    with pytest.raises(ValueError, match="no good addable 0-node"):
+        psi_images(1, CrystalParams(3, (0, 1)), (1, 0))
+
+
 def test_e_independence_of_sigma1():
     p = CrystalParams(3, (0, 1))
     seen_applicable = False
@@ -186,7 +217,6 @@ def test_e_independence_of_sigma1():
 
 
 def test_e_independence_peels_once_per_e(monkeypatch):
-    from uglov import crystal, isomorphism
     calls, peel = [], crystal.peel_word
 
     def counting(bp, p):
