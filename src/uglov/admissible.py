@@ -10,20 +10,27 @@ The forward, corollary and propb sweeps read their bipartitions at the
 fundamental charge from one isomorphism.psi_images walk: propb checks
 each image's top_class, and adm_walk, feeding forward and corollary,
 takes one class_step per image onto the Adm of its remainder.
+
+The converse sweep walks the distinct supports of monomials rank by
+rank, each an int over the bipartitions of its rank in Uglov order.  Its
+membership verdicts come from one crystal_edges walk, the child masks of
+a support from chunk tables that every support of a rank shares, and
+each support's (residue, parent) records are kept by support index.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 from functools import reduce
 from operator import or_
 from typing import Optional
 
 from .crystal import (
     CrystalParams,
+    crystal_edges,
     f_action,
     is_flotw,
-    is_uglov,
     require_fundamental,
     signature_word,
 )
@@ -40,7 +47,6 @@ from .diagrams import (
     node_key,
     part,
     remove_node,
-    removable_nodes,
     residue,
     rim,
     uglov_key,
@@ -72,13 +78,19 @@ def has_period(bp: Bipartition, p: CrystalParams) -> bool:
     return False
 
 
+def _removable(bp: Bipartition, g: Node) -> bool:
+    # g is a removable node of bp: one row check, not a rim pass
+    a, b, c = g
+    lam = bp.component(c)
+    return 1 <= a <= len(lam) and lam[a - 1] == b > part(lam, a + 1)
+
+
 def one_connected(bp: Bipartition, g1: Node, g2: Node,
                   p: CrystalParams) -> bool:
     """True when removing the larger node g2 creates a period."""
     if p.e is None:
         raise ValueError("(1)-connectedness needs finite e")
-    rem = removable_nodes(bp)
-    if g1 not in rem or g2 not in rem:
+    if not (_removable(bp, g1) and _removable(bp, g2)):
         raise ValueError("both nodes must be removable")
     if residue(g1, p.charge, p.e) != residue(g2, p.charge, p.e):
         raise ValueError("nodes must share one residue")
@@ -92,7 +104,7 @@ def two_connected(bp: Bipartition, g1: Node,
     """The shifted equal-part partner of a removable node, if any."""
     require_fundamental(p)
     e, (s1, s2) = p.e, p.charge
-    if g1 not in removable_nodes(bp):
+    if not _removable(bp, g1):
         raise ValueError("%r is not removable from %r" % (g1, bp))
     a, b, c = g1
     if c == 1:
@@ -278,6 +290,30 @@ def verify_djm_forward(n: int, p: CrystalParams):
         }
 
 
+CHUNK = 64  # bits of a support per chunk-table lookup: one "Q" word
+
+
+class _ChunkTable(dict):
+    """The chunk table of one chunk position: a CHUNK-bit chunk value ->
+    per residue, the combined child masks of the bipartitions whose bits
+    it sets, filled on first lookup.  rows[b] holds the child masks of
+    the chunk's bit b, one per residue."""
+
+    def __init__(self, rows, combine):
+        super().__init__()
+        self.rows, self.combine = rows, combine
+
+    def __missing__(self, value):
+        members, bits = [], value
+        while bits:
+            low = bits & -bits
+            members.append(self.rows[low.bit_length() - 1])
+            bits ^= low
+        entry = self[value] = [reduce(self.combine, column)
+                               for column in zip(*members)]
+        return entry
+
+
 def verify_djm_converse(n: int, p: CrystalParams) -> list[dict]:
     """Every monomial maximum is Uglov: one report per rank 0..n.
 
@@ -288,43 +324,55 @@ def verify_djm_converse(n: int, p: CrystalParams) -> list[dict]:
     over distinct supports, not words.  A word w of rank k+1 is j
     followed by a word of rank k (expand_monomial applies the last
     residue first), and its support is the j-children of that word's
-    support; a support records each such (j, parent support).
+    support; a support records each such (j, parent support index).
 
     A support of rank k is an int: bit i stands for the i-th bipartition
     of rank k in increasing Uglov order, so its maximum is its top bit.
-    Each bipartition has one child mask per residue of its addable nodes,
-    over the indices of rank k+1, from one diagrams.rim pass, and f_j of
-    a support is the OR of its members' j-masks.  The masks of rank k
-    are laid out over the residues some bipartition of rank k has, never
-    over all e of them.  Each distinct maximum takes one membership
-    verdict, and the words of failing supports alone are spelled out from
-    the records.  Failures are reported in increasing word order.
+    The membership verdicts come from one crystal_edges walk up to rank
+    n, kept as the set of Uglov bipartitions of each rank.  Each
+    bipartition has one child mask per residue of its addable nodes,
+    over the indices of rank k+1, from one diagrams.rim pass; the masks
+    of rank k are laid out over the residues some bipartition of rank k
+    has, never over all e of them.  f_j of a support is the OR of its
+    members' j-masks, read CHUNK bits at a time: each chunk position has
+    a _ChunkTable, filled lazily and shared by every support of the rank
+    (the method of Four Russians).  Once a rank's children are found,
+    its records are kept by support index, not by the support's int, so
+    the ints of two ranks at most are alive; rank n keeps only each
+    support's bit length.  The words of failing supports alone are
+    spelled out from the records.  Failures are reported in increasing
+    word order.
     """
     if p.e is None:
         raise ValueError("the converse sweep needs finite e")
     e, charge = p.e, p.charge
-    verdicts = {}  # many supports share one maximum
-    parents = [{1: []}]  # by rank: support -> its (j, parent support)
-    spelled = {(0, 1): [()]}  # (rank, support) -> its words, on demand
+    uglov = [{EMPTY}] + [set() for _ in range(n)]  # Uglov bps, by rank
+    for bp, _, dst in crystal_edges(n, p):
+        uglov[bp.rank + 1].add(dst)
+    records = []  # by rank, by support index: its (j, parent index)
+    spelled = {}  # (rank, support index) -> its words, on demand
 
-    def words(k, support):
-        if (k, support) not in spelled:
-            spelled[k, support] = [(j,) + w
-                                   for j, parent in parents[k][support]
-                                   for w in words(k - 1, parent)]
-        return spelled[k, support]
+    def words(k, i):
+        if k == 0:
+            return [()]
+        if (k, i) not in spelled:
+            spelled[k, i] = [(j,) + w for j, parent in records[k][i]
+                             for w in words(k - 1, parent)]
+        return spelled[k, i]
 
     reports = []
+    supports = {1: []}  # the supports of rank k -> their records
     bps = [EMPTY]  # the bipartitions of rank k, increasing
     for k in range(n + 1):
+        records.append(list(supports.values()))
         found = []
-        for support in parents[k]:
-            best = bps[support.bit_length() - 1]
-            if best not in verdicts:
-                verdicts[best] = is_uglov(best, p)
-            if not verdicts[best]:
+        for i, support in enumerate(supports):
+            # rank n keeps each support as its bit length, see below
+            top = support if k == n else support.bit_length()
+            best = bps[top - 1]
+            if best not in uglov[k]:
                 found += ({"word": list(w), "max": bipartition_to_json(best)}
-                          for w in words(k, support))
+                          for w in words(k, i))
         found.sort(key=lambda f: f["word"])
         reports.append({"n": k, "words": e ** k, "failures": found,
                         "pass": not found})
@@ -343,15 +391,26 @@ def verify_djm_converse(n: int, p: CrystalParams) -> list[dict]:
             children.append(row)
         residues = sorted(set().union(*children))  # at most 4k + 2
         masks = [[row.get(j, 0) for j in residues] for row in children]
+        combine = or_
+        if k + 1 == n:
+            # Rank n needs only each support's maximum, so its supports
+            # are kept as their bit lengths: the max of their members'.
+            masks = [[mask.bit_length() for mask in row] for row in masks]
+            combine = max
+        tables = [_ChunkTable(masks[i:i + CHUNK], combine)
+                  for i in range(0, len(masks), CHUNK)]
+        size = len(tables) * CHUNK // 8  # bytes of a support, as chunks
         nxt = {}
-        for support in parents[k]:
-            bits = format(support, "b")[::-1]  # bit i is character i
-            rows = [masks[i] for i, bit in enumerate(bits) if bit == "1"]
-            for j, column in zip(residues, zip(*rows)):
-                child = reduce(or_, column)
+        for i, support in enumerate(supports):
+            chunks = memoryview(support.to_bytes(size, sys.byteorder))
+            entries = [table[value]
+                       for table, value in zip(tables, chunks.cast("Q"))
+                       if value]
+            for j, column in zip(residues, zip(*entries)):
+                child = reduce(combine, column)
                 if child:
-                    nxt.setdefault(child, []).append((j, support))
-        parents.append(nxt)
+                    nxt.setdefault(child, []).append((j, i))
+        supports = nxt
         bps = up
     return reports
 

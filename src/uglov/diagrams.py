@@ -70,12 +70,14 @@ class NatureEntry(NamedTuple):
 
 
 def make_partition(parts) -> tuple[int, ...]:
-    parts = tuple(int(p) for p in parts if p != 0)
+    """The partition of weakly decreasing nonnegative parts, trailing
+    zeros trimmed; a zero before a positive part is an error."""
+    parts = tuple(int(p) for p in parts)
     if any(p < 0 for p in parts):
         raise ValueError("negative part in %r" % (parts,))
     if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
         raise ValueError("parts not weakly decreasing: %r" % (parts,))
-    return parts
+    return parts[:len(parts) - parts.count(0)]
 
 
 def part(lam: tuple[int, ...], i: int) -> int:

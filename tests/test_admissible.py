@@ -143,6 +143,25 @@ def test_two_connected_examples():
         two_connected(bp, Node(1, 1, 1), P02)
 
 
+def test_connectedness_rejects_exactly_the_non_removable_nodes():
+    # Both relations check their nodes row by row; that check must agree
+    # with removable_nodes on every node near each small bipartition.
+    for k in range(6):
+        for bp in bipartitions_of(k):
+            rem = removable_nodes(bp)
+            for g in itertools.product(range(7), range(7), (1, 2)):
+                g = Node(*g)
+                try:
+                    two_connected(bp, g, P02)
+                except ValueError:
+                    assert g not in rem, (bp, g)
+                else:
+                    assert g in rem, (bp, g)
+                with pytest.raises(ValueError, match="expected g1 < g2"
+                                   if g in rem else "must be removable"):
+                    one_connected(bp, g, g, P01)
+
+
 def test_max_normal_vs_max_removable():
     # The largest removable node of ((1),(1)) is cancelled by a larger
     # addable node of the same residue, so the normal maximum differs.
@@ -393,6 +412,17 @@ def _converse_brute(n, p, member):
             "pass": not failures}
 
 
+def keep_members(monkeypatch, member):
+    # The converse walk reads its membership verdicts from one
+    # crystal_edges walk; dropping the edges into non-members makes
+    # their supports fail.
+    def edges(n, p):
+        return ((bp, j, dst) for bp, j, dst in crystal.crystal_edges(n, p)
+                if member(dst, p))
+
+    monkeypatch.setattr(admissible, "crystal_edges", edges)
+
+
 CONVERSE_GRID = [CrystalParams(e, charge) for e in (2, 3, 4)
                  for charge in ((0, 0), (0, 1), (1, 0), (2, -1))]
 
@@ -405,7 +435,7 @@ def test_verify_djm_converse_matches_brute_force(p, monkeypatch):
     def member(bp, p):  # forces failures, to check their order
         return bp.c1[:1] != (1,) and is_uglov(bp, p)
 
-    monkeypatch.setattr(admissible, "is_uglov", member)
+    keep_members(monkeypatch, member)
     reports = verify_djm_converse(5, p)
     assert reports == [_converse_brute(n, p, member) for n in range(6)]
     assert sum(len(r["failures"]) for r in reports) > 1
@@ -449,7 +479,7 @@ WALK_GRID = [CrystalParams(e, charge) for e in (2, 3, 4)
 @pytest.mark.parametrize("p", WALK_GRID, ids=str)
 def test_verify_djm_converse_matches_word_oracle(p, monkeypatch):
     assert verify_djm_converse(7, p) == converse_word_oracle(7, p, is_uglov)
-    monkeypatch.setattr(admissible, "is_uglov", _forced_member)
+    keep_members(monkeypatch, _forced_member)
     reports = verify_djm_converse(7, p)
     assert reports == converse_word_oracle(7, p, _forced_member)
     assert sum(len(r["failures"]) for r in reports) > 1
@@ -512,10 +542,52 @@ def test_verify_djm_converse_matches_support_oracle(p, monkeypatch):
     # two ranks past the word oracle's reach
     assert verify_djm_converse(9, p) == converse_support_oracle(9, p,
                                                                  is_uglov)
-    monkeypatch.setattr(admissible, "is_uglov", _forced_member)
+    keep_members(monkeypatch, _forced_member)
     reports = verify_djm_converse(9, p)
     assert reports == converse_support_oracle(9, p, _forced_member)
     assert sum(len(r["failures"]) for r in reports) > 1
+
+
+def test_converse_takes_verdicts_from_one_edge_walk(monkeypatch):
+    # No membership peel: every verdict comes from one crystal_edges walk.
+    walks = []
+
+    def counted(n, p):
+        walks.append(n)
+        return crystal.crystal_edges(n, p)
+
+    def forbidden(*args):
+        raise AssertionError("the converse walk peeled a bipartition")
+
+    monkeypatch.setattr(admissible, "crystal_edges", counted)
+    monkeypatch.setattr(crystal, "is_uglov", forbidden)
+    monkeypatch.setattr(crystal, "peel_word", forbidden)
+    monkeypatch.setattr(admissible, "is_uglov", forbidden, raising=False)
+    reports = verify_djm_converse(8, P01)
+    assert walks == [8]
+    assert [r["n"] for r in reports] == list(range(9))
+    assert all(r["pass"] for r in reports)
+
+
+def test_converse_chunk_table_is_shared(monkeypatch):
+    # Supports share the child masks of their chunks: the chunk table
+    # answers more than twice as many lookups as it fills.
+    lookups, fills = [], []
+    table = admissible._ChunkTable
+    missing = table.__missing__
+
+    def lookup(self, value):
+        lookups.append(value)
+        return dict.__getitem__(self, value)  # calls __missing__ on a miss
+
+    def fill(self, value):
+        fills.append(value)
+        return missing(self, value)
+
+    monkeypatch.setattr(table, "__getitem__", lookup)
+    monkeypatch.setattr(table, "__missing__", fill)
+    assert all(r["pass"] for r in verify_djm_converse(12, P01))
+    assert len(lookups) > 2 * len(fills) > 0
 
 
 def test_converse_forced_failures_share_supports():

@@ -264,6 +264,8 @@ def test_show_unknown_rendering(capsys):
     ["verify", "--mode", "forward", "--n", "-1"],
     ["--workers", "0", "verify", "--mode", "propb", "--n", "2"],
     ["show", "1,-", "natures", "--window=5,1"],
+    ["show", "0.1,1", "natures"],
+    ["show", "2.0.1,-", "adm"],
     ["show", "1,-", "psi:x,1"],
     ["show", "1,-", "psi:1"],
     ["--e", "inf", "verify", "--mode", "forward", "--n", "2"],

@@ -215,6 +215,12 @@ def test_make_partition_rejects_bad_input():
         make_partition((-1,))
     assert make_partition((3, 2, 0, 0)) == (3, 2)
     assert make_partition((0,)) == ()
+    # a zero before a positive part is not trimmed away
+    for parts in ((0, 1), (2, 0, 1), (1, 0, 0, 1)):
+        with pytest.raises(ValueError):
+            make_partition(parts)
+    with pytest.raises(ValueError):
+        parse_bipartition("0.1,1")
 
 
 def test_part_indexing():

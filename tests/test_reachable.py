@@ -11,8 +11,10 @@ KEPT = {
     ("diagrams", "addable_nodes"),
     ("diagrams", "compare_uglov"),
     ("diagrams", "nature_at"),
+    ("diagrams", "removable_nodes"),
     ("crystal", "expand_monomial"),
     ("crystal", "good_removable_node"),
+    ("crystal", "is_uglov"),
     ("admissible", "removable_class"),
     # reference code beside the kernels it documents
     ("diagrams", "compare_lex"),
