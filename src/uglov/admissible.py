@@ -132,11 +132,11 @@ def _top_normal(sig: dict, charge) -> Optional[Node]:
 def _connected_class(bp: Bipartition, seed: Node,
                      p: CrystalParams) -> list[Node]:
     j = residue(seed, p.charge, p.e)
-    nodes = [Node(a, b, c)  # increasing, from one sorted rim pass
-             for _, cont, rem, a, b, c in sorted(rim(bp, p.charge))
+    nodes = [Node(a, b, c)  # increasing, from one rim pass
+             for _, cont, rem, a, b, c in rim(bp, p.charge)
              if rem and cont % p.e == j]
     adjacency = {g: set() for g in nodes}
-    for g1, g2 in itertools.combinations(nodes, 2):  # g1 < g2 by sort order
+    for g1, g2 in itertools.combinations(nodes, 2):  # g1 < g2: rim order
         if one_connected(bp, g1, g2, p):
             adjacency[g1].add(g2)
             adjacency[g2].add(g1)

@@ -4,16 +4,18 @@ A Fock vector is a dict Bipartition -> positive int whose keys all share
 one rank.  The crystal parameters bundle e (None for infinity) with the
 charge (s1, s2).
 
-_normal_nodes is the one place that applies the signature rule: one
-sorted diagrams.rim pass over a bipartition gives every residue's normal
-addable and normal removable nodes as plain (a, b, c) tuples.  Greedy
-peeling and good additions read it directly; signature_word is its view
-with Node values, for the good-node readers and the class steps of
-admissible.  children lists a bipartition's children by residue from one
-rim pass, and f_action reads them from a table its caller owns, one per
-sweep or monomial, so each bipartition of a sweep is read once.
-children and good_additions grow bipartitions with diagrams.grow from
-nodes the rim has certified addable.
+_normal_nodes is the one place that applies the signature rule: read
+over the rim of a bipartition, the merge of its two component rims, it
+gives every residue's normal addable and normal removable nodes as rim
+entries.  Greedy peeling and good additions read it directly;
+signature_word is its view with Node values, for the good-node readers
+and the class steps of admissible.  uglov_layers and crystal_edges own a
+table of component rims (diagrams.component_rims) for the whole walk,
+so each component partition is read once, and good_additions builds a
+child from the partition its component rim grew.  children lists a
+bipartition's children by residue from one read of each component, and
+f_action reads them from a table its caller owns, one per sweep or
+monomial, so each bipartition of a sweep is read once.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from .diagrams import (
     Bipartition,
     Node,
     beta_set,
-    grow,
+    component_rim,
+    component_rims,
     part,
     remove_node,
     rim,
@@ -44,13 +47,18 @@ def _check_e(e):
 
 def children(bp: Bipartition, p: CrystalParams) -> dict:
     """{j: the bipartitions bp plus one addable j-node}, for every residue
-    j of an addable node, from one diagrams.rim pass."""
-    e = p.e
+    j of an addable node, from one diagrams.component_rim read of each
+    component."""
+    e, (s1, s2) = p.e, p.charge
     out: dict = {}
-    for _, cont, rem, a, b, c in rim(bp, p.charge):
-        if not rem:
-            out.setdefault(cont if e is None else cont % e,
-                           []).append(grow(bp, a, b, c))
+    for c, (entries, grown) in ((1, component_rim(bp.c1, s1, 1)),
+                                (2, component_rim(bp.c2, s2, 2))):
+        for key, cont, rem, _, _, _ in entries:
+            if not rem:
+                lam = grown[key]
+                out.setdefault(cont if e is None else cont % e, []).append(
+                    Bipartition(lam, bp.c2) if c == 1
+                    else Bipartition(bp.c1, lam))
     return out
 
 
@@ -74,40 +82,37 @@ def f_action(vec: dict[Bipartition, int], j, p: CrystalParams,
     return out
 
 
-def _normal_nodes(bp: Bipartition, p: CrystalParams) -> dict:
+def _normal_nodes(entries: list, e: Optional[int]) -> dict:
     """{j: (normal addable j-nodes, normal removable j-nodes)}, each list
-    increasing and each node a plain (a, b, c) tuple, for every residue j
-    of an addable or removable node.
+    increasing and each node its rim entry, for every residue j of an
+    entry of entries, a diagrams.rim.
 
-    One diagrams.rim pass lists the addable and removable nodes, sorted
-    once by node_key, which is unique per node, so the sort never
-    compares further.  Read in that order, an addable node cancels the
-    largest uncancelled removable node of its residue if there is one,
-    so each reduced j-word reads A...A R...R.
+    Read in increasing node order, an addable node cancels the largest
+    uncancelled removable node of its residue if there is one, so each
+    reduced j-word reads A...A R...R.
     """
-    e = p.e
-    entries = rim(bp, p.charge)
-    entries.sort()
     out: dict = {}
-    for _, cont, rem, a, b, c in entries:
+    for entry in entries:
+        cont = entry[1]
         j = cont if e is None else cont % e
         pair = out.get(j)
         if pair is None:
             pair = out[j] = ([], [])
-        if rem:
-            pair[1].append((a, b, c))
+        if entry[2]:
+            pair[1].append(entry)
         elif pair[1]:
             pair[1].pop()
         else:
-            pair[0].append((a, b, c))
+            pair[0].append(entry)
     return out
 
 
 def signature_word(bp: Bipartition, p: CrystalParams) -> dict:
     """_normal_nodes with Node values: {j: (normal addable j-nodes, normal
     removable j-nodes)}, each list increasing."""
-    return {j: ([Node(*g) for g in adds], [Node(*g) for g in rems])
-            for j, (adds, rems) in _normal_nodes(bp, p).items()}
+    return {j: ([Node(*g[3:]) for g in adds], [Node(*g[3:]) for g in rems])
+            for j, (adds, rems)
+            in _normal_nodes(rim(bp, p.charge), p.e).items()}
 
 
 def good_addable_node(bp, j, p: CrystalParams) -> Optional[Node]:
@@ -122,12 +127,29 @@ def good_removable_node(bp, j, p: CrystalParams) -> Optional[Node]:
     return rems[0] if rems else None
 
 
-def good_additions(bp: Bipartition, p: CrystalParams) -> list:
+def good_additions(bp: Bipartition, p: CrystalParams,
+                   table: Optional[dict] = None) -> list:
     """(j, bp plus its good addable j-node) for every residue j that has
-    one, in increasing j."""
-    return [(j, grow(bp, *adds[-1]))
-            for j, (adds, _) in sorted(_normal_nodes(bp, p).items())
-            if adds]
+    one, in increasing j, from the component rims of bp in table (see
+    diagrams.component_rims; a fresh one if None).
+
+    The rim of bp is the merge of its component rims, and the partition
+    grown at each addable node is in its component's rim, so the
+    children share the partitions of the table.
+    """
+    (entries1, grown1), (entries2, grown2) = component_rims(
+        bp, p.charge, {} if table is None else table)
+    entries = entries1 + entries2
+    entries.sort()
+    sig = _normal_nodes(entries, p.e)
+    out = []
+    for j in sorted(sig):
+        adds = sig[j][0]
+        if adds:
+            key, c = adds[-1][0], adds[-1][5]
+            out.append((j, Bipartition(grown1[key], bp.c2) if c == 1
+                        else Bipartition(bp.c1, grown2[key])))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -144,11 +166,11 @@ def peel_word(bp: Bipartition, p: CrystalParams) -> Optional[list]:
     _check_e(p.e)
     out = []
     while bp != EMPTY:
-        sig = _normal_nodes(bp, p)
+        sig = _normal_nodes(rim(bp, p.charge), p.e)
         j = min((j for j, (_, rems) in sig.items() if rems), default=None)
         if j is None:
             return None
-        bp = remove_node(bp, sig[j][1][0])
+        bp = remove_node(bp, sig[j][1][0][3:])
         out.append(j)
     return out
 
@@ -159,12 +181,16 @@ def is_uglov(bp: Bipartition, p: CrystalParams) -> bool:
 
 
 def uglov_layers(n: int, p: CrystalParams) -> list[set[Bipartition]]:
-    """Layers 0..n of the crystal component of the empty bipartition."""
+    """Layers 0..n of the crystal component of the empty bipartition.
+
+    One good_additions scan per bipartition of rank below n, through one
+    table of component rims for the walk.
+    """
     _check_e(p.e)
-    layers = [{EMPTY}]
+    layers, table = [{EMPTY}], {}
     for _ in range(n):
         layers.append({dst for bp in layers[-1]
-                       for _, dst in good_additions(bp, p)})
+                       for _, dst in good_additions(bp, p, table)})
     return layers
 
 
@@ -174,14 +200,15 @@ def crystal_edges(n: int, p: CrystalParams):
     of bp.
 
     The walk keeps each layer as it finds it, so every bipartition of
-    rank below n is scanned once, as uglov_layers scans it.
+    rank below n is scanned once, as uglov_layers scans it, and one table
+    of component rims, so every component partition is read once.
     """
     _check_e(p.e)
-    layer = {EMPTY}
+    layer, table = {EMPTY}, {}
     for _ in range(n):
         nxt = set()
         for bp in layer:
-            for j, dst in good_additions(bp, p):
+            for j, dst in good_additions(bp, p, table):
                 nxt.add(dst)
                 yield bp, j, dst
         layer = nxt

@@ -10,11 +10,17 @@ The content of (a, b, c) under a charge (s1, s2) is b - a + s_c; the
 residue is the content mod e (the content itself when e is None, which
 stands for e = infinity throughout the package).
 
-The rim kernel is the one row reader of addable and removable nodes:
-one pass over the rows of each component lists them all with their keys
-and contents.  addable_nodes and removable_nodes are set
-views of it, and grow adds a node it lists without re-checking it;
-add_node is grow behind a check.
+component_rim is the one row reader of addable and removable nodes: one
+pass over the rows of a partition in one component at its charge lists
+them in increasing node_key, each with its content, and each addable
+node with the partition grown there.  A bipartition's rim is the merge
+of its two component rims; keys are odd in component 1 and even in
+component 2, so the merge compares keys only.  A walk reads component
+rims through component_rims and a table it owns, so each component
+partition of the walk is read once and its children share the grown
+partitions.  addable_nodes and removable_nodes are set views of rim,
+and grow adds a node it lists without re-checking it; add_node is grow
+behind a check.
 
 The vertical-boundary node (a, lambda^c_a, c) has content
 lambda^c_a - a + s_c, a beta-number of lambda^c.  beta_set lists these
@@ -133,28 +139,63 @@ def beta_set(lam: tuple[int, ...], s: int) -> list[int]:
     return [x - a + s for a, x in enumerate(lam, 1)]
 
 
-def rim(bp: Bipartition, charge: tuple[int, int]) -> list[tuple]:
-    """Every addable and every removable node of bp, as tuples
-    (node_key, content, removable, a, b, c), from one pass over the rows
-    of each component; the one row reader of these nodes.
+def component_rim(lam: tuple[int, ...], s: int, c: int) -> tuple:
+    """(entries, grown) for a partition lam in component c of charge s,
+    from one pass over its rows; the one row reader of addable and
+    removable nodes.
+
+    entries lists every addable and removable node of lam as a tuple
+    (node_key, content, removable, a, b, c), increasing; grown maps the
+    node_key of each addable node to lam plus that node.
 
     Row 1 always takes the addable node (1, lam_1 + 1).  Below it, row a
     has a removable node exactly when lam_a > lam_{a+1} (lam_{a+1} = 0
     past the last row), and then row a + 1 has the addable node
-    (a + 1, lam_{a+1} + 1), one content lam_{a+1} - a + s below.  The
-    contents of one component's addable and removable nodes are
-    distinct, so the keys are too.
+    (a + 1, lam_{a+1} + 1), one content lam_{a+1} - a + s below.  So the
+    pass meets the nodes in decreasing content, and the contents, so the
+    keys, are distinct.
     """
-    out = []
-    for c, lam, s in ((1, bp.c1, charge[0]), (2, bp.c2, charge[1])):
-        top = lam[0] if lam else 0
-        out.append((2 * (top + s) - c, top + s, False, 1, top + 1, c))
-        for a, (x, below) in enumerate(zip(lam, lam[1:] + (0,)), 1):
-            if x > below:
-                cont = x - a + s
-                out.append((2 * cont - c, cont, True, a, x, c))
-                cont = below - a + s
-                out.append((2 * cont - c, cont, False, a + 1, below + 1, c))
+    top = lam[0] if lam else 0
+    key = 2 * (top + s) - c
+    entries = [(key, top + s, False, 1, top + 1, c)]
+    grown = {key: (top + 1,) + lam[1:]}
+    for a, (x, below) in enumerate(zip(lam, lam[1:] + (0,)), 1):
+        if x > below:
+            cont = x - a + s
+            entries.append((2 * cont - c, cont, True, a, x, c))
+            cont = below - a + s
+            key = 2 * cont - c
+            entries.append((key, cont, False, a + 1, below + 1, c))
+            grown[key] = lam[:a] + (below + 1,) + lam[a + 1:]
+    entries.reverse()
+    return entries, grown
+
+
+def component_rims(bp: Bipartition, charge: tuple[int, int],
+                   table: dict) -> tuple:
+    """The component_rim of each component of bp at charge, read from
+    table, a dict (c, s, lam) -> component_rim(lam, s, c) that its caller
+    owns (one per walk) and that is filled on first read: each component
+    partition of a walk is read once."""
+    s1, s2 = charge
+    rim1 = table.get((1, s1, bp.c1))
+    if rim1 is None:
+        rim1 = table[1, s1, bp.c1] = component_rim(bp.c1, s1, 1)
+    rim2 = table.get((2, s2, bp.c2))
+    if rim2 is None:
+        rim2 = table[2, s2, bp.c2] = component_rim(bp.c2, s2, 2)
+    return rim1, rim2
+
+
+def rim(bp: Bipartition, charge: tuple[int, int]) -> list[tuple]:
+    """Every addable and every removable node of bp, as tuples
+    (node_key, content, removable, a, b, c), increasing: the merge of its
+    two component_rim entry lists.  Keys are odd in component 1 and even
+    in component 2, so they are unique and the sort never compares past
+    them."""
+    s1, s2 = charge
+    out = component_rim(bp.c1, s1, 1)[0] + component_rim(bp.c2, s2, 2)[0]
+    out.sort()
     return out
 
 

@@ -103,17 +103,24 @@ def psi_images(n: int, p_from: CrystalParams, charge_to) -> dict:
     dst is the image of bp plus its good j-node at charge_to.  The edges
     of one bp arrive together, and the good additions of its image are
     read once, when the first of them reaches a new dst: at most one
-    signature scan per image, and one per bipartition of the walk.
+    signature scan per image, through one table of component rims at
+    charge_to for the walk.  At its own charge the isomorphism is the
+    identity, and no image is scanned.
     """
     require_same_orbit(p_from.charge, charge_to, p_from.e)
     p_to = CrystalParams(p_from.e, tuple(charge_to))
     images = {EMPTY: EMPTY}
+    if p_to == p_from:
+        for _, _, dst in crystal_edges(n, p_from):
+            images[dst] = dst
+        return images
     last = kids = None
+    table = {}  # component rims at charge_to, read once per walk
     for bp, j, dst in crystal_edges(n, p_from):
         if dst in images:
             continue
         if bp != last:
-            last, kids = bp, dict(good_additions(images[bp], p_to))
+            last, kids = bp, dict(good_additions(images[bp], p_to, table))
         if j not in kids:
             raise ValueError("no good addable %r-node on %r"
                              % (j, images[bp]))

@@ -22,11 +22,13 @@ from uglov.admissible import (
     verify_djm_corollary,
     verify_djm_forward,
 )
-from uglov import admissible, crystal
+from uglov import admissible, crystal, isomorphism
 from uglov.crystal import (
     CrystalParams,
+    children,
     expand_monomial,
     f_action,
+    good_additions,
     is_uglov,
     signature_word,
     uglov_layers,
@@ -52,7 +54,11 @@ from uglov.diagrams import (
     uglov_max,
 )
 from uglov.isomorphism import psi_to, reduce_to_fundamental
-from test_crystal import forbid_validating_primitives
+from test_crystal import (
+    component_keys,
+    count_component_reads,
+    forbid_validating_primitives,
+)
 
 P = parse_bipartition
 P01 = CrystalParams(3, (0, 1))
@@ -303,22 +309,52 @@ def test_verify_djm_forward_matches_oracle(p):
 
 
 def test_forward_reads_children_once_per_bipartition(monkeypatch):
-    # Every rim pass of the sweep in crystal is a child read or a
-    # signature scan, and the sweep's one f_action table reads the
-    # children of each bipartition once.
+    # Every whole-rim pass of the sweep in crystal is a signature scan,
+    # the sweep's one f_action table reads the children of each
+    # bipartition once, and its crystal_edges walk reads each (component,
+    # partition) of the Uglov bipartitions below rank 9 once.
     reports = list(verify_djm_forward(9, P01))
-    readers = []
+    kids, readers = [], []
 
-    def counted(bp, charge):
-        readers.append((sys._getframe(1).f_code.co_name, bp))
+    def counted(bp, p):
+        kids.append(bp)
+        return children(bp, p)
+
+    def counted_rim(bp, charge):
+        readers.append(sys._getframe(1).f_code.co_name)
         return rim(bp, charge)
 
-    monkeypatch.setattr(crystal, "rim", counted)
+    monkeypatch.setattr(crystal, "children", counted)
+    monkeypatch.setattr(crystal, "rim", counted_rim)
+    reads = count_component_reads(monkeypatch)
     assert list(verify_djm_forward(9, P01)) == reports
-    kids = [bp for who, bp in readers if who == "children"]
     assert len(kids) == len(set(kids))
     assert {bp.rank for bp in kids} == set(range(9))
-    assert {who for who, _ in readers} == {"children", "_normal_nodes"}
+    assert set(readers) == {"signature_word"}
+    assert len(reads) == len(set(reads))
+    sources = set().union(*uglov_layers(8, P01))
+    assert set(reads) == component_keys(sources, P01.charge)
+
+
+def test_forward_reads_no_psi_image_at_a_fundamental_charge(monkeypatch):
+    # psi_images at its own charge is the identity: it scans no image, so
+    # the sweep's good-addition scans are those of its crystal_edges walk,
+    # one per Uglov bipartition below rank 9.
+    reports = list(verify_djm_forward(9, P01))
+    images, scans = [], []
+
+    def counted(calls):
+        def scan(bp, p, table=None):
+            calls.append(bp)
+            return good_additions(bp, p, table)
+        return scan
+
+    monkeypatch.setattr(isomorphism, "good_additions", counted(images))
+    monkeypatch.setattr(crystal, "good_additions", counted(scans))
+    assert list(verify_djm_forward(9, P01)) == reports
+    assert images == []
+    assert len(scans) == len(set(scans))
+    assert set(scans) == set().union(*uglov_layers(8, P01))
 
 
 def test_verify_djm_forward_error_is_inherited():

@@ -1,6 +1,7 @@
 """Unit tests for Fock-space operators, good nodes and Uglov membership."""
 
 import itertools
+import sys
 
 import pytest
 
@@ -22,12 +23,16 @@ from uglov.crystal import (
 )
 from uglov.diagrams import (
     EMPTY,
+    Bipartition,
     Node,
     add_node,
     addable_nodes,
     bipartitions_of,
+    component_rim,
+    component_rims,
     node_key,
     parse_bipartition,
+    partitions_of,
     remove_node,
     removable_nodes,
     residue,
@@ -177,6 +182,112 @@ def test_children_match_addable_nodes():
         got = crystal.children(bp, p)
         assert {j: set(kids) for j, kids in got.items()} == expected, (bp, p)
         assert sum(map(len, got.values())) == len(addable_nodes(bp))
+
+
+# the grid of the differential check of the component-rim kernel
+KERNEL_CHARGES = ((0, 1), (0, 0), (11, 0), (5, -2), (0, 1000))
+KERNEL_ES = (2, 3, 4, None)
+
+
+def whole_rim_oracle(bp, charge):
+    """The whole-bipartition row pass the component reader replaced:
+    (node_key, content, removable, a, b, c) for every addable and
+    removable node, component 1 first, each in row order."""
+    out = []
+    for c, lam, s in ((1, bp.c1, charge[0]), (2, bp.c2, charge[1])):
+        top = lam[0] if lam else 0
+        out.append((2 * (top + s) - c, top + s, False, 1, top + 1, c))
+        for a, (x, below) in enumerate(zip(lam, lam[1:] + (0,)), 1):
+            if x > below:
+                cont = x - a + s
+                out.append((2 * cont - c, cont, True, a, x, c))
+                cont = below - a + s
+                out.append((2 * cont - c, cont, False, a + 1, below + 1, c))
+    return out
+
+
+def whole_normal_nodes_oracle(bp, p):
+    """The signature loop over one sorted whole_rim_oracle pass:
+    {j: (normal addable j-nodes, normal removable j-nodes)} as (a, b, c)
+    tuples, each increasing."""
+    out = {}
+    for _, cont, rem, a, b, c in sorted(whole_rim_oracle(bp, p.charge)):
+        j = cont if p.e is None else cont % p.e
+        adds, rems = out.setdefault(j, ([], []))
+        if rem:
+            rems.append((a, b, c))
+        elif rems:
+            rems.pop()
+        else:
+            adds.append((a, b, c))
+    return out
+
+
+def test_component_rim_kernel_matches_whole_bipartition_oracle():
+    # One table shared by the whole scan: a stale entry, or one keyed
+    # without its component or charge, gives some bipartition another's
+    # rim.  Equal partitions in the two components at charge (0, 0) and
+    # the same partition at five charges share the table.
+    table, cases = {}, 0
+    for bp in (bp for k in range(SCAN_RANK + 1) for bp in bipartitions_of(k)):
+        for charge in KERNEL_CHARGES:
+            whole = sorted(whole_rim_oracle(bp, charge))
+            assert rim(bp, charge) == whole, (bp, charge)
+            rims = component_rims(bp, charge, table)
+            assert sorted(rims[0][0] + rims[1][0]) == whole, (bp, charge)
+            for entries, grown in rims:
+                assert sorted(grown) == [key for key, _, rem, _, _, _
+                                         in entries if not rem]
+                for key, _, rem, a, b, c in entries:
+                    if not rem:
+                        assert (grown[key]
+                                == add_node(bp, Node(a, b, c)).component(c))
+            for e in KERNEL_ES:
+                p = CrystalParams(e, charge)
+                sig = whole_normal_nodes_oracle(bp, p)
+                core = crystal._normal_nodes(rim(bp, charge), e)
+                assert {j: ([g[3:] for g in adds], [g[3:] for g in rems])
+                        for j, (adds, rems) in core.items()} == sig, (bp, p)
+                assert signature_word(bp, p) == {
+                    j: ([Node(*g) for g in adds], [Node(*g) for g in rems])
+                    for j, (adds, rems) in sig.items()}, (bp, p)
+                expected = [(j, add_node(bp, Node(*sig[j][0][-1])))
+                            for j in sorted(sig) if sig[j][0]]
+                assert good_additions(bp, p, table) == expected, (bp, p)
+                assert good_additions(bp, p) == expected, (bp, p)
+                kids = {}
+                for _, cont, rem, a, b, c in whole_rim_oracle(bp, charge):
+                    if not rem:
+                        kids.setdefault(cont if e is None else cont % e,
+                                        []).append(add_node(bp, Node(a, b, c)))
+                assert ({j: sorted(mus) for j, mus in
+                         crystal.children(bp, p).items()}
+                        == {j: sorted(mus) for j, mus in kids.items()}), (bp, p)
+                cases += 1
+    assert cases == 434 * len(KERNEL_CHARGES) * len(KERNEL_ES)
+    assert set(table) == {(c, charge[c - 1], lam)
+                          for k in range(SCAN_RANK + 1)
+                          for lam in partitions_of(k)
+                          for charge in KERNEL_CHARGES for c in (1, 2)}
+
+
+def test_component_rim_table_keeps_components_and_charges_apart():
+    # Equal partitions in the two components, and the same partition at
+    # two charges, are read into distinct entries of one shared table.
+    lam, table = (2, 1), {}
+    bp = Bipartition(lam, lam)
+    for charge in ((0, 0), (0, 1), (1, 0)):
+        p = CrystalParams(3, charge)
+        assert good_additions(bp, p, table) == good_additions(bp, p)
+    assert set(table) == {(1, 0, lam), (2, 0, lam), (1, 1, lam), (2, 1, lam)}
+    assert table[1, 0, lam] != table[2, 0, lam]
+    assert table[1, 0, lam] != table[1, 1, lam]
+    # At (0, 0) each content holds a node of each component, component 1
+    # the larger: the good 0- and 1-nodes are in component 1, and the
+    # two addable 2-nodes cancel the two removable ones below them.
+    assert good_additions(bp, CrystalParams(3, (0, 0)), table) == [
+        (0, Bipartition((2, 2), lam)),
+        (1, Bipartition((2, 1, 1), lam))]
 
 
 def test_peel_word_matches_oracle_peel():
@@ -329,23 +440,50 @@ def forbid_validating_primitives(monkeypatch):
                 monkeypatch.setattr(module, name, forbidden)
 
 
+def count_component_reads(monkeypatch) -> list:
+    """Patch diagrams.component_rim to record (c, s, lam) for every read
+    that a walk's table asks for through component_rims; return the list
+    of reads."""
+    reads = []
+
+    def counted(lam, s, c):
+        if sys._getframe(1).f_code.co_name == "component_rims":
+            reads.append((c, s, lam))
+        return component_rim(lam, s, c)
+
+    monkeypatch.setattr(diagrams, "component_rim", counted)
+    return reads
+
+
+def component_keys(bps, charge) -> set:
+    """The (c, s, lam) of every component of bps at charge."""
+    return {(c, charge[c - 1], bp.component(c)) for bp in bps for c in (1, 2)}
+
+
 @pytest.mark.parametrize("p", [P01, CrystalParams(None, (0, 2))])
 def test_uglov_layers_reads_one_rim_per_bipartition(monkeypatch, p):
-    # One rim pass per Uglov bipartition of rank below n, and the children
-    # grown from it: signature_word and good_additions never validate.
+    # One good_additions scan per Uglov bipartition of rank below n, and
+    # one read per (component, partition) of those bipartitions, through
+    # the walk's one table; the children are grown from the component
+    # rims: signature_word and good_additions never validate.
     n = 9
     layers = uglov_layers(n, p)
-    calls = []
+    scans = []
 
-    def counted(bp, charge):
-        calls.append(bp)
-        return rim(bp, charge)
+    def counted(bp, p, table=None):
+        scans.append(bp)
+        return good_additions(bp, p, table)
 
-    monkeypatch.setattr(crystal, "rim", counted)
+    monkeypatch.setattr(crystal, "good_additions", counted)
+    reads = count_component_reads(monkeypatch)
     forbid_validating_primitives(monkeypatch)
     assert uglov_layers(n, p) == layers
-    assert len(calls) == len(set(calls))
-    assert set(calls) == set().union(*layers[:n])
+    sources = set().union(*layers[:n])
+    assert len(scans) == len(set(scans))
+    assert set(scans) == sources
+    assert len(reads) == len(set(reads))
+    assert set(reads) == component_keys(sources, p.charge)
+    assert len(reads) < len(scans)
 
 
 def test_f_action_grows_without_validation(monkeypatch):

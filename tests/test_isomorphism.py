@@ -6,10 +6,11 @@ from uglov import crystal, isomorphism
 from uglov.crystal import (
     CrystalParams,
     good_addable_node,
+    good_additions,
     signature_word,
     uglov_layers,
 )
-from uglov.diagrams import Bipartition, add_node, parse_bipartition, rim
+from uglov.diagrams import Bipartition, add_node, parse_bipartition
 from uglov.isomorphism import (
     peel_residues,
     psi_e_independence_check,
@@ -20,7 +21,11 @@ from uglov.isomorphism import (
     reduce_to_fundamental,
     require_same_orbit,
 )
-from test_crystal import forbid_validating_primitives
+from test_crystal import (
+    component_keys,
+    count_component_reads,
+    forbid_validating_primitives,
+)
 
 P = parse_bipartition
 
@@ -176,28 +181,37 @@ def test_psi_images_match_psi_to(e):
 @pytest.mark.parametrize("c_from, c_to", [((0, 1), (1, 0)),
                                           ((11, 0), (0, 2))])
 def test_psi_images_scan_each_image_once(monkeypatch, c_from, c_to):
-    # The good additions of an image are read in one rim pass at c_to,
-    # at most once per image, and the images grow without validation.
+    # The good additions of an image are read in one scan at c_to, at
+    # most once per image, through one table at c_to that reads each
+    # (component, partition) of the scanned images once, as the
+    # crystal_edges walk at c_from reads those of its sources; the images
+    # grow without validation.
     p = CrystalParams(3, c_from)
     expected = psi_images(9, p, c_to)
     scans = []
 
-    def counted(bp, charge):
-        if charge == c_to:
+    def counted(bp, p, table=None):
+        if p.charge == c_to:
             scans.append(bp)
-        return rim(bp, charge)
+        return good_additions(bp, p, table)
 
-    monkeypatch.setattr(crystal, "rim", counted)
+    monkeypatch.setattr(isomorphism, "good_additions", counted)
+    reads = count_component_reads(monkeypatch)
     forbid_validating_primitives(monkeypatch)
     assert psi_images(9, p, c_to) == expected
     assert len(scans) == len(set(scans))
     assert set(scans) <= set(expected.values())
     assert {image.rank for image in scans} == set(range(9))
+    assert len(reads) == len(set(reads))
+    sources = {bp for bp in expected if bp.rank < 9}
+    assert set(reads) == (component_keys(sources, c_from)
+                          | component_keys(scans, c_to))
 
 
 def test_psi_images_needs_the_good_child(monkeypatch):
     # An image without the good j-node of its edge is a ValueError.
-    monkeypatch.setattr(isomorphism, "good_additions", lambda bp, p: [])
+    monkeypatch.setattr(isomorphism, "good_additions",
+                        lambda bp, p, table: [])
     with pytest.raises(ValueError, match="no good addable 0-node"):
         psi_images(1, CrystalParams(3, (0, 1)), (1, 0))
 
