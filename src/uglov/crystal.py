@@ -12,7 +12,7 @@ signature_word is its view with Node values, for the good-node readers
 and the class steps of admissible.  uglov_layers and crystal_edges own a
 table of component rims (diagrams.component_rims) for the whole walk,
 so each component partition is read once, and good_additions builds a
-child from the partition its component rim grew.  children lists a
+child from the partition the table grew.  children lists a
 bipartition's children by residue from one read of each component, and
 f_action reads them from a table its caller owns, one per sweep or
 monomial, so each bipartition of a sweep is read once.
@@ -29,9 +29,11 @@ from .diagrams import (
     beta_set,
     component_rim,
     component_rims,
+    grow,
     part,
     remove_node,
     rim,
+    with_component,
 )
 
 
@@ -51,14 +53,11 @@ def children(bp: Bipartition, p: CrystalParams) -> dict:
     component."""
     e, (s1, s2) = p.e, p.charge
     out: dict = {}
-    for c, (entries, grown) in ((1, component_rim(bp.c1, s1, 1)),
-                                (2, component_rim(bp.c2, s2, 2))):
-        for key, cont, rem, _, _, _ in entries:
+    for entries in (component_rim(bp.c1, s1, 1), component_rim(bp.c2, s2, 2)):
+        for _, cont, rem, a, b, c in entries:
             if not rem:
-                lam = grown[key]
-                out.setdefault(cont if e is None else cont % e, []).append(
-                    Bipartition(lam, bp.c2) if c == 1
-                    else Bipartition(bp.c1, lam))
+                out.setdefault(cont if e is None else cont % e,
+                               []).append(grow(bp, a, b, c))
     return out
 
 
@@ -127,18 +126,17 @@ def good_removable_node(bp, j, p: CrystalParams) -> Optional[Node]:
     return rems[0] if rems else None
 
 
-def good_additions(bp: Bipartition, p: CrystalParams,
-                   table: Optional[dict] = None) -> list:
+def good_additions(bp: Bipartition, p: CrystalParams, table: dict) -> list:
     """(j, bp plus its good addable j-node) for every residue j that has
     one, in increasing j, from the component rims of bp in table (see
-    diagrams.component_rims; a fresh one if None).
+    diagrams.component_rims).
 
-    The rim of bp is the merge of its component rims, and the partition
-    grown at each addable node is in its component's rim, so the
-    children share the partitions of the table.
+    The rim of bp is the merge of its two component rims, and each child
+    takes the partition its component rim grew, so the children of a
+    walk share the partitions of its table.
     """
-    (entries1, grown1), (entries2, grown2) = component_rims(
-        bp, p.charge, {} if table is None else table)
+    (entries1, grown1), (entries2, grown2) = component_rims(bp, p.charge,
+                                                            table)
     entries = entries1 + entries2
     entries.sort()
     sig = _normal_nodes(entries, p.e)
@@ -147,8 +145,8 @@ def good_additions(bp: Bipartition, p: CrystalParams,
         adds = sig[j][0]
         if adds:
             key, c = adds[-1][0], adds[-1][5]
-            out.append((j, Bipartition(grown1[key], bp.c2) if c == 1
-                        else Bipartition(bp.c1, grown2[key])))
+            out.append((j, with_component(
+                bp, c, grown1[key] if c == 1 else grown2[key])))
     return out
 
 

@@ -12,15 +12,15 @@ stands for e = infinity throughout the package).
 
 component_rim is the one row reader of addable and removable nodes: one
 pass over the rows of a partition in one component at its charge lists
-them in increasing node_key, each with its content, and each addable
-node with the partition grown there.  A bipartition's rim is the merge
-of its two component rims; keys are odd in component 1 and even in
-component 2, so the merge compares keys only.  A walk reads component
-rims through component_rims and a table it owns, so each component
-partition of the walk is read once and its children share the grown
-partitions.  addable_nodes and removable_nodes are set views of rim,
-and grow adds a node it lists without re-checking it; add_node is grow
-behind a check.
+them in increasing node_key, each with its content.  A bipartition's rim
+is the merge of its two component rims; keys are odd in component 1 and
+even in component 2, so the merge compares keys only.  A walk reads
+component rims through component_rims and a table it owns, so each
+component partition of the walk is read once, and the table's entries
+also hold the partition grown at each addable node, so the walk's
+children share them.  addable_nodes and removable_nodes are set views of
+rim.  with_component is the one child builder: grow adds a node rim
+lists without re-checking it, and add_node is grow behind a check.
 
 The vertical-boundary node (a, lambda^c_a, c) has content
 lambda^c_a - a + s_c, a beta-number of lambda^c.  beta_set lists these
@@ -139,14 +139,11 @@ def beta_set(lam: tuple[int, ...], s: int) -> list[int]:
     return [x - a + s for a, x in enumerate(lam, 1)]
 
 
-def component_rim(lam: tuple[int, ...], s: int, c: int) -> tuple:
-    """(entries, grown) for a partition lam in component c of charge s,
-    from one pass over its rows; the one row reader of addable and
-    removable nodes.
-
-    entries lists every addable and removable node of lam as a tuple
-    (node_key, content, removable, a, b, c), increasing; grown maps the
-    node_key of each addable node to lam plus that node.
+def component_rim(lam: tuple[int, ...], s: int, c: int) -> list[tuple]:
+    """Every addable and every removable node of a partition lam in
+    component c of charge s, as tuples (node_key, content, removable, a,
+    b, c), increasing, from one pass over its rows; the one row reader of
+    these nodes.
 
     Row 1 always takes the addable node (1, lam_1 + 1).  Below it, row a
     has a removable node exactly when lam_a > lam_{a+1} (lam_{a+1} = 0
@@ -156,45 +153,53 @@ def component_rim(lam: tuple[int, ...], s: int, c: int) -> tuple:
     keys, are distinct.
     """
     top = lam[0] if lam else 0
-    key = 2 * (top + s) - c
-    entries = [(key, top + s, False, 1, top + 1, c)]
-    grown = {key: (top + 1,) + lam[1:]}
+    out = [(2 * (top + s) - c, top + s, False, 1, top + 1, c)]
     for a, (x, below) in enumerate(zip(lam, lam[1:] + (0,)), 1):
         if x > below:
             cont = x - a + s
-            entries.append((2 * cont - c, cont, True, a, x, c))
+            out.append((2 * cont - c, cont, True, a, x, c))
             cont = below - a + s
-            key = 2 * cont - c
-            entries.append((key, cont, False, a + 1, below + 1, c))
-            grown[key] = lam[:a] + (below + 1,) + lam[a + 1:]
-    entries.reverse()
-    return entries, grown
+            out.append((2 * cont - c, cont, False, a + 1, below + 1, c))
+    out.reverse()
+    return out
 
 
 def component_rims(bp: Bipartition, charge: tuple[int, int],
                    table: dict) -> tuple:
-    """The component_rim of each component of bp at charge, read from
-    table, a dict (c, s, lam) -> component_rim(lam, s, c) that its caller
-    owns (one per walk) and that is filled on first read: each component
-    partition of a walk is read once."""
+    """(entries, grown) for each component of bp at charge, read from
+    table, a dict (c, s, lam) -> (entries, grown) that its caller owns
+    (one per walk) and that is filled on first read: each component
+    partition of a walk is read once.
+
+    entries is component_rim(lam, s, c), and grown maps the node_key of
+    each addable node to lam plus that node, so the children of a walk
+    share their grown partitions.
+    """
     s1, s2 = charge
     rim1 = table.get((1, s1, bp.c1))
     if rim1 is None:
-        rim1 = table[1, s1, bp.c1] = component_rim(bp.c1, s1, 1)
+        rim1 = table[1, s1, bp.c1] = _grown_rim(bp.c1, s1, 1)
     rim2 = table.get((2, s2, bp.c2))
     if rim2 is None:
-        rim2 = table[2, s2, bp.c2] = component_rim(bp.c2, s2, 2)
+        rim2 = table[2, s2, bp.c2] = _grown_rim(bp.c2, s2, 2)
     return rim1, rim2
+
+
+def _grown_rim(lam: tuple[int, ...], s: int, c: int) -> tuple:
+    """The (entries, grown) table entry of component_rims for lam."""
+    entries = component_rim(lam, s, c)
+    return entries, {key: grow_partition(lam, a, b)
+                     for key, _, rem, a, b, _ in entries if not rem}
 
 
 def rim(bp: Bipartition, charge: tuple[int, int]) -> list[tuple]:
     """Every addable and every removable node of bp, as tuples
     (node_key, content, removable, a, b, c), increasing: the merge of its
-    two component_rim entry lists.  Keys are odd in component 1 and even
-    in component 2, so they are unique and the sort never compares past
+    two component_rim lists.  Keys are odd in component 1 and even in
+    component 2, so they are unique and the sort never compares past
     them."""
     s1, s2 = charge
-    out = component_rim(bp.c1, s1, 1)[0] + component_rim(bp.c2, s2, 2)[0]
+    out = component_rim(bp.c1, s1, 1) + component_rim(bp.c2, s2, 2)
     out.sort()
     return out
 
@@ -208,12 +213,22 @@ def addable_nodes(bp: Bipartition) -> set[Node]:
             if not rem}
 
 
+def grow_partition(lam: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
+    """lam plus the node (a, b), which must be addable: no check."""
+    return lam[:a - 1] + (b,) + lam[a:]
+
+
+def with_component(bp: Bipartition, c: int,
+                   lam: tuple[int, ...]) -> Bipartition:
+    """bp with its component c replaced by lam."""
+    return Bipartition(lam, bp.c2) if c == 1 else Bipartition(bp.c1, lam)
+
+
 def grow(bp: Bipartition, a: int, b: int, c: int) -> Bipartition:
     """bp plus the node (a, b, c), which must be addable (as rim
     certifies): no check."""
     lam = bp.c1 if c == 1 else bp.c2
-    new = lam[:a - 1] + (b,) + lam[a:]
-    return Bipartition(new, bp.c2) if c == 1 else Bipartition(bp.c1, new)
+    return with_component(bp, c, grow_partition(lam, a, b))
 
 
 def add_node(bp: Bipartition, node: Node) -> Bipartition:

@@ -344,7 +344,7 @@ def test_forward_reads_no_psi_image_at_a_fundamental_charge(monkeypatch):
     images, scans = [], []
 
     def counted(calls):
-        def scan(bp, p, table=None):
+        def scan(bp, p, table):
             calls.append(bp)
             return good_additions(bp, p, table)
         return scan

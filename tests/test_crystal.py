@@ -170,7 +170,7 @@ def test_good_additions_match_residue_loop():
             adds = normal_pair_oracle(bp, j, p)[0]
             if adds:
                 expected.append((j, add_node(bp, adds[-1])))
-        assert good_additions(bp, p) == expected, (bp, p)
+        assert good_additions(bp, p, {}) == expected, (bp, p)
 
 
 def test_children_match_addable_nodes():
@@ -254,7 +254,7 @@ def test_component_rim_kernel_matches_whole_bipartition_oracle():
                 expected = [(j, add_node(bp, Node(*sig[j][0][-1])))
                             for j in sorted(sig) if sig[j][0]]
                 assert good_additions(bp, p, table) == expected, (bp, p)
-                assert good_additions(bp, p) == expected, (bp, p)
+                assert good_additions(bp, p, {}) == expected, (bp, p)
                 kids = {}
                 for _, cont, rem, a, b, c in whole_rim_oracle(bp, charge):
                     if not rem:
@@ -278,7 +278,7 @@ def test_component_rim_table_keeps_components_and_charges_apart():
     bp = Bipartition(lam, lam)
     for charge in ((0, 0), (0, 1), (1, 0)):
         p = CrystalParams(3, charge)
-        assert good_additions(bp, p, table) == good_additions(bp, p)
+        assert good_additions(bp, p, table) == good_additions(bp, p, {})
     assert set(table) == {(1, 0, lam), (2, 0, lam), (1, 1, lam), (2, 1, lam)}
     assert table[1, 0, lam] != table[2, 0, lam]
     assert table[1, 0, lam] != table[1, 1, lam]
@@ -442,17 +442,31 @@ def forbid_validating_primitives(monkeypatch):
 
 def count_component_reads(monkeypatch) -> list:
     """Patch diagrams.component_rim to record (c, s, lam) for every read
-    that a walk's table asks for through component_rims; return the list
-    of reads."""
+    that fills an entry of a walk's table (see component_rims); return
+    the list of reads."""
     reads = []
 
     def counted(lam, s, c):
-        if sys._getframe(1).f_code.co_name == "component_rims":
+        if sys._getframe(1).f_code.co_name == "_grown_rim":
             reads.append((c, s, lam))
         return component_rim(lam, s, c)
 
     monkeypatch.setattr(diagrams, "component_rim", counted)
     return reads
+
+
+def count_rim_passes(monkeypatch) -> list:
+    """Patch crystal.rim, the whole-bipartition rim pass of signature_word
+    and peel_word, to record (bp, charge) for every pass; return the list
+    of passes."""
+    passes = []
+
+    def counted(bp, charge):
+        passes.append((bp, charge))
+        return rim(bp, charge)
+
+    monkeypatch.setattr(crystal, "rim", counted)
+    return passes
 
 
 def component_keys(bps, charge) -> set:
@@ -462,23 +476,26 @@ def component_keys(bps, charge) -> set:
 
 @pytest.mark.parametrize("p", [P01, CrystalParams(None, (0, 2))])
 def test_uglov_layers_reads_one_rim_per_bipartition(monkeypatch, p):
-    # One good_additions scan per Uglov bipartition of rank below n, and
-    # one read per (component, partition) of those bipartitions, through
-    # the walk's one table; the children are grown from the component
-    # rims: signature_word and good_additions never validate.
+    # One good_additions scan per Uglov bipartition of rank below n, no
+    # other pass over a whole bipartition's rim, and one read per
+    # (component, partition) of those bipartitions, through the walk's
+    # one table; the children are grown from the component rims:
+    # signature_word and good_additions never validate.
     n = 9
     layers = uglov_layers(n, p)
     scans = []
 
-    def counted(bp, p, table=None):
+    def counted(bp, p, table):
         scans.append(bp)
         return good_additions(bp, p, table)
 
     monkeypatch.setattr(crystal, "good_additions", counted)
+    passes = count_rim_passes(monkeypatch)
     reads = count_component_reads(monkeypatch)
     forbid_validating_primitives(monkeypatch)
     assert uglov_layers(n, p) == layers
     sources = set().union(*layers[:n])
+    assert passes == []
     assert len(scans) == len(set(scans))
     assert set(scans) == sources
     assert len(reads) == len(set(reads))

@@ -24,6 +24,7 @@ from uglov.isomorphism import (
 from test_crystal import (
     component_keys,
     count_component_reads,
+    count_rim_passes,
     forbid_validating_primitives,
 )
 
@@ -184,21 +185,24 @@ def test_psi_images_scan_each_image_once(monkeypatch, c_from, c_to):
     # The good additions of an image are read in one scan at c_to, at
     # most once per image, through one table at c_to that reads each
     # (component, partition) of the scanned images once, as the
-    # crystal_edges walk at c_from reads those of its sources; the images
-    # grow without validation.
+    # crystal_edges walk at c_from reads those of its sources, with no
+    # other pass over a whole bipartition's rim at either charge; the
+    # images grow without validation.
     p = CrystalParams(3, c_from)
     expected = psi_images(9, p, c_to)
     scans = []
 
-    def counted(bp, p, table=None):
+    def counted(bp, p, table):
         if p.charge == c_to:
             scans.append(bp)
         return good_additions(bp, p, table)
 
     monkeypatch.setattr(isomorphism, "good_additions", counted)
+    passes = count_rim_passes(monkeypatch)
     reads = count_component_reads(monkeypatch)
     forbid_validating_primitives(monkeypatch)
     assert psi_images(9, p, c_to) == expected
+    assert passes == []
     assert len(scans) == len(set(scans))
     assert set(scans) <= set(expected.values())
     assert {image.rank for image in scans} == set(range(9))
