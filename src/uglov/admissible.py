@@ -9,7 +9,8 @@ in the crystal component of the empty bipartition.
 The forward, corollary and propb sweeps read their bipartitions at the
 fundamental charge from one isomorphism.psi_images walk: propb checks
 each image's top_class, and adm_walk, feeding forward and corollary,
-takes one class_step per image onto the Adm of its remainder.
+takes one class_step per image onto the Adm of its remainder.  Each
+class step reads its image in one rim pass, in top_class.
 
 The converse sweep walks the distinct supports of monomials rank by
 rank, each an int over the bipartitions of its rank in Uglov order.  Its
@@ -20,7 +21,6 @@ each support's (residue, parent) records are kept by support index.
 
 from __future__ import annotations
 
-import itertools
 import sys
 from functools import reduce
 from operator import or_
@@ -31,6 +31,7 @@ from .crystal import (
     crystal_edges,
     f_action,
     is_flotw,
+    normal_nodes,
     require_fundamental,
     signature_word,
 )
@@ -118,28 +119,17 @@ def two_connected(bp: Bipartition, g1: Node,
     return None
 
 
-def _top_normal(sig: dict, charge) -> Optional[Node]:
-    # The largest normal removable node of one signature_word scan.  The
-    # largest removable node itself can be cancelled by a larger addable
-    # node of its residue (e.g. (1,1,2) in ((1),(1)) at e=3, s=(0,1),
-    # below the addable (1,2,1)), so it must not seed the class: the
-    # removed set would not be a stretch of normal nodes, and the
-    # monomial of the residue sequence would overshoot the bipartition.
-    return max((rems[-1] for _, rems in sig.values() if rems),
-               key=lambda g: node_key(g, charge), default=None)
-
-
-def _connected_class(bp: Bipartition, seed: Node,
+def _connected_class(bp: Bipartition, seed: Node, nodes: list,
                      p: CrystalParams) -> list[Node]:
-    j = residue(seed, p.charge, p.e)
-    nodes = [Node(a, b, c)  # increasing, from one rim pass
-             for _, cont, rem, a, b, c in rim(bp, p.charge)
-             if rem and cont % p.e == j]
+    # The class of seed among nodes, bp's removable j-nodes, increasing.
+    # one_connected(bp, g1, g2, p) is has_period(bp minus g2), blind to g1,
+    # so one test per candidate g2 links it to every candidate below or none.
     adjacency = {g: set() for g in nodes}
-    for g1, g2 in itertools.combinations(nodes, 2):  # g1 < g2: rim order
-        if one_connected(bp, g1, g2, p):
-            adjacency[g1].add(g2)
-            adjacency[g2].add(g1)
+    for i, g2 in enumerate(nodes[1:], 1):
+        if one_connected(bp, nodes[0], g2, p):
+            for g1 in nodes[:i]:
+                adjacency[g1].add(g2)
+                adjacency[g2].add(g1)
     for g in nodes:
         partner = two_connected(bp, g, p)
         if partner in adjacency:
@@ -157,12 +147,17 @@ def _connected_class(bp: Bipartition, seed: Node,
 def removable_class(bp: Bipartition, seed: Node,
                     p: CrystalParams) -> list[Node]:
     """Equivalence class of the maximal normal removable node under the
-    transitive closure of (1)- and (2)-connectedness, increasing."""
+    transitive closure of (1)- and (2)-connectedness, increasing, as
+    top_class finds it; ValueError for another seed.  Kept for perfbench."""
     require_fundamental(p)
-    if seed != _top_normal(signature_word(bp, p), p.charge):
+    try:
+        _, cls, normal = top_class(bp, p)
+    except AssertionError:  # no normal removable node: no seed is right
+        normal = []
+    if seed not in normal[-1:]:
         raise ValueError("seed %r is not the maximal normal removable node"
                          % (seed,))
-    return _connected_class(bp, seed, p)
+    return cls
 
 
 def remove_all(bp: Bipartition, nodes) -> Bipartition:
@@ -174,14 +169,22 @@ def remove_all(bp: Bipartition, nodes) -> Bipartition:
 def top_class(bp: Bipartition, p: CrystalParams) -> tuple:
     """(j, class, normal j-nodes) of a nonempty bp at a fundamental charge:
     the class of the maximal normal removable node, of residue j, and the
-    normal removable j-nodes, both increasing, from one signature scan.
+    normal removable j-nodes, both increasing, from one rim pass.
     AssertionError if bp has no normal removable node."""
-    sig = signature_word(bp, p)
-    seed = _top_normal(sig, p.charge)
+    entries = rim(bp, p.charge)
+    sig = normal_nodes(entries, p.e)
+    # The seed is the largest normal removable node (rim entries start with
+    # their node_key), not the largest removable node, which a larger
+    # addable node of its residue can cancel (e.g. (1,1,2) in ((1),(1)) at
+    # e=3, s=(0,1), below the addable (1,2,1)): the removed set would not be
+    # normal nodes, and the monomial of Adm would overshoot the bipartition.
+    seed = max((rems[-1] for _, rems in sig.values() if rems), default=None)
     if seed is None:
         raise AssertionError("no normal removable node on %r" % (bp,))
-    j = residue(seed, p.charge, p.e)
-    return j, _connected_class(bp, seed, p), sig[j][1]
+    j = seed[1] % p.e
+    nodes = [Node(*g[3:]) for g in entries if g[2] and g[1] % p.e == j]
+    cls = _connected_class(bp, Node(*seed[3:]), nodes, p)
+    return j, cls, [Node(*g[3:]) for g in sig[j][1]]
 
 
 def class_step(bp: Bipartition, p: CrystalParams) -> tuple:

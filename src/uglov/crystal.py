@@ -4,12 +4,12 @@ A Fock vector is a dict Bipartition -> positive int whose keys all share
 one rank.  The crystal parameters bundle e (None for infinity) with the
 charge (s1, s2).
 
-_normal_nodes is the one place that applies the signature rule: read
+normal_nodes is the one place that applies the signature rule: read
 over the rim of a bipartition, the merge of its two component rims, it
 gives every residue's normal addable and normal removable nodes as rim
-entries.  Greedy peeling and good additions read it directly;
-signature_word is its view with Node values, for the good-node readers
-and the class steps of admissible.  uglov_layers and crystal_edges own a
+entries.  Greedy peeling, good additions and the class steps of
+admissible read it directly; signature_word is its view with Node
+values, for the good-node readers.  uglov_layers and crystal_edges own a
 table of component rims (diagrams.component_rims) for the whole walk,
 so each component partition is read once, and good_additions builds a
 child from the partition the table grew.  children lists a
@@ -81,7 +81,7 @@ def f_action(vec: dict[Bipartition, int], j, p: CrystalParams,
     return out
 
 
-def _normal_nodes(entries: list, e: Optional[int]) -> dict:
+def normal_nodes(entries: list, e: Optional[int]) -> dict:
     """{j: (normal addable j-nodes, normal removable j-nodes)}, each list
     increasing and each node its rim entry, for every residue j of an
     entry of entries, a diagrams.rim.
@@ -107,11 +107,11 @@ def _normal_nodes(entries: list, e: Optional[int]) -> dict:
 
 
 def signature_word(bp: Bipartition, p: CrystalParams) -> dict:
-    """_normal_nodes with Node values: {j: (normal addable j-nodes, normal
+    """normal_nodes with Node values: {j: (normal addable j-nodes, normal
     removable j-nodes)}, each list increasing."""
     return {j: ([Node(*g[3:]) for g in adds], [Node(*g[3:]) for g in rems])
             for j, (adds, rems)
-            in _normal_nodes(rim(bp, p.charge), p.e).items()}
+            in normal_nodes(rim(bp, p.charge), p.e).items()}
 
 
 def good_addable_node(bp, j, p: CrystalParams) -> Optional[Node]:
@@ -139,7 +139,7 @@ def good_additions(bp: Bipartition, p: CrystalParams, table: dict) -> list:
                                                             table)
     entries = entries1 + entries2
     entries.sort()
-    sig = _normal_nodes(entries, p.e)
+    sig = normal_nodes(entries, p.e)
     out = []
     for j in sorted(sig):
         adds = sig[j][0]
@@ -164,7 +164,7 @@ def peel_word(bp: Bipartition, p: CrystalParams) -> Optional[list]:
     _check_e(p.e)
     out = []
     while bp != EMPTY:
-        sig = _normal_nodes(rim(bp, p.charge), p.e)
+        sig = normal_nodes(rim(bp, p.charge), p.e)
         j = min((j for j, (_, rems) in sig.items() if rems), default=None)
         if j is None:
             return None

@@ -70,18 +70,14 @@ def peel_residues(bp: Bipartition, p: CrystalParams) -> list:
     return word
 
 
-def add_good_node(bp: Bipartition, j, p: CrystalParams) -> Bipartition:
-    """bp plus its good addable j-node; ValueError if it has none."""
-    g = good_addable_node(bp, j, p)
-    if g is None:
-        raise ValueError("no good addable %r-node on %r" % (j, bp))
-    return add_node(bp, g)
-
-
 def rebuild_from_residues(word, p: CrystalParams) -> Bipartition:
+    """Good additions along word from empty; ValueError if one is missing."""
     bp = EMPTY
     for j in word:
-        bp = add_good_node(bp, j, p)
+        g = good_addable_node(bp, j, p)
+        if g is None:
+            raise ValueError("no good addable %r-node on %r" % (j, bp))
+        bp = add_node(bp, g)
     return bp
 
 

@@ -17,13 +17,13 @@ import itertools
 import pytest
 
 from uglov.admissible import (
-    _top_normal,
     adm,
     adm_flotw,
     one_connected,
     propb_checks,
     remove_all,
     removable_class,
+    top_class,
     verify_djm_converse,
     verify_djm_forward,
 )
@@ -328,7 +328,7 @@ def test_criterion_7_structural_suites():
                 for bp in all_uglov_up_to(6, fp):
                     if bp == EMPTY:
                         continue
-                    seed = _top_normal(signature_word(bp, fp), fp.charge)
+                    seed = top_class(bp, fp)[2][-1]
                     cls = removable_class(bp, seed, fp)
                     child = remove_all(bp, cls)
                     j = residue(seed, fp.charge, fp.e)

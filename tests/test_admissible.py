@@ -57,6 +57,7 @@ from uglov.isomorphism import psi_to, reduce_to_fundamental
 from test_crystal import (
     component_keys,
     count_component_reads,
+    count_rim_passes,
     forbid_validating_primitives,
 )
 
@@ -109,13 +110,19 @@ def test_has_period_matches_oracle():
 
 
 def test_no_uglov_bipartition_has_period():
-    for e in (2, 3):
-        for s1 in range(e):
-            for s2 in range(s1, e):
-                p = CrystalParams(e, (s1, s2))
-                for n in range(6):
-                    for bp in uglov_layers(n, p)[n]:
-                        assert not has_period(bp, p)
+    # (1)-connectedness reads this exclusion, at fundamental charges and,
+    # for an Adm read at the charge itself, away from them: 27 cells up to
+    # rank 10/9/8 at e = 2/3/4.
+    count = 0
+    for e, n in ((2, 10), (3, 9), (4, 8)):
+        for charge in ((0, 0), (0, 1), (1, 0), (0, e - 1), (0, 4), (11, 0),
+                       (5, -2), (2, -1), (0, 3 * e)):
+            p = CrystalParams(e, charge)
+            for layer in uglov_layers(n, p):
+                for bp in layer:
+                    assert not has_period(bp, p), (bp, p)
+                    count += 1
+    assert count == 4977
 
 
 def test_one_connected_examples():
@@ -168,15 +175,82 @@ def test_connectedness_rejects_exactly_the_non_removable_nodes():
                     one_connected(bp, g, g, P01)
 
 
+def top_normal_oracle(sig: dict, charge):
+    # Reference: the class seed from one signature_word scan, the largest
+    # of the last normal removable nodes by node_key; None if there is none.
+    return max((rems[-1] for _, rems in sig.values() if rems),
+               key=lambda g: node_key(g, charge), default=None)
+
+
+def connected_class_oracle(bp, seed, p):
+    # Reference: the class of seed from its own rim pass, with
+    # (1)-connectedness tested on every pair of removable nodes of its
+    # residue.
+    j = residue(seed, p.charge, p.e)
+    nodes = [Node(a, b, c)  # increasing, from one rim pass
+             for _, cont, rem, a, b, c in rim(bp, p.charge)
+             if rem and cont % p.e == j]
+    adjacency = {g: set() for g in nodes}
+    for g1, g2 in itertools.combinations(nodes, 2):  # g1 < g2: rim order
+        if one_connected(bp, g1, g2, p):
+            adjacency[g1].add(g2)
+            adjacency[g2].add(g1)
+    for g in nodes:
+        partner = two_connected(bp, g, p)
+        if partner in adjacency:
+            adjacency[g].add(partner)
+            adjacency[partner].add(g)
+    seen, todo = {seed}, [seed]
+    while todo:
+        for other in adjacency[todo.pop()]:
+            if other not in seen:
+                seen.add(other)
+                todo.append(other)
+    return [g for g in nodes if g in seen]
+
+
+def top_class_oracle(bp, p):
+    # Reference for top_class: (j, class, normal j-nodes) from the two
+    # oracles above and a signature_word scan.
+    sig = signature_word(bp, p)
+    seed = top_normal_oracle(sig, p.charge)
+    j = residue(seed, p.charge, p.e)
+    return j, connected_class_oracle(bp, seed, p), sig[j][1]
+
+
 def test_max_normal_vs_max_removable():
     # The largest removable node of ((1),(1)) is cancelled by a larger
     # addable node of the same residue, so the normal maximum differs.
     bp = P("1,1")
     assert (max(removable_nodes(bp), key=lambda g: node_key(g, P01.charge))
             == Node(1, 1, 2))
-    top = admissible._top_normal
+    assert admissible.top_class(bp, P01)[2][-1] == Node(1, 1, 1)
+    top = top_normal_oracle
     assert top(signature_word(bp, P01), P01.charge) == Node(1, 1, 1)
     assert top(signature_word(EMPTY, P01), P01.charge) is None
+
+
+FUNDAMENTAL = [CrystalParams(e, (s1, s2)) for e in (2, 3, 4)
+               for s1 in range(e) for s2 in range(s1, e)]
+
+
+@pytest.mark.parametrize("fp", FUNDAMENTAL, ids=str)
+def test_top_class_matches_pairwise_oracle(fp):
+    # One rim pass and one (1)-connectedness test per candidate give the
+    # class of the pairwise oracle on every FLOTW bipartition of rank <= 8.
+    for layer in uglov_layers(8, fp)[1:]:
+        for bp in layer:
+            assert admissible.top_class(bp, fp) == top_class_oracle(bp, fp)
+
+
+@pytest.mark.parametrize("e, text", [(3, "3.2.1,3.1"), (2, "4.2,4.1")])
+def test_top_class_matches_oracle_where_the_class_fails(e, text):
+    # The first bipartitions whose class is not the top normal nodes.
+    fp = CrystalParams(e, (0, 0))
+    bp = P(text)
+    assert admissible.top_class(bp, fp) == top_class_oracle(bp, fp)
+    with pytest.raises(AssertionError, match="is not the top normal"):
+        admissible.class_step(bp, fp)
 
 
 def test_removable_class_example():
@@ -193,6 +267,12 @@ def test_removable_class_trivial_and_errors():
     assert removable_class(P("1,-"), Node(1, 1, 1), P01) == [Node(1, 1, 1)]
     with pytest.raises(ValueError):
         removable_class(P("3.1.1,3.2.2.1.1"), Node(3, 2, 2), P02)
+    with pytest.raises(ValueError):
+        removable_class(EMPTY, Node(1, 1, 1), P01)
+    # ((),(1)) at s=(0,0): its one removable node is cancelled, so no seed
+    # is the maximal normal removable node
+    with pytest.raises(ValueError):
+        removable_class(P("-,1"), Node(1, 1, 2), CrystalParams(3, (0, 0)))
     with pytest.raises(ValueError):
         removable_class(P("1,-"), Node(1, 1, 1), CrystalParams(3, (1, 0)))
 
@@ -309,31 +389,66 @@ def test_verify_djm_forward_matches_oracle(p):
 
 
 def test_forward_reads_children_once_per_bipartition(monkeypatch):
-    # Every whole-rim pass of the sweep in crystal is a signature scan,
-    # the sweep's one f_action table reads the children of each
-    # bipartition once, and its crystal_edges walk reads each (component,
-    # partition) of the Uglov bipartitions below rank 9 once.
+    # Every whole-rim pass of the sweep is top_class's, one per nonempty
+    # image (249 at rank <= 9), and none comes from crystal.rim; the
+    # sweep's one f_action table reads the children of each bipartition
+    # once, and its crystal_edges walk reads each (component, partition)
+    # of the Uglov bipartitions below rank 9 once.
     reports = list(verify_djm_forward(9, P01))
-    kids, readers = [], []
+    images = set().union(*uglov_layers(9, P01)) - {EMPTY}
+    assert len(images) == 249
+    kids, readers, passes = [], [], count_rim_passes(monkeypatch)
 
     def counted(bp, p):
         kids.append(bp)
         return children(bp, p)
 
     def counted_rim(bp, charge):
-        readers.append(sys._getframe(1).f_code.co_name)
+        readers.append((sys._getframe(1).f_code.co_name, bp))
         return rim(bp, charge)
 
     monkeypatch.setattr(crystal, "children", counted)
-    monkeypatch.setattr(crystal, "rim", counted_rim)
+    monkeypatch.setattr(admissible, "rim", counted_rim)
     reads = count_component_reads(monkeypatch)
     assert list(verify_djm_forward(9, P01)) == reports
     assert len(kids) == len(set(kids))
     assert {bp.rank for bp in kids} == set(range(9))
-    assert set(readers) == {"signature_word"}
+    assert passes == []
+    assert sorted(readers) == sorted(("top_class", bp) for bp in images)
     assert len(reads) == len(set(reads))
     sources = set().union(*uglov_layers(8, P01))
     assert set(reads) == component_keys(sources, P01.charge)
+
+
+@pytest.mark.parametrize("sweep, n, steps, tests", [
+    (verify_djm_forward, 9, 249, 147),
+    (propb_checks, 10, 370, 238),
+])
+def test_class_step_tests_each_candidate_once(monkeypatch, sweep, n, steps,
+                                              tests):
+    # one_connected(bp, g1, g2, p) never reads g1, so a class with k
+    # candidates, the removable j-nodes, takes at most k - 1 tests.
+    reports = list(sweep(n, P01))
+    calls, found = [], []
+    real_one, real_top = admissible.one_connected, admissible.top_class
+
+    def counted_one(*args):
+        calls.append(args)
+        return real_one(*args)
+
+    def counted_top(bp, p):
+        before = len(calls)
+        j, cls, normal = real_top(bp, p)
+        k = sum(residue(g, p.charge, p.e) == j for g in removable_nodes(bp))
+        found.append((len(calls) - before, k))
+        return j, cls, normal
+
+    monkeypatch.setattr(admissible, "one_connected", counted_one)
+    monkeypatch.setattr(admissible, "top_class", counted_top)
+    assert list(sweep(n, P01)) == reports
+    assert len(found) == steps
+    assert all(made <= k - 1 for made, k in found)
+    assert len(calls) == tests
 
 
 def test_forward_reads_no_psi_image_at_a_fundamental_charge(monkeypatch):
@@ -757,11 +872,7 @@ def _propb_one(bp, p):
         return report
     fp = CrystalParams(p.e, reduce_to_fundamental(p.charge, p.e))
     lam = psi_to(bp, p.charge, fp.charge, p.e)
-    sig = signature_word(lam, fp)
-    seed = admissible._top_normal(sig, fp.charge)
-    cls = admissible._connected_class(lam, seed, fp)
-    j = residue(seed, fp.charge, fp.e)
-    normal_lam = sig[j][1]
+    j, cls, normal_lam = top_class_oracle(lam, fp)
     normal_mu = signature_word(bp, p).get(j, ([], []))[1]
 
     def fail(what):

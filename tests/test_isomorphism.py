@@ -66,6 +66,10 @@ def test_peel_rebuild_identity():
             word = peel_residues(bp, p)
             assert len(word) == n
             assert rebuild_from_residues(reversed(word), p) == bp
+    # the empty bipartition has addable 0- and 1-nodes only
+    with pytest.raises(ValueError, match=r"^no good addable 2-node on "
+                       r"Bipartition\(c1=\(\), c2=\(\)\)$"):
+        rebuild_from_residues([2], p)
 
 
 def test_peel_rejects_non_member():
