@@ -14,20 +14,22 @@ class step reads its image in one rim pass, in top_class.
 
 The converse sweep walks the distinct supports of monomials rank by
 rank, each an int over the bipartitions of its rank in Uglov order.  Its
-membership verdicts come from one crystal_edges walk, the child masks of
-a support from chunk tables that every support of a rank shares, and
-each support's (residue, parent) records are kept by support index.
+membership verdicts come from one crystal_edges walk, its children from
+crystal.children, the child masks of a support from chunk tables that
+every support of a rank shares, and each support's (residue, parent)
+records are kept by support index.
 """
 
 from __future__ import annotations
 
 import sys
-from functools import reduce
+from functools import cache, reduce
 from operator import or_
 from typing import Optional
 
 from .crystal import (
     CrystalParams,
+    children,
     crystal_edges,
     f_action,
     is_flotw,
@@ -43,10 +45,10 @@ from .diagrams import (
     bipartition_to_json,
     bipartitions_of,
     default_window,
-    grow,
     nature_table,
     node_key,
     part,
+    removable,
     remove_node,
     residue,
     rim,
@@ -79,19 +81,12 @@ def has_period(bp: Bipartition, p: CrystalParams) -> bool:
     return False
 
 
-def _removable(bp: Bipartition, g: Node) -> bool:
-    # g is a removable node of bp: one row check, not a rim pass
-    a, b, c = g
-    lam = bp.component(c)
-    return 1 <= a <= len(lam) and lam[a - 1] == b > part(lam, a + 1)
-
-
 def one_connected(bp: Bipartition, g1: Node, g2: Node,
                   p: CrystalParams) -> bool:
     """True when removing the larger node g2 creates a period."""
     if p.e is None:
         raise ValueError("(1)-connectedness needs finite e")
-    if not (_removable(bp, g1) and _removable(bp, g2)):
+    if not (removable(bp, g1) and removable(bp, g2)):
         raise ValueError("both nodes must be removable")
     if residue(g1, p.charge, p.e) != residue(g2, p.charge, p.e):
         raise ValueError("nodes must share one residue")
@@ -105,7 +100,7 @@ def two_connected(bp: Bipartition, g1: Node,
     """The shifted equal-part partner of a removable node, if any."""
     require_fundamental(p)
     e, (s1, s2) = p.e, p.charge
-    if not _removable(bp, g1):
+    if not removable(bp, g1):
         raise ValueError("%r is not removable from %r" % (g1, bp))
     a, b, c = g1
     if c == 1:
@@ -332,13 +327,13 @@ def verify_djm_converse(n: int, p: CrystalParams) -> list[dict]:
     A support of rank k is an int: bit i stands for the i-th bipartition
     of rank k in increasing Uglov order, so its maximum is its top bit.
     The membership verdicts come from one crystal_edges walk up to rank
-    n, kept as the set of Uglov bipartitions of each rank.  Each
-    bipartition has one child mask per residue of its addable nodes,
-    over the indices of rank k+1, from one diagrams.rim pass; the masks
-    of rank k are laid out over the residues some bipartition of rank k
-    has, never over all e of them.  f_j of a support is the OR of its
-    members' j-masks, read CHUNK bits at a time: each chunk position has
-    a _ChunkTable, filled lazily and shared by every support of the rank
+    n, kept as one set of Uglov bipartitions.  Each bipartition has one
+    child mask per residue of its addable nodes, over the indices of
+    rank k+1, from one crystal.children read; the masks of rank k are
+    laid out over the residues some bipartition of rank k has, never
+    over all e of them.  f_j of a support is the OR of its members'
+    j-masks, read CHUNK bits at a time: each chunk position has a
+    _ChunkTable, filled lazily and shared by every support of the rank
     (the method of Four Russians).  Once a rank's children are found,
     its records are kept by support index, not by the support's int, so
     the ints of two ranks at most are alive; rank n keeps only each
@@ -349,19 +344,15 @@ def verify_djm_converse(n: int, p: CrystalParams) -> list[dict]:
     if p.e is None:
         raise ValueError("the converse sweep needs finite e")
     e, charge = p.e, p.charge
-    uglov = [{EMPTY}] + [set() for _ in range(n)]  # Uglov bps, by rank
-    for bp, _, dst in crystal_edges(n, p):
-        uglov[bp.rank + 1].add(dst)
+    uglov = {EMPTY}.union(dst for _, _, dst in crystal_edges(n, p))
     records = []  # by rank, by support index: its (j, parent index)
-    spelled = {}  # (rank, support index) -> its words, on demand
 
-    def words(k, i):
+    @cache
+    def words(k, i):  # the words of support i of rank k, on demand
         if k == 0:
             return [()]
-        if (k, i) not in spelled:
-            spelled[k, i] = [(j,) + w for j, parent in records[k][i]
-                             for w in words(k - 1, parent)]
-        return spelled[k, i]
+        return [(j,) + w for j, parent in records[k][i]
+                for w in words(k - 1, parent)]
 
     reports = []
     supports = {1: []}  # the supports of rank k -> their records
@@ -373,7 +364,7 @@ def verify_djm_converse(n: int, p: CrystalParams) -> list[dict]:
             # rank n keeps each support as its bit length, see below
             top = support if k == n else support.bit_length()
             best = bps[top - 1]
-            if best not in uglov[k]:
+            if best not in uglov:
                 found += ({"word": list(w), "max": bipartition_to_json(best)}
                           for w in words(k, i))
         found.sort(key=lambda f: f["word"])
@@ -384,16 +375,14 @@ def verify_djm_converse(n: int, p: CrystalParams) -> list[dict]:
         up = sorted(bipartitions_of(k + 1),
                     key=lambda bp: uglov_key(bp, charge))
         index = {bp: i for i, bp in enumerate(up)}
-        children = []  # children[i]: {j: the j-children of bps[i]}
-        for bp in bps:
-            row = {}
-            for _, cont, rem, a, b, c in rim(bp, charge):
-                if not rem:
-                    j = cont % e
-                    row[j] = row.get(j, 0) | 1 << index[grow(bp, a, b, c)]
-            children.append(row)
-        residues = sorted(set().union(*children))  # at most 4k + 2
-        masks = [[row.get(j, 0) for j in residues] for row in children]
+        # rows[i]: {j: the mask of the j-children of bps[i]}
+        rows = [{} for _ in bps]
+        for bp, row in zip(bps, rows):
+            for j, kids in children(bp, p).items():
+                for mu in kids:
+                    row[j] = row.get(j, 0) | 1 << index[mu]
+        residues = sorted(set().union(*rows))  # at most 4k + 2
+        masks = [[row.get(j, 0) for j in residues] for row in rows]
         combine = or_
         if k + 1 == n:
             # Rank n needs only each support's maximum, so its supports
@@ -512,7 +501,9 @@ def propb_checks(n: int, p: CrystalParams):
 def _propb_failures(bp: Bipartition, image: Bipartition, p: CrystalParams,
                     fp: CrystalParams) -> list:
     j, cls, normal_lam = top_class(image, fp)
-    normal_mu = signature_word(bp, p).get(j, ([], []))[1]
+    # at the fundamental charge bp is its own image
+    normal_mu = (normal_lam if p == fp
+                 else signature_word(bp, p).get(j, ([], []))[1])
     out = ([] if cls == normal_lam[len(normal_lam) - len(cls):] else
            ["class is not the top normal nodes at the fundamental charge"])
     if len(normal_mu) != len(normal_lam):

@@ -13,9 +13,9 @@ values, for the good-node readers.  uglov_layers and crystal_edges own a
 table of component rims (diagrams.component_rims) for the whole walk,
 so each component partition is read once, and good_additions builds a
 child from the partition the table grew.  children lists a
-bipartition's children by residue from one read of each component, and
-f_action reads them from a table its caller owns, one per sweep or
-monomial, so each bipartition of a sweep is read once.
+bipartition's children by residue from one read of each component, for
+f_action, from a table its caller owns, one per sweep or monomial, and
+for the converse sweep: each bipartition of a sweep is read once.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .diagrams import (
     beta_set,
     component_rim,
     component_rims,
-    grow,
+    grow_partition,
     part,
     remove_node,
     rim,
@@ -48,16 +48,16 @@ def _check_e(e):
 
 
 def children(bp: Bipartition, p: CrystalParams) -> dict:
-    """{j: the bipartitions bp plus one addable j-node}, for every residue
-    j of an addable node, from one diagrams.component_rim read of each
-    component."""
-    e, (s1, s2) = p.e, p.charge
+    """{j: the bipartitions bp plus one addable j-node}, distinct, for
+    every residue j of an addable node, from one diagrams.component_rim
+    read of each component."""
+    e = p.e
     out: dict = {}
-    for entries in (component_rim(bp.c1, s1, 1), component_rim(bp.c2, s2, 2)):
-        for _, cont, rem, a, b, c in entries:
+    for c, lam, s in ((1, bp.c1, p.charge[0]), (2, bp.c2, p.charge[1])):
+        for _, cont, rem, a, b, _ in component_rim(lam, s, c):
             if not rem:
-                out.setdefault(cont if e is None else cont % e,
-                               []).append(grow(bp, a, b, c))
+                out.setdefault(cont if e is None else cont % e, []).append(
+                    with_component(bp, c, grow_partition(lam, a, b)))
     return out
 
 

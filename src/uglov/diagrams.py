@@ -19,8 +19,9 @@ component rims through component_rims and a table it owns, so each
 component partition of the walk is read once, and the table's entries
 also hold the partition grown at each addable node, so the walk's
 children share them.  addable_nodes and removable_nodes are set views of
-rim.  with_component is the one child builder: grow adds a node rim
-lists without re-checking it, and add_node is grow behind a check.
+rim.  Every child is made as with_component(bp, c, grow_partition(lam,
+a, b)): unchecked for a node rim lists, behind a check in add_node.
+removable is the one row test of a removable node, behind remove_node.
 
 The vertical-boundary node (a, lambda^c_a, c) has content
 lambda^c_a - a + s_c, a beta-number of lambda^c.  beta_set lists these
@@ -224,31 +225,30 @@ def with_component(bp: Bipartition, c: int,
     return Bipartition(lam, bp.c2) if c == 1 else Bipartition(bp.c1, lam)
 
 
-def grow(bp: Bipartition, a: int, b: int, c: int) -> Bipartition:
-    """bp plus the node (a, b, c), which must be addable (as rim
-    certifies): no check."""
-    lam = bp.c1 if c == 1 else bp.c2
-    return with_component(bp, c, grow_partition(lam, a, b))
-
-
 def add_node(bp: Bipartition, node: Node) -> Bipartition:
     a, b, c = node
     lam = bp.c1 if c == 1 else bp.c2
     if (not 1 <= a <= len(lam) + 1) or part(lam, a) + 1 != b \
             or (a > 1 and lam[a - 2] < b):
         raise ValueError("node %r not addable to %r" % (node, bp))
-    return grow(bp, a, b, c)
+    return with_component(bp, c, grow_partition(lam, a, b))
+
+
+def removable(bp: Bipartition, node: Node) -> bool:
+    """Whether node is a removable node of bp: one row test."""
+    a, b, c = node
+    lam = bp.c1 if c == 1 else bp.c2
+    return 1 <= a <= len(lam) and lam[a - 1] == b > part(lam, a + 1)
 
 
 def remove_node(bp: Bipartition, node: Node) -> Bipartition:
+    if not removable(bp, node):
+        raise ValueError("node %r not removable from %r" % (node, bp))
     a, b, c = node
     lam = bp.c1 if c == 1 else bp.c2
-    if (not 1 <= a <= len(lam)) or lam[a - 1] != b \
-            or part(lam, a + 1) >= b:
-        raise ValueError("node %r not removable from %r" % (node, bp))
     # b == 1 only in the last row, which then disappears
-    new = lam[:a - 1] + (b - 1,) + lam[a:] if b > 1 else lam[:a - 1]
-    return Bipartition(new, bp.c2) if c == 1 else Bipartition(bp.c1, new)
+    return with_component(bp, c, lam[:a - 1] + (b - 1,) + lam[a:] if b > 1
+                          else lam[:a - 1])
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,12 @@ the map itself.
 
 A sweep over a whole crystal component needs no peeling: psi_images
 walks the good edges of the component once and adds one good node per
-image.  It feeds four sweeps: verify_psi_nature checks its images
-against the sigma1 nature table (one diagrams.nature_kinds pass per
-component), and at the fundamental charge propb reads their classes and
-admissible.adm_walk the Adm of the forward and corollary sweeps.
+image; at its own charge, where the isomorphism is the identity, it
+lists the component's uglov_layers.  It feeds four sweeps:
+verify_psi_nature checks its images against the sigma1 nature table
+(one diagrams.nature_kinds pass per component), and at the fundamental
+charge propb reads their classes and admissible.adm_walk the Adm of the
+forward and corollary sweeps.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .crystal import (
     good_addable_node,
     good_additions,
     peel_word,
+    uglov_layers,
 )
 from .diagrams import (
     EMPTY,
@@ -101,15 +104,13 @@ def psi_images(n: int, p_from: CrystalParams, charge_to) -> dict:
     read once, when the first of them reaches a new dst: at most one
     signature scan per image, through one table of component rims at
     charge_to for the walk.  At its own charge the isomorphism is the
-    identity, and no image is scanned.
+    identity, read from uglov_layers with no image scanned.
     """
     require_same_orbit(p_from.charge, charge_to, p_from.e)
     p_to = CrystalParams(p_from.e, tuple(charge_to))
-    images = {EMPTY: EMPTY}
     if p_to == p_from:
-        for _, _, dst in crystal_edges(n, p_from):
-            images[dst] = dst
-        return images
+        return {bp: bp for layer in uglov_layers(n, p_from) for bp in layer}
+    images = {EMPTY: EMPTY}
     last = kids = None
     table = {}  # component rims at charge_to, read once per walk
     for bp, j, dst in crystal_edges(n, p_from):

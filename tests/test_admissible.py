@@ -451,6 +451,27 @@ def test_class_step_tests_each_candidate_once(monkeypatch, sweep, n, steps,
     assert len(calls) == tests
 
 
+@pytest.mark.parametrize("p, n", [(P01, 10), (CrystalParams(2, (0, 1)), 11),
+                                  (CrystalParams(4, (1, 3)), 9)], ids=str)
+def test_propb_reads_one_rim_per_bipartition_at_a_fundamental_charge(
+        monkeypatch, p, n):
+    # At a fundamental charge each bipartition is its own image, so its
+    # normal nodes are its top_class's: one whole-rim pass per nonempty
+    # bipartition, top_class's, and no signature_word rescan.
+    reports = list(propb_checks(n, p))
+    bps = set().union(*uglov_layers(n, p)) - {EMPTY}
+    readers, passes = [], count_rim_passes(monkeypatch)
+
+    def counted_rim(bp, charge):
+        readers.append((sys._getframe(1).f_code.co_name, bp))
+        return rim(bp, charge)
+
+    monkeypatch.setattr(admissible, "rim", counted_rim)
+    assert list(propb_checks(n, p)) == reports
+    assert passes == []
+    assert sorted(readers) == sorted(("top_class", bp) for bp in bps)
+
+
 def test_forward_reads_no_psi_image_at_a_fundamental_charge(monkeypatch):
     # psi_images at its own charge is the identity: it scans no image, so
     # the sweep's good-addition scans are those of its crystal_edges walk,
@@ -760,29 +781,36 @@ def test_converse_forced_failures_share_supports():
 
 
 def test_converse_reads_children_once_per_bipartition(monkeypatch):
-    # The walk reads the rim of each bipartition it expands once: every
-    # bipartition of rank below n lies in some support.  It grows the
-    # children of the nodes the rim lists, with no validating add_node or
-    # addable_nodes.  It keys each bipartition at most once, to order its
-    # rank.
-    calls, keyed = [], []
+    # The walk reads the children of each bipartition it expands once,
+    # from crystal.children: every bipartition of rank below n lies in
+    # some support.  It makes no whole-rim pass of its own and no
+    # validating add_node or addable_nodes call.  It keys each
+    # bipartition at most once, to order its rank.
+    calls, passes, keyed = [], [], []
 
-    def counted(bp, charge):
+    def counted(bp, p):
         calls.append(bp)
+        return children(bp, p)
+
+    def counted_rim(bp, charge):
+        passes.append(bp)
         return rim(bp, charge)
 
     def counted_key(bp, charge):
         keyed.append(bp)
         return uglov_key(bp, charge)
 
-    monkeypatch.setattr(admissible, "rim", counted)
+    monkeypatch.setattr(admissible, "children", counted)
+    monkeypatch.setattr(admissible, "rim", counted_rim)
     monkeypatch.setattr(admissible, "uglov_key", counted_key)
     forbid_validating_primitives(monkeypatch)
     verify_djm_converse(8, P01)
+    assert passes == []
     assert len(calls) == len(set(calls))
     assert set(calls) == {bp for k in range(8) for bp in bipartitions_of(k)}
     assert len(keyed) == len(set(keyed))
     assert set(keyed) <= {bp for k in range(9) for bp in bipartitions_of(k)}
+    assert len(keyed) == sum(len(bipartitions_of(k)) for k in range(1, 9))
 
 
 def _row_standard_shapes_brute(word, p):

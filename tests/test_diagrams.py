@@ -21,7 +21,7 @@ from uglov.diagrams import (
     compare_uglov,
     content,
     format_bipartition,
-    grow,
+    grow_partition,
     make_partition,
     nature_at,
     nature_kinds,
@@ -30,12 +30,14 @@ from uglov.diagrams import (
     parse_bipartition,
     part,
     partitions_of,
+    removable,
     remove_node,
     removable_nodes,
     residue,
     rim,
     uglov_key,
     uglov_max,
+    with_component,
 )
 from test_crystal import SCAN_GRID
 
@@ -465,6 +467,7 @@ def test_node_primitives_match_reference():
         for node in itertools.product(range(rows + 1), range(cols + 1),
                                       (1, 2)):
             node = Node(*node)
+            assert removable(bp, node) == (node in _removable_nodes_ref(bp))
             assert (_outcome(add_node, bp, node)
                     == _outcome(_add_node_ref, bp, node))
             assert (_outcome(remove_node, bp, node)
@@ -474,7 +477,8 @@ def test_node_primitives_match_reference():
 def test_rim_matches_reference():
     # The one-pass kernel against the row-by-row references, at every
     # charge of the signature-scan grid: the same nodes, each with its
-    # node_key and content, keys unique, and grow adding what it lists.
+    # node_key and content, keys unique, and a child grown from an addable
+    # node it lists, as crystal.children grows it, is add_node's.
     charges = sorted({p.charge for p in SCAN_GRID})
     for bp in _bipartitions_up_to(8):
         for charge in charges:
@@ -489,8 +493,10 @@ def test_rim_matches_reference():
                 assert key == node_key(Node(a, b, c), charge)
                 assert cont == content(Node(a, b, c), charge)
             assert len({entry[0] for entry in entries}) == len(entries)
-        for g in _addable_nodes_ref(bp):
-            assert grow(bp, *g) == _add_node_ref(bp, g)
+        for a, b, c in _addable_nodes_ref(bp):
+            grown = grow_partition(bp.component(c), a, b)
+            assert (with_component(bp, c, grown)
+                    == _add_node_ref(bp, Node(a, b, c)))
 
 
 @pytest.mark.parametrize("charge", [(0, 0), (0, 1), (1, 0), (0, 2),
