@@ -1,10 +1,10 @@
 """Connectedness relations, admissible residue sequences and the
 Dipper-James-Murphy verifiers.
 
-A period is a chain of e vertical-boundary nodes of the Young diagram
-(virtual nodes excluded, see has_period) whose contents increase by one
-and whose components weakly increase; its presence excludes membership
-in the crystal component of the empty bipartition.
+A period is a run of e beads of the rows of a bipartition (the contents
+of its non-virtual vertical-boundary nodes) at consecutive contents,
+whose components weakly increase; its presence excludes membership in
+the crystal component of the empty bipartition.
 
 The forward, corollary and propb sweeps read their bipartitions at the
 fundamental charge from one isomorphism.psi_images walk: propb checks
@@ -59,24 +59,22 @@ from .isomorphism import psi_images, psi_to, reduce_to_fundamental
 
 
 def has_period(bp: Bipartition, p: CrystalParams) -> bool:
-    """Chain of e non-virtual vertical-boundary nodes, contents increasing
-    by one, components weakly increasing."""
+    """Whether bp has a period: beads of its rows at e contents x..x+e-1
+    with weakly increasing components, a run of component-1 beads, then
+    one of component-2 beads.  From each bead the run stays in component
+    1 while it can: a chain that leaves it sooner needs component-2 beads
+    at every content this one does."""
     if p.e is None:
         raise ValueError("periods need finite e")
-    comps: dict[int, set[int]] = {}  # bead -> components holding it
-    for c in (1, 2):
-        for x in beta_set(bp.component(c), p.charge[c - 1]):
-            comps.setdefault(x, set()).add(c)
-    for start in comps:
-        lowest = 0  # smallest usable component so far
-        ok = True
-        for j in range(start, start + p.e):
-            choices = [c for c in comps.get(j, ()) if c >= lowest]
-            if not choices:
-                ok = False
-                break
-            lowest = min(choices)
-        if ok:
+    (s1, s2), e = p.charge, p.e
+    beads1, beads2 = set(beta_set(bp.c1, s1)), set(beta_set(bp.c2, s2))
+    for x in beads1 | beads2:
+        j, end = x, x + e
+        while j < end and j in beads1:
+            j += 1
+        while j < end and j in beads2:
+            j += 1
+        if j == end:
             return True
     return False
 
@@ -513,8 +511,8 @@ def _propb_failures(bp: Bipartition, image: Bipartition, p: CrystalParams,
     eta1 = normal_mu[len(normal_mu) - len(cls)]
     key1 = node_key(eta1, p.charge)
     table = nature_table(bp, p.charge, default_window(bp, p.charge))
-    greater = [entry for k, _, entry in table
-               if (k - j) % p.e == 0 and node_key(entry.node, p.charge) > key1]
+    greater = [entry for k, c, entry in table  # entry's node_key is 2k - c
+               if (k - j) % p.e == 0 and 2 * k - c > key1]
     out += ["addable %r-node %r greater than eta1 %r" % (j, ent.node, eta1)
             for ent in greater if ent.kind == "A"]
     if (any(ent.kind == "Bh" and not ent.virtual for ent in greater)

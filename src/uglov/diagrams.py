@@ -24,24 +24,22 @@ a, b)): unchecked for a node rim lists, behind a check in add_node.
 removable is the one row test of a removable node, behind remove_node.
 
 The vertical-boundary node (a, lambda^c_a, c) has content
-lambda^c_a - a + s_c, a beta-number of lambda^c.  beta_set lists these
-contents for one component; with the tail of beads below its last row it
-is the one reading of the boundary.  The extended Young diagram over a
-window is nature_table: one nature per content and component, read from
-the beads (nature_kinds, then the rows of _slots and the nodes of
-nature_entries).  Boundary sequences are its R and Bv slots, read from
-_slots with no node made for the others, and admissible.propb_checks
-reads its addable and boundary nodes from nature_table.  Periods
-(admissible.has_period) and the Uglov order read the beads directly, as
-both are hot.  The Uglov order compares boundary sequences, so it is the
-lexicographic order on the merged beta-set {2 beta - c}, Uglov's
-level-two to level-one wedge, which uglov_key builds as a decreasing
-tuple of integers.
+lambda^c_a - a + s_c, a beta-number of lambda^c; with the virtual
+column-0 nodes below the last row these contents are the beads, and
+beta_set lists those of the rows.  The extended Young diagram over a
+window is nature_table: one nature per content and component, from one
+nature_kinds pass per component, whose nodes nature_entries places by
+counting the beads above each content.  boundary_sequence lists the
+beads in the window row by row, and admissible.propb_checks reads its
+addable and boundary nodes from nature_table.  Periods
+(admissible.has_period) are runs of beads.  The Uglov order compares
+boundary sequences, so it is the lexicographic order on the merged
+beta-set {2 beta - c}, Uglov's level-two to level-one wedge, which
+uglov_key builds as a decreasing tuple of integers.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, islice
 from typing import Iterator, NamedTuple, Optional
 
 
@@ -281,36 +279,27 @@ def nature_kinds(lam: tuple[int, ...], s: int, lo: int,
     return tuple(kinds)
 
 
-def _slots(lam: tuple[int, ...], s: int, lo: int, hi: int) -> tuple:
-    """(kinds, above) over contents hi down to lo of a component of charge
-    s, the one check for an empty window: kinds from one nature_kinds
-    pass, and an iterator whose i-th item is the number of beads above
-    content hi - i, with one more item, for lo - 1.
-
-    The beads are the contents of kind R or Bv, so above counts them
-    down from those above hi.  The node at content j is in row above + 1,
-    except a Bh node, in row above.
-    """
-    if lo > hi:
-        raise ValueError("empty window %r" % ((lo, hi),))
-    kinds = nature_kinds(lam, s, lo, hi)[::-1]
-    first = (sum(x > hi for x in beta_set(lam, s))
-             + max(0, s - len(lam) - 1 - hi))
-    return kinds, accumulate(map(VERTICAL.__contains__, kinds),
-                             initial=first)
-
-
 def nature_entries(lam: tuple[int, ...], s: int, c: int, lo: int,
                    hi: int) -> list[NatureEntry]:
     """The addable-or-boundary nodes of contents lo..hi of component c of
-    charge s, read from _slots."""
-    kinds, above = _slots(lam, s, lo, hi)
+    charge s, the one check for an empty window.
+
+    One nature_kinds pass, read downwards from hi, counts the beads
+    above each content: they are the contents of kind R or Bv.  The node
+    at content j is in row beads + 1, except a Bh node, in row beads.
+    """
+    if lo > hi:
+        raise ValueError("empty window %r" % ((lo, hi),))
+    beads = (sum(x > hi for x in beta_set(lam, s))
+             + max(0, s - len(lam) - 1 - hi))
     out = []
-    for j, kind, beads in zip(range(hi, lo - 1, -1), kinds, above):
+    for j, kind in zip(range(hi, lo - 1, -1),
+                       reversed(nature_kinds(lam, s, lo, hi))):
         a = beads + (kind != BH)
         node = Node(a, j - s + a, c)
         out.append(NatureEntry(kind, node,
                                kind != A and (a == 0 or node.b == 0)))
+        beads += kind in VERTICAL
     out.reverse()
     return out
 
@@ -353,21 +342,21 @@ NATURE_TRANSITIONS = {
 
 def boundary_sequence(bp: Bipartition, charge: tuple[int, int],
                       window: tuple[int, int]) -> list[Node]:
-    """Vertical-boundary nodes with content in the window, decreasing:
-    the R and Bv slots of nature_table, read backwards.  Only those slots
-    become nodes; a bead's row is the count of beads down to it."""
+    """The beads with content in the window as vertical-boundary nodes,
+    in decreasing node_key, read row by row: the row-end nodes
+    (a, lam_a, c), then the virtual column-0 nodes (a, 0, c) of the rows
+    a > len(lam) whose content s - a is in the window, so a far window
+    costs no more than the rows of bp."""
     lo, hi = window
-    s1, s2 = charge
-    (kinds1, above1), (kinds2, above2) = (_slots(bp.c1, s1, lo, hi),
-                                          _slots(bp.c2, s2, lo, hi))
+    if lo > hi:
+        raise ValueError("empty window %r" % ((lo, hi),))
     out = []
-    for j, k1, a1, k2, a2 in zip(range(hi, lo - 1, -1),
-                                 kinds1, islice(above1, 1, None),
-                                 kinds2, islice(above2, 1, None)):
-        if k1 in VERTICAL:
-            out.append(Node(a1, j - s1 + a1, 1))
-        if k2 in VERTICAL:
-            out.append(Node(a2, j - s2 + a2, 2))
+    for c, lam, s in ((1, bp.c1, charge[0]), (2, bp.c2, charge[1])):
+        out += [Node(a, x, c) for a, x in enumerate(lam, 1)
+                if lo <= x - a + s <= hi]
+        out += [Node(a, 0, c)
+                for a in range(max(len(lam) + 1, s - hi), s - lo + 1)]
+    out.sort(key=lambda g: node_key(g, charge), reverse=True)
     return out
 
 

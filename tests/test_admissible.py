@@ -75,8 +75,10 @@ def test_has_period_examples():
         has_period(EMPTY, CrystalParams(None, (0, 1)))
 
 
-def _has_period_oracle(bp, p):
-    # Reference: contents of the row-end Nodes, then the same chain search.
+def has_period_oracle(bp, p):
+    # Reference: contents of the row-end Nodes, then the chain search
+    # has_period made before it became a run test, in which each content
+    # takes the smallest component that continues the chain.
     comps = {}
     for c in (1, 2):
         lam = bp.component(c)
@@ -96,17 +98,25 @@ def _has_period_oracle(bp, p):
     return False
 
 
+def _cell_charges(e):
+    # nine charges per e: fundamental, asymptotic and wide, both signs
+    return ((0, 0), (0, 1), (1, 0), (0, e - 1), (0, 4), (11, 0), (5, -2),
+            (2, -1), (0, 3 * e))
+
+
 def test_has_period_matches_oracle():
+    # every bipartition of rank <= 8, Uglov or not, at the 27 cells; the
+    # oracle finds periods at each e, so the check is not vacuous
     bps = [bp for n in range(9) for bp in bipartitions_of(n)]
-    periodic = 0
+    periodic = {}
     for e in (2, 3, 4):
-        for charge in ((0, 0), (0, 1), (1, 0), (2, -1)):
+        for charge in _cell_charges(e):
             p = CrystalParams(e, charge)
             for bp in bps:
-                verdict = has_period(bp, p)
-                assert verdict == _has_period_oracle(bp, p)
-                periodic += verdict
-    assert 0 < periodic < 12 * len(bps)
+                verdict = has_period_oracle(bp, p)
+                assert has_period(bp, p) == verdict, (bp, p)
+                periodic[e] = periodic.get(e, 0) + verdict
+    assert periodic == {2: 2810, 3: 1529, 4: 774}
 
 
 def test_no_uglov_bipartition_has_period():
@@ -115,8 +125,7 @@ def test_no_uglov_bipartition_has_period():
     # rank 10/9/8 at e = 2/3/4.
     count = 0
     for e, n in ((2, 10), (3, 9), (4, 8)):
-        for charge in ((0, 0), (0, 1), (1, 0), (0, e - 1), (0, 4), (11, 0),
-                       (5, -2), (2, -1), (0, 3 * e)):
+        for charge in _cell_charges(e):
             p = CrystalParams(e, charge)
             for layer in uglov_layers(n, p):
                 for bp in layer:

@@ -20,6 +20,7 @@ from uglov.diagrams import (
     compare_lex,
     compare_uglov,
     content,
+    default_window,
     format_bipartition,
     grow_partition,
     make_partition,
@@ -52,11 +53,20 @@ def _vertical_rows(bp, rows):
 
 
 def _boundary_sequence_oracle(bp, charge, window):
-    """boundary_sequence row by row: enough rows to pass below lo."""
+    """boundary_sequence content by content: in each component, the
+    row-end node of content j, or past the last row the column-0 node
+    (s - j, 0), so a window far from the charge costs its width only."""
     lo, hi = window
-    rows = max(len(bp.c1), len(bp.c2), max(charge) - lo + 1) + 1
-    nodes = [g for g in _vertical_rows(bp, rows)
-             if lo <= content(g, charge) <= hi]
+    nodes = []
+    for c in (1, 2):
+        lam, s = bp.component(c), charge[c - 1]
+        ends = {content(g, charge): g
+                for g in (Node(a, x, c) for a, x in enumerate(lam, 1))}
+        for j in range(lo, hi + 1):
+            if j in ends:
+                nodes.append(ends[j])
+            elif s - j > len(lam):
+                nodes.append(Node(s - j, 0, c))
     return sorted(nodes, key=lambda g: node_key(g, charge), reverse=True)
 
 
@@ -368,18 +378,38 @@ def test_nature_kinds_matches_oracle(charge):
 
 
 @pytest.mark.parametrize("charge", [(0, 0), (0, 1), (1, 0), (-2, 3),
-                                    (5, 0), (2, -1)])
+                                    (5, 0), (2, -1), (0, 1000), (11, 0)])
 def test_boundary_sequence_matches_oracle(charge):
+    # the windows 10**9 below and above the charge are the two edges of
+    # the virtual rows read: rows from s - hi on, and none at all
     s_lo, s_hi = min(charge), max(charge)
+    far = 10 ** 9
     for bp in _bipartitions_up_to(8):
         n = bp.rank
         windows = [(s_lo - n - 1, s_hi + n + 1),  # the default window
                    (s_lo - n - 4, s_lo - n - 2),  # below every row
                    (s_lo - 2, s_hi + 2), (s_hi, s_hi), (s_hi + n + 1,
-                                                          s_hi + n + 3)]
+                                                          s_hi + n + 3),
+                   (s_lo - far - 3, s_lo - far + 3),
+                   (s_hi + far - 3, s_hi + far + 3)]
         for window in windows:
             assert (boundary_sequence(bp, charge, window)
                     == _boundary_sequence_oracle(bp, charge, window))
+
+
+@pytest.mark.parametrize("charge", [(0, 0), (0, 1), (-2, 3), (5, 0)])
+def test_nature_table_matches_oracle(charge):
+    # windows cut inside the diagram start the row count of
+    # nature_entries at the beads above hi, not at zero
+    s_lo, s_hi = min(charge), max(charge)
+    for bp in _bipartitions_up_to(6):
+        n = bp.rank
+        for lo, hi in (default_window(bp, charge), (s_lo - 1, s_hi + 1),
+                       (s_lo, s_lo), (s_lo - n // 2, s_hi),
+                       (s_hi, s_hi + n // 2), (s_lo + 1, s_hi + n + 1)):
+            assert nature_table(bp, charge, (lo, hi)) == [
+                (j, c, nature_at_oracle(bp, charge, j, c))
+                for j in range(lo, hi + 1) for c in (2, 1)]
 
 
 def test_nature_table_empty_bipartition():
@@ -435,8 +465,8 @@ def test_boundary_sequence_empty():
 
 
 def test_empty_window_raises():
-    # boundary_sequence and nature_table read one _slots pass per
-    # component, so both refuse lo > hi
+    # boundary_sequence and nature_table (through nature_entries) each
+    # check their window, so both refuse lo > hi
     for read in (nature_table, boundary_sequence):
         with pytest.raises(ValueError, match="empty window"):
             read(P("2.1,1"), (0, 1), (1, 0))
