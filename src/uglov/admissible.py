@@ -10,7 +10,9 @@ The forward, corollary and propb sweeps read their bipartitions at the
 fundamental charge from one isomorphism.psi_images walk: propb checks
 each image's top_class, and adm_walk, feeding forward and corollary,
 takes one class_step per image onto the Adm of its remainder.  Each
-class step reads its image in one rim pass, in top_class.
+class step reads its image in one rim pass, in top_class; its rest is
+FLOTW exactly when adm_walk has stepped it already.  The forward sweep
+reads each bipartition's children, uglov_key and JSON form once.
 
 The converse sweep walks the distinct supports of monomials rank by
 rank, each an int over the bipartitions of its rank in Uglov order.  Its
@@ -186,27 +188,27 @@ def class_step(bp: Bipartition, p: CrystalParams) -> tuple:
     fundamental charge p.
 
     The top_class of bp has r nodes of residue j, and rest is bp without
-    it.  AssertionError if the class is not the top normal j-nodes or
-    rest is not FLOTW.
+    it.  AssertionError if the class is not the top normal j-nodes;
+    whether rest is FLOTW is for adm_flotw and adm_walk to ask.
     """
     j, cls, normal = top_class(bp, p)
     if cls != normal[len(normal) - len(cls):]:
         raise AssertionError("class %r is not the top normal %r-nodes "
                              "of %r" % (cls, j, bp))
-    rest = remove_all(bp, cls)
-    if not is_flotw(rest, p):
-        raise AssertionError("class removal left non-FLOTW %r" % (rest,))
-    return j, len(cls), rest
+    return j, len(cls), remove_all(bp, cls)
 
 
 def adm_flotw(bp: Bipartition, p: CrystalParams) -> list:
-    """Admissible residue sequence by successive class removals."""
+    """Admissible residue sequence by successive class removals, each
+    rest tested with is_flotw: AssertionError if one is not FLOTW."""
     require_fundamental(p)
     if not is_flotw(bp, p):
         raise ValueError("%r is not FLOTW at %r" % (bp, p))
     segments = []
     while bp != EMPTY:
         j, r, bp = class_step(bp, p)
+        if not is_flotw(bp, p):
+            raise AssertionError("class removal left non-FLOTW %r" % (bp,))
         segments.append((j, r))
     out = []
     for j, r in reversed(segments):
@@ -233,6 +235,9 @@ def adm_walk(n: int, p: CrystalParams):
     None if empty) or the AssertionError text of the first failing class
     step from image down to empty.  The rest of each step, of lower rank,
     already holds its found: Adm(bp) = Adm(rest) followed by [j]^r.
+
+    The images come in increasing rank and are the FLOTW bipartitions of
+    rank <= n, so a rest is FLOTW exactly when done holds it: no is_flotw.
     """
     if p.e is None:
         raise ValueError("admissible sequences need finite e")
@@ -245,7 +250,8 @@ def adm_walk(n: int, p: CrystalParams):
             except AssertionError as exc:
                 done[image] = str(exc)
             else:
-                below = done[rest]
+                below = (done.get(rest)
+                         or "class removal left non-FLOTW %r" % (rest,))
                 done[image] = (below if isinstance(below, str)
                                else (below[0] + [j] * r, step))
         yield bp, image, done[image]
@@ -257,15 +263,19 @@ def verify_djm_forward(n: int, p: CrystalParams):
 
     Adm comes from adm_walk, and the vector of each image's monomial,
     f-operators applied oldest residue first, is the vector of its rest
-    extended by r f_action steps, which share one table of children.  A
-    walk error is the "error" field.
+    extended by r f_action steps, which share one table.  uglov_max keys
+    and the JSON forms of the "bp", "max" and "expansion" fields come
+    from tables of the sweep too, and reports share the forms unmutated.
+    A walk error is the "error" field.
     """
     vecs = {EMPTY: {EMPTY: 1}}  # image -> vector of its Adm monomial
-    table = {}  # bipartition -> its children at p, read once per sweep
+    table = {}  # f_action's: children and component rims, see f_action
+    keys, forms = {}, {}  # bipartition -> its uglov_key, its JSON form
     for bp, image, found in adm_walk(n, p):
+        if bp not in forms:
+            forms[bp] = bipartition_to_json(bp)
         if isinstance(found, str):
-            yield {"bp": bipartition_to_json(bp), "pass": False,
-                   "error": found}
+            yield {"bp": forms[bp], "pass": False, "error": found}
             continue
         seq, step = found
         if step:
@@ -275,13 +285,16 @@ def verify_djm_forward(n: int, p: CrystalParams):
                 vec = f_action(vec, j, p, table)
             vecs[image] = vec
         vec = vecs[image]
-        ok = bp in vec and uglov_max(vec, p.charge) == bp
+        for mu in vec:
+            if mu not in forms:
+                forms[mu] = bipartition_to_json(mu)
+        ok = bp in vec and uglov_max(vec, p.charge, keys) == bp
         yield {
-            "bp": bipartition_to_json(bp),
+            "bp": forms[bp],
             "adm": seq,
-            "expansion": [{"bp": bipartition_to_json(mu), "coeff": coeff}
+            "expansion": [{"bp": forms[mu], "coeff": coeff}
                           for mu, coeff in sorted(vec.items())],
-            "max": bipartition_to_json(bp) if ok else None,
+            "max": forms[bp] if ok else None,
             "pass": ok,
         }
 
@@ -343,6 +356,7 @@ def verify_djm_converse(n: int, p: CrystalParams) -> list[dict]:
         raise ValueError("the converse sweep needs finite e")
     e, charge = p.e, p.charge
     uglov = {EMPTY}.union(dst for _, _, dst in crystal_edges(n, p))
+    rims = {}  # component rims for children, read once per sweep
     records = []  # by rank, by support index: its (j, parent index)
 
     @cache
@@ -376,7 +390,7 @@ def verify_djm_converse(n: int, p: CrystalParams) -> list[dict]:
         # rows[i]: {j: the mask of the j-children of bps[i]}
         rows = [{} for _ in bps]
         for bp, row in zip(bps, rows):
-            for j, kids in children(bp, p).items():
+            for j, kids in children(bp, p, rims).items():
                 for mu in kids:
                     row[j] = row.get(j, 0) | 1 << index[mu]
         residues = sorted(set().union(*rows))  # at most 4k + 2
@@ -463,6 +477,7 @@ def verify_djm_corollary(n: int, p: CrystalParams):
     """Yield one report per Uglov bipartition bp of rank <= n, row-standard
     reformulation: bp dominates every shape of its word, Adm from
     adm_walk."""
+    keys = {}  # bipartition -> its uglov_key, read once per sweep
     for bp, _, found in adm_walk(n, p):
         if isinstance(found, str):
             yield {"bp": bipartition_to_json(bp), "pass": False,
@@ -470,7 +485,7 @@ def verify_djm_corollary(n: int, p: CrystalParams):
             continue
         seq = found[0]
         shapes = row_standard_shapes(seq, p)
-        ok = bp in shapes and uglov_max(shapes, p.charge) == bp
+        ok = bp in shapes and uglov_max(shapes, p.charge, keys) == bp
         yield {
             "bp": bipartition_to_json(bp),
             "adm": list(seq),

@@ -13,9 +13,10 @@ values, for the good-node readers.  uglov_layers and crystal_edges own a
 table of component rims (diagrams.component_rims) for the whole walk,
 so each component partition is read once, and good_additions builds a
 child from the partition the table grew.  children lists a
-bipartition's children by residue from one read of each component, for
-f_action, from a table its caller owns, one per sweep or monomial, and
-for the converse sweep: each bipartition of a sweep is read once.
+bipartition's children by residue the same way; f_action's table, one
+per sweep or monomial, also holds each bipartition's children, and the
+converse sweep keeps one of its own: each bipartition and component
+partition of a sweep is read once.
 """
 
 from __future__ import annotations
@@ -27,9 +28,7 @@ from .diagrams import (
     Bipartition,
     Node,
     beta_set,
-    component_rim,
     component_rims,
-    grow_partition,
     part,
     remove_node,
     rim,
@@ -47,17 +46,19 @@ def _check_e(e):
         raise ValueError("e must be >= 2 or None (infinity), got %r" % (e,))
 
 
-def children(bp: Bipartition, p: CrystalParams) -> dict:
+def children(bp: Bipartition, p: CrystalParams, table: dict) -> dict:
     """{j: the bipartitions bp plus one addable j-node}, distinct, for
-    every residue j of an addable node, from one diagrams.component_rim
-    read of each component."""
+    every residue j of an addable node, grown from bp's component rims in
+    table (diagrams.component_rims), which may also hold f_action's rows:
+    a Bipartition key is a 2-tuple, a rim key a 3-tuple (c, s, lam)."""
     e = p.e
     out: dict = {}
-    for c, lam, s in ((1, bp.c1, p.charge[0]), (2, bp.c2, p.charge[1])):
-        for _, cont, rem, a, b, _ in component_rim(lam, s, c):
+    for c, (entries, grown) in zip((1, 2), component_rims(bp, p.charge,
+                                                         table)):
+        for key, cont, rem, _, _, _ in entries:
             if not rem:
                 out.setdefault(cont if e is None else cont % e, []).append(
-                    with_component(bp, c, grow_partition(lam, a, b)))
+                    with_component(bp, c, grown[key]))
     return out
 
 
@@ -66,16 +67,18 @@ def f_action(vec: dict[Bipartition, int], j, p: CrystalParams,
     """Linear extension of: sum over mu obtained by adding a j-node.
     Coefficients are positive, so no term cancels.
 
-    table maps a bipartition to its children at p; the caller owns it and
-    shares it between the f_action calls of one sweep, so each
-    bipartition's children are read once.
+    table maps a bipartition to its children at p and, for children, a
+    3-tuple (c, s, lam) to a component rim; a Bipartition is a 2-tuple,
+    so keys never collide.  The caller owns it and shares it between the
+    f_action calls of one sweep: each bipartition and component partition
+    is read once.
     """
     _check_e(p.e)
     out: dict[Bipartition, int] = {}
     for bp, coeff in vec.items():
         row = table.get(bp)
         if row is None:
-            row = table[bp] = children(bp, p)
+            row = table[bp] = children(bp, p, table)
         for mu in row.get(j, ()):
             out[mu] = out.get(mu, 0) + coeff
     return out

@@ -363,7 +363,7 @@ def boundary_sequence(bp: Bipartition, charge: tuple[int, int],
 def uglov_key(bp: Bipartition, charge: tuple[int, int]) -> tuple[int, ...]:
     """The node_key values of the row-end vertical-boundary nodes of both
     components, decreasing: 2 * beta_set - c over both components, merged
-    (computed inline, as this is the hot key of uglov_max).
+    (computed inline: the hot key of uglov_max, once per bipartition).
 
     Keys compare as the boundary sequences do.  Those sequences go on
     with the virtual column-0 nodes (a, 0, c) below each component's last
@@ -387,10 +387,14 @@ def compare_uglov(bp1: Bipartition, bp2: Bipartition,
     return (k1 > k2) - (k1 < k2)
 
 
-def uglov_max(bps, charge: tuple[int, int]) -> Bipartition:
+def uglov_max(bps, charge: tuple[int, int], keys: dict) -> Bipartition:
     """The largest of a nonempty collection of bipartitions under
-    compare_uglov."""
-    return max(bps, key=lambda bp: uglov_key(bp, charge))
+    compare_uglov, keyed through keys, a dict bipartition -> uglov_key
+    that its caller owns (one per sweep, {} for one call)."""
+    for bp in bps:
+        if bp not in keys:
+            keys[bp] = uglov_key(bp, charge)
+    return max(bps, key=keys.__getitem__)
 
 
 def compare_lex(bp1: Bipartition, bp2: Bipartition) -> int:

@@ -22,7 +22,7 @@ from uglov.admissible import (
     verify_djm_corollary,
     verify_djm_forward,
 )
-from uglov import admissible, crystal, isomorphism
+from uglov import admissible, crystal, diagrams, isomorphism
 from uglov.crystal import (
     CrystalParams,
     children,
@@ -326,7 +326,7 @@ def test_adm_word_reaches_bp_as_monomial_maximum():
     # reversed(Adm) read as a monomial applies the oldest residue first.
     bp = P("6.1,2.2")
     vec = expand_monomial(list(reversed(adm(bp, P01))), P01)
-    assert uglov_max(vec, P01.charge) == bp
+    assert uglov_max(vec, P01.charge, {}) == bp
 
 
 def forward_oracle(bp, p):
@@ -342,7 +342,7 @@ def forward_oracle(bp, p):
     vec = {EMPTY: 1}
     for j in seq:
         vec = f_action(vec, j, p, {})
-    ok = bp in vec and uglov_max(vec, p.charge) == bp
+    ok = bp in vec and uglov_max(vec, p.charge, {}) == bp
     return {
         "bp": bipartition_to_json(bp),
         "adm": list(seq),
@@ -401,16 +401,21 @@ def test_forward_reads_children_once_per_bipartition(monkeypatch):
     # Every whole-rim pass of the sweep is top_class's, one per nonempty
     # image (249 at rank <= 9), and none comes from crystal.rim; the
     # sweep's one f_action table reads the children of each bipartition
-    # once, and its crystal_edges walk reads each (component, partition)
-    # of the Uglov bipartitions below rank 9 once.
+    # once, and each (component, partition) of those bipartitions once,
+    # and its crystal_edges walk reads each (component, partition) of the
+    # Uglov bipartitions below rank 9 once.
     reports = list(verify_djm_forward(9, P01))
-    images = set().union(*uglov_layers(9, P01)) - {EMPTY}
+    layers = uglov_layers(9, P01)
+    images = set().union(*layers) - {EMPTY}
+    sources = set().union(*layers[:9])  # ranks below 9
     assert len(images) == 249
-    kids, readers, passes = [], [], count_rim_passes(monkeypatch)
+    kids, tables, readers = [], [], []
+    passes = count_rim_passes(monkeypatch)
 
-    def counted(bp, p):
+    def counted(bp, p, table):
         kids.append(bp)
-        return children(bp, p)
+        tables.append(table)
+        return children(bp, p, table)
 
     def counted_rim(bp, charge):
         readers.append((sys._getframe(1).f_code.co_name, bp))
@@ -424,9 +429,45 @@ def test_forward_reads_children_once_per_bipartition(monkeypatch):
     assert {bp.rank for bp in kids} == set(range(9))
     assert passes == []
     assert sorted(readers) == sorted(("top_class", bp) for bp in images)
-    assert len(reads) == len(set(reads))
-    sources = set().union(*uglov_layers(8, P01))
-    assert set(reads) == component_keys(sources, P01.charge)
+    assert len({id(table) for table in tables}) == 1
+    kid_reads = component_keys(kids, P01.charge)
+    assert {key for key in tables[0] if len(key) == 3} == kid_reads
+    assert sorted(reads) == sorted(
+        list(component_keys(sources, P01.charge)) + list(kid_reads))
+
+
+def test_forward_reads_each_fact_once(monkeypatch):
+    # At rank <= 9 every one of the 734 bipartitions lies in an expansion:
+    # the sweep keys each once and encodes each once, reads each of the
+    # 134 (component, partition) of the bipartitions below rank 9 once for
+    # their children, and tests no rest with is_flotw.
+    reports = list(verify_djm_forward(9, P01))
+    assert sum(len(bipartitions_of(k)) for k in range(10)) == 734
+    calls, fills = {}, []
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(diagrams, "uglov_key")
+    count(admissible, "bipartition_to_json")
+    count(admissible, "is_flotw")
+    real_rim = diagrams.component_rim
+
+    def counted_rim(lam, s, c):  # under _grown_rim, component_rims
+        if sys._getframe(3).f_code.co_name == "children":
+            fills.append((c, s, lam))
+        return real_rim(lam, s, c)
+
+    monkeypatch.setattr(diagrams, "component_rim", counted_rim)
+    assert list(verify_djm_forward(9, P01)) == reports
+    assert calls == {"uglov_key": 734, "bipartition_to_json": 734}
+    assert len(fills) == len(set(fills)) == 134
 
 
 @pytest.mark.parametrize("sweep, n, steps, tests", [
@@ -525,7 +566,7 @@ def words_by_max(n: int, p: CrystalParams) -> dict:
     todo = [([], {EMPTY: 1})]
     while todo:
         word, vec = todo.pop()
-        out.setdefault(uglov_max(vec, p.charge), []).append(word)
+        out.setdefault(uglov_max(vec, p.charge, {}), []).append(word)
         if len(word) < n:
             for j in range(p.e):
                 child = f_action(vec, j, p, {})
@@ -585,7 +626,7 @@ def _converse_brute(n, p, member):
     for word in itertools.product(range(p.e), repeat=n):
         vec = expand_monomial(word, p)
         if vec:
-            best = uglov_max(vec, p.charge)
+            best = uglov_max(vec, p.charge, {})
             if not member(best, p):
                 failures.append({"word": list(word),
                                  "max": bipartition_to_json(best)})
@@ -631,7 +672,7 @@ def converse_word_oracle(n, p, member):
     failures = [[] for _ in range(n + 1)]  # by rank
 
     def visit(suffix, vec):
-        best = uglov_max(vec, p.charge)
+        best = uglov_max(vec, p.charge, {})
         if not member(best, p):
             failures[len(suffix)].append({"word": list(suffix),
                                           "max": bipartition_to_json(best)})
@@ -795,11 +836,12 @@ def test_converse_reads_children_once_per_bipartition(monkeypatch):
     # some support.  It makes no whole-rim pass of its own and no
     # validating add_node or addable_nodes call.  It keys each
     # bipartition at most once, to order its rank.
-    calls, passes, keyed = [], [], []
+    calls, passes, keyed, tables = [], [], [], []
 
-    def counted(bp, p):
+    def counted(bp, p, table):
         calls.append(bp)
-        return children(bp, p)
+        tables.append(table)
+        return children(bp, p, table)
 
     def counted_rim(bp, charge):
         passes.append(bp)
@@ -817,6 +859,8 @@ def test_converse_reads_children_once_per_bipartition(monkeypatch):
     assert passes == []
     assert len(calls) == len(set(calls))
     assert set(calls) == {bp for k in range(8) for bp in bipartitions_of(k)}
+    assert len({id(table) for table in tables}) == 1
+    assert set(tables[0]) == component_keys(calls, P01.charge)
     assert len(keyed) == len(set(keyed))
     assert set(keyed) <= {bp for k in range(9) for bp in bipartitions_of(k)}
     assert len(keyed) == sum(len(bipartitions_of(k)) for k in range(1, 9))
@@ -894,7 +938,7 @@ def corollary_oracle(bp, p):
         return {"bp": bipartition_to_json(bp), "pass": False,
                 "error": str(exc)}
     shapes = row_standard_shapes(seq, p)
-    ok = bp in shapes and uglov_max(shapes, p.charge) == bp
+    ok = bp in shapes and uglov_max(shapes, p.charge, {}) == bp
     return {
         "bp": bipartition_to_json(bp),
         "adm": list(seq),
@@ -975,6 +1019,31 @@ def test_verify_djm_corollary_matches_oracle(p, monkeypatch):
     swept = _lines(verify_djm_corollary(6, p))
     assert swept == _oracle_lines(corollary_oracle, 6, p)
     assert sum('"error": "forced on' in x for x in swept) > 1
+
+
+@pytest.mark.parametrize("sweep, oracle", [
+    (verify_djm_forward, forward_oracle),
+    (verify_djm_corollary, corollary_oracle),
+])
+def test_non_flotw_rest_is_an_error(monkeypatch, sweep, oracle):
+    # No class step of the sweeps leaves a non-FLOTW rest, so one is
+    # forced: the class of 1,1.1 at e=3, s=(0,1) becomes its node (1,1,1),
+    # which leaves -,1.1.  The walk finds that rest among no image and
+    # records the text that adm_flotw's is_flotw test raises, and every
+    # bipartition whose class steps pass through 1,1.1 inherits it.
+    chosen, g = P("1,1.1"), Node(1, 1, 1)
+    assert not crystal.is_flotw(remove_node(chosen, g), P01)
+    real = admissible.top_class
+
+    def forced(bp, q):
+        return (0, [g], [g]) if bp == chosen else real(bp, q)
+
+    monkeypatch.setattr(admissible, "top_class", forced)
+    swept = _lines(sweep(6, P01))
+    assert swept == _oracle_lines(oracle, 6, P01)
+    text = ('"error": "class removal left non-FLOTW '
+            'Bipartition(c1=(), c2=(1, 1))"')
+    assert sum(text in line for line in swept) > 1
 
 
 @pytest.mark.parametrize("p", WALK_GRID, ids=str)

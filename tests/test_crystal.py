@@ -191,7 +191,7 @@ def test_children_match_addable_nodes():
         for g in addable_nodes(bp):
             expected.setdefault(residue(g, p.charge, p.e),
                                 set()).add(add_node(bp, g))
-        got = crystal.children(bp, p)
+        got = crystal.children(bp, p, {})
         assert {j: set(kids) for j, kids in got.items()} == expected, (bp, p)
         assert sum(map(len, got.values())) == len(addable_nodes(bp))
 
@@ -272,9 +272,11 @@ def test_component_rim_kernel_matches_whole_bipartition_oracle():
                     if not rem:
                         kids.setdefault(cont if e is None else cont % e,
                                         []).append(add_node(bp, Node(a, b, c)))
-                assert ({j: sorted(mus) for j, mus in
-                         crystal.children(bp, p).items()}
-                        == {j: sorted(mus) for j, mus in kids.items()}), (bp, p)
+                kids = {j: sorted(mus) for j, mus in kids.items()}
+                for rims in (table, {}):  # a shared table and a fresh one
+                    assert ({j: sorted(mus) for j, mus in
+                             crystal.children(bp, p, rims).items()}
+                            == kids), (bp, p)
                 cases += 1
     assert cases == 434 * len(KERNEL_CHARGES) * len(KERNEL_ES)
     assert set(table) == {(c, charge[c - 1], lam)
@@ -329,7 +331,9 @@ def test_peel_word_matches_oracle_peel():
 @pytest.mark.parametrize("e", [2, 3, 4])
 def test_shared_f_action_table_keeps_every_monomial(e):
     # One table shared by every word of length <= 5 at one CrystalParams
-    # gives each word's expand_monomial, whose table is its own.
+    # gives each word's expand_monomial, whose table is its own.  The
+    # table holds each bipartition's children and, under 3-tuple keys,
+    # the component rims they are grown from.
     for charge in ((0, 0), (0, 1), (2, -1), (5, 0)):
         p, table = CrystalParams(e, charge), {}
         for k in range(6):
@@ -338,8 +342,9 @@ def test_shared_f_action_table_keeps_every_monomial(e):
                 for j in reversed(word):
                     vec = f_action(vec, j, p, table)
                 assert vec == expand_monomial(word, p), (word, p)
-        assert set(table) <= {bp for k in range(5)
-                              for bp in bipartitions_of(k)}
+        bps = {key for key in table if isinstance(key, Bipartition)}
+        assert bps <= {bp for k in range(5) for bp in bipartitions_of(k)}
+        assert set(table) - bps == component_keys(bps, charge)
 
 
 def _reduce_by_scanning(tags):
@@ -557,8 +562,9 @@ def test_expand_monomial_applies_last_residue_first():
 
 
 def test_max_of_monomial_examples():
-    assert uglov_max(expand_monomial([0], P01), P01.charge) == P("1,-")
-    assert uglov_max(expand_monomial([1, 0], P01), P01.charge) == P("2,-")
+    assert uglov_max(expand_monomial([0], P01), P01.charge, {}) == P("1,-")
+    assert (uglov_max(expand_monomial([1, 0], P01), P01.charge, {})
+            == P("2,-"))
     assert expand_monomial([2], P01) == {}
 
 
@@ -570,4 +576,4 @@ def test_monomial_maxima_are_uglov_small():
             # positive coefficients: f_action never drops a cancelled term
             assert all(coeff > 0 for coeff in vec.values())
             if vec:
-                assert is_uglov(uglov_max(vec, p.charge), p)
+                assert is_uglov(uglov_max(vec, p.charge, {}), p)

@@ -536,7 +536,7 @@ def test_uglov_key_matches_boundary_sequence_oracle(charge):
     expected = sorted(bps, key=cmp_to_key(
         lambda x, y: compare_uglov_oracle(x, y, charge)))
     assert sorted(bps, key=lambda bp: uglov_key(bp, charge)) == expected
-    assert uglov_max(bps, charge) == expected[-1]
+    assert uglov_max(bps, charge, {}) == expected[-1]
     for x, y in zip(expected, expected[1:]):
         assert compare_uglov(x, y, charge) == -1
         assert compare_uglov(y, x, charge) == 1
