@@ -16,18 +16,12 @@ import io
 import json
 import pathlib
 
+from test_admissible import _cell_charges
 from uglov import cli
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden.json"
 
 MODES = ("forward", "converse", "corollary", "propb", "psi-nature")
-
-
-def _cell_charges(e):
-    # the nine charges per e of tests/test_admissible.py: fundamental,
-    # asymptotic and wide, both signs
-    return ((0, 0), (0, 1), (1, 0), (0, e - 1), (0, 4), (11, 0), (5, -2),
-            (2, -1), (0, 3 * e))
 
 
 def _grid() -> list[str]:
