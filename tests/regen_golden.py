@@ -43,6 +43,10 @@ def _grid() -> list[str]:
         # deeper forward sweeps, each exit 0
         "--format json verify --mode forward --n 11",
         "--e 4 --charge 1,3 --format json verify --mode forward --n 10",
+        # deeper corollary sweeps: exit 1, 0 and 1
+        "--format json verify --mode corollary --n 9",
+        "--e 2 --format json verify --mode corollary --n 9",
+        "--e 4 --charge 1,3 --format json verify --mode corollary --n 8",
         # the four benchmark sweeps
         "--format json enumerate --n 19",
         "--format json verify --mode forward --n 9",
