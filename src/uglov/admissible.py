@@ -20,6 +20,9 @@ membership verdicts come from one crystal_edges walk, its children from
 crystal.children, the child masks of a support from chunk tables that
 every support of a rank shares, and each support's (residue, parent)
 records are kept by support index.
+
+The corollary sweep fills each shape's rows in one greedy pass: a letter
+goes to the row that waits for it and has the most boxes left.
 """
 
 from __future__ import annotations
@@ -423,54 +426,35 @@ def verify_djm_converse(n: int, p: CrystalParams) -> list[dict]:
 # row-standard tableaux reformulation
 
 def _row_standard_filling_exists(bp: Bipartition, word, charge, e) -> bool:
-    # DP over per-row filled prefixes: a row-standard filling is exactly a
-    # left-to-right filling of each row as the numbers increase.
-    rows = [(a, c) for c in (1, 2)
-            for a in range(1, len(bp.component(c)) + 1)]
-    limits = [bp.component(c)[a - 1] for a, c in rows]
-    states = {tuple([0] * len(rows))}
+    # A row-standard filling fills each row left to right as the numbers
+    # increase, so row a of component c is a chain of consecutive residues
+    # from content s_c + 1 - a.  Each letter goes to the row that waits for
+    # its residue and has the most boxes left.  Two rows A and B that wait
+    # for the same residue need the same residues from then on.  If a
+    # filling gives letter t to B, and A has at least as many boxes left,
+    # with later letters a_0 < a_1 < ... and B's letters t = b_0 < b_1 <
+    # ..., then some filling gives t to A.  At the first i >= 1 with
+    # a_(i-1) < b_i, A takes b_0 .. b_(i-1), a_i, ... and B takes
+    # a_0 .. a_(i-1), b_i, ...  With no such i, A takes B's whole chain and
+    # then its own letters past B's length, and B takes A's first |B|.
+    rows = [[s + 1 - a, length]  # the next content and the boxes left
+            for lam, s in zip((bp.c1, bp.c2), charge)
+            for a, length in enumerate(lam, 1)]
     for j in word:
-        nxt = set()
-        for state in states:
-            for i, (a, c) in enumerate(rows):
-                b = state[i] + 1
-                if b > limits[i]:
-                    continue
-                if residue(Node(a, b, c), charge, e) != j:
-                    continue
-                child = list(state)
-                child[i] = b
-                nxt.add(tuple(child))
-        if not nxt:
+        waiting = [row for row in rows
+                   if row[1] and (row[0] if e is None else row[0] % e) == j]
+        if not waiting:
             return False
-        states = nxt
-    return any(all(s == lim for s, lim in zip(state, limits))
-               for state in states)
-
-
-def _box_residues(bp: Bipartition, charge, e) -> list:
-    # the residues of the boxes of bp, sorted
-    out = []
-    for lam, s in ((bp.c1, charge[0]), (bp.c2, charge[1])):
-        for a, row in enumerate(lam, 1):
-            out += range(s + 1 - a, s + 1 - a + row)  # contents of row a
-    if e is not None:
-        out = [cont % e for cont in out]
-    out.sort()
-    return out
+        row = max(waiting, key=lambda row: row[1])
+        row[0] += 1
+        row[1] -= 1
+    return not any(left for _, left in rows)
 
 
 def row_standard_shapes(word, p: CrystalParams) -> set[Bipartition]:
-    """Shapes admitting a row-standard tableau with this residue word.
-
-    Such a tableau puts each letter of the word in a box of that residue,
-    so a shape whose box residues differ from the letters as multisets is
-    skipped before the row-filling DP.
-    """
-    letters = sorted(word)
+    """Shapes admitting a row-standard tableau with this residue word."""
     return {bp for bp in bipartitions_of(len(word))
-            if _box_residues(bp, p.charge, p.e) == letters
-            and _row_standard_filling_exists(bp, word, p.charge, p.e)}
+            if _row_standard_filling_exists(bp, word, p.charge, p.e)}
 
 
 def verify_djm_corollary(n: int, p: CrystalParams):

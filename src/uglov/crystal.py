@@ -15,8 +15,8 @@ so each component partition is read once, and good_additions builds a
 child from the partition the table grew.  children lists a
 bipartition's children by residue the same way; f_action's table, one
 per sweep or monomial, also holds each bipartition's children, and the
-converse sweep keeps one of its own: each bipartition and component
-partition of a sweep is read once.
+converse sweep keeps one of its own.  Each table reads a component
+partition once; admissible's class steps read rim directly.
 """
 
 from __future__ import annotations

@@ -900,11 +900,68 @@ def test_row_standard_shapes_examples():
                 == _row_standard_shapes_brute(list(word), p))
 
 
+def row_filling_oracle(bp, word, charge, e):
+    # Reference: a DP over per-row filled prefixes.  A row-standard filling
+    # is exactly a left-to-right filling of each row as the numbers
+    # increase.
+    rows = [(a, c) for c in (1, 2)
+            for a in range(1, len(bp.component(c)) + 1)]
+    limits = [bp.component(c)[a - 1] for a, c in rows]
+    states = {tuple([0] * len(rows))}
+    for j in word:
+        nxt = set()
+        for state in states:
+            for i, (a, c) in enumerate(rows):
+                b = state[i] + 1
+                if b > limits[i]:
+                    continue
+                if residue(Node(a, b, c), charge, e) != j:
+                    continue
+                child = list(state)
+                child[i] = b
+                nxt.add(tuple(child))
+        if not nxt:
+            return False
+        states = nxt
+    return any(all(s == lim for s, lim in zip(state, limits))
+               for state in states)
+
+
 def _row_standard_shapes_unfiltered(word, p):
     # Oracle: the row-filling DP on every shape of the word's rank.
     return {bp for bp in bipartitions_of(len(word))
-            if admissible._row_standard_filling_exists(bp, word, p.charge,
-                                                       p.e)}
+            if row_filling_oracle(bp, word, p.charge, p.e)}
+
+
+def test_row_filling_matches_oracle_exhaustively():
+    # Every distinct ordering of each shape's box residues, ranks <= 5.
+    words = fillable = 0
+    for e, charge in itertools.product(
+            (2, 3, 4, None), ((0, 0), (0, 1), (1, 0), (2, -1))):
+        for n in range(6):
+            for bp in bipartitions_of(n):
+                letters = [residue(Node(a, b, c), charge, e)
+                           for c in (1, 2)
+                           for a, row in enumerate(bp.component(c), 1)
+                           for b in range(1, row + 1)]
+                for word in set(itertools.permutations(letters)):
+                    got = admissible._row_standard_filling_exists(
+                        bp, word, charge, e)
+                    assert got == row_filling_oracle(bp, word, charge, e)
+                    words += 1
+                    fillable += got
+    assert (words, fillable) == (30151, 14180)
+
+
+def test_row_filling_prefers_the_longest_waiting_row():
+    # At the second letter both rows of each shape wait for residue 0.
+    # Taking the shortest waiting row fails on 3.1, and taking the first
+    # waiting row fails on 2.2.
+    p = CrystalParams(2, (0, 1))
+    word = [1, 0, 1, 0]
+    for shape in (P("-,3.1"), P("-,2.2")):
+        assert row_filling_oracle(shape, word, p.charge, p.e)
+        assert shape in row_standard_shapes(word, p)
 
 
 def test_row_standard_shapes_match_unfiltered():
