@@ -47,6 +47,9 @@ def _grid() -> list[str]:
         "--format json verify --mode corollary --n 9",
         "--e 2 --format json verify --mode corollary --n 9",
         "--e 4 --charge 1,3 --format json verify --mode corollary --n 8",
+        # deeper propb sweeps: exit 0, then 1 at 4.4,2.1.1.1
+        "--e 4 --charge 1,3 --format json verify --mode propb --n 12",
+        "--e 4 --charge 1,3 --format json verify --mode propb --n 13",
         # the four benchmark sweeps
         "--format json enumerate --n 19",
         "--format json verify --mode forward --n 9",
