@@ -9,10 +9,12 @@ the crystal component of the empty bipartition.
 The forward, corollary and propb sweeps read their bipartitions at the
 fundamental charge from one isomorphism.psi_images walk: propb checks
 each image's top_class, and adm_walk, feeding forward and corollary,
-takes one class_step per image onto the Adm of its remainder.  Each
-class step reads its image in one rim pass, in top_class; its rest is
-FLOTW exactly when adm_walk has stepped it already.  The forward sweep
-reads each bipartition's children, uglov_key and JSON form once.
+takes one class_step per image onto the Adm of its remainder.  A class
+is the run of removable j-nodes around its seed whose neighbours are
+(1)- or (2)-connected.  Each class step reads its image in one rim pass,
+in top_class; its rest is FLOTW exactly when adm_walk has stepped it
+already.  The forward sweep reads each bipartition's children, uglov_key
+and JSON form once.
 
 The converse sweep walks the distinct supports of monomials rank by
 rank, each an int over the bipartitions of its rank in Uglov order.  Its
@@ -106,40 +108,31 @@ def two_connected(bp: Bipartition, g1: Node,
     if not removable(bp, g1):
         raise ValueError("%r is not removable from %r" % (g1, bp))
     a, b, c = g1
-    if c == 1:
-        a2 = a + s2 - s1
-        if part(bp.c2, a2) == bp.c1[a - 1] and a2 >= 1:
-            return Node(a2, part(bp.c2, a2), 2)
-    else:
-        a2 = a + e + s1 - s2
-        if part(bp.c1, a2) == bp.c2[a - 1] and a2 >= 1:
-            return Node(a2, part(bp.c1, a2), 1)
-    return None
+    a2, other = (a + s2 - s1, bp.c2) if c == 1 else (a + e + s1 - s2, bp.c1)
+    return Node(a2, b, 3 - c) if part(other, a2) == b else None
 
 
 def _connected_class(bp: Bipartition, seed: Node, nodes: list,
                      p: CrystalParams) -> list[Node]:
-    # The class of seed among nodes, bp's removable j-nodes, increasing.
-    # one_connected(bp, g1, g2, p) is has_period(bp minus g2), blind to g1,
-    # so one test per candidate g2 links it to every candidate below or none.
-    adjacency = {g: set() for g in nodes}
-    for i, g2 in enumerate(nodes[1:], 1):
-        if one_connected(bp, nodes[0], g2, p):
-            for g1 in nodes[:i]:
-                adjacency[g1].add(g2)
-                adjacency[g2].add(g1)
-    for g in nodes:
-        partner = two_connected(bp, g, p)
-        if partner in adjacency:
-            adjacency[g].add(partner)
-            adjacency[partner].add(g)
-    seen, todo = {seed}, [seed]
-    while todo:
-        for other in adjacency[todo.pop()]:
-            if other not in seen:
-                seen.add(other)
-                todo.append(other)
-    return [g for g in nodes if g in seen]
+    # The class of seed among nodes, bp's removable j-nodes, increasing, is
+    # a run: one_connected(bp, g1, g2, p) is has_period(bp minus g2), blind
+    # to g1, so the (1)-links fill the run nodes[0..top], top the highest
+    # positive g2, and a (2)-partner in nodes is the node just below: that
+    # of (a, b, 1) at content x has content x and node_key one less, that of
+    # (a, b, 2) has content x - e, and no j-node has a content between.  So
+    # the class is the run of linked neighbours around seed.
+    top = next((i for i in range(len(nodes) - 1, 0, -1)
+                if one_connected(bp, nodes[0], nodes[i], p)), 0)
+
+    def linked(i):  # nodes[i - 1] and nodes[i]
+        return i <= top or two_connected(bp, nodes[i], p) == nodes[i - 1]
+
+    lo = hi = nodes.index(seed)
+    while lo > 0 and linked(lo):
+        lo -= 1
+    while hi + 1 < len(nodes) and linked(hi + 1):
+        hi += 1
+    return nodes[lo:hi + 1]
 
 
 def removable_class(bp: Bipartition, seed: Node,
@@ -451,9 +444,10 @@ def _row_standard_filling_exists(bp: Bipartition, word, charge, e) -> bool:
     return not any(left for _, left in rows)
 
 
-def row_standard_shapes(word, p: CrystalParams) -> set[Bipartition]:
-    """Shapes admitting a row-standard tableau with this residue word."""
-    return {bp for bp in bipartitions_of(len(word))
+def row_standard_shapes(word, p: CrystalParams, bps) -> set[Bipartition]:
+    """Shapes admitting a row-standard tableau with this residue word,
+    among bps, the bipartitions of rank len(word)."""
+    return {bp for bp in bps
             if _row_standard_filling_exists(bp, word, p.charge, p.e)}
 
 
@@ -462,13 +456,16 @@ def verify_djm_corollary(n: int, p: CrystalParams):
     reformulation: bp dominates every shape of its word, Adm from
     adm_walk."""
     keys = {}  # bipartition -> its uglov_key, read once per sweep
+    ranks = {}  # rank -> its bipartitions, the candidate shapes
     for bp, _, found in adm_walk(n, p):
         if isinstance(found, str):
             yield {"bp": bipartition_to_json(bp), "pass": False,
                    "error": found}
             continue
         seq = found[0]
-        shapes = row_standard_shapes(seq, p)
+        if bp.rank not in ranks:
+            ranks[bp.rank] = bipartitions_of(bp.rank)
+        shapes = row_standard_shapes(seq, p, ranks[bp.rank])
         ok = bp in shapes and uglov_max(shapes, p.charge, keys) == bp
         yield {
             "bp": bipartition_to_json(bp),

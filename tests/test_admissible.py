@@ -262,6 +262,58 @@ def test_top_class_matches_oracle_where_the_class_fails(e, text):
         admissible.class_step(bp, fp)
 
 
+RUN_GRID = [(CrystalParams(e, (s1, s2)), n)
+            for e, n in ((2, 9), (3, 8), (4, 7), (5, 6))
+            for s1 in range(e) for s2 in range(s1, e)]
+
+
+def removable_runs():
+    # (bp, p, nodes) for every bipartition of rank 1..9/8/7/6, Uglov or
+    # not, at every fundamental charge of e = 2/3/4/5, and each residue j
+    # of its removable nodes: nodes are its removable j-nodes, increasing.
+    for p, n in RUN_GRID:
+        for k in range(1, n + 1):
+            for bp in bipartitions_of(k):
+                by = {}
+                for _, cont, rem, a, b, c in rim(bp, p.charge):
+                    if rem:
+                        by.setdefault(cont % p.e, []).append(Node(a, b, c))
+                yield from ((bp, p, nodes) for nodes in by.values())
+
+
+def test_connected_class_is_the_oracle_run():
+    # For every seed the run scan finds the graph search's class.  Each
+    # neighbour pair of a run is linked through the (1)-block nodes[0..top]
+    # or else by two_connected; every mix of the two occurs.
+    kinds = {}
+    for bp, p, nodes in removable_runs():
+        top = max((i for i in range(1, len(nodes))
+                   if one_connected(bp, nodes[0], nodes[i], p)), default=0)
+        for seed in nodes:
+            run = admissible._connected_class(bp, seed, nodes, p)
+            assert run == connected_class_oracle(bp, seed, p), (bp, p, seed)
+            lo = nodes.index(run[0])
+            used = frozenset(1 if i <= top else 2
+                             for i in range(lo + 1, lo + len(run)))
+            kinds[used] = kinds.get(used, 0) + 1
+    assert kinds == {frozenset({1}): 6042, frozenset({2}): 994,
+                     frozenset({1, 2}): 21, frozenset(): 14967}
+
+
+def test_two_connected_partner_is_the_removable_node_just_below():
+    # The partner of (a, b, 1) has its content and the next lower
+    # node_key; that of (a, b, 2) is e contents lower, and no j-node lies
+    # between.  So a removable partner is the j-node just below g.
+    partners = 0
+    for bp, p, nodes in removable_runs():
+        for i, g in enumerate(nodes):
+            partner = two_connected(bp, g, p)
+            if partner is not None and diagrams.removable(bp, partner):
+                assert i > 0 and partner == nodes[i - 1], (bp, p, g)
+                partners += 1
+    assert partners == 1081
+
+
 def test_removable_class_example():
     bp = P("3.1.1,3.2.2.1.1")
     cls = removable_class(bp, Node(1, 3, 2), P02)
@@ -470,21 +522,27 @@ def test_forward_reads_each_fact_once(monkeypatch):
     assert len(fills) == len(set(fills)) == 134
 
 
-@pytest.mark.parametrize("sweep, n, steps, tests", [
-    (verify_djm_forward, 9, 249, 147),
-    (propb_checks, 10, 370, 238),
+@pytest.mark.parametrize("sweep, n, steps, tests, partners", [
+    (verify_djm_forward, 9, 249, 137, 87),
+    (propb_checks, 10, 370, 220, 145),
 ])
 def test_class_step_tests_each_candidate_once(monkeypatch, sweep, n, steps,
-                                              tests):
+                                              tests, partners):
     # one_connected(bp, g1, g2, p) never reads g1, so a class with k
-    # candidates, the removable j-nodes, takes at most k - 1 tests.
+    # candidates, the removable j-nodes, takes at most k - 1 tests; the
+    # run asks two_connected only of the neighbours it widens across.
     reports = list(sweep(n, P01))
-    calls, found = [], []
+    calls, found, twos = [], [], []
     real_one, real_top = admissible.one_connected, admissible.top_class
+    real_two = admissible.two_connected
 
     def counted_one(*args):
         calls.append(args)
         return real_one(*args)
+
+    def counted_two(*args):
+        twos.append(args)
+        return real_two(*args)
 
     def counted_top(bp, p):
         before = len(calls)
@@ -494,11 +552,12 @@ def test_class_step_tests_each_candidate_once(monkeypatch, sweep, n, steps,
         return j, cls, normal
 
     monkeypatch.setattr(admissible, "one_connected", counted_one)
+    monkeypatch.setattr(admissible, "two_connected", counted_two)
     monkeypatch.setattr(admissible, "top_class", counted_top)
     assert list(sweep(n, P01)) == reports
     assert len(found) == steps
     assert all(made <= k - 1 for made, k in found)
-    assert len(calls) == tests
+    assert (len(calls), len(twos)) == (tests, partners)
 
 
 @pytest.mark.parametrize("p, n", [(P01, 10), (CrystalParams(2, (0, 1)), 11),
@@ -893,10 +952,10 @@ def _row_standard_shapes_brute(word, p):
 
 
 def test_row_standard_shapes_examples():
-    assert row_standard_shapes([0], P01) == {P("1,-")}
+    assert row_standard_shapes([0], P01, bipartitions_of(1)) == {P("1,-")}
     p = CrystalParams(2, (0, 0))
     for word in itertools.product(range(2), repeat=2):
-        assert (row_standard_shapes(list(word), p)
+        assert (row_standard_shapes(list(word), p, bipartitions_of(2))
                 == _row_standard_shapes_brute(list(word), p))
 
 
@@ -961,7 +1020,7 @@ def test_row_filling_prefers_the_longest_waiting_row():
     word = [1, 0, 1, 0]
     for shape in (P("-,3.1"), P("-,2.2")):
         assert row_filling_oracle(shape, word, p.charge, p.e)
-        assert shape in row_standard_shapes(word, p)
+        assert shape in row_standard_shapes(word, p, bipartitions_of(4))
 
 
 def test_row_standard_shapes_match_unfiltered():
@@ -978,11 +1037,11 @@ def test_row_standard_shapes_match_unfiltered():
     words.append(([2, 2], P01))  # no shape has two boxes of residue 2
     empty = 0
     for word, p in words:
-        shapes = row_standard_shapes(word, p)
+        shapes = row_standard_shapes(word, p, bipartitions_of(len(word)))
         assert shapes == _row_standard_shapes_unfiltered(word, p)
         empty += not shapes
     assert 0 < empty < len(words)
-    assert row_standard_shapes([2, 2], P01) == set()
+    assert row_standard_shapes([2, 2], P01, bipartitions_of(2)) == set()
 
 
 def corollary_oracle(bp, p):
@@ -994,7 +1053,7 @@ def corollary_oracle(bp, p):
     except AssertionError as exc:
         return {"bp": bipartition_to_json(bp), "pass": False,
                 "error": str(exc)}
-    shapes = row_standard_shapes(seq, p)
+    shapes = row_standard_shapes(seq, p, bipartitions_of(len(seq)))
     ok = bp in shapes and uglov_max(shapes, p.charge, {}) == bp
     return {
         "bp": bipartition_to_json(bp),
