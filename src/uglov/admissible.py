@@ -36,6 +36,7 @@ from typing import Optional
 
 from .crystal import (
     CrystalParams,
+    RimTable,
     children,
     crystal_edges,
     f_action,
@@ -265,7 +266,7 @@ def verify_djm_forward(n: int, p: CrystalParams):
     A walk error is the "error" field.
     """
     vecs = {EMPTY: {EMPTY: 1}}  # image -> vector of its Adm monomial
-    table = {}  # f_action's: children and component rims, see f_action
+    table = RimTable(p)  # f_action's, shared by the sweep
     keys, forms = {}, {}  # bipartition -> its uglov_key, its JSON form
     for bp, image, found in adm_walk(n, p):
         if bp not in forms:
@@ -278,7 +279,7 @@ def verify_djm_forward(n: int, p: CrystalParams):
             j, r, rest = step
             vec = vecs[rest]
             for _ in range(r):
-                vec = f_action(vec, j, p, table)
+                vec = f_action(vec, j, table)
             vecs[image] = vec
         vec = vecs[image]
         for mu in vec:
@@ -352,7 +353,7 @@ def verify_djm_converse(n: int, p: CrystalParams) -> list[dict]:
         raise ValueError("the converse sweep needs finite e")
     e, charge = p.e, p.charge
     uglov = {EMPTY}.union(dst for _, _, dst in crystal_edges(n, p))
-    rims = {}  # component rims for children, read once per sweep
+    rims = RimTable(p)  # for children: one rim read per partition
     records = []  # by rank, by support index: its (j, parent index)
 
     @cache
@@ -386,7 +387,7 @@ def verify_djm_converse(n: int, p: CrystalParams) -> list[dict]:
         # rows[i]: {j: the mask of the j-children of bps[i]}
         rows = [{} for _ in bps]
         for bp, row in zip(bps, rows):
-            for j, kids in children(bp, p, rims).items():
+            for j, kids in children(bp, rims).items():
                 for mu in kids:
                     row[j] = row.get(j, 0) | 1 << index[mu]
         residues = sorted(set().union(*rows))  # at most 4k + 2

@@ -101,7 +101,7 @@ def cmd_enumerate(args) -> int:
     if args.format == "dot":
         print(render_dot(args.n, p))
         return 0
-    bps = sorted(crystal.uglov_layers(args.n, p)[args.n])
+    bps = sorted(crystal.top_layer(args.n, p))
     if args.format == "json":
         print(json.dumps([diagrams.bipartition_to_json(bp) for bp in bps]))
     else:
@@ -123,6 +123,11 @@ def render_dot(n: int, p: CrystalParams) -> str:
     return "\n".join(lines)
 
 
+# json.dumps(r, sort_keys=True) without the cycle check: reports share
+# bipartition forms but hold no cycles
+REPORT_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
+
+
 def cmd_verify(args) -> int:
     if args.e is None:
         print("verify needs finite e", file=sys.stderr)
@@ -137,8 +142,7 @@ def cmd_verify(args) -> int:
     reports = sweeps[args.mode](args.n, CrystalParams(args.e, args.charge))
     # each report serialized once, as it arrives: its line is also its
     # sort key, and no report dict outlives its line
-    lines = sorted((json.dumps(r, sort_keys=True), r["pass"])
-                   for r in reports)
+    lines = sorted((REPORT_ENCODER.encode(r), r["pass"]) for r in reports)
     failed = [line for line, ok in lines if not ok]
     if args.format == "json":
         for line, _ in lines:

@@ -4,19 +4,24 @@ A Fock vector is a dict Bipartition -> positive int whose keys all share
 one rank.  The crystal parameters bundle e (None for infinity) with the
 charge (s1, s2).
 
-normal_nodes is the one place that applies the signature rule: read
-over the rim of a bipartition, the merge of its two component rims, it
-gives every residue's normal addable and normal removable nodes as rim
-entries.  Greedy peeling, good additions and the class steps of
-admissible read it directly; signature_word is its view with Node
-values, for the good-node readers.  uglov_layers and crystal_edges own a
-table of component rims (diagrams.component_rims) for the whole walk,
-so each component partition is read once, and good_additions builds a
-child from the partition the table grew.  children lists a
-bipartition's children by residue the same way; f_action's table, one
-per sweep or monomial, also holds each bipartition's children, and the
-converse sweep keeps one of its own.  Each table reads a component
-partition once; admissible's class steps read rim directly.
+A walk owns one RimTable at its parameters.  The table interns each
+component partition as a small int on first sight, so a bipartition of
+the walk is a pair (id1, id2), and reads each interned partition's rim
+once: its addable and removable nodes with their residues, and for each
+addable node the id of the grown partition.  good_additions scans a pair
+from the two stored rims with one counter per residue, and a child swaps
+one id.  layer_walk is the one walk of the crystal component of the
+empty bipartition: uglov_layers lists its layers, and top_layer keeps
+the last for `uglov enumerate`.  edge_walk walks the same layers keeping
+their edges, for crystal_edges and isomorphism.psi_images.  Bipartitions
+are built only where a caller reads them.  children reads a
+bipartition's children by residue from the same table, and f_action
+keeps them in the table's rows, one table per sweep or monomial.
+
+normal_nodes applies the signature rule over a whole rim (diagrams.rim),
+listing every residue's normal addable and normal removable nodes as rim
+entries, for the readers of one bipartition: greedy peeling, the class
+steps of admissible, and signature_word, its view with Node values.
 """
 
 from __future__ import annotations
@@ -28,7 +33,8 @@ from .diagrams import (
     Bipartition,
     Node,
     beta_set,
-    component_rims,
+    component_rim,
+    grow_partition,
     part,
     remove_node,
     rim,
@@ -46,39 +52,113 @@ def _check_e(e):
         raise ValueError("e must be >= 2 or None (infinity), got %r" % (e,))
 
 
-def children(bp: Bipartition, p: CrystalParams, table: dict) -> dict:
+ROOT = (0, 0)  # the empty bipartition in every RimTable
+
+
+class RimTable:
+    """The component partitions of one walk at p, each interned as a
+    small int on first sight, and their rims, each read once.
+
+    For component c, parts[c - 1] maps an id to its partition, ids[c - 1]
+    a partition to its id, and rims[c - 1] an id to its rim, None until
+    read.  A rim lists the addable and removable nodes of the partition
+    at charge s_c as (node_key, residue, child), increasing, where child
+    is the id of the partition grown at an addable node and None at a
+    removable one.  The id 0 is the empty partition, so ROOT is the
+    empty bipartition.  rows is f_action's: a bipartition -> its
+    children.
+    """
+
+    def __init__(self, p: CrystalParams):
+        _check_e(p.e)
+        self.p = p
+        self.parts = ([()], [()])
+        self.ids = ({(): 0}, {(): 0})
+        self.rims = ([None], [None])
+        self.rows: dict = {}
+
+    def intern(self, c: int, lam: tuple[int, ...]) -> int:
+        ids = self.ids[c - 1]
+        i = ids.get(lam)
+        if i is None:
+            i = ids[lam] = len(self.parts[c - 1])
+            self.parts[c - 1].append(lam)
+            self.rims[c - 1].append(None)
+        return i
+
+    def read(self, c: int, i: int) -> list:
+        """The rim of partition i of component c, read on first call."""
+        rims = self.rims[c - 1]
+        if rims[i] is None:
+            lam, e = self.parts[c - 1][i], self.p.e
+            rims[i] = [(key, cont if e is None else cont % e,
+                        None if rem else self.intern(c, grow_partition(
+                            lam, a, b)))
+                       for key, cont, rem, a, b, _
+                       in component_rim(lam, self.p.charge[c - 1], c)]
+        return rims[i]
+
+    def bipartition(self, pair: tuple[int, int]) -> Bipartition:
+        return Bipartition(self.parts[0][pair[0]], self.parts[1][pair[1]])
+
+
+def good_additions(pair: tuple[int, int], table: RimTable) -> list:
+    """(j, the pair of bp plus its good addable j-node) for every residue
+    j that has one, in increasing j, where pair is bp in table.
+
+    The two stored component rims, merged, are the rim of bp (keys are
+    odd in component 1 and even in component 2).  Read in increasing
+    node order, an addable j-node is normal exactly when no uncancelled
+    removable j-node waits below it, and otherwise cancels one; the good
+    one is the last normal one.  So one pass with a counter of waiting
+    removable nodes per residue finds every good node, and its child
+    swaps one id of the pair.
+    """
+    i1, i2 = pair
+    rims1, rims2 = table.rims
+    entries = (rims1[i1] or table.read(1, i1)) + (rims2[i2]
+                                                  or table.read(2, i2))
+    entries.sort()
+    waiting, good = {}, {}
+    for key, j, child in entries:
+        if child is None:
+            waiting[j] = waiting.get(j, 0) + 1
+        elif waiting.get(j):
+            waiting[j] -= 1
+        else:
+            good[j] = (child, i2) if key & 1 else (i1, child)
+    return sorted(good.items())
+
+
+def children(bp: Bipartition, table: RimTable) -> dict:
     """{j: the bipartitions bp plus one addable j-node}, distinct, for
-    every residue j of an addable node, grown from bp's component rims in
-    table (diagrams.component_rims), which may also hold f_action's rows:
-    a Bipartition key is a 2-tuple, a rim key a 3-tuple (c, s, lam)."""
-    e = p.e
+    every residue j of an addable node, from the rims of bp's components
+    in table."""
     out: dict = {}
-    for c, (entries, grown) in zip((1, 2), component_rims(bp, p.charge,
-                                                         table)):
-        for key, cont, rem, _, _, _ in entries:
-            if not rem:
-                out.setdefault(cont if e is None else cont % e, []).append(
-                    with_component(bp, c, grown[key]))
+    for c, lam in ((1, bp.c1), (2, bp.c2)):
+        grown = table.parts[c - 1]
+        for _, j, child in table.read(c, table.intern(c, lam)):
+            if child is not None:
+                out.setdefault(j, []).append(
+                    with_component(bp, c, grown[child]))
     return out
 
 
-def f_action(vec: dict[Bipartition, int], j, p: CrystalParams,
-             table: dict) -> dict:
-    """Linear extension of: sum over mu obtained by adding a j-node.
-    Coefficients are positive, so no term cancels.
+def f_action(vec: dict[Bipartition, int], j, table: RimTable) -> dict:
+    """Linear extension of: sum over mu obtained by adding a j-node, at
+    the parameters of table.  Coefficients are positive, so no term
+    cancels.
 
-    table maps a bipartition to its children at p and, for children, a
-    3-tuple (c, s, lam) to a component rim; a Bipartition is a 2-tuple,
-    so keys never collide.  The caller owns it and shares it between the
-    f_action calls of one sweep: each bipartition and component partition
-    is read once.
+    The caller owns table and shares it between the f_action calls of
+    one sweep: table.rows keeps each bipartition's children, so each
+    bipartition and component partition is read once.
     """
-    _check_e(p.e)
+    rows = table.rows
     out: dict[Bipartition, int] = {}
     for bp, coeff in vec.items():
-        row = table.get(bp)
+        row = rows.get(bp)
         if row is None:
-            row = table[bp] = children(bp, p, table)
+            row = rows[bp] = children(bp, table)
         for mu in row.get(j, ()):
             out[mu] = out.get(mu, 0) + coeff
     return out
@@ -129,30 +209,6 @@ def good_removable_node(bp, j, p: CrystalParams) -> Optional[Node]:
     return rems[0] if rems else None
 
 
-def good_additions(bp: Bipartition, p: CrystalParams, table: dict) -> list:
-    """(j, bp plus its good addable j-node) for every residue j that has
-    one, in increasing j, from the component rims of bp in table (see
-    diagrams.component_rims).
-
-    The rim of bp is the merge of its two component rims, and each child
-    takes the partition its component rim grew, so the children of a
-    walk share the partitions of its table.
-    """
-    (entries1, grown1), (entries2, grown2) = component_rims(bp, p.charge,
-                                                            table)
-    entries = entries1 + entries2
-    entries.sort()
-    sig = normal_nodes(entries, p.e)
-    out = []
-    for j in sorted(sig):
-        adds = sig[j][0]
-        if adds:
-            key, c = adds[-1][0], adds[-1][5]
-            out.append((j, with_component(
-                bp, c, grown1[key] if c == 1 else grown2[key])))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Uglov bipartitions
 
@@ -181,38 +237,59 @@ def is_uglov(bp: Bipartition, p: CrystalParams) -> bool:
     return peel_word(bp, p) is not None
 
 
-def uglov_layers(n: int, p: CrystalParams) -> list[set[Bipartition]]:
-    """Layers 0..n of the crystal component of the empty bipartition.
-
-    One good_additions scan per bipartition of rank below n, through one
-    table of component rims for the walk.
-    """
-    _check_e(p.e)
-    layers, table = [{EMPTY}], {}
+def layer_walk(n: int, table: RimTable):
+    """Yield layers 0..n of the crystal component of the empty
+    bipartition, each a set of pairs of table: one good_additions scan
+    per bipartition of rank below n.  Between yields it holds one layer,
+    so a caller that keeps only the last holds two."""
+    layer = {ROOT}
+    yield layer
     for _ in range(n):
-        layers.append({dst for bp in layers[-1]
-                       for _, dst in good_additions(bp, p, table)})
-    return layers
+        layer = {kid for pair in layer
+                 for _, kid in good_additions(pair, table)}
+        yield layer
+
+
+def uglov_layers(n: int, p: CrystalParams) -> list[set[Bipartition]]:
+    """Layers 0..n of the crystal component of the empty bipartition:
+    the layers of one layer_walk."""
+    table = RimTable(p)
+    return [set(map(table.bipartition, layer))
+            for layer in layer_walk(n, table)]
+
+
+def top_layer(n: int, p: CrystalParams) -> list[Bipartition]:
+    """Layer n of the crystal component of the empty bipartition: the
+    last layer of one layer_walk, which holds two layers at a time."""
+    table = RimTable(p)
+    for layer in layer_walk(n, table):
+        pass
+    return list(map(table.bipartition, layer))
+
+
+def edge_walk(n: int, table: RimTable):
+    """Yield the good-node edges (pair, residue, pair') of the crystal
+    component of the empty bipartition up to rank n, as pairs of table,
+    in increasing rank of the source: the layers of layer_walk, with the
+    edges each scan finds."""
+    layer = {ROOT}
+    for _ in range(n):
+        nxt = set()
+        for pair in layer:
+            for j, kid in good_additions(pair, table):
+                nxt.add(kid)
+                yield pair, j, kid
+        layer = nxt
 
 
 def crystal_edges(n: int, p: CrystalParams):
     """Yield the good-node edges (bp, residue, bp') of the crystal
     component of the empty bipartition up to rank n, in increasing rank
-    of bp.
-
-    The walk keeps each layer as it finds it, so every bipartition of
-    rank below n is scanned once, as uglov_layers scans it, and one table
-    of component rims, so every component partition is read once.
-    """
-    _check_e(p.e)
-    layer, table = {EMPTY}, {}
-    for _ in range(n):
-        nxt = set()
-        for bp in layer:
-            for j, dst in good_additions(bp, p, table):
-                nxt.add(dst)
-                yield bp, j, dst
-        layer = nxt
+    of bp: the edge_walk of one table, as bipartitions."""
+    table = RimTable(p)
+    bp = table.bipartition
+    for pair, j, kid in edge_walk(n, table):
+        yield bp(pair), j, bp(kid)
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +325,7 @@ def is_flotw(bp: Bipartition, p: CrystalParams) -> bool:
 
 def expand_monomial(word, p: CrystalParams) -> dict[Bipartition, int]:
     """Apply f-operators to the empty bipartition, last residue first."""
-    vec, table = {EMPTY: 1}, {}
+    vec, table = {EMPTY: 1}, RimTable(p)
     for j in reversed(list(word)):
-        vec = f_action(vec, j, p, table)
+        vec = f_action(vec, j, table)
     return vec
-

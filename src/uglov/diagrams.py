@@ -14,14 +14,14 @@ component_rim is the one row reader of addable and removable nodes: one
 pass over the rows of a partition in one component at its charge lists
 them in increasing node_key, each with its content.  A bipartition's rim
 is the merge of its two component rims; keys are odd in component 1 and
-even in component 2, so the merge compares keys only.  A walk reads
-component rims through component_rims and a table it owns, so each
-component partition of the walk is read once, and the table's entries
-also hold the partition grown at each addable node, so the walk's
-children share them.  addable_nodes and removable_nodes are set views of
-rim.  Every child is made as with_component(bp, c, grow_partition(lam,
-a, b)): unchecked for a node rim lists, behind a check in add_node.
-removable is the one row test of a removable node, behind remove_node.
+even in component 2, so the merge compares keys only.  A walk does not
+merge whole rims: crystal.RimTable interns each component partition of
+the walk and keeps its component_rim, with the partition grown at each
+addable node (grow_partition, unchecked).  addable_nodes and
+removable_nodes are set views of rim.  Every child of a bipartition is
+with_component(bp, c, lam plus the node); add_node checks the node
+first.  removable is the one row test of a removable node, behind
+remove_node.
 
 The vertical-boundary node (a, lambda^c_a, c) has content
 lambda^c_a - a + s_c, a beta-number of lambda^c; with the virtual
@@ -161,34 +161,6 @@ def component_rim(lam: tuple[int, ...], s: int, c: int) -> list[tuple]:
             out.append((2 * cont - c, cont, False, a + 1, below + 1, c))
     out.reverse()
     return out
-
-
-def component_rims(bp: Bipartition, charge: tuple[int, int],
-                   table: dict) -> tuple:
-    """(entries, grown) for each component of bp at charge, read from
-    table, a dict (c, s, lam) -> (entries, grown) that its caller owns
-    (one per walk) and that is filled on first read: each component
-    partition of a walk is read once.
-
-    entries is component_rim(lam, s, c), and grown maps the node_key of
-    each addable node to lam plus that node, so the children of a walk
-    share their grown partitions.
-    """
-    s1, s2 = charge
-    rim1 = table.get((1, s1, bp.c1))
-    if rim1 is None:
-        rim1 = table[1, s1, bp.c1] = _grown_rim(bp.c1, s1, 1)
-    rim2 = table.get((2, s2, bp.c2))
-    if rim2 is None:
-        rim2 = table[2, s2, bp.c2] = _grown_rim(bp.c2, s2, 2)
-    return rim1, rim2
-
-
-def _grown_rim(lam: tuple[int, ...], s: int, c: int) -> tuple:
-    """The (entries, grown) table entry of component_rims for lam."""
-    entries = component_rim(lam, s, c)
-    return entries, {key: grow_partition(lam, a, b)
-                     for key, _, rem, a, b, _ in entries if not rem}
 
 
 def rim(bp: Bipartition, charge: tuple[int, int]) -> list[tuple]:

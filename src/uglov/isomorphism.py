@@ -15,7 +15,8 @@ walks the good edges of the component once and adds one good node per
 image; at its own charge, where the isomorphism is the identity, it
 lists the component's uglov_layers.  It feeds four sweeps:
 verify_psi_nature checks its images against the sigma1 nature table
-(one diagrams.nature_kinds pass per component), and at the fundamental
+(one diagrams.nature_kinds pass per component, over the contents where
+some component is not constant), and at the fundamental
 charge propb reads their classes and admissible.adm_walk the Adm of the
 forward and corollary sweeps.
 """
@@ -25,8 +26,10 @@ from __future__ import annotations
 from typing import Optional
 
 from .crystal import (
+    ROOT,
     CrystalParams,
-    crystal_edges,
+    RimTable,
+    edge_walk,
     good_addable_node,
     good_additions,
     peel_word,
@@ -37,8 +40,8 @@ from .diagrams import (
     Bipartition,
     add_node,
     bipartition_to_json,
-    default_window,
     nature_kinds,
+    part,
 )
 
 
@@ -99,30 +102,31 @@ def psi_images(n: int, p_from: CrystalParams, charge_to) -> dict:
 
     The isomorphism fixes the empty bipartition and commutes with the
     crystal operators, so along each good edge (bp, j, dst) the image of
-    dst is the image of bp plus its good j-node at charge_to.  The edges
-    of one bp arrive together, and the good additions of its image are
-    read once, when the first of them reaches a new dst: at most one
-    signature scan per image, through one table of component rims at
-    charge_to for the walk.  At its own charge the isomorphism is the
-    identity, read from uglov_layers with no image scanned.
+    dst is the image of bp plus its good j-node at charge_to.  The walk
+    runs on pairs of two RimTables, one per charge.  The edges of one bp
+    arrive together, and the good additions of its image are read once,
+    when the first of them reaches a new dst: at most one scan per
+    image.  At its own charge the isomorphism is the identity, read from
+    uglov_layers with no image scanned.
     """
     require_same_orbit(p_from.charge, charge_to, p_from.e)
     p_to = CrystalParams(p_from.e, tuple(charge_to))
     if p_to == p_from:
         return {bp: bp for layer in uglov_layers(n, p_from) for bp in layer}
-    images = {EMPTY: EMPTY}
+    src, dst = RimTable(p_from), RimTable(p_to)
+    images = {ROOT: ROOT}  # pair of src -> pair of dst
     last = kids = None
-    table = {}  # component rims at charge_to, read once per walk
-    for bp, j, dst in crystal_edges(n, p_from):
-        if dst in images:
+    for pair, j, kid in edge_walk(n, src):
+        if kid in images:
             continue
-        if bp != last:
-            last, kids = bp, dict(good_additions(images[bp], p_to, table))
+        if pair != last:
+            last, kids = pair, dict(good_additions(images[pair], dst))
         if j not in kids:
             raise ValueError("no good addable %r-node on %r"
-                             % (j, images[bp]))
-        images[dst] = kids[j]
-    return images
+                             % (j, dst.bipartition(images[pair])))
+        images[kid] = kids[j]
+    return {src.bipartition(pair): dst.bipartition(image)
+            for pair, image in images.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +160,15 @@ def psi_nature_check(bp: Bipartition, image: Bipartition, charge) -> bool:
 
     The table maps the pairs at the charge (s1, s2) with s1 <= s2 to those
     at its swap, so when s1 > s2 it maps the image's pairs to bp's.
+
+    The contents read are the four components' cores: below s - len(lam)
+    a component of charge s is all Bv, above s + lam_1 all Bh, and
+    (Bv, Bv) and (Bh, Bh) map to themselves.
     """
     s1, s2 = charge
-    lo, hi = default_window(bp, charge)
+    cores = ((bp.c1, s1), (bp.c2, s2), (image.c1, s2), (image.c2, s1))
+    lo = min(s - len(lam) for lam, s in cores)
+    hi = max(s + part(lam, 1) for lam, s in cores)
     before = zip(nature_kinds(bp.c2, s2, lo, hi),
                  nature_kinds(bp.c1, s1, lo, hi))
     after = zip(nature_kinds(image.c2, s1, lo, hi),

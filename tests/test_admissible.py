@@ -25,6 +25,7 @@ from uglov.admissible import (
 from uglov import admissible, crystal, diagrams, isomorphism
 from uglov.crystal import (
     CrystalParams,
+    RimTable,
     children,
     expand_monomial,
     f_action,
@@ -59,6 +60,7 @@ from test_crystal import (
     count_component_reads,
     count_rim_passes,
     forbid_validating_primitives,
+    read_keys,
 )
 
 P = parse_bipartition
@@ -393,7 +395,7 @@ def forward_oracle(bp, p):
                 "error": str(exc)}
     vec = {EMPTY: 1}
     for j in seq:
-        vec = f_action(vec, j, p, {})
+        vec = f_action(vec, j, RimTable(p))
     ok = bp in vec and uglov_max(vec, p.charge, {}) == bp
     return {
         "bp": bipartition_to_json(bp),
@@ -464,10 +466,10 @@ def test_forward_reads_children_once_per_bipartition(monkeypatch):
     kids, tables, readers = [], [], []
     passes = count_rim_passes(monkeypatch)
 
-    def counted(bp, p, table):
+    def counted(bp, table):
         kids.append(bp)
         tables.append(table)
-        return children(bp, p, table)
+        return children(bp, table)
 
     def counted_rim(bp, charge):
         readers.append((sys._getframe(1).f_code.co_name, bp))
@@ -483,7 +485,7 @@ def test_forward_reads_children_once_per_bipartition(monkeypatch):
     assert sorted(readers) == sorted(("top_class", bp) for bp in images)
     assert len({id(table) for table in tables}) == 1
     kid_reads = component_keys(kids, P01.charge)
-    assert {key for key in tables[0] if len(key) == 3} == kid_reads
+    assert read_keys(tables[0]) == kid_reads
     assert sorted(reads) == sorted(
         list(component_keys(sources, P01.charge)) + list(kid_reads))
 
@@ -509,14 +511,14 @@ def test_forward_reads_each_fact_once(monkeypatch):
     count(diagrams, "uglov_key")
     count(admissible, "bipartition_to_json")
     count(admissible, "is_flotw")
-    real_rim = diagrams.component_rim
+    real_rim = crystal.component_rim
 
-    def counted_rim(lam, s, c):  # under _grown_rim, component_rims
-        if sys._getframe(3).f_code.co_name == "children":
+    def counted_rim(lam, s, c):  # under RimTable.read
+        if sys._getframe(2).f_code.co_name == "children":
             fills.append((c, s, lam))
         return real_rim(lam, s, c)
 
-    monkeypatch.setattr(diagrams, "component_rim", counted_rim)
+    monkeypatch.setattr(crystal, "component_rim", counted_rim)
     assert list(verify_djm_forward(9, P01)) == reports
     assert calls == {"uglov_key": 734, "bipartition_to_json": 734}
     assert len(fills) == len(set(fills)) == 134
@@ -589,9 +591,9 @@ def test_forward_reads_no_psi_image_at_a_fundamental_charge(monkeypatch):
     images, scans = [], []
 
     def counted(calls):
-        def scan(bp, p, table):
-            calls.append(bp)
-            return good_additions(bp, p, table)
+        def scan(pair, table):
+            calls.append(table.bipartition(pair))
+            return good_additions(pair, table)
         return scan
 
     monkeypatch.setattr(isomorphism, "good_additions", counted(images))
@@ -628,7 +630,7 @@ def words_by_max(n: int, p: CrystalParams) -> dict:
         out.setdefault(uglov_max(vec, p.charge, {}), []).append(word)
         if len(word) < n:
             for j in range(p.e):
-                child = f_action(vec, j, p, {})
+                child = f_action(vec, j, RimTable(p))
                 if child:
                     todo.append((word + [j], child))
     for words in out.values():
@@ -737,7 +739,7 @@ def converse_word_oracle(n, p, member):
                                           "max": bipartition_to_json(best)})
         if len(suffix) < n:
             for j in range(p.e):
-                nxt = f_action(vec, j, p, {})
+                nxt = f_action(vec, j, RimTable(p))
                 if nxt:
                     visit((j,) + suffix, nxt)
 
@@ -776,7 +778,7 @@ def converse_support_oracle(n, p, member):
 
     def kids(bp):
         if bp not in children:
-            children[bp] = [set(f_action({bp: 1}, j, p, {}))
+            children[bp] = [set(f_action({bp: 1}, j, RimTable(p)))
                             for j in range(p.e)]
         return children[bp]
 
@@ -897,10 +899,10 @@ def test_converse_reads_children_once_per_bipartition(monkeypatch):
     # bipartition at most once, to order its rank.
     calls, passes, keyed, tables = [], [], [], []
 
-    def counted(bp, p, table):
+    def counted(bp, table):
         calls.append(bp)
         tables.append(table)
-        return children(bp, p, table)
+        return children(bp, table)
 
     def counted_rim(bp, charge):
         passes.append(bp)
@@ -919,7 +921,7 @@ def test_converse_reads_children_once_per_bipartition(monkeypatch):
     assert len(calls) == len(set(calls))
     assert set(calls) == {bp for k in range(8) for bp in bipartitions_of(k)}
     assert len({id(table) for table in tables}) == 1
-    assert set(tables[0]) == component_keys(calls, P01.charge)
+    assert read_keys(tables[0]) == component_keys(calls, P01.charge)
     assert len(keyed) == len(set(keyed))
     assert set(keyed) <= {bp for k in range(9) for bp in bipartitions_of(k)}
     assert len(keyed) == sum(len(bipartitions_of(k)) for k in range(1, 9))

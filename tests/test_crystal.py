@@ -7,7 +7,9 @@ import pytest
 
 from uglov import admissible, cli, crystal, diagrams, isomorphism
 from uglov.crystal import (
+    ROOT,
     CrystalParams,
+    RimTable,
     crystal_edges,
     expand_monomial,
     f_action,
@@ -16,6 +18,8 @@ from uglov.crystal import (
     good_removable_node,
     is_flotw,
     is_uglov,
+    layer_walk,
+    normal_nodes,
     peel_word,
     require_fundamental,
     signature_word,
@@ -29,7 +33,7 @@ from uglov.diagrams import (
     addable_nodes,
     bipartitions_of,
     component_rim,
-    component_rims,
+    grow_partition,
     node_key,
     parse_bipartition,
     partitions_of,
@@ -38,6 +42,7 @@ from uglov.diagrams import (
     residue,
     rim,
     uglov_max,
+    with_component,
 )
 
 P = parse_bipartition
@@ -88,16 +93,53 @@ def scan_cases():
                 yield bp, p
 
 
+def pair_of(bp, table):
+    """bp in table: the ids of its two components."""
+    return table.intern(1, bp.c1), table.intern(2, bp.c2)
+
+
+def scan(bp, table):
+    """good_additions of bp, interned in table, as bipartitions."""
+    return [(j, table.bipartition(kid))
+            for j, kid in good_additions(pair_of(bp, table), table)]
+
+
+def good_additions_oracle(bp, p):
+    """The normal_nodes-list good additions the counter scan replaced:
+    the merged component rims of bp through normal_nodes, and for each
+    residue j with a normal addable node, in increasing j, bp plus the
+    last of them."""
+    s1, s2 = p.charge
+    entries = component_rim(bp.c1, s1, 1) + component_rim(bp.c2, s2, 2)
+    entries.sort()
+    sig = normal_nodes(entries, p.e)
+    out = []
+    for j in sorted(sig):
+        adds = sig[j][0]
+        if adds:
+            _, _, _, a, b, c = adds[-1]
+            out.append((j, with_component(
+                bp, c, grow_partition(bp.component(c), a, b))))
+    return out
+
+
+def read_keys(table) -> set:
+    """The (c, s, lam) of every partition whose rim table has read."""
+    return {(c, table.p.charge[c - 1], table.parts[c - 1][i])
+            for c in (1, 2)
+            for i, entries in enumerate(table.rims[c - 1]) if entries}
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
-        f_action({EMPTY: 1}, 0, CrystalParams(1, (0, 0)), {})
+        f_action({EMPTY: 1}, 0, RimTable(CrystalParams(1, (0, 0))))
 
 
 def test_f_action_examples():
-    assert f_action({EMPTY: 1}, 0, P01, {}) == {P("1,-"): 1}
-    assert f_action({EMPTY: 1}, 1, P01, {}) == {P("-,1"): 1}
-    assert f_action({EMPTY: 1}, 2, P01, {}) == {}
-    both = f_action({EMPTY: 1}, 0, CrystalParams(2, (0, 0)), {})
+    assert f_action({EMPTY: 1}, 0, RimTable(P01)) == {P("1,-"): 1}
+    assert f_action({EMPTY: 1}, 1, RimTable(P01)) == {P("-,1"): 1}
+    assert f_action({EMPTY: 1}, 2, RimTable(P01)) == {}
+    both = f_action({EMPTY: 1}, 0, RimTable(CrystalParams(2, (0, 0))))
     assert both == {P("1,-"): 1, P("-,1"): 1}
 
 
@@ -117,7 +159,7 @@ def test_e_f_adjoint_counts():
     for n in range(4):
         for bp in bipartitions_of(n):
             for j in range(3):
-                vec = e_action(f_action({bp: 1}, j, P01, {}), j, P01)
+                vec = e_action(f_action({bp: 1}, j, RimTable(P01)), j, P01)
                 count = sum(residue(g, P01.charge, P01.e) == j
                             for g in addable_nodes(bp))
                 assert vec.get(bp, 0) == count
@@ -182,7 +224,7 @@ def test_good_additions_match_residue_loop():
             adds = normal_pair_oracle(bp, j, p)[0]
             if adds:
                 expected.append((j, add_node(bp, adds[-1])))
-        assert good_additions(bp, p, {}) == expected, (bp, p)
+        assert scan(bp, RimTable(p)) == expected, (bp, p)
 
 
 def test_children_match_addable_nodes():
@@ -191,7 +233,7 @@ def test_children_match_addable_nodes():
         for g in addable_nodes(bp):
             expected.setdefault(residue(g, p.charge, p.e),
                                 set()).add(add_node(bp, g))
-        got = crystal.children(bp, p, {})
+        got = crystal.children(bp, RimTable(p))
         assert {j: set(kids) for j, kids in got.items()} == expected, (bp, p)
         assert sum(map(len, got.values())) == len(addable_nodes(bp))
 
@@ -236,28 +278,31 @@ def whole_normal_nodes_oracle(bp, p):
 
 
 def test_component_rim_kernel_matches_whole_bipartition_oracle():
-    # One table shared by the whole scan: a stale entry, or one keyed
-    # without its component or charge, gives some bipartition another's
-    # rim.  Equal partitions in the two components at charge (0, 0) and
-    # the same partition at five charges share the table.
-    table, cases = {}, 0
+    # One table per CrystalParams, shared by the whole scan: a stale rim,
+    # or an id or a rim shared between the two components, gives some
+    # bipartition another's rim.  Equal partitions in the two components
+    # at charge (0, 0) share a table.
+    tables, cases = {}, 0
     for bp in (bp for k in range(SCAN_RANK + 1) for bp in bipartitions_of(k)):
         for charge in KERNEL_CHARGES:
             whole = sorted(whole_rim_oracle(bp, charge))
             assert rim(bp, charge) == whole, (bp, charge)
-            rims = component_rims(bp, charge, table)
-            assert sorted(rims[0][0] + rims[1][0]) == whole, (bp, charge)
-            for entries, grown in rims:
-                assert sorted(grown) == [key for key, _, rem, _, _, _
-                                         in entries if not rem]
-                for key, _, rem, a, b, c in entries:
-                    if not rem:
-                        assert (grown[key]
-                                == add_node(bp, Node(a, b, c)).component(c))
             for e in KERNEL_ES:
                 p = CrystalParams(e, charge)
+                table = tables.get(p) or tables.setdefault(p, RimTable(p))
+                i1, i2 = pair = pair_of(bp, table)
+                assert table.bipartition(pair) == bp
+                stored = sorted(table.read(1, i1) + table.read(2, i2))
+                assert len(stored) == len(whole), (bp, p)
+                for (key, j, child), (key0, cont, rem, a, b, c) in zip(
+                        stored, whole):
+                    assert (key, j) == (key0, cont if e is None else cont % e)
+                    assert (child is None) == rem
+                    if not rem:
+                        assert (table.parts[c - 1][child]
+                                == add_node(bp, Node(a, b, c)).component(c))
                 sig = whole_normal_nodes_oracle(bp, p)
-                core = crystal.normal_nodes(rim(bp, charge), e)
+                core = normal_nodes(rim(bp, charge), e)
                 assert {j: ([g[3:] for g in adds], [g[3:] for g in rems])
                         for j, (adds, rems) in core.items()} == sig, (bp, p)
                 assert signature_word(bp, p) == {
@@ -265,43 +310,96 @@ def test_component_rim_kernel_matches_whole_bipartition_oracle():
                     for j, (adds, rems) in sig.items()}, (bp, p)
                 expected = [(j, add_node(bp, Node(*sig[j][0][-1])))
                             for j in sorted(sig) if sig[j][0]]
-                assert good_additions(bp, p, table) == expected, (bp, p)
-                assert good_additions(bp, p, {}) == expected, (bp, p)
+                assert scan(bp, table) == expected, (bp, p)
+                assert scan(bp, RimTable(p)) == expected, (bp, p)
                 kids = {}
                 for _, cont, rem, a, b, c in whole_rim_oracle(bp, charge):
                     if not rem:
                         kids.setdefault(cont if e is None else cont % e,
                                         []).append(add_node(bp, Node(a, b, c)))
                 kids = {j: sorted(mus) for j, mus in kids.items()}
-                for rims in (table, {}):  # a shared table and a fresh one
+                for rims in (table, RimTable(p)):  # shared, and fresh
                     assert ({j: sorted(mus) for j, mus in
-                             crystal.children(bp, p, rims).items()}
+                             crystal.children(bp, rims).items()}
                             == kids), (bp, p)
                 cases += 1
     assert cases == 434 * len(KERNEL_CHARGES) * len(KERNEL_ES)
-    assert set(table) == {(c, charge[c - 1], lam)
-                          for k in range(SCAN_RANK + 1)
-                          for lam in partitions_of(k)
-                          for charge in KERNEL_CHARGES for c in (1, 2)}
+    assert len(tables) == len(KERNEL_CHARGES) * len(KERNEL_ES)
+    for p, table in tables.items():
+        for c in (1, 2):  # ids and partitions are inverse
+            assert table.ids[c - 1] == {lam: i for i, lam
+                                        in enumerate(table.parts[c - 1])}
+        assert read_keys(table) == {(c, p.charge[c - 1], lam)
+                                    for k in range(SCAN_RANK + 1)
+                                    for lam in partitions_of(k)
+                                    for c in (1, 2)}
+
+
+def test_good_additions_match_normal_nodes_oracle():
+    # The counter scan against the normal_nodes-list scan it replaced,
+    # through one table per CrystalParams shared by every bipartition.
+    cases = 0
+    for charge in KERNEL_CHARGES:
+        for e in KERNEL_ES:
+            p = CrystalParams(e, charge)
+            table = RimTable(p)
+            for k in range(SCAN_RANK + 1):
+                for bp in bipartitions_of(k):
+                    assert scan(bp, table) == good_additions_oracle(bp, p), (
+                        bp, p)
+                    cases += 1
+    assert cases == 434 * len(KERNEL_CHARGES) * len(KERNEL_ES)
+
+
+def test_top_layer_is_the_last_layer(monkeypatch):
+    # enumerate's layer: the last of one layer_walk, each bipartition
+    # once, without uglov_layers.
+    expected = {p: uglov_layers(9, p)[9]
+                for p in (P01, CrystalParams(None, (0, 2)))}
+
+    def forbidden(*args):
+        raise AssertionError("uglov_layers called")
+
+    monkeypatch.setattr(crystal, "uglov_layers", forbidden)
+    for p, layer in expected.items():
+        top = crystal.top_layer(9, p)
+        assert len(top) == len(set(top))
+        assert set(top) == layer
 
 
 def test_component_rim_table_keeps_components_and_charges_apart():
-    # Equal partitions in the two components, and the same partition at
-    # two charges, are read into distinct entries of one shared table.
-    lam, table = (2, 1), {}
+    # Equal partitions in the two components of one table take the same
+    # id in each but keep two rims, and the same partition at two charges
+    # is read into two tables, each its own.
+    lam = (2, 1)
     bp = Bipartition(lam, lam)
+    rims = {}
     for charge in ((0, 0), (0, 1), (1, 0)):
         p = CrystalParams(3, charge)
-        assert good_additions(bp, p, table) == good_additions(bp, p, {})
-    assert set(table) == {(1, 0, lam), (2, 0, lam), (1, 1, lam), (2, 1, lam)}
-    assert table[1, 0, lam] != table[2, 0, lam]
-    assert table[1, 0, lam] != table[1, 1, lam]
+        table = RimTable(p)
+        assert scan(bp, table) == good_additions_oracle(bp, p)
+        assert pair_of(bp, table) == (1, 1)
+        rims[charge] = (table.read(1, 1), table.read(2, 1))
+        assert read_keys(table) == {(1, charge[0], lam), (2, charge[1], lam)}
+    assert rims[0, 0][0] != rims[0, 0][1]
+    assert rims[0, 0][0] != rims[1, 0][0]
     # At (0, 0) each content holds a node of each component, component 1
     # the larger: the good 0- and 1-nodes are in component 1, and the
     # two addable 2-nodes cancel the two removable ones below them.
-    assert good_additions(bp, CrystalParams(3, (0, 0)), table) == [
+    assert scan(bp, RimTable(CrystalParams(3, (0, 0)))) == [
         (0, Bipartition((2, 2), lam)),
         (1, Bipartition((2, 1, 1), lam))]
+
+
+def test_layer_walk_lists_uglov_layers():
+    # uglov_layers lists the one layer walk; the walk's first layer is
+    # the empty bipartition, ROOT in every table.
+    for p in (P01, CrystalParams(None, (0, 2)), CrystalParams(2, (5, -2))):
+        table = RimTable(p)
+        assert table.bipartition(ROOT) == EMPTY
+        walked = [set(map(table.bipartition, layer))
+                  for layer in layer_walk(7, table)]
+        assert walked == uglov_layers(7, p)
 
 
 def test_peel_word_matches_oracle_peel():
@@ -332,19 +430,20 @@ def test_peel_word_matches_oracle_peel():
 def test_shared_f_action_table_keeps_every_monomial(e):
     # One table shared by every word of length <= 5 at one CrystalParams
     # gives each word's expand_monomial, whose table is its own.  The
-    # table holds each bipartition's children and, under 3-tuple keys,
-    # the component rims they are grown from.
+    # table's rows hold each bipartition's children, and it reads the
+    # rims of their components, which they are grown from.
     for charge in ((0, 0), (0, 1), (2, -1), (5, 0)):
-        p, table = CrystalParams(e, charge), {}
+        p = CrystalParams(e, charge)
+        table = RimTable(p)
         for k in range(6):
             for word in itertools.product(range(e), repeat=k):
                 vec = {EMPTY: 1}
                 for j in reversed(word):
-                    vec = f_action(vec, j, p, table)
+                    vec = f_action(vec, j, table)
                 assert vec == expand_monomial(word, p), (word, p)
-        bps = {key for key in table if isinstance(key, Bipartition)}
+        bps = set(table.rows)
         assert bps <= {bp for k in range(5) for bp in bipartitions_of(k)}
-        assert set(table) - bps == component_keys(bps, charge)
+        assert read_keys(table) == component_keys(bps, charge)
 
 
 def _reduce_by_scanning(tags):
@@ -458,17 +557,16 @@ def forbid_validating_primitives(monkeypatch):
 
 
 def count_component_reads(monkeypatch) -> list:
-    """Patch diagrams.component_rim to record (c, s, lam) for every read
-    that fills an entry of a walk's table (see component_rims); return
-    the list of reads."""
+    """Patch crystal.component_rim, the row reader of RimTable.read, to
+    record (c, s, lam) for every rim a table reads; return the list of
+    reads."""
     reads = []
 
     def counted(lam, s, c):
-        if sys._getframe(1).f_code.co_name == "_grown_rim":
-            reads.append((c, s, lam))
+        reads.append((c, s, lam))
         return component_rim(lam, s, c)
 
-    monkeypatch.setattr(diagrams, "component_rim", counted)
+    monkeypatch.setattr(crystal, "component_rim", counted)
     return reads
 
 
@@ -494,7 +592,7 @@ def component_keys(bps, charge) -> set:
 @pytest.mark.parametrize("p", [P01, CrystalParams(None, (0, 2))])
 def test_uglov_layers_reads_one_rim_per_bipartition(monkeypatch, p):
     # One good_additions scan per Uglov bipartition of rank below n, no
-    # other pass over a whole bipartition's rim, and one read per
+    # other pass over a whole bipartition's rim, and one rim read per
     # (component, partition) of those bipartitions, through the walk's
     # one table; the children are grown from the component rims:
     # signature_word and good_additions never validate.
@@ -502,9 +600,9 @@ def test_uglov_layers_reads_one_rim_per_bipartition(monkeypatch, p):
     layers = uglov_layers(n, p)
     scans = []
 
-    def counted(bp, p, table):
-        scans.append(bp)
-        return good_additions(bp, p, table)
+    def counted(pair, table):
+        scans.append(table.bipartition(pair))
+        return good_additions(pair, table)
 
     monkeypatch.setattr(crystal, "good_additions", counted)
     passes = count_rim_passes(monkeypatch)

@@ -10,8 +10,16 @@ from uglov.crystal import (
     signature_word,
     uglov_layers,
 )
-from uglov.diagrams import Bipartition, add_node, parse_bipartition
+from uglov.diagrams import (
+    Bipartition,
+    add_node,
+    bipartitions_of,
+    default_window,
+    nature_kinds,
+    parse_bipartition,
+)
 from uglov.isomorphism import (
+    SIGMA1_NATURE_MAP,
     peel_residues,
     psi_e_independence_check,
     psi_images,
@@ -168,6 +176,37 @@ def test_sigma1_nature_map():
                 assert psi_nature_check(bp, image, c_from)
 
 
+def psi_nature_check_oracle(bp, image, charge):
+    """psi_nature_check over a default_window that holds the nodes of
+    both bipartitions, so every content outside it pairs Bv with Bv or Bh
+    with Bh."""
+    s1, s2 = charge
+    lo, hi = default_window(max(bp, image, key=lambda mu: mu.rank), charge)
+    before = zip(nature_kinds(bp.c2, s2, lo, hi),
+                 nature_kinds(bp.c1, s1, lo, hi))
+    after = zip(nature_kinds(image.c2, s1, lo, hi),
+                nature_kinds(image.c1, s2, lo, hi))
+    if s1 > s2:
+        before, after = after, before
+    return all(a in SIGMA1_NATURE_MAP[b] for b, a in zip(before, after))
+
+
+def test_psi_nature_check_matches_default_window_oracle():
+    # The check reads only the contents of the four component cores; on
+    # every pair of bipartitions of rank <= 4, images or not, it agrees
+    # with the check over a window that holds them both.
+    bps = [bp for n in range(5) for bp in bipartitions_of(n)]
+    verdicts = set()
+    for charge in ((0, 1), (1, 0), (0, 0), (2, -1), (0, 5), (-3, 4)):
+        for bp in bps:
+            for image in bps:
+                ok = psi_nature_check(bp, image, charge)
+                assert ok == psi_nature_check_oracle(bp, image, charge), (
+                    bp, image, charge)
+                verdicts.add(ok)
+    assert verdicts == {True, False}
+
+
 @pytest.mark.parametrize("e", [2, 3, 4, 5])
 def test_psi_images_match_psi_to(e):
     for c_from in ((0, 1), (1, 0), (0, 0), (2, -1), (5, -2)):
@@ -196,10 +235,10 @@ def test_psi_images_scan_each_image_once(monkeypatch, c_from, c_to):
     expected = psi_images(9, p, c_to)
     scans = []
 
-    def counted(bp, p, table):
-        if p.charge == c_to:
-            scans.append(bp)
-        return good_additions(bp, p, table)
+    def counted(pair, table):
+        if table.p.charge == c_to:
+            scans.append(table.bipartition(pair))
+        return good_additions(pair, table)
 
     monkeypatch.setattr(isomorphism, "good_additions", counted)
     passes = count_rim_passes(monkeypatch)
@@ -219,7 +258,7 @@ def test_psi_images_scan_each_image_once(monkeypatch, c_from, c_to):
 def test_psi_images_needs_the_good_child(monkeypatch):
     # An image without the good j-node of its edge is a ValueError.
     monkeypatch.setattr(isomorphism, "good_additions",
-                        lambda bp, p, table: [])
+                        lambda pair, table: [])
     with pytest.raises(ValueError, match="no good addable 0-node"):
         psi_images(1, CrystalParams(3, (0, 1)), (1, 0))
 
