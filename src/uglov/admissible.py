@@ -13,15 +13,16 @@ takes one class_step per image onto the Adm of its remainder.  A class
 is the run of removable j-nodes around its seed whose neighbours are
 (1)- or (2)-connected.  Each class step reads its image in one rim pass,
 in top_class; its rest is FLOTW exactly when adm_walk has stepped it
-already.  The forward sweep reads each bipartition's children, uglov_key
-and JSON form once.
+already.  The forward sweep keys its Fock vectors by the pairs of one
+crystal.RimTable and builds each pair's Bipartition, uglov_key and JSON
+form once.
 
 The converse sweep walks the distinct supports of monomials rank by
-rank, each an int over the bipartitions of its rank in Uglov order.  Its
-membership verdicts come from one crystal_edges walk, its children from
-crystal.children, the child masks of a support from chunk tables that
-every support of a rank shares, and each support's (residue, parent)
-records are kept by support index.
+rank, each an int over the bipartitions of its rank in Uglov order, as
+pairs of one RimTable.  Its membership verdicts come from one layer_walk
+on that table, its children from the child ids of the table's rims, the
+child masks of a support from chunk tables that every support of a rank
+shares, and each support's (residue, parent) records by support index.
 
 The corollary sweep fills each shape's rows in one greedy pass: a letter
 goes to the row that waits for it and has the most boxes left.
@@ -35,12 +36,12 @@ from operator import or_
 from typing import Optional
 
 from .crystal import (
+    ROOT,
     CrystalParams,
     RimTable,
-    children,
-    crystal_edges,
     f_action,
     is_flotw,
+    layer_walk,
     normal_nodes,
     require_fundamental,
     signature_word,
@@ -260,19 +261,18 @@ def verify_djm_forward(n: int, p: CrystalParams):
 
     Adm comes from adm_walk, and the vector of each image's monomial,
     f-operators applied oldest residue first, is the vector of its rest
-    extended by r f_action steps, which share one table.  uglov_max keys
-    and the JSON forms of the "bp", "max" and "expansion" fields come
-    from tables of the sweep too, and reports share the forms unmutated.
-    A walk error is the "error" field.
+    extended by r f_action steps over the pairs of one table.  Each pair
+    is built once into a Bipartition, for its uglov_key, its JSON form
+    and the sort of the expansion; reports share the forms unmutated.  A
+    walk error is the "error" field.
     """
-    vecs = {EMPTY: {EMPTY: 1}}  # image -> vector of its Adm monomial
     table = RimTable(p)  # f_action's, shared by the sweep
-    keys, forms = {}, {}  # bipartition -> its uglov_key, its JSON form
+    vecs = {EMPTY: {ROOT: 1}}  # image -> vector of its Adm monomial
+    bps, keys, forms = {}, {}, {}  # pair -> its bipartition, key, form
     for bp, image, found in adm_walk(n, p):
-        if bp not in forms:
-            forms[bp] = bipartition_to_json(bp)
         if isinstance(found, str):
-            yield {"bp": forms[bp], "pass": False, "error": found}
+            yield {"bp": bipartition_to_json(bp), "pass": False,
+                   "error": found}
             continue
         seq, step = found
         if step:
@@ -281,17 +281,19 @@ def verify_djm_forward(n: int, p: CrystalParams):
             for _ in range(r):
                 vec = f_action(vec, j, table)
             vecs[image] = vec
-        vec = vecs[image]
-        for mu in vec:
-            if mu not in forms:
-                forms[mu] = bipartition_to_json(mu)
-        ok = bp in vec and uglov_max(vec, p.charge, keys) == bp
+        vec, pair = vecs[image], table.pair(bp)
+        for mu in (pair, *vec):
+            if mu not in bps:
+                bps[mu] = table.bipartition(mu)
+                keys[mu] = uglov_key(bps[mu], p.charge)
+                forms[mu] = bipartition_to_json(bps[mu])
+        ok = pair in vec and max(vec, key=keys.__getitem__) == pair
         yield {
-            "bp": forms[bp],
+            "bp": forms[pair],
             "adm": seq,
-            "expansion": [{"bp": forms[mu], "coeff": coeff}
-                          for mu, coeff in sorted(vec.items())],
-            "max": forms[bp] if ok else None,
+            "expansion": [{"bp": forms[mu], "coeff": vec[mu]}
+                          for mu in sorted(vec, key=bps.__getitem__)],
+            "max": forms[pair] if ok else None,
             "pass": ok,
         }
 
@@ -334,10 +336,11 @@ def verify_djm_converse(n: int, p: CrystalParams) -> list[dict]:
 
     A support of rank k is an int: bit i stands for the i-th bipartition
     of rank k in increasing Uglov order, so its maximum is its top bit.
-    The membership verdicts come from one crystal_edges walk up to rank
-    n, kept as one set of Uglov bipartitions.  Each bipartition has one
-    child mask per residue of its addable nodes, over the indices of
-    rank k+1, from one crystal.children read; the masks of rank k are
+    Bipartitions are pairs of one RimTable, whose layer_walk up to rank n
+    gives the membership verdicts, kept as one set of Uglov pairs.  Each
+    bipartition has one child mask per residue of its addable nodes, over
+    the indices of rank k+1, from the child ids of its two rims; the
+    masks of rank k are
     laid out over the residues some bipartition of rank k has, never
     over all e of them.  f_j of a support is the OR of its members'
     j-masks, read CHUNK bits at a time: each chunk position has a
@@ -352,8 +355,8 @@ def verify_djm_converse(n: int, p: CrystalParams) -> list[dict]:
     if p.e is None:
         raise ValueError("the converse sweep needs finite e")
     e, charge = p.e, p.charge
-    uglov = {EMPTY}.union(dst for _, _, dst in crystal_edges(n, p))
-    rims = RimTable(p)  # for children: one rim read per partition
+    rims = RimTable(p)  # the walk's and the child masks'
+    uglov = set().union(*layer_walk(n, rims))
     records = []  # by rank, by support index: its (j, parent index)
 
     @cache
@@ -365,15 +368,15 @@ def verify_djm_converse(n: int, p: CrystalParams) -> list[dict]:
 
     reports = []
     supports = {1: []}  # the supports of rank k -> their records
-    bps = [EMPTY]  # the bipartitions of rank k, increasing
+    bps = [ROOT]  # the bipartitions of rank k, increasing, as pairs
     for k in range(n + 1):
         records.append(list(supports.values()))
         found = []
         for i, support in enumerate(supports):
             # rank n keeps each support as its bit length, see below
             top = support if k == n else support.bit_length()
-            best = bps[top - 1]
-            if best not in uglov:
+            if bps[top - 1] not in uglov:
+                best = rims.bipartition(bps[top - 1])
                 found += ({"word": list(w), "max": bipartition_to_json(best)}
                           for w in words(k, i))
         found.sort(key=lambda f: f["word"])
@@ -381,15 +384,18 @@ def verify_djm_converse(n: int, p: CrystalParams) -> list[dict]:
                         "pass": not found})
         if k == n:
             break
-        up = sorted(bipartitions_of(k + 1),
-                    key=lambda bp: uglov_key(bp, charge))
-        index = {bp: i for i, bp in enumerate(up)}
+        up = [rims.pair(bp) for bp in sorted(
+            bipartitions_of(k + 1), key=lambda bp: uglov_key(bp, charge))]
+        index = {pair: i for i, pair in enumerate(up)}
         # rows[i]: {j: the mask of the j-children of bps[i]}
         rows = [{} for _ in bps]
-        for bp, row in zip(bps, rows):
-            for j, kids in children(bp, rims).items():
-                for mu in kids:
-                    row[j] = row.get(j, 0) | 1 << index[mu]
+        for (i1, i2), row in zip(bps, rows):
+            for _, j, child in rims.read(1, i1):
+                if child is not None:
+                    row[j] = row.get(j, 0) | 1 << index[child, i2]
+            for _, j, child in rims.read(2, i2):
+                if child is not None:
+                    row[j] = row.get(j, 0) | 1 << index[i1, child]
         residues = sorted(set().union(*rows))  # at most 4k + 2
         masks = [[row.get(j, 0) for j in residues] for row in rows]
         combine = or_

@@ -103,7 +103,11 @@ def cmd_enumerate(args) -> int:
         return 0
     bps = sorted(crystal.top_layer(args.n, p))
     if args.format == "json":
-        print(json.dumps([diagrams.bipartition_to_json(bp) for bp in bps]))
+        print("[", end="")  # json.dumps's bytes, a chunk of dicts at a time
+        for i in range(0, len(bps), LISTING_CHUNK):
+            chunk = map(diagrams.bipartition_to_json, bps[i:i + LISTING_CHUNK])
+            print(", " * (i > 0) + json.dumps(list(chunk))[1:-1], end="")
+        print("]")
     else:
         for bp in bps:
             print(format_bipartition(bp))
@@ -126,6 +130,7 @@ def render_dot(n: int, p: CrystalParams) -> str:
 # json.dumps(r, sort_keys=True) without the cycle check: reports share
 # bipartition forms but hold no cycles
 REPORT_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
+LISTING_CHUNK = 4096  # bipartitions per json.dumps of an enumerate listing
 
 
 def cmd_verify(args) -> int:

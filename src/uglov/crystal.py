@@ -1,8 +1,6 @@
 """Integral Fock-space operators, good nodes and Uglov/FLOTW membership.
 
-A Fock vector is a dict Bipartition -> positive int whose keys all share
-one rank.  The crystal parameters bundle e (None for infinity) with the
-charge (s1, s2).
+CrystalParams bundles e (None for infinity) with the charge (s1, s2).
 
 A walk owns one RimTable at its parameters.  The table interns each
 component partition as a small int on first sight, so a bipartition of
@@ -14,9 +12,10 @@ one id.  layer_walk is the one walk of the crystal component of the
 empty bipartition: uglov_layers lists its layers, and top_layer keeps
 the last for `uglov enumerate`.  edge_walk walks the same layers keeping
 their edges, for crystal_edges and isomorphism.psi_images.  Bipartitions
-are built only where a caller reads them.  children reads a
-bipartition's children by residue from the same table, and f_action
-keeps them in the table's rows, one table per sweep or monomial.
+are built only where a caller reads them.  A Fock vector is a dict pair
+-> positive int over one table, its keys of one rank: f_action swaps in
+the child ids of each pair's addable j-nodes, and expand_monomial
+returns its vector over Bipartitions.
 
 normal_nodes applies the signature rule over a whole rim (diagrams.rim),
 listing every residue's normal addable and normal removable nodes as rim
@@ -38,7 +37,6 @@ from .diagrams import (
     part,
     remove_node,
     rim,
-    with_component,
 )
 
 
@@ -65,8 +63,7 @@ class RimTable:
     at charge s_c as (node_key, residue, child), increasing, where child
     is the id of the partition grown at an addable node and None at a
     removable one.  The id 0 is the empty partition, so ROOT is the
-    empty bipartition.  rows is f_action's: a bipartition -> its
-    children.
+    empty bipartition.
     """
 
     def __init__(self, p: CrystalParams):
@@ -75,7 +72,6 @@ class RimTable:
         self.parts = ([()], [()])
         self.ids = ({(): 0}, {(): 0})
         self.rims = ([None], [None])
-        self.rows: dict = {}
 
     def intern(self, c: int, lam: tuple[int, ...]) -> int:
         ids = self.ids[c - 1]
@@ -97,6 +93,10 @@ class RimTable:
                        for key, cont, rem, a, b, _
                        in component_rim(lam, self.p.charge[c - 1], c)]
         return rims[i]
+
+    def pair(self, bp: Bipartition) -> tuple[int, int]:
+        """bp in this table: the ids of its two components."""
+        return self.intern(1, bp.c1), self.intern(2, bp.c2)
 
     def bipartition(self, pair: tuple[int, int]) -> Bipartition:
         return Bipartition(self.parts[0][pair[0]], self.parts[1][pair[1]])
@@ -130,37 +130,24 @@ def good_additions(pair: tuple[int, int], table: RimTable) -> list:
     return sorted(good.items())
 
 
-def children(bp: Bipartition, table: RimTable) -> dict:
-    """{j: the bipartitions bp plus one addable j-node}, distinct, for
-    every residue j of an addable node, from the rims of bp's components
-    in table."""
+def f_action(vec: dict, j, table: RimTable) -> dict:
+    """Linear extension of: sum over mu obtained by adding a j-node, for
+    vec a Fock vector over the pairs of table, read from each pair's two
+    stored rims.  Coefficients are positive, so no term cancels.  The
+    caller shares table between the calls of one sweep, so each
+    component partition's rim is read once."""
+    rims1, rims2 = table.rims
     out: dict = {}
-    for c, lam in ((1, bp.c1), (2, bp.c2)):
-        grown = table.parts[c - 1]
-        for _, j, child in table.read(c, table.intern(c, lam)):
-            if child is not None:
-                out.setdefault(j, []).append(
-                    with_component(bp, c, grown[child]))
-    return out
-
-
-def f_action(vec: dict[Bipartition, int], j, table: RimTable) -> dict:
-    """Linear extension of: sum over mu obtained by adding a j-node, at
-    the parameters of table.  Coefficients are positive, so no term
-    cancels.
-
-    The caller owns table and shares it between the f_action calls of
-    one sweep: table.rows keeps each bipartition's children, so each
-    bipartition and component partition is read once.
-    """
-    rows = table.rows
-    out: dict[Bipartition, int] = {}
-    for bp, coeff in vec.items():
-        row = rows.get(bp)
-        if row is None:
-            row = rows[bp] = children(bp, table)
-        for mu in row.get(j, ()):
-            out[mu] = out.get(mu, 0) + coeff
+    for pair, coeff in vec.items():
+        i1, i2 = pair
+        for _, r, child in rims1[i1] or table.read(1, i1):
+            if r == j and child is not None:
+                kid = (child, i2)
+                out[kid] = out.get(kid, 0) + coeff
+        for _, r, child in rims2[i2] or table.read(2, i2):
+            if r == j and child is not None:
+                kid = (i1, child)
+                out[kid] = out.get(kid, 0) + coeff
     return out
 
 
@@ -325,7 +312,7 @@ def is_flotw(bp: Bipartition, p: CrystalParams) -> bool:
 
 def expand_monomial(word, p: CrystalParams) -> dict[Bipartition, int]:
     """Apply f-operators to the empty bipartition, last residue first."""
-    vec, table = {EMPTY: 1}, RimTable(p)
+    vec, table = {ROOT: 1}, RimTable(p)
     for j in reversed(list(word)):
         vec = f_action(vec, j, table)
-    return vec
+    return {table.bipartition(pair): coeff for pair, coeff in vec.items()}

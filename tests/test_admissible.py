@@ -26,7 +26,6 @@ from uglov import admissible, crystal, diagrams, isomorphism
 from uglov.crystal import (
     CrystalParams,
     RimTable,
-    children,
     expand_monomial,
     f_action,
     good_additions,
@@ -59,6 +58,7 @@ from test_crystal import (
     component_keys,
     count_component_reads,
     count_rim_passes,
+    f_action_oracle,
     forbid_validating_primitives,
     read_keys,
 )
@@ -395,7 +395,7 @@ def forward_oracle(bp, p):
                 "error": str(exc)}
     vec = {EMPTY: 1}
     for j in seq:
-        vec = f_action(vec, j, RimTable(p))
+        vec = f_action_oracle(vec, j, RimTable(p))
     ok = bp in vec and uglov_max(vec, p.charge, {}) == bp
     return {
         "bp": bipartition_to_json(bp),
@@ -454,36 +454,36 @@ def test_verify_djm_forward_matches_oracle(p):
 def test_forward_reads_children_once_per_bipartition(monkeypatch):
     # Every whole-rim pass of the sweep is top_class's, one per nonempty
     # image (249 at rank <= 9), and none comes from crystal.rim; the
-    # sweep's one f_action table reads the children of each bipartition
-    # once, and each (component, partition) of those bipartitions once,
-    # and its crystal_edges walk reads each (component, partition) of the
-    # Uglov bipartitions below rank 9 once.
+    # sweep's f_action calls share one table, which reads each
+    # (component, partition) of the bipartitions they scan once, and the
+    # walk of psi_images reads each (component, partition) of the Uglov
+    # bipartitions below rank 9 once.
     reports = list(verify_djm_forward(9, P01))
     layers = uglov_layers(9, P01)
     images = set().union(*layers) - {EMPTY}
     sources = set().union(*layers[:9])  # ranks below 9
     assert len(images) == 249
-    kids, tables, readers = [], [], []
+    scanned, tables, readers = set(), [], []
     passes = count_rim_passes(monkeypatch)
 
-    def counted(bp, table):
-        kids.append(bp)
+    def counted(vec, j, table):
+        scanned.update(vec)
         tables.append(table)
-        return children(bp, table)
+        return f_action(vec, j, table)
 
     def counted_rim(bp, charge):
         readers.append((sys._getframe(1).f_code.co_name, bp))
         return rim(bp, charge)
 
-    monkeypatch.setattr(crystal, "children", counted)
+    monkeypatch.setattr(admissible, "f_action", counted)
     monkeypatch.setattr(admissible, "rim", counted_rim)
     reads = count_component_reads(monkeypatch)
     assert list(verify_djm_forward(9, P01)) == reports
-    assert len(kids) == len(set(kids))
+    assert len({id(table) for table in tables}) == 1
+    kids = set(map(tables[0].bipartition, scanned))
     assert {bp.rank for bp in kids} == set(range(9))
     assert passes == []
     assert sorted(readers) == sorted(("top_class", bp) for bp in images)
-    assert len({id(table) for table in tables}) == 1
     kid_reads = component_keys(kids, P01.charge)
     assert read_keys(tables[0]) == kid_reads
     assert sorted(reads) == sorted(
@@ -494,7 +494,7 @@ def test_forward_reads_each_fact_once(monkeypatch):
     # At rank <= 9 every one of the 734 bipartitions lies in an expansion:
     # the sweep keys each once and encodes each once, reads each of the
     # 134 (component, partition) of the bipartitions below rank 9 once for
-    # their children, and tests no rest with is_flotw.
+    # f_action, and tests no rest with is_flotw.
     reports = list(verify_djm_forward(9, P01))
     assert sum(len(bipartitions_of(k)) for k in range(10)) == 734
     calls, fills = {}, []
@@ -508,13 +508,13 @@ def test_forward_reads_each_fact_once(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    count(diagrams, "uglov_key")
+    count(admissible, "uglov_key")
     count(admissible, "bipartition_to_json")
     count(admissible, "is_flotw")
     real_rim = crystal.component_rim
 
     def counted_rim(lam, s, c):  # under RimTable.read
-        if sys._getframe(2).f_code.co_name == "children":
+        if sys._getframe(2).f_code.co_name == "f_action":
             fills.append((c, s, lam))
         return real_rim(lam, s, c)
 
@@ -630,7 +630,7 @@ def words_by_max(n: int, p: CrystalParams) -> dict:
         out.setdefault(uglov_max(vec, p.charge, {}), []).append(word)
         if len(word) < n:
             for j in range(p.e):
-                child = f_action(vec, j, RimTable(p))
+                child = f_action_oracle(vec, j, RimTable(p))
                 if child:
                     todo.append((word + [j], child))
     for words in out.values():
@@ -697,13 +697,14 @@ def _converse_brute(n, p, member):
 
 def keep_members(monkeypatch, member):
     # The converse walk reads its membership verdicts from one
-    # crystal_edges walk; dropping the edges into non-members makes
-    # their supports fail.
-    def edges(n, p):
-        return ((bp, j, dst) for bp, j, dst in crystal.crystal_edges(n, p)
-                if member(dst, p))
+    # layer_walk; dropping the non-members from its layers makes their
+    # supports fail.
+    def walk(n, table):
+        for layer in crystal.layer_walk(n, table):
+            yield {pair for pair in layer
+                   if member(table.bipartition(pair), table.p)}
 
-    monkeypatch.setattr(admissible, "crystal_edges", edges)
+    monkeypatch.setattr(admissible, "layer_walk", walk)
 
 
 CONVERSE_GRID = [CrystalParams(e, charge) for e in (2, 3, 4)
@@ -739,7 +740,7 @@ def converse_word_oracle(n, p, member):
                                           "max": bipartition_to_json(best)})
         if len(suffix) < n:
             for j in range(p.e):
-                nxt = f_action(vec, j, RimTable(p))
+                nxt = f_action_oracle(vec, j, RimTable(p))
                 if nxt:
                     visit((j,) + suffix, nxt)
 
@@ -778,7 +779,7 @@ def converse_support_oracle(n, p, member):
 
     def kids(bp):
         if bp not in children:
-            children[bp] = [set(f_action({bp: 1}, j, RimTable(p)))
+            children[bp] = [set(f_action_oracle({bp: 1}, j, RimTable(p)))
                             for j in range(p.e)]
         return children[bp]
 
@@ -832,22 +833,32 @@ def test_verify_djm_converse_matches_support_oracle(p, monkeypatch):
 
 
 def test_converse_takes_verdicts_from_one_edge_walk(monkeypatch):
-    # No membership peel: every verdict comes from one crystal_edges walk.
-    walks = []
+    # No membership peel: every verdict comes from one layer_walk on the
+    # sweep's one table, and no crystal_edges or uglov_layers walk runs.
+    walks, tables = [], []
 
-    def counted(n, p):
-        walks.append(n)
-        return crystal.crystal_edges(n, p)
+    class Counted(RimTable):
+        def __init__(self, p):
+            super().__init__(p)
+            tables.append(self)
+
+    def counted(n, table):
+        walks.append((n, table))
+        return crystal.layer_walk(n, table)
 
     def forbidden(*args):
-        raise AssertionError("the converse walk peeled a bipartition")
+        raise AssertionError("the converse walk peeled or walked again")
 
-    monkeypatch.setattr(admissible, "crystal_edges", counted)
-    monkeypatch.setattr(crystal, "is_uglov", forbidden)
-    monkeypatch.setattr(crystal, "peel_word", forbidden)
-    monkeypatch.setattr(admissible, "is_uglov", forbidden, raising=False)
+    monkeypatch.setattr(admissible, "RimTable", Counted)
+    monkeypatch.setattr(admissible, "layer_walk", counted)
+    for module in (diagrams, crystal, isomorphism, admissible):
+        for name in ("is_uglov", "peel_word", "crystal_edges",
+                     "uglov_layers"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
     reports = verify_djm_converse(8, P01)
-    assert walks == [8]
+    assert len(tables) == 1
+    assert walks == [(8, tables[0])]
     assert [r["n"] for r in reports] == list(range(9))
     assert all(r["pass"] for r in reports)
 
@@ -892,17 +903,13 @@ def test_converse_forced_failures_share_supports():
 
 
 def test_converse_reads_children_once_per_bipartition(monkeypatch):
-    # The walk reads the children of each bipartition it expands once,
-    # from crystal.children: every bipartition of rank below n lies in
-    # some support.  It makes no whole-rim pass of its own and no
-    # validating add_node or addable_nodes call.  It keys each
+    # The sweep reads the children of the bipartitions it expands from
+    # their stored rims, one read per (component, partition) of them:
+    # every bipartition of rank below n lies in some support, and its
+    # layer_walk reads the same table.  It makes no whole-rim pass of its
+    # own and no validating add_node or addable_nodes call.  It keys each
     # bipartition at most once, to order its rank.
-    calls, passes, keyed, tables = [], [], [], []
-
-    def counted(bp, table):
-        calls.append(bp)
-        tables.append(table)
-        return children(bp, table)
+    passes, keyed = [], []
 
     def counted_rim(bp, charge):
         passes.append(bp)
@@ -912,16 +919,15 @@ def test_converse_reads_children_once_per_bipartition(monkeypatch):
         keyed.append(bp)
         return uglov_key(bp, charge)
 
-    monkeypatch.setattr(admissible, "children", counted)
     monkeypatch.setattr(admissible, "rim", counted_rim)
     monkeypatch.setattr(admissible, "uglov_key", counted_key)
+    reads = count_component_reads(monkeypatch)
     forbid_validating_primitives(monkeypatch)
     verify_djm_converse(8, P01)
     assert passes == []
-    assert len(calls) == len(set(calls))
-    assert set(calls) == {bp for k in range(8) for bp in bipartitions_of(k)}
-    assert len({id(table) for table in tables}) == 1
-    assert read_keys(tables[0]) == component_keys(calls, P01.charge)
+    assert len(reads) == len(set(reads))
+    assert set(reads) == component_keys(
+        {bp for k in range(8) for bp in bipartitions_of(k)}, P01.charge)
     assert len(keyed) == len(set(keyed))
     assert set(keyed) <= {bp for k in range(9) for bp in bipartitions_of(k)}
     assert len(keyed) == sum(len(bipartitions_of(k)) for k in range(1, 9))

@@ -107,13 +107,11 @@ def test_verify_converse_huge_e(capsys):
         assert r["pass"] is True
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
-                    reason="reads the peak resident set from /proc")
-def test_verify_converse_memory_ceiling():
-    # One int per support keeps rank 13 at the defaults far below the
-    # 115 MB that a frozenset per support took.  The child reports its
-    # own peak as VmHWM: Linux carries the parent's peak across exec into
-    # ru_maxrss, so under pytest that reads the test process's peak.
+def peak_kb(args) -> int:
+    """The peak resident set, in kB, of a child process that runs the CLI
+    on args, stdout discarded; the child must exit 0.  The child reports
+    its own peak as VmHWM: Linux carries the parent's peak across exec
+    into ru_maxrss, so under pytest that reads the test process's peak."""
     child = ("import sys\n"
              "from uglov.cli import main\n"
              "code = main(sys.argv[1:])\n"
@@ -123,14 +121,52 @@ def test_verify_converse_memory_ceiling():
              "sys.exit(code)\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(uglov.__file__)))
     done = subprocess.run(
-        [sys.executable, "-c", child, "--format", "json",
-         "verify", "--mode", "converse", "--n", "13"],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
-        text=True, timeout=300)
+        [sys.executable, "-c", child, *args],
+        env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     name, peak, unit = done.stderr.split()[-3:]
     assert (name, unit) == ("VmHWM:", "kB")
-    assert int(peak) < 64 * 1024
+    return int(peak)
+
+
+needs_proc = pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                                reason="reads the peak resident set from "
+                                       "/proc")
+
+
+@needs_proc
+def test_verify_converse_memory_ceiling():
+    # One int per support keeps rank 13 at the defaults far below the
+    # 115 MB that a frozenset per support took.
+    assert peak_kb(["--format", "json", "verify", "--mode", "converse",
+                    "--n", "13"]) < 64 * 1024
+
+
+@needs_proc
+def test_enumerate_json_memory_ceiling():
+    # The JSON listing is written a chunk of bipartitions at a time, so
+    # rank 34 at the defaults stays near the text listing's 31 MB; one
+    # dict per bipartition and one string of the whole layer took 49 MB.
+    assert peak_kb(["--format", "json", "enumerate", "--n", "34"]) < (
+        40 * 1024)
+
+
+def test_enumerate_json_chunks_join_to_one_list(capsys, monkeypatch):
+    # Chunks of 5 over the 17 bipartitions of rank 5 (the last chunk
+    # short), and one chunk at ranks 0 and 1, give json.dumps of the
+    # whole list, byte for byte.
+    from uglov import cli, crystal, diagrams
+    p = crystal.CrystalParams(3, (0, 1))
+    monkeypatch.setattr(cli, "LISTING_CHUNK", 5)
+    for n in (0, 1, 5):
+        whole = json.dumps([diagrams.bipartition_to_json(bp)
+                            for bp in sorted(crystal.top_layer(n, p))])
+        code, out, _ = run(capsys, ["--format", "json", "enumerate",
+                                    "--n", str(n)])
+        assert code == 0
+        assert out == whole + "\n"
+    assert len(json.loads(out)) == 17
 
 
 def test_verify_psi_nature_ok(capsys):

@@ -93,15 +93,42 @@ def scan_cases():
                 yield bp, p
 
 
-def pair_of(bp, table):
-    """bp in table: the ids of its two components."""
-    return table.intern(1, bp.c1), table.intern(2, bp.c2)
-
-
 def scan(bp, table):
     """good_additions of bp, interned in table, as bipartitions."""
     return [(j, table.bipartition(kid))
-            for j, kid in good_additions(pair_of(bp, table), table)]
+            for j, kid in good_additions(table.pair(bp), table)]
+
+
+def children_oracle(bp, table):
+    """{j: the bipartitions bp plus one addable j-node}, for every residue
+    j of an addable node, from the rims of bp's components in table: the
+    children reader of the Bipartition-keyed f_action_oracle."""
+    out = {}
+    for c, lam in ((1, bp.c1), (2, bp.c2)):
+        grown = table.parts[c - 1]
+        for _, j, child in table.read(c, table.intern(c, lam)):
+            if child is not None:
+                out.setdefault(j, []).append(
+                    with_component(bp, c, grown[child]))
+    return out
+
+
+def f_action_oracle(vec, j, table):
+    """The Bipartition-keyed f_action the pair scan replaced: vec is a
+    dict Bipartition -> coefficient, and each term's j-children come from
+    children_oracle, grown through table."""
+    out = {}
+    for bp, coeff in vec.items():
+        for mu in children_oracle(bp, table).get(j, ()):
+            out[mu] = out.get(mu, 0) + coeff
+    return out
+
+
+def f_action_bps(vec, j, table):
+    """f_action of vec, a dict Bipartition -> coefficient, through the
+    pairs of table, read back as Bipartitions."""
+    out = f_action({table.pair(bp): c for bp, c in vec.items()}, j, table)
+    return {table.bipartition(pair): c for pair, c in out.items()}
 
 
 def good_additions_oracle(bp, p):
@@ -132,15 +159,41 @@ def read_keys(table) -> set:
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        f_action({EMPTY: 1}, 0, RimTable(CrystalParams(1, (0, 0))))
+        f_action({ROOT: 1}, 0, RimTable(CrystalParams(1, (0, 0))))
 
 
 def test_f_action_examples():
-    assert f_action({EMPTY: 1}, 0, RimTable(P01)) == {P("1,-"): 1}
-    assert f_action({EMPTY: 1}, 1, RimTable(P01)) == {P("-,1"): 1}
-    assert f_action({EMPTY: 1}, 2, RimTable(P01)) == {}
-    both = f_action({EMPTY: 1}, 0, RimTable(CrystalParams(2, (0, 0))))
+    assert f_action_bps({EMPTY: 1}, 0, RimTable(P01)) == {P("1,-"): 1}
+    assert f_action_bps({EMPTY: 1}, 1, RimTable(P01)) == {P("-,1"): 1}
+    assert f_action({ROOT: 1}, 2, RimTable(P01)) == {}
+    both = f_action_bps({EMPTY: 1}, 0, RimTable(CrystalParams(2, (0, 0))))
     assert both == {P("1,-"): 1, P("-,1"): 1}
+
+
+def test_f_action_matches_bipartition_oracle():
+    # Per rank, one vector over every bipartition with distinct
+    # coefficients, so that children shared by two terms add up; every
+    # residue of SCAN_GRID (at e = infinity, every residue of a node of
+    # the rank and one past them), through one table per CrystalParams
+    # shared by the whole scan and a fresh table.
+    cases = 0
+    for p in SCAN_GRID:
+        table = RimTable(p)
+        for k in range(SCAN_RANK + 1):
+            vec = {bp: i + 1 for i, bp in enumerate(bipartitions_of(k))}
+            if p.e is None:
+                residues = {residue(g, p.charge, None) for bp in vec
+                            for g in addable_nodes(bp) | removable_nodes(bp)}
+                residues.add(max(residues) + 1)
+            else:
+                residues = range(p.e)
+            for j in residues:
+                expected = f_action_oracle(vec, j, RimTable(p))
+                assert f_action_bps(vec, j, table) == expected, (p, k, j)
+                assert f_action_bps(vec, j, RimTable(p)) == expected, (
+                    p, k, j)
+                cases += bool(expected)
+    assert cases > len(SCAN_GRID) * SCAN_RANK
 
 
 def e_action(vec, j, p):
@@ -159,7 +212,8 @@ def test_e_f_adjoint_counts():
     for n in range(4):
         for bp in bipartitions_of(n):
             for j in range(3):
-                vec = e_action(f_action({bp: 1}, j, RimTable(P01)), j, P01)
+                vec = e_action(f_action_bps({bp: 1}, j, RimTable(P01)), j,
+                               P01)
                 count = sum(residue(g, P01.charge, P01.e) == j
                             for g in addable_nodes(bp))
                 assert vec.get(bp, 0) == count
@@ -228,13 +282,17 @@ def test_good_additions_match_residue_loop():
 
 
 def test_children_match_addable_nodes():
+    # f_action of one bipartition at each residue of an addable node,
+    # and at one residue without (past the largest at e = infinity).
     for bp, p in scan_cases():
         expected = {}
         for g in addable_nodes(bp):
             expected.setdefault(residue(g, p.charge, p.e),
-                                set()).add(add_node(bp, g))
-        got = crystal.children(bp, RimTable(p))
-        assert {j: set(kids) for j, kids in got.items()} == expected, (bp, p)
+                                {})[add_node(bp, g)] = 1
+        residues = range(p.e) if p.e else [*expected, max(expected) + 1]
+        got = {j: f_action_bps({bp: 1}, j, RimTable(p)) for j in residues}
+        assert {j: kids for j, kids in got.items() if kids} == expected, (
+            bp, p)
         assert sum(map(len, got.values())) == len(addable_nodes(bp))
 
 
@@ -290,7 +348,7 @@ def test_component_rim_kernel_matches_whole_bipartition_oracle():
             for e in KERNEL_ES:
                 p = CrystalParams(e, charge)
                 table = tables.get(p) or tables.setdefault(p, RimTable(p))
-                i1, i2 = pair = pair_of(bp, table)
+                i1, i2 = pair = table.pair(bp)
                 assert table.bipartition(pair) == bp
                 stored = sorted(table.read(1, i1) + table.read(2, i2))
                 assert len(stored) == len(whole), (bp, p)
@@ -319,9 +377,10 @@ def test_component_rim_kernel_matches_whole_bipartition_oracle():
                                         []).append(add_node(bp, Node(a, b, c)))
                 kids = {j: sorted(mus) for j, mus in kids.items()}
                 for rims in (table, RimTable(p)):  # shared, and fresh
-                    assert ({j: sorted(mus) for j, mus in
-                             crystal.children(bp, rims).items()}
-                            == kids), (bp, p)
+                    got = {j: sorted(f_action_bps({bp: 1}, j, rims))
+                           for _, j, _ in stored}
+                    assert {j: mus for j, mus in got.items() if mus} == kids, (
+                        bp, p)
                 cases += 1
     assert cases == 434 * len(KERNEL_CHARGES) * len(KERNEL_ES)
     assert len(tables) == len(KERNEL_CHARGES) * len(KERNEL_ES)
@@ -378,7 +437,7 @@ def test_component_rim_table_keeps_components_and_charges_apart():
         p = CrystalParams(3, charge)
         table = RimTable(p)
         assert scan(bp, table) == good_additions_oracle(bp, p)
-        assert pair_of(bp, table) == (1, 1)
+        assert table.pair(bp) == (1, 1)
         rims[charge] = (table.read(1, 1), table.read(2, 1))
         assert read_keys(table) == {(1, charge[0], lam), (2, charge[1], lam)}
     assert rims[0, 0][0] != rims[0, 0][1]
@@ -429,19 +488,22 @@ def test_peel_word_matches_oracle_peel():
 @pytest.mark.parametrize("e", [2, 3, 4])
 def test_shared_f_action_table_keeps_every_monomial(e):
     # One table shared by every word of length <= 5 at one CrystalParams
-    # gives each word's expand_monomial, whose table is its own.  The
-    # table's rows hold each bipartition's children, and it reads the
-    # rims of their components, which they are grown from.
+    # gives each word's expand_monomial, whose table is its own, and it
+    # reads the rims of the components of the bipartitions f_action
+    # scans, which their children are grown from.
     for charge in ((0, 0), (0, 1), (2, -1), (5, 0)):
         p = CrystalParams(e, charge)
-        table = RimTable(p)
+        table, scanned = RimTable(p), set()
         for k in range(6):
             for word in itertools.product(range(e), repeat=k):
-                vec = {EMPTY: 1}
+                vec = {ROOT: 1}
                 for j in reversed(word):
+                    scanned.update(vec)
                     vec = f_action(vec, j, table)
-                assert vec == expand_monomial(word, p), (word, p)
-        bps = set(table.rows)
+                assert ({table.bipartition(pair): c
+                         for pair, c in vec.items()}
+                        == expand_monomial(word, p)), (word, p)
+        bps = set(map(table.bipartition, scanned))
         assert bps <= {bp for k in range(5) for bp in bipartitions_of(k)}
         assert read_keys(table) == component_keys(bps, charge)
 

@@ -508,7 +508,7 @@ def test_rim_matches_reference():
     # The one-pass kernel against the row-by-row references, at every
     # charge of the signature-scan grid: the same nodes, each with its
     # node_key and content, keys unique, and a child grown from an addable
-    # node it lists, as crystal.children grows it, is add_node's.
+    # node it lists, as crystal.RimTable.read grows it, is add_node's.
     charges = sorted({p.charge for p in SCAN_GRID})
     for bp in _bipartitions_up_to(8):
         for charge in charges:
