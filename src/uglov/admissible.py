@@ -15,7 +15,9 @@ is the run of removable j-nodes around its seed whose neighbours are
 in top_class; its rest is FLOTW exactly when adm_walk has stepped it
 already.  The forward sweep keys its Fock vectors by the pairs of one
 crystal.RimTable and builds each pair's Bipartition, uglov_key and JSON
-form once.
+form once.  Propb reads the natures of each bipartition at its own
+charge from the cores of its two components, kept in one
+diagrams.NatureCores memo, so a wide charge gap costs it nothing.
 
 The converse sweep walks the distinct supports of monomials rank by
 rank, each an int over the bipartitions of its rank in Uglov order, as
@@ -49,12 +51,12 @@ from .crystal import (
 from .diagrams import (
     EMPTY,
     Bipartition,
+    NatureCores,
     Node,
     beta_set,
     bipartition_to_json,
     bipartitions_of,
-    default_window,
-    nature_table,
+    nature_entries,
     node_key,
     part,
     removable,
@@ -489,18 +491,34 @@ def propb_checks(n: int, p: CrystalParams):
     """Yield one report per Uglov bipartition bp of rank <= n: dominance
     of the smallest transported class node over addable nodes and the
     vertical/horizontal exclusion at its residue.  The class is the
-    top_class of bp's psi_images image at the fundamental charge."""
+    top_class of bp's psi_images image at the fundamental charge; the
+    natures of bp come from one memo of component cores."""
     if p.e is None:
         raise ValueError("needs finite e")
     fp = CrystalParams(p.e, reduce_to_fundamental(p.charge, p.e))
+    cores = NatureCores()
     for bp, image in psi_images(n, p, fp.charge).items():
-        failures = [] if bp == EMPTY else _propb_failures(bp, image, p, fp)
+        failures = ([] if bp == EMPTY
+                    else _propb_failures(bp, image, p, fp, cores))
         yield {"bp": bipartition_to_json(bp), "pass": not failures,
                "failures": failures}
 
 
 def _propb_failures(bp: Bipartition, image: Bipartition, p: CrystalParams,
-                    fp: CrystalParams) -> list:
+                    fp: CrystalParams, cores: NatureCores) -> list:
+    """The propb failures of bp, whose image at the fundamental charge is
+    image.
+
+    The slots read are those of residue j with node_key above eta1's,
+    in default_window.  In component c of charge s they are read from the
+    core of bp's component, cores[lam, s]: every addable node and every
+    non-virtual Bh lies in the core, and a Bv lies either in the core or
+    in the virtual Bv run below it, up to the core's floor.  Above the
+    core every slot is a virtual Bh, which no question asks about.  The
+    window never cuts the Bv run: eta1 is a node of bp, so the lowest
+    content above it is inside the window, and a residue-j content of
+    the run is found by arithmetic.  So the charge gap costs nothing.
+    """
     j, cls, normal_lam = top_class(image, fp)
     # at the fundamental charge bp is its own image
     normal_mu = (normal_lam if p == fp
@@ -513,13 +531,23 @@ def _propb_failures(bp: Bipartition, image: Bipartition, p: CrystalParams,
         return out
     eta1 = normal_mu[len(normal_mu) - len(cls)]
     key1 = node_key(eta1, p.charge)
-    table = nature_table(bp, p.charge, default_window(bp, p.charge))
-    greater = [entry for k, c, entry in table  # entry's node_key is 2k - c
-               if (k - j) % p.e == 0 and 2 * k - c > key1]
-    out += ["addable %r-node %r greater than eta1 %r" % (j, ent.node, eta1)
-            for ent in greater if ent.kind == "A"]
-    if (any(ent.kind == "Bh" and not ent.virtual for ent in greater)
-            and any(ent.kind == "Bv" for ent in greater)):
+    addable, bh, bv = [], False, False
+    for c, lam, s in ((1, bp.c1, p.charge[0]), (2, bp.c2, p.charge[1])):
+        floor, top, core = cores[lam, s]
+        first = (key1 + c) // 2 + 1  # the lowest content above eta1
+        start = max(first, floor)
+        for k in range(start + (j - start) % p.e, top + 1, p.e):
+            kind = core[k - floor]
+            if kind == "A":
+                addable.append(
+                    (2 * k - c, nature_entries(lam, s, c, k, k)[0].node))
+            bh = bh or kind == "Bh"
+            bv = bv or kind == "Bv"
+        bv = bv or first + (j - first) % p.e < floor  # in first .. floor - 1
+    addable.sort()
+    out += ["addable %r-node %r greater than eta1 %r" % (j, node, eta1)
+            for _, node in addable]
+    if bh and bv:
         out.append("both a non-virtual Bh and a Bv %r-node exceed eta1"
                    % (j,))
     return out

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import admissible, crystal, diagrams, isomorphism
@@ -205,11 +206,17 @@ def main(argv=None) -> int:
     if args.format == "dot" and args.command != "enumerate":
         print("--format dot applies to enumerate only", file=sys.stderr)
         return 2
-    if args.command == "enumerate":
-        return cmd_enumerate(args)
-    if args.command == "verify":
-        return cmd_verify(args)
-    return cmd_show(args)
+    command = {"enumerate": cmd_enumerate, "verify": cmd_verify}.get(
+        args.command, cmd_show)
+    try:
+        code = command(args)
+        sys.stdout.flush()  # so a closed pipe shows here, not at exit
+    except BrokenPipeError:
+        # the reader closed stdout, as `| head` does: what is left goes
+        # to os.devnull, so the flush at exit prints nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
 
 
 if __name__ == "__main__":

@@ -26,12 +26,20 @@ remove_node.
 The vertical-boundary node (a, lambda^c_a, c) has content
 lambda^c_a - a + s_c, a beta-number of lambda^c; with the virtual
 column-0 nodes below the last row these contents are the beads, and
-beta_set lists those of the rows.  The extended Young diagram over a
-window is nature_table: one nature per content and component, from one
-nature_kinds pass per component, whose nodes nature_entries places by
-counting the beads above each content.  boundary_sequence lists the
-beads in the window row by row, and admissible.propb_checks reads its
-addable and boundary nodes from nature_table.  Periods
+beta_set lists those of the rows.
+
+A component's extended Young diagram is read once, as its core: the
+natures at contents s - len(lambda) .. s + lambda_1, from nature_core.
+Outside the core a component is constant: a run of virtual Bv below it
+and a run of virtual Bh above it.  So a window of any width is the core
+plus the two runs.  nature_entries places the nodes of a window, and
+nature_table, the extended Young diagram over a window, holds one
+nature_entries pass per component.  A sweep keeps its cores in one
+NatureCores memo: isomorphism.psi_nature_check and
+admissible.propb_checks read O(rank) contents per bipartition at any
+charge.
+
+boundary_sequence lists the beads in the window row by row.  Periods
 (admissible.has_period) are runs of beads.  The Uglov order compares
 boundary sequences, so it is the lexicographic order on the merged
 beta-set {2 beta - c}, Uglov's level-two to level-one wedge, which
@@ -233,22 +241,40 @@ def node_key(node: Node, charge: tuple[int, int]) -> int:
 # ---------------------------------------------------------------------------
 # natures
 
-def nature_kinds(lam: tuple[int, ...], s: int, lo: int,
-                 hi: int) -> tuple[str, ...]:
-    """The nature kinds at contents lo..hi of a component of charge s.
+_KIND = ((BH, R), (A, BV))  # [bead at j - 1][bead at j]
 
-    One increasing pass reads the beads at j and j - 1: R when only j is
-    a bead, Bv when both are, A when only j - 1 is, Bh when neither is.
+
+def nature_core(lam: tuple[int, ...], s: int) -> tuple[str, ...]:
+    """The nature kinds at contents s - len(lam) .. s + lam_1 of a
+    component of charge s: its core, where its rows are.
+
+    Below the core every content is a virtual Bv, above it a virtual Bh,
+    and each end of the core is the addable node of the first column or
+    of the first row.  One increasing pass over the core reads the beads
+    at j and j - 1: R when only j is a bead, Bv when both are, A when
+    only j - 1 is, Bh when neither is.  Inside the core no node is
+    virtual.
     """
-    beads = set(beta_set(lam, s))
-    floor = s - len(lam)
-    kinds = []
-    below = lo - 1 < floor or lo - 1 in beads
-    for j in range(lo, hi + 1):
-        on = j < floor or j in beads
-        kinds.append((BV if below else R) if on else (A if below else BH))
-        below = on
+    on = [False] * (len(lam) + part(lam, 1) + 1)  # on[j - floor]: a bead?
+    for a, x in enumerate(lam, 1):  # the bead x - a + s
+        on[x - a + len(lam)] = True
+    kinds, below = [], True
+    for bead in on:
+        kinds.append(_KIND[below][bead])
+        below = bead
     return tuple(kinds)
+
+
+class NatureCores(dict):
+    """{(lam, s): (floor, top, core)}, the core of lam at charge s and its
+    contents floor = s - len(lam) and top = s + lam_1, each read on its
+    first lookup: the memo of one sweep, which owns it."""
+
+    def __missing__(self, key):
+        lam, s = key
+        out = self[key] = (s - len(lam), s + part(lam, 1),
+                           nature_core(lam, s))
+        return out
 
 
 def nature_entries(lam: tuple[int, ...], s: int, c: int, lo: int,
@@ -256,23 +282,26 @@ def nature_entries(lam: tuple[int, ...], s: int, c: int, lo: int,
     """The addable-or-boundary nodes of contents lo..hi of component c of
     charge s, the one check for an empty window.
 
-    One nature_kinds pass, read downwards from hi, counts the beads
-    above each content: they are the contents of kind R or Bv.  The node
-    at content j is in row beads + 1, except a Bh node, in row beads.
+    Below the core the node at content j is the virtual column-0 node
+    (s - j, 0, c), above it the virtual row-0 node (0, j - s, c).  In the
+    core one increasing pass counts the beads at or below each content:
+    the node at content j is in row len(lam) minus that count, plus one
+    unless it is Bh.
     """
     if lo > hi:
         raise ValueError("empty window %r" % ((lo, hi),))
-    beads = (sum(x > hi for x in beta_set(lam, s))
-             + max(0, s - len(lam) - 1 - hi))
-    out = []
-    for j, kind in zip(range(hi, lo - 1, -1),
-                       reversed(nature_kinds(lam, s, lo, hi))):
-        a = beads + (kind != BH)
-        node = Node(a, j - s + a, c)
-        out.append(NatureEntry(kind, node,
-                               kind != A and (a == 0 or node.b == 0)))
-        beads += kind in VERTICAL
-    out.reverse()
+    floor = s - len(lam)
+    core = nature_core(lam, s)
+    out = [NatureEntry(BV, Node(s - j, 0, c), True)
+           for j in range(lo, min(hi + 1, floor))]
+    rows = len(lam)  # beads above the content read
+    for j, kind in enumerate(core, floor):
+        rows -= kind in VERTICAL
+        if lo <= j <= hi:
+            a = rows + (kind != BH)
+            out.append(NatureEntry(kind, Node(a, j - s + a, c), False))
+    out += [NatureEntry(BH, Node(0, j - s, c), True)
+            for j in range(max(lo, floor + len(core)), hi + 1)]
     return out
 
 
@@ -298,15 +327,6 @@ def nature_table(bp: Bipartition, charge: tuple[int, int],
             for c in (1, 2)}
     return [(k, c, rows[c][k - lo]) for k in range(lo, hi + 1)
             for c in (2, 1)]
-
-
-NATURE_TRANSITIONS = {
-    # nature at content j -> allowed natures at content j+1, same component
-    A: {BH, R},
-    R: {BV, A},
-    BV: {BV, A},
-    BH: {BH, R},
-}
 
 
 # ---------------------------------------------------------------------------
@@ -367,13 +387,6 @@ def uglov_max(bps, charge: tuple[int, int], keys: dict) -> Bipartition:
         if bp not in keys:
             keys[bp] = uglov_key(bp, charge)
     return max(bps, key=keys.__getitem__)
-
-
-def compare_lex(bp1: Bipartition, bp2: Bipartition) -> int:
-    """Lexicographic comparison on the first then second component."""
-    if bp1 == bp2:
-        return 0
-    return -1 if (bp1.c1, bp1.c2) < (bp2.c1, bp2.c2) else 1
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,15 @@ A sweep over a whole crystal component needs no peeling: psi_images
 walks the good edges of the component once and adds one good node per
 image; at its own charge, where the isomorphism is the identity, it
 lists the component's uglov_layers.  It feeds four sweeps:
-verify_psi_nature checks its images against the sigma1 nature table
-(one diagrams.nature_kinds pass per component, over the contents where
-some component is not constant), and at the fundamental
-charge propb reads their classes and admissible.adm_walk the Adm of the
-forward and corollary sweeps.
+verify_psi_nature checks its images against the sigma1 nature table,
+and at the fundamental charge propb reads their classes and
+admissible.adm_walk the Adm of the forward and corollary sweeps.
+
+psi_nature_check reads each component as its core
+(diagrams.nature_core), from a memo that lives for one sweep: below the
+core a component is a run of virtual Bv, above it a run of virtual Bh.
+Only the cores and one content of the gap between the cores at s1 and
+those at s2 are compared, so the check costs O(rank) at any charge.
 """
 
 from __future__ import annotations
@@ -36,12 +40,13 @@ from .crystal import (
     uglov_layers,
 )
 from .diagrams import (
+    BH,
+    BV,
     EMPTY,
     Bipartition,
+    NatureCores,
     add_node,
     bipartition_to_json,
-    nature_kinds,
-    part,
 )
 
 
@@ -154,54 +159,52 @@ SIGMA1_NATURE_MAP = {
 }
 
 
-def psi_nature_check(bp: Bipartition, image: Bipartition, charge) -> bool:
+# The (component 2, component 1) pairs before and after, flattened into
+# one set of 4-tuples: a content passes when its tuple is in it.
+SIGMA1_NATURE_PAIRS = frozenset(before + after
+                                for before, afters in SIGMA1_NATURE_MAP.items()
+                                for after in afters)
+
+
+def psi_nature_check(bp: Bipartition, image: Bipartition, charge,
+                     cores: NatureCores) -> bool:
     """Per-content nature pairs of bp at charge (s1, s2) and of its image
     at (s2, s1) must transform along the sigma1 table.
 
     The table maps the pairs at the charge (s1, s2) with s1 <= s2 to those
     at its swap, so when s1 > s2 it maps the image's pairs to bp's.
 
-    The contents read are the four components' cores: below s - len(lam)
-    a component of charge s is all Bv, above s + lam_1 all Bh, and
-    (Bv, Bv) and (Bh, Bh) map to themselves.
+    The four components are read as cores from cores, the memo of the
+    sweep.  Below its core a component is all
+    Bv, above it all Bh, and (Bv, Bv) and (Bh, Bh) map to themselves, so
+    only the contents of the cores count.  The core of a component of
+    charge s holds s, so the two cores at s1 make one interval and the
+    two at s2 >= s1 another.  In a gap between the two intervals every
+    component is constant, so the cores at s2 move down by d until the
+    gap is one content: the check reads O(rank) contents at any charge.
     """
     s1, s2 = charge
-    cores = ((bp.c1, s1), (bp.c2, s2), (image.c1, s2), (image.c2, s1))
-    lo = min(s - len(lam) for lam, s in cores)
-    hi = max(s + part(lam, 1) for lam, s in cores)
-    before = zip(nature_kinds(bp.c2, s2, lo, hi),
-                 nature_kinds(bp.c1, s1, lo, hi))
-    after = zip(nature_kinds(image.c2, s1, lo, hi),
-                nature_kinds(image.c1, s2, lo, hi))
     if s1 > s2:
-        before, after = after, before
-    return all(a in SIGMA1_NATURE_MAP[b] for b, a in zip(before, after))
+        bp, image, s1, s2 = image, bp, s2, s1
+    f1, t1, k1 = cores[bp.c1, s1]  # (floor, top, kinds) of each core
+    g2, u2, m2 = cores[image.c2, s1]
+    f2, t2, k2 = cores[bp.c2, s2]
+    g1, u1, m1 = cores[image.c1, s2]
+    d = max(min(f2, g1) - max(t1, u2) - 2, 0)
+    lo, hi = min(f1, g2, f2, g1), max(t1, u2, t2 - d, u1 - d)
+    return SIGMA1_NATURE_PAIRS.issuperset(zip(
+        (BV,) * (f2 - d - lo) + k2 + (BH,) * (hi - t2 + d),
+        (BV,) * (f1 - lo) + k1 + (BH,) * (hi - t1),
+        (BV,) * (g2 - lo) + m2 + (BH,) * (hi - u2),
+        (BV,) * (g1 - d - lo) + m1 + (BH,) * (hi - u1 + d)))
 
 
 def verify_psi_nature(n: int, p: CrystalParams):
     """Yield one psi_nature_check report per Uglov bipartition of rank
-    <= n at p, with its psi_images image at the swapped charge."""
+    <= n at p, with its psi_images image at the swapped charge, through
+    one memo of component cores."""
+    cores = NatureCores()
     for bp, image in psi_images(n, p, p.charge[::-1]).items():
         yield {"bp": bipartition_to_json(bp),
                "image": bipartition_to_json(image),
-               "pass": psi_nature_check(bp, image, p.charge)}
-
-
-def psi_e_independence_check(bp: Bipartition, charge_from,
-                             e: int) -> Optional[bool]:
-    """The single-sigma1 map agrees with its e=infinity version.
-
-    Returns None (not applicable) when bp is not Uglov for one of the
-    two parameter values.
-    """
-    s1, s2 = charge_from
-    if s1 > s2:
-        raise ValueError("requires s1 <= s2, got %r" % (charge_from,))
-    images = []
-    for e_or_inf in (e, None):
-        word = peel_word(bp, CrystalParams(e_or_inf, (s1, s2)))
-        if word is None:
-            return None
-        images.append(rebuild_from_residues(reversed(word),
-                                            CrystalParams(e_or_inf, (s2, s1))))
-    return images[0] == images[1]
+               "pass": psi_nature_check(bp, image, p.charge, cores)}

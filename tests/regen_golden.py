@@ -50,6 +50,13 @@ def _grid() -> list[str]:
         # deeper propb sweeps: exit 0, then 1 at 4.4,2.1.1.1
         "--e 4 --charge 1,3 --format json verify --mode propb --n 12",
         "--e 4 --charge 1,3 --format json verify --mode propb --n 13",
+        # wide charges, where a component's core is far from the other's;
+        # the last exits 1 on the Bh/Bv exclusion
+        "--charge=0,100000 --format json verify --mode psi-nature --n 6",
+        "--charge=100000,0 --format json verify --mode psi-nature --n 6",
+        "--charge=0,100000 --format json verify --mode propb --n 3",
+        "--charge=100000,0 --format json verify --mode propb --n 3",
+        "--e 2 --charge=0,37 --format json verify --mode propb --n 8",
         # the four benchmark sweeps
         "--format json enumerate --n 19",
         "--format json verify --mode forward --n 9",

@@ -38,12 +38,11 @@ from uglov.crystal import (
 )
 from uglov.diagrams import (
     EMPTY,
-    NATURE_TRANSITIONS,
     Bipartition,
+    NatureCores,
     Node,
     add_node,
     bipartitions_of,
-    compare_lex,
     compare_uglov,
     nature_at,
     nature_table,
@@ -51,9 +50,11 @@ from uglov.diagrams import (
     remove_node,
     residue,
 )
-from uglov.isomorphism import psi_e_independence_check, psi_nature_check, psi_to
+from uglov.isomorphism import psi_nature_check, psi_to
 
 from test_admissible import forward_reports
+from test_diagrams import NATURE_TRANSITIONS, compare_lex
+from test_isomorphism import psi_e_independence_check
 
 P = parse_bipartition
 CHARGES = ((0, 0), (0, 1), (0, 2), (1, 0), (3, 0), (-2, 1))
@@ -265,7 +266,8 @@ def test_criterion_6_isomorphism_suite():
                         list(map(len, sig_bp.get(j, ([], []))))
                         == list(map(len, sig_image.get(j, ([], [])))))
                 # sigma1 nature-table conformance
-                ok = ok and psi_nature_check(bp, image, c_from)
+                ok = ok and psi_nature_check(bp, image, c_from,
+                                             NatureCores())
                 # e-independence of the sigma1 map
                 verdict = psi_e_independence_check(bp, c_from, e)
                 ok = ok and verdict is not False

@@ -53,7 +53,7 @@ from uglov.diagrams import (
     uglov_key,
     uglov_max,
 )
-from uglov.isomorphism import psi_to, reduce_to_fundamental
+from uglov.isomorphism import psi_to, reduce_to_fundamental, verify_psi_nature
 from test_crystal import (
     component_keys,
     count_component_reads,
@@ -1176,16 +1176,83 @@ def test_propb_checks_matches_oracle(p):
             == _oracle_lines(propb_oracle, 7, p))
 
 
+@pytest.mark.parametrize("e", [2, 3, 4])
+@pytest.mark.parametrize("charge", [(0, 1000), (1000, 0), (-50, 3)])
+def test_propb_checks_matches_oracle_at_wide_charges(e, charge):
+    # The oracle reads a nature table as wide as the charge gap; the
+    # sweep reads the two cores and the Bv run below each by arithmetic.
+    p = CrystalParams(e, charge)
+    assert (_lines(propb_checks(6, p))
+            == _oracle_lines(propb_oracle, 6, p))
+
+
 @pytest.mark.parametrize("e, charge, n", [
     (2, (1, 0), 9),  # a non-virtual Bh and a Bv node exceed eta1
     (3, (0, 1), 10),  # the same, on 3.3,2.1.1
     (3, (0, 0), 10),  # the class is not the top normal nodes
+    (2, (0, 37), 8),  # an addable node, and at 1,4.3 the Bh/Bv exclusion
 ])
 def test_propb_checks_matches_oracle_where_it_fails(e, charge, n):
     p = CrystalParams(e, charge)
     swept = _lines(propb_checks(n, p))
     assert swept == _oracle_lines(propb_oracle, n, p)
     assert any('"pass": false' in x for x in swept)
+
+
+def count_contents_read(monkeypatch):
+    """[contents] read by the nature readers: the length of each core
+    built (nature_core), of each core a sweep looks up in its memo, of
+    each window of nodes (nature_entries), and the number of contents
+    that psi_nature_check compares."""
+    read = [0]
+
+    def counted(real):
+        def wrapper(*args):
+            out = real(*args)
+            read[0] += len(out)
+            return out
+        return wrapper
+
+    class CountedCores(diagrams.NatureCores):
+        def __getitem__(self, key):
+            out = super().__getitem__(key)
+            read[0] += len(out[2])
+            return out
+
+    class CountedPairs(frozenset):
+        def issuperset(self, contents):
+            contents = list(contents)
+            read[0] += len(contents)
+            return super().issuperset(contents)
+
+    monkeypatch.setattr(diagrams, "nature_core",
+                        counted(diagrams.nature_core))
+    for module in (diagrams, admissible):
+        monkeypatch.setattr(module, "nature_entries",
+                            counted(module.nature_entries))
+    for module in (admissible, isomorphism):
+        monkeypatch.setattr(module, "NatureCores", CountedCores)
+    monkeypatch.setattr(isomorphism, "SIGMA1_NATURE_PAIRS",
+                        CountedPairs(isomorphism.SIGMA1_NATURE_PAIRS))
+    return read
+
+
+def test_contents_read_per_bipartition_do_not_grow_with_the_charge(
+        monkeypatch):
+    # The two sweeps read O(rank) contents per bipartition whatever the
+    # gap between the charges: the same count at s=(0,10) as at
+    # s=(0,100000), and below four cores of rank 5, 11 contents each,
+    # with a gap content beside each.
+    read = count_contents_read(monkeypatch)
+    counts = {}
+    for sweep in (verify_psi_nature, propb_checks):
+        for charge in ((0, 10), (0, 1000), (0, 100000)):
+            read[0] = 0
+            reports = list(sweep(5, CrystalParams(3, charge)))
+            counts[sweep, charge] = read[0] / len(reports)
+        assert (counts[sweep, (0, 10)] == counts[sweep, (0, 1000)]
+                == counts[sweep, (0, 100000)])
+        assert 0 < counts[sweep, (0, 10)] < 4 * (11 + 1)
 
 
 def test_propb_class_longer_than_the_normal_nodes():

@@ -152,6 +152,33 @@ def test_enumerate_json_memory_ceiling():
         40 * 1024)
 
 
+@pytest.mark.parametrize("argv", [
+    # output past the stdout buffer: the pipe breaks inside a print
+    "--format json verify --mode propb --n 10",
+    # one short line: the pipe breaks at the flush after the command
+    "show 6.1,2.2 adm",
+])
+def test_closed_stdout_exits_141_quietly(argv):
+    # The reader of stdout is gone before the child writes a byte, so
+    # every write meets a broken pipe: the child exits 141 and prints no
+    # traceback, and not "Exception ignored" from the flush at exit.
+    # The child buffers stdout by default, as a shell pipe does.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(uglov.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "uglov.cli", *argv.split()],
+            env=dict(env, PYTHONPATH=src), stdout=write_end,
+            stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 141
+    assert "Traceback" not in done.stderr
+    assert "Exception ignored" not in done.stderr
+
+
 def test_enumerate_json_chunks_join_to_one_list(capsys, monkeypatch):
     # Chunks of 5 over the 17 bipartitions of rank 5 (the last chunk
     # short), and one chunk at ranks 0 and 1, give json.dumps of the

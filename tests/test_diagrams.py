@@ -8,7 +8,6 @@ import pytest
 from uglov.diagrams import (
     EMPTY,
     Bipartition,
-    NATURE_TRANSITIONS,
     Node,
     NatureEntry,
     add_node,
@@ -17,7 +16,6 @@ from uglov.diagrams import (
     bipartition_to_json,
     bipartitions_of,
     boundary_sequence,
-    compare_lex,
     compare_uglov,
     content,
     default_window,
@@ -25,7 +23,8 @@ from uglov.diagrams import (
     grow_partition,
     make_partition,
     nature_at,
-    nature_kinds,
+    nature_core,
+    nature_entries,
     nature_table,
     node_key,
     parse_bipartition,
@@ -43,6 +42,30 @@ from uglov.diagrams import (
 from test_crystal import SCAN_GRID
 
 P = parse_bipartition
+
+# nature at content j -> allowed natures at content j+1, same component
+NATURE_TRANSITIONS = {
+    "A": {"Bh", "R"},
+    "R": {"Bv", "A"},
+    "Bv": {"Bv", "A"},
+    "Bh": {"Bh", "R"},
+}
+
+
+def nature_kinds(lam, s, lo, hi):
+    """The nature kinds at contents lo..hi of a component of charge s,
+    from nature_entries: its core with the two constant runs around it."""
+    if lo > hi:
+        return ()
+    return tuple(ent.kind for ent in nature_entries(lam, s, 1, lo, hi))
+
+
+def compare_lex(bp1, bp2):
+    """Lexicographic comparison on the first then second component: the
+    Uglov order at asymptotic charges."""
+    if bp1 == bp2:
+        return 0
+    return -1 if (bp1.c1, bp1.c2) < (bp2.c1, bp2.c2) else 1
 
 
 def _vertical_rows(bp, rows):
@@ -371,6 +394,8 @@ def test_nature_kinds_matches_oracle(charge):
             kinds = [nature_at_oracle(bp, charge, j, c).kind
                      for j in range(lo, hi + 1)]
             floor, top = s - len(lam), s + part(lam, 1) - 1
+            assert nature_core(lam, s) == tuple(
+                kinds[floor - lo:top + 2 - lo])
             for w_lo, w_hi in ((lo, hi), (lo, floor - 1), (floor, hi),
                                (lo, top), (top + 1, hi), (floor, top)):
                 assert (nature_kinds(lam, s, w_lo, w_hi)

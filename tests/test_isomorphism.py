@@ -12,16 +12,15 @@ from uglov.crystal import (
 )
 from uglov.diagrams import (
     Bipartition,
+    NatureCores,
     add_node,
     bipartitions_of,
     default_window,
-    nature_kinds,
     parse_bipartition,
 )
 from uglov.isomorphism import (
     SIGMA1_NATURE_MAP,
     peel_residues,
-    psi_e_independence_check,
     psi_images,
     psi_nature_check,
     psi_to,
@@ -35,8 +34,28 @@ from test_crystal import (
     count_rim_passes,
     forbid_validating_primitives,
 )
+from test_diagrams import nature_kinds
 
 P = parse_bipartition
+
+
+def psi_e_independence_check(bp, charge_from, e):
+    """The single-sigma1 map agrees with its e=infinity version.
+
+    Returns None (not applicable) when bp is not Uglov for one of the
+    two parameter values.
+    """
+    s1, s2 = charge_from
+    if s1 > s2:
+        raise ValueError("requires s1 <= s2, got %r" % (charge_from,))
+    images = []
+    for e_or_inf in (e, None):
+        word = crystal.peel_word(bp, CrystalParams(e_or_inf, (s1, s2)))
+        if word is None:
+            return None
+        images.append(rebuild_from_residues(
+            reversed(word), CrystalParams(e_or_inf, (s2, s1))))
+    return images[0] == images[1]
 
 
 def test_reduce_to_fundamental():
@@ -170,10 +189,11 @@ def test_sigma1_nature_map():
                       (3, (12, 0))):
         c_to = (c_from[1], c_from[0])
         p = CrystalParams(e, c_from)
+        cores = NatureCores()
         for n in range(5):
             for bp in uglov_layers(n, p)[n]:
                 image = psi_to(bp, c_from, c_to, e)
-                assert psi_nature_check(bp, image, c_from)
+                assert psi_nature_check(bp, image, c_from, cores)
 
 
 def psi_nature_check_oracle(bp, image, charge):
@@ -192,15 +212,19 @@ def psi_nature_check_oracle(bp, image, charge):
 
 
 def test_psi_nature_check_matches_default_window_oracle():
-    # The check reads only the contents of the four component cores; on
-    # every pair of bipartitions of rank <= 4, images or not, it agrees
-    # with the check over a window that holds them both.
+    # The check reads only the contents of the four component cores and
+    # one content of each gap between them; on every pair of
+    # bipartitions of rank <= 4, images or not, it agrees with the check
+    # over a window that holds them both, also where the gap between the
+    # charges is wide.
     bps = [bp for n in range(5) for bp in bipartitions_of(n)]
     verdicts = set()
-    for charge in ((0, 1), (1, 0), (0, 0), (2, -1), (0, 5), (-3, 4)):
+    for charge in ((0, 1), (1, 0), (0, 0), (2, -1), (0, 5), (-3, 4),
+                   (0, 1000), (1000, 0), (-50, 3)):
+        cores = NatureCores()
         for bp in bps:
             for image in bps:
-                ok = psi_nature_check(bp, image, charge)
+                ok = psi_nature_check(bp, image, charge, cores)
                 assert ok == psi_nature_check_oracle(bp, image, charge), (
                     bp, image, charge)
                 verdicts.add(ok)
@@ -285,7 +309,6 @@ def test_e_independence_peels_once_per_e(monkeypatch):
         return peel(bp, p)
 
     monkeypatch.setattr(crystal, "peel_word", counting)
-    monkeypatch.setattr(isomorphism, "peel_word", counting)
     p = CrystalParams(3, (0, 1))
     for n in range(5):
         for bp in uglov_layers(n, p)[n]:

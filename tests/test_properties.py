@@ -7,7 +7,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
 from test_crystal import normal_pair_oracle  # noqa: E402
-from test_diagrams import compare_uglov_oracle, nature_at_oracle  # noqa: E402
+from test_diagrams import (  # noqa: E402
+    compare_uglov_oracle,
+    nature_at_oracle,
+    nature_kinds,
+)
 from uglov.crystal import (  # noqa: E402
     CrystalParams,
     good_addable_node,
@@ -22,7 +26,6 @@ from uglov.diagrams import (  # noqa: E402
     compare_uglov,
     format_bipartition,
     nature_at,
-    nature_kinds,
     parse_bipartition,
     removable_nodes,
     residue,

@@ -16,10 +16,6 @@ KEPT = {
     ("crystal", "good_removable_node"),
     ("crystal", "is_uglov"),
     ("admissible", "removable_class"),
-    # reference code beside the kernels it documents
-    ("diagrams", "compare_lex"),
-    ("diagrams", "NATURE_TRANSITIONS"),
-    ("isomorphism", "psi_e_independence_check"),
 }
 
 
