@@ -16,8 +16,9 @@ in top_class; its rest is FLOTW exactly when adm_walk has stepped it
 already.  The forward sweep keys its Fock vectors by the pairs of one
 crystal.RimTable and builds each pair's Bipartition, uglov_key and JSON
 form once.  Propb reads the natures of each bipartition at its own
-charge from the cores of its two components, kept in one
-diagrams.NatureCores memo, so a wide charge gap costs it nothing.
+charge from the cores of its two components (diagrams.nature_core),
+through one functools.cache of nature_core per sweep, each core placed
+at its floor, so a wide charge gap costs it nothing.
 
 The converse sweep walks the distinct supports of monomials rank by
 rank, each an int over the bipartitions of its rank in Uglov order, as
@@ -35,7 +36,7 @@ from __future__ import annotations
 import sys
 from functools import cache, reduce
 from operator import or_
-from typing import Optional
+from typing import Callable, Optional
 
 from .crystal import (
     ROOT,
@@ -49,14 +50,17 @@ from .crystal import (
     signature_word,
 )
 from .diagrams import (
+    BH,
+    BV,
     EMPTY,
+    A,
     Bipartition,
-    NatureCores,
     Node,
     beta_set,
     bipartition_to_json,
     bipartitions_of,
-    nature_entries,
+    nature_at,
+    nature_core,
     node_key,
     part,
     removable,
@@ -492,32 +496,35 @@ def propb_checks(n: int, p: CrystalParams):
     of the smallest transported class node over addable nodes and the
     vertical/horizontal exclusion at its residue.  The class is the
     top_class of bp's psi_images image at the fundamental charge; the
-    natures of bp come from one memo of component cores."""
+    natures of bp come from one cache of nature_core, one core per
+    component partition of the sweep."""
     if p.e is None:
         raise ValueError("needs finite e")
     fp = CrystalParams(p.e, reduce_to_fundamental(p.charge, p.e))
-    cores = NatureCores()
+    core = cache(nature_core)
     for bp, image in psi_images(n, p, fp.charge).items():
         failures = ([] if bp == EMPTY
-                    else _propb_failures(bp, image, p, fp, cores))
+                    else _propb_failures(bp, image, p, fp, core))
         yield {"bp": bipartition_to_json(bp), "pass": not failures,
                "failures": failures}
 
 
 def _propb_failures(bp: Bipartition, image: Bipartition, p: CrystalParams,
-                    fp: CrystalParams, cores: NatureCores) -> list:
+                    fp: CrystalParams, core: Callable) -> list:
     """The propb failures of bp, whose image at the fundamental charge is
     image.
 
     The slots read are those of residue j with node_key above eta1's,
     in default_window.  In component c of charge s they are read from the
-    core of bp's component, cores[lam, s]: every addable node and every
-    non-virtual Bh lies in the core, and a Bv lies either in the core or
-    in the virtual Bv run below it, up to the core's floor.  Above the
-    core every slot is a virtual Bh, which no question asks about.  The
-    window never cuts the Bv run: eta1 is a node of bp, so the lowest
-    content above it is inside the window, and a residue-j content of
-    the run is found by arithmetic.  So the charge gap costs nothing.
+    core of bp's component, core(lam) (nature_core or the sweep's cache
+    of it), placed at its floor s - len(lam): every addable node and
+    every non-virtual Bh lies in the core, and a Bv lies either in the
+    core or in the virtual Bv run below it, up to the core's floor.
+    Above the core every slot is a virtual Bh, which no question asks
+    about.  The window never cuts the Bv run: eta1 is a node of bp, so
+    the lowest content above it is inside the window, and a residue-j
+    content of the run is found by arithmetic.  So the charge gap costs
+    nothing.  An addable slot's node comes from nature_at.
     """
     j, cls, normal_lam = top_class(image, fp)
     # at the fundamental charge bp is its own image
@@ -533,16 +540,15 @@ def _propb_failures(bp: Bipartition, image: Bipartition, p: CrystalParams,
     key1 = node_key(eta1, p.charge)
     addable, bh, bv = [], False, False
     for c, lam, s in ((1, bp.c1, p.charge[0]), (2, bp.c2, p.charge[1])):
-        floor, top, core = cores[lam, s]
+        kinds, floor = core(lam), s - len(lam)
         first = (key1 + c) // 2 + 1  # the lowest content above eta1
         start = max(first, floor)
-        for k in range(start + (j - start) % p.e, top + 1, p.e):
-            kind = core[k - floor]
-            if kind == "A":
-                addable.append(
-                    (2 * k - c, nature_entries(lam, s, c, k, k)[0].node))
-            bh = bh or kind == "Bh"
-            bv = bv or kind == "Bv"
+        for k in range(start + (j - start) % p.e, floor + len(kinds), p.e):
+            kind = kinds[k - floor]
+            if kind == A:
+                addable.append((2 * k - c, nature_at(bp, p.charge, k, c).node))
+            bh = bh or kind == BH
+            bv = bv or kind == BV
         bv = bv or first + (j - first) % p.e < floor  # in first .. floor - 1
     addable.sort()
     out += ["addable %r-node %r greater than eta1 %r" % (j, node, eta1)

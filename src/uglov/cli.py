@@ -117,7 +117,10 @@ def cmd_enumerate(args) -> int:
 
 
 def render_dot(n: int, p: CrystalParams) -> str:
-    edges = sorted(crystal.crystal_edges(n, p))
+    """The crystal graph up to rank n, from one edge_walk, in DOT."""
+    table = crystal.RimTable(p)
+    edges = sorted((table.bipartition(pair), j, table.bipartition(kid))
+                   for pair, j, kid in crystal.edge_walk(n, table))
     lines = ["digraph crystal {"]
     for bp in sorted({diagrams.EMPTY}.union(dst for _, _, dst in edges)):
         lines.append('  "%s";' % format_bipartition(bp))

@@ -11,11 +11,11 @@ from the two stored rims with one counter per residue, and a child swaps
 one id.  layer_walk is the one walk of the crystal component of the
 empty bipartition: uglov_layers lists its layers, and top_layer keeps
 the last for `uglov enumerate`.  edge_walk walks the same layers keeping
-their edges, for crystal_edges and isomorphism.psi_images.  Bipartitions
-are built only where a caller reads them.  A Fock vector is a dict pair
--> positive int over one table, its keys of one rank: f_action swaps in
-the child ids of each pair's addable j-nodes, and expand_monomial
-returns its vector over Bipartitions.
+their edges, for isomorphism.psi_images and cli.render_dot.
+Bipartitions are built only where a caller reads them.  A Fock vector is
+a dict pair -> positive int over one table, its keys of one rank:
+f_action swaps in the child ids of each pair's addable j-nodes, and
+expand_monomial returns its vector over Bipartitions.
 
 normal_nodes applies the signature rule over a whole rim (diagrams.rim),
 listing every residue's normal addable and normal removable nodes as rim
@@ -267,16 +267,6 @@ def edge_walk(n: int, table: RimTable):
                 nxt.add(kid)
                 yield pair, j, kid
         layer = nxt
-
-
-def crystal_edges(n: int, p: CrystalParams):
-    """Yield the good-node edges (bp, residue, bp') of the crystal
-    component of the empty bipartition up to rank n, in increasing rank
-    of bp: the edge_walk of one table, as bipartitions."""
-    table = RimTable(p)
-    bp = table.bipartition
-    for pair, j, kid in edge_walk(n, table):
-        yield bp(pair), j, bp(kid)
 
 
 # ---------------------------------------------------------------------------

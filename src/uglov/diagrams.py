@@ -30,14 +30,16 @@ beta_set lists those of the rows.
 
 A component's extended Young diagram is read once, as its core: the
 natures at contents s - len(lambda) .. s + lambda_1, from nature_core.
-Outside the core a component is constant: a run of virtual Bv below it
-and a run of virtual Bh above it.  So a window of any width is the core
-plus the two runs.  nature_entries places the nodes of a window, and
-nature_table, the extended Young diagram over a window, holds one
-nature_entries pass per component.  A sweep keeps its cores in one
-NatureCores memo: isomorphism.psi_nature_check and
-admissible.propb_checks read O(rank) contents per bipartition at any
-charge.
+The core depends on lambda alone; the charge places it at its floor
+s - len(lambda).  Outside the core a component is constant: a run of
+virtual Bv below it and a run of virtual Bh above it.  So a window of
+any width is the core plus the two runs.  nature_entries places the
+nodes of a window, and nature_table, the extended Young diagram over a
+window, holds one nature_entries pass per component.  The sweeps
+isomorphism.verify_psi_nature and admissible.propb_checks each read
+their cores through one functools.cache of nature_core, so each
+partition's core is built once per sweep, whatever its charges, and a
+bipartition costs O(rank) contents at any charge.
 
 boundary_sequence lists the beads in the window row by row.  Periods
 (admissible.has_period) are runs of beads.  The Uglov order compares
@@ -100,10 +102,6 @@ def part(lam: tuple[int, ...], i: int) -> int:
 
 def partitions_of(n: int) -> Iterator[tuple[int, ...]]:
     """All partitions of n, each as a decreasing tuple."""
-    if n == 0:
-        yield ()
-        return
-
     def gen(rest, maxpart):
         if rest == 0:
             yield ()
@@ -116,12 +114,11 @@ def partitions_of(n: int) -> Iterator[tuple[int, ...]]:
 
 
 def bipartitions_of(n: int) -> list[Bipartition]:
-    out = []
-    for k in range(n + 1):
-        for p1 in partitions_of(k):
-            for p2 in partitions_of(n - k):
-                out.append(Bipartition(p1, p2))
-    return out
+    """All bipartitions of rank n, by the size of the first component,
+    each size's partitions built once."""
+    parts = [list(partitions_of(k)) for k in range(n + 1)]
+    return [Bipartition(p1, p2) for k in range(n + 1) for p1 in parts[k]
+            for p2 in parts[n - k]]
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +241,11 @@ def node_key(node: Node, charge: tuple[int, int]) -> int:
 _KIND = ((BH, R), (A, BV))  # [bead at j - 1][bead at j]
 
 
-def nature_core(lam: tuple[int, ...], s: int) -> tuple[str, ...]:
-    """The nature kinds at contents s - len(lam) .. s + lam_1 of a
-    component of charge s: its core, where its rows are.
+def nature_core(lam: tuple[int, ...]) -> tuple[str, ...]:
+    """The core of a component lam: its nature kinds at contents
+    s - len(lam) .. s + lam_1 at any charge s, where its rows are.  The
+    charge only slides the core along the contents, so its floor
+    s - len(lam) places it.
 
     Below the core every content is a virtual Bv, above it a virtual Bh,
     and each end of the core is the addable node of the first column or
@@ -265,18 +264,6 @@ def nature_core(lam: tuple[int, ...], s: int) -> tuple[str, ...]:
     return tuple(kinds)
 
 
-class NatureCores(dict):
-    """{(lam, s): (floor, top, core)}, the core of lam at charge s and its
-    contents floor = s - len(lam) and top = s + lam_1, each read on its
-    first lookup: the memo of one sweep, which owns it."""
-
-    def __missing__(self, key):
-        lam, s = key
-        out = self[key] = (s - len(lam), s + part(lam, 1),
-                           nature_core(lam, s))
-        return out
-
-
 def nature_entries(lam: tuple[int, ...], s: int, c: int, lo: int,
                    hi: int) -> list[NatureEntry]:
     """The addable-or-boundary nodes of contents lo..hi of component c of
@@ -291,7 +278,7 @@ def nature_entries(lam: tuple[int, ...], s: int, c: int, lo: int,
     if lo > hi:
         raise ValueError("empty window %r" % ((lo, hi),))
     floor = s - len(lam)
-    core = nature_core(lam, s)
+    core = nature_core(lam)
     out = [NatureEntry(BV, Node(s - j, 0, c), True)
            for j in range(lo, min(hi + 1, floor))]
     rows = len(lam)  # beads above the content read

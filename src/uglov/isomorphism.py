@@ -18,16 +18,19 @@ verify_psi_nature checks its images against the sigma1 nature table,
 and at the fundamental charge propb reads their classes and
 admissible.adm_walk the Adm of the forward and corollary sweeps.
 
-psi_nature_check reads each component as its core
-(diagrams.nature_core), from a memo that lives for one sweep: below the
-core a component is a run of virtual Bv, above it a run of virtual Bh.
-Only the cores and one content of the gap between the cores at s1 and
-those at s2 are compared, so the check costs O(rank) at any charge.
+psi_nature_check reads each component as its core (diagrams.nature_core)
+through a reader that its sweep owns, one functools.cache of nature_core:
+the swap moves each partition between the two charges, and its core is
+built once.  Below the core a component is a run of virtual Bv, above
+it a run of virtual Bh.  Only the cores and one content of the gap
+between the cores at s1 and those at s2 are compared, so the check
+costs O(rank) at any charge.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from functools import cache
+from typing import Callable, Optional
 
 from .crystal import (
     ROOT,
@@ -44,9 +47,9 @@ from .diagrams import (
     BV,
     EMPTY,
     Bipartition,
-    NatureCores,
     add_node,
     bipartition_to_json,
+    nature_core,
 )
 
 
@@ -167,16 +170,17 @@ SIGMA1_NATURE_PAIRS = frozenset(before + after
 
 
 def psi_nature_check(bp: Bipartition, image: Bipartition, charge,
-                     cores: NatureCores) -> bool:
+                     core: Callable) -> bool:
     """Per-content nature pairs of bp at charge (s1, s2) and of its image
     at (s2, s1) must transform along the sigma1 table.
 
     The table maps the pairs at the charge (s1, s2) with s1 <= s2 to those
     at its swap, so when s1 > s2 it maps the image's pairs to bp's.
 
-    The four components are read as cores from cores, the memo of the
-    sweep.  Below its core a component is all
-    Bv, above it all Bh, and (Bv, Bv) and (Bh, Bh) map to themselves, so
+    The four components are read through core, nature_core or the
+    sweep's cache of it, each placed at its floor s - len(lam) and ending
+    below floor + len(core).  Below its core a component is all Bv,
+    above it all Bh, and (Bv, Bv) and (Bh, Bh) map to themselves, so
     only the contents of the cores count.  The core of a component of
     charge s holds s, so the two cores at s1 make one interval and the
     two at s2 >= s1 another.  In a gap between the two intervals every
@@ -186,11 +190,12 @@ def psi_nature_check(bp: Bipartition, image: Bipartition, charge,
     s1, s2 = charge
     if s1 > s2:
         bp, image, s1, s2 = image, bp, s2, s1
-    f1, t1, k1 = cores[bp.c1, s1]  # (floor, top, kinds) of each core
-    g2, u2, m2 = cores[image.c2, s1]
-    f2, t2, k2 = cores[bp.c2, s2]
-    g1, u1, m1 = cores[image.c1, s2]
-    d = max(min(f2, g1) - max(t1, u2) - 2, 0)
+    k1, m2, k2, m1 = (core(bp.c1), core(image.c2), core(bp.c2),
+                      core(image.c1))
+    f1, g2 = s1 - len(bp.c1), s1 - len(image.c2)  # the floors
+    f2, g1 = s2 - len(bp.c2), s2 - len(image.c1)
+    t1, u2, t2, u1 = f1 + len(k1), g2 + len(m2), f2 + len(k2), g1 + len(m1)
+    d = max(min(f2, g1) - max(t1, u2) - 1, 0)
     lo, hi = min(f1, g2, f2, g1), max(t1, u2, t2 - d, u1 - d)
     return SIGMA1_NATURE_PAIRS.issuperset(zip(
         (BV,) * (f2 - d - lo) + k2 + (BH,) * (hi - t2 + d),
@@ -202,9 +207,9 @@ def psi_nature_check(bp: Bipartition, image: Bipartition, charge,
 def verify_psi_nature(n: int, p: CrystalParams):
     """Yield one psi_nature_check report per Uglov bipartition of rank
     <= n at p, with its psi_images image at the swapped charge, through
-    one memo of component cores."""
-    cores = NatureCores()
+    one cache of nature_core: one core per partition of the sweep."""
+    core = cache(nature_core)
     for bp, image in psi_images(n, p, p.charge[::-1]).items():
         yield {"bp": bipartition_to_json(bp),
                "image": bipartition_to_json(image),
-               "pass": psi_nature_check(bp, image, p.charge, cores)}
+               "pass": psi_nature_check(bp, image, p.charge, core)}

@@ -39,12 +39,12 @@ from uglov.crystal import (
 from uglov.diagrams import (
     EMPTY,
     Bipartition,
-    NatureCores,
     Node,
     add_node,
     bipartitions_of,
     compare_uglov,
     nature_at,
+    nature_core,
     nature_table,
     parse_bipartition,
     remove_node,
@@ -266,8 +266,7 @@ def test_criterion_6_isomorphism_suite():
                         list(map(len, sig_bp.get(j, ([], []))))
                         == list(map(len, sig_image.get(j, ([], [])))))
                 # sigma1 nature-table conformance
-                ok = ok and psi_nature_check(bp, image, c_from,
-                                             NatureCores())
+                ok = ok and psi_nature_check(bp, image, c_from, nature_core)
                 # e-independence of the sigma1 map
                 verdict = psi_e_independence_check(bp, c_from, e)
                 ok = ok and verdict is not False

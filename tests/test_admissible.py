@@ -1,5 +1,6 @@
 """Unit tests for connectedness, admissible sequences and the verifiers."""
 
+import functools
 import itertools
 import json
 import random
@@ -585,7 +586,7 @@ def test_propb_reads_one_rim_per_bipartition_at_a_fundamental_charge(
 
 def test_forward_reads_no_psi_image_at_a_fundamental_charge(monkeypatch):
     # psi_images at its own charge is the identity: it scans no image, so
-    # the sweep's good-addition scans are those of its crystal_edges walk,
+    # the sweep's good-addition scans are those of its uglov_layers walk,
     # one per Uglov bipartition below rank 9.
     reports = list(verify_djm_forward(9, P01))
     images, scans = [], []
@@ -834,7 +835,7 @@ def test_verify_djm_converse_matches_support_oracle(p, monkeypatch):
 
 def test_converse_takes_verdicts_from_one_edge_walk(monkeypatch):
     # No membership peel: every verdict comes from one layer_walk on the
-    # sweep's one table, and no crystal_edges or uglov_layers walk runs.
+    # sweep's one table, and no edge_walk or uglov_layers walk runs.
     walks, tables = [], []
 
     class Counted(RimTable):
@@ -851,11 +852,13 @@ def test_converse_takes_verdicts_from_one_edge_walk(monkeypatch):
 
     monkeypatch.setattr(admissible, "RimTable", Counted)
     monkeypatch.setattr(admissible, "layer_walk", counted)
+    names = {"is_uglov", "peel_word", "edge_walk", "uglov_layers"}
+    patched = set()
     for module in (diagrams, crystal, isomorphism, admissible):
-        for name in ("is_uglov", "peel_word", "crystal_edges",
-                     "uglov_layers"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, forbidden)
+        for name in names & set(vars(module)):
+            monkeypatch.setattr(module, name, forbidden)
+            patched.add(name)
+    assert patched == names  # each forbidden name exists somewhere
     reports = verify_djm_converse(8, P01)
     assert len(tables) == 1
     assert walks == [(8, tables[0])]
@@ -1201,9 +1204,10 @@ def test_propb_checks_matches_oracle_where_it_fails(e, charge, n):
 
 def count_contents_read(monkeypatch):
     """[contents] read by the nature readers: the length of each core
-    built (nature_core), of each core a sweep looks up in its memo, of
-    each window of nodes (nature_entries), and the number of contents
-    that psi_nature_check compares."""
+    built (nature_core), of each core a sweep looks up through the cache
+    of nature_core it builds, hits and misses alike, of each window of
+    nodes (nature_entries), and the number of contents that
+    psi_nature_check compares."""
     read = [0]
 
     def counted(real):
@@ -1213,11 +1217,8 @@ def count_contents_read(monkeypatch):
             return out
         return wrapper
 
-    class CountedCores(diagrams.NatureCores):
-        def __getitem__(self, key):
-            out = super().__getitem__(key)
-            read[0] += len(out[2])
-            return out
+    def counted_cache(reader):  # the sweep's memo: every lookup counts
+        return counted(functools.cache(reader))
 
     class CountedPairs(frozenset):
         def issuperset(self, contents):
@@ -1225,13 +1226,13 @@ def count_contents_read(monkeypatch):
             read[0] += len(contents)
             return super().issuperset(contents)
 
-    monkeypatch.setattr(diagrams, "nature_core",
-                        counted(diagrams.nature_core))
-    for module in (diagrams, admissible):
-        monkeypatch.setattr(module, "nature_entries",
-                            counted(module.nature_entries))
+    built = counted(diagrams.nature_core)
+    for module in (diagrams, admissible, isomorphism):
+        monkeypatch.setattr(module, "nature_core", built)
+    monkeypatch.setattr(diagrams, "nature_entries",
+                        counted(diagrams.nature_entries))
     for module in (admissible, isomorphism):
-        monkeypatch.setattr(module, "NatureCores", CountedCores)
+        monkeypatch.setattr(module, "cache", counted_cache)
     monkeypatch.setattr(isomorphism, "SIGMA1_NATURE_PAIRS",
                         CountedPairs(isomorphism.SIGMA1_NATURE_PAIRS))
     return read
@@ -1253,6 +1254,27 @@ def test_contents_read_per_bipartition_do_not_grow_with_the_charge(
         assert (counts[sweep, (0, 10)] == counts[sweep, (0, 1000)]
                 == counts[sweep, (0, 100000)])
         assert 0 < counts[sweep, (0, 10)] < 4 * (11 + 1)
+
+
+@pytest.mark.parametrize("sweep, n, builds", [(verify_psi_nature, 11, 106),
+                                              (propb_checks, 10, 58)])
+def test_a_sweep_builds_one_core_per_partition(monkeypatch, sweep, n,
+                                               builds):
+    # A component's core depends on its partition alone, so a sweep
+    # builds one per distinct partition it reads, whatever the charges:
+    # the component swap of psi-nature reads most partitions at both
+    # charges, and propb reads its bipartitions at s1 and at s2.
+    built = []
+    real = diagrams.nature_core
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    for module in (diagrams, admissible, isomorphism):
+        monkeypatch.setattr(module, "nature_core", counted, raising=False)
+    list(sweep(n, P01))
+    assert len(built) == len(set(built)) == builds
 
 
 def test_propb_class_longer_than_the_normal_nodes():

@@ -10,7 +10,7 @@ from uglov.crystal import (
     ROOT,
     CrystalParams,
     RimTable,
-    crystal_edges,
+    edge_walk,
     expand_monomial,
     f_action,
     good_addable_node,
@@ -597,7 +597,9 @@ def test_is_uglov_matches_enumeration():
 def test_uglov_layers_nested_by_edges():
     p = CrystalParams(2, (0, 0))
     layers = uglov_layers(4, p)
-    edges = list(crystal_edges(4, p))
+    table = RimTable(p)
+    bp = table.bipartition
+    edges = [(bp(pair), j, bp(kid)) for pair, j, kid in edge_walk(4, table)]
     assert len(edges) == len(set(edges))
     assert {dst for _, _, dst in edges} == set().union(*layers[1:])
     for src, j, dst in edges:

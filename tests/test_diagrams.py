@@ -394,7 +394,8 @@ def test_nature_kinds_matches_oracle(charge):
             kinds = [nature_at_oracle(bp, charge, j, c).kind
                      for j in range(lo, hi + 1)]
             floor, top = s - len(lam), s + part(lam, 1) - 1
-            assert nature_core(lam, s) == tuple(
+            # the core of lam, whatever the charge, placed at its floor
+            assert nature_core(lam) == tuple(
                 kinds[floor - lo:top + 2 - lo])
             for w_lo, w_hi in ((lo, hi), (lo, floor - 1), (floor, hi),
                                (lo, top), (top + 1, hi), (floor, top)):

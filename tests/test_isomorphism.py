@@ -1,5 +1,7 @@
 """Unit tests for charge reduction and the charge-change bijections."""
 
+from functools import cache
+
 import pytest
 
 from uglov import crystal, isomorphism
@@ -12,10 +14,10 @@ from uglov.crystal import (
 )
 from uglov.diagrams import (
     Bipartition,
-    NatureCores,
     add_node,
     bipartitions_of,
     default_window,
+    nature_core,
     parse_bipartition,
 )
 from uglov.isomorphism import (
@@ -34,9 +36,13 @@ from test_crystal import (
     count_rim_passes,
     forbid_validating_primitives,
 )
-from test_diagrams import nature_kinds
+import test_diagrams
 
 P = parse_bipartition
+
+# the oracle's window reader, memoized: each component's window at a
+# charge is read once, not once per pair
+nature_kinds = cache(test_diagrams.nature_kinds)
 
 
 def psi_e_independence_check(bp, charge_from, e):
@@ -189,11 +195,10 @@ def test_sigma1_nature_map():
                       (3, (12, 0))):
         c_to = (c_from[1], c_from[0])
         p = CrystalParams(e, c_from)
-        cores = NatureCores()
         for n in range(5):
             for bp in uglov_layers(n, p)[n]:
                 image = psi_to(bp, c_from, c_to, e)
-                assert psi_nature_check(bp, image, c_from, cores)
+                assert psi_nature_check(bp, image, c_from, nature_core)
 
 
 def psi_nature_check_oracle(bp, image, charge):
@@ -221,10 +226,10 @@ def test_psi_nature_check_matches_default_window_oracle():
     verdicts = set()
     for charge in ((0, 1), (1, 0), (0, 0), (2, -1), (0, 5), (-3, 4),
                    (0, 1000), (1000, 0), (-50, 3)):
-        cores = NatureCores()
+        core = cache(nature_core)
         for bp in bps:
             for image in bps:
-                ok = psi_nature_check(bp, image, charge, cores)
+                ok = psi_nature_check(bp, image, charge, core)
                 assert ok == psi_nature_check_oracle(bp, image, charge), (
                     bp, image, charge)
                 verdicts.add(ok)
@@ -252,7 +257,7 @@ def test_psi_images_scan_each_image_once(monkeypatch, c_from, c_to):
     # The good additions of an image are read in one scan at c_to, at
     # most once per image, through one table at c_to that reads each
     # (component, partition) of the scanned images once, as the
-    # crystal_edges walk at c_from reads those of its sources, with no
+    # edge_walk at c_from reads those of its sources, with no
     # other pass over a whole bipartition's rim at either charge; the
     # images grow without validation.
     p = CrystalParams(3, c_from)

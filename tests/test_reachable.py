@@ -10,7 +10,6 @@ KEPT = {
     # traced by perfbench/child.py, which needs them until it is retraced
     ("diagrams", "addable_nodes"),
     ("diagrams", "compare_uglov"),
-    ("diagrams", "nature_at"),
     ("diagrams", "removable_nodes"),
     ("crystal", "expand_monomial"),
     ("crystal", "good_removable_node"),
