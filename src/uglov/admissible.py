@@ -14,16 +14,18 @@ is the run of removable j-nodes around its seed whose neighbours are
 (1)- or (2)-connected.  Each class step reads its image in one rim pass,
 in top_class; its rest is FLOTW exactly when adm_walk has stepped it
 already.  The forward sweep keys its Fock vectors by the pairs of one
-crystal.RimTable and builds each pair's Bipartition, uglov_key and JSON
-form once.  Propb reads the natures of each bipartition at its own
-charge from the cores of its two components (diagrams.nature_core),
-through one functools.cache of nature_core per sweep, each core placed
-at its floor, so a wide charge gap costs it nothing.
+crystal.RimTable, builds each pair's Bipartition, uglov_key and JSON
+text once, and yields each report as its JSON line, joined from those
+texts, with its verdict.  Propb reads the natures of each bipartition
+at its own charge from the cores of its two components
+(diagrams.nature_core), through one functools.cache of nature_core per
+sweep, each core placed at its floor, so a wide charge gap costs it
+nothing.
 
 The converse sweep walks the distinct supports of monomials rank by
 rank, each an int over the bipartitions of its rank in Uglov order, as
 pairs of one RimTable.  Its membership verdicts come from one layer_walk
-on that table, its children from the child ids of the table's rims, the
+on that table, its children from the table's children by residue, the
 child masks of a support from chunk tables that every support of a rank
 shares, and each support's (residue, parent) records by support index.
 
@@ -33,6 +35,7 @@ goes to the row that waits for it and has the most boxes left.
 
 from __future__ import annotations
 
+import json
 import sys
 from functools import cache, reduce
 from operator import or_
@@ -57,6 +60,7 @@ from .diagrams import (
     Bipartition,
     Node,
     beta_set,
+    bipartition_json_text,
     bipartition_to_json,
     bipartitions_of,
     nature_at,
@@ -262,23 +266,25 @@ def adm_walk(n: int, p: CrystalParams):
 
 
 def verify_djm_forward(n: int, p: CrystalParams):
-    """Yield one report per Uglov bipartition bp of rank <= n: bp must be
-    the strict Uglov maximum of its Adm monomial.
+    """Yield (line, ok) for every Uglov bipartition bp of rank <= n: ok
+    when bp is the strict Uglov maximum of its Adm monomial, and line its
+    report as json.dumps(report, sort_keys=True) writes it, with keys
+    adm, bp, expansion, max and pass, or bp, error and pass when the walk
+    fails on bp.
 
     Adm comes from adm_walk, and the vector of each image's monomial,
     f-operators applied oldest residue first, is the vector of its rest
     extended by r f_action steps over the pairs of one table.  Each pair
-    is built once into a Bipartition, for its uglov_key, its JSON form
-    and the sort of the expansion; reports share the forms unmutated.  A
-    walk error is the "error" field.
+    is built once into a Bipartition, for its uglov_key, the sort of the
+    expansion and its JSON text; each line is joined from those texts.
     """
     table = RimTable(p)  # f_action's, shared by the sweep
     vecs = {EMPTY: {ROOT: 1}}  # image -> vector of its Adm monomial
-    bps, keys, forms = {}, {}, {}  # pair -> its bipartition, key, form
+    bps, keys, forms = {}, {}, {}  # pair -> its bipartition, key, JSON text
     for bp, image, found in adm_walk(n, p):
         if isinstance(found, str):
-            yield {"bp": bipartition_to_json(bp), "pass": False,
-                   "error": found}
+            yield ('{"bp": %s, "error": %s, "pass": false}'
+                   % (bipartition_json_text(bp), json.dumps(found)), False)
             continue
         seq, step = found
         if step:
@@ -292,16 +298,14 @@ def verify_djm_forward(n: int, p: CrystalParams):
             if mu not in bps:
                 bps[mu] = table.bipartition(mu)
                 keys[mu] = uglov_key(bps[mu], p.charge)
-                forms[mu] = bipartition_to_json(bps[mu])
+                forms[mu] = bipartition_json_text(bps[mu])
         ok = pair in vec and max(vec, key=keys.__getitem__) == pair
-        yield {
-            "bp": forms[pair],
-            "adm": seq,
-            "expansion": [{"bp": forms[mu], "coeff": vec[mu]}
-                          for mu in sorted(vec, key=bps.__getitem__)],
-            "max": forms[pair] if ok else None,
-            "pass": ok,
-        }
+        terms = ", ".join('{"bp": %s, "coeff": %d}' % (forms[mu], vec[mu])
+                          for mu in sorted(vec, key=bps.__getitem__))
+        yield ('{"adm": [%s], "bp": %s, "expansion": [%s], "max": %s, '
+               '"pass": %s}' % (", ".join(map(str, seq)), forms[pair], terms,
+                                forms[pair] if ok else "null",
+                                "true" if ok else "false"), ok)
 
 
 CHUNK = 64  # bits of a support per chunk-table lookup: one "Q" word
@@ -345,13 +349,13 @@ def verify_djm_converse(n: int, p: CrystalParams) -> list[dict]:
     Bipartitions are pairs of one RimTable, whose layer_walk up to rank n
     gives the membership verdicts, kept as one set of Uglov pairs.  Each
     bipartition has one child mask per residue of its addable nodes, over
-    the indices of rank k+1, from the child ids of its two rims; the
-    masks of rank k are
-    laid out over the residues some bipartition of rank k has, never
-    over all e of them.  f_j of a support is the OR of its members'
-    j-masks, read CHUNK bits at a time: each chunk position has a
-    _ChunkTable, filled lazily and shared by every support of the rank
-    (the method of Four Russians).  Once a rank's children are found,
+    the indices of rank k+1, from the children of its two components,
+    as RimTable.children lists them; the masks of rank k are laid out
+    over the residues some bipartition of rank k has, never over all e
+    of them.  f_j of a support is the OR of its members' j-masks, read
+    CHUNK bits at a time: each chunk position has a _ChunkTable, filled
+    lazily and shared by every support of the rank (the method of Four
+    Russians).  Once a rank's children are found,
     its records are kept by support index, not by the support's int, so
     the ints of two ranks at most are alive; rank n keeps only each
     support's bit length.  The words of failing supports alone are
@@ -396,11 +400,11 @@ def verify_djm_converse(n: int, p: CrystalParams) -> list[dict]:
         # rows[i]: {j: the mask of the j-children of bps[i]}
         rows = [{} for _ in bps]
         for (i1, i2), row in zip(bps, rows):
-            for _, j, child in rims.read(1, i1):
-                if child is not None:
+            for j, kids in rims.children(1, i1).items():
+                for child in kids:
                     row[j] = row.get(j, 0) | 1 << index[child, i2]
-            for _, j, child in rims.read(2, i2):
-                if child is not None:
+            for j, kids in rims.children(2, i2).items():
+                for child in kids:
                     row[j] = row.get(j, 0) | 1 << index[i1, child]
         residues = sorted(set().union(*rows))  # at most 4k + 2
         masks = [[row.get(j, 0) for j in residues] for row in rows]

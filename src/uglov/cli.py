@@ -131,8 +131,9 @@ def render_dot(n: int, p: CrystalParams) -> str:
     return "\n".join(lines)
 
 
-# json.dumps(r, sort_keys=True) without the cycle check: reports share
-# bipartition forms but hold no cycles
+# json.dumps(r, sort_keys=True) without the cycle check, for the report
+# dicts of every sweep but forward, which writes its own lines: reports
+# share bipartition forms but hold no cycles
 REPORT_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
 LISTING_CHUNK = 4096  # bipartitions per json.dumps of an enumerate listing
 
@@ -149,9 +150,12 @@ def cmd_verify(args) -> int:
         "psi-nature": isomorphism.verify_psi_nature,
     }
     reports = sweeps[args.mode](args.n, CrystalParams(args.e, args.charge))
-    # each report serialized once, as it arrives: its line is also its
-    # sort key, and no report dict outlives its line
-    lines = sorted((REPORT_ENCODER.encode(r), r["pass"]) for r in reports)
+    if args.mode == "forward":  # (line, ok) pairs, each line written once
+        lines = sorted(reports)
+    else:
+        # each report serialized once, as it arrives: its line is also its
+        # sort key, and no report dict outlives its line
+        lines = sorted((REPORT_ENCODER.encode(r), r["pass"]) for r in reports)
     failed = [line for line, ok in lines if not ok]
     if args.format == "json":
         for line, _ in lines:

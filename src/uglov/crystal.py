@@ -14,8 +14,9 @@ the last for `uglov enumerate`.  edge_walk walks the same layers keeping
 their edges, for isomorphism.psi_images and cli.render_dot.
 Bipartitions are built only where a caller reads them.  A Fock vector is
 a dict pair -> positive int over one table, its keys of one rank:
-f_action swaps in the child ids of each pair's addable j-nodes, and
-expand_monomial returns its vector over Bipartitions.
+f_action swaps in the child ids of each pair's addable j-nodes, which
+RimTable.children lists by residue, and expand_monomial returns its
+vector over Bipartitions.
 
 normal_nodes applies the signature rule over a whole rim (diagrams.rim),
 listing every residue's normal addable and normal removable nodes as rim
@@ -62,8 +63,9 @@ class RimTable:
     read.  A rim lists the addable and removable nodes of the partition
     at charge s_c as (node_key, residue, child), increasing, where child
     is the id of the partition grown at an addable node and None at a
-    removable one.  The id 0 is the empty partition, so ROOT is the
-    empty bipartition.
+    removable one.  kids[c - 1] maps an id to its children, None until
+    asked for.  The id 0 is the empty partition, so ROOT is the empty
+    bipartition.
     """
 
     def __init__(self, p: CrystalParams):
@@ -72,6 +74,7 @@ class RimTable:
         self.parts = ([()], [()])
         self.ids = ({(): 0}, {(): 0})
         self.rims = ([None], [None])
+        self.kids = ([None], [None])
 
     def intern(self, c: int, lam: tuple[int, ...]) -> int:
         ids = self.ids[c - 1]
@@ -80,6 +83,7 @@ class RimTable:
             i = ids[lam] = len(self.parts[c - 1])
             self.parts[c - 1].append(lam)
             self.rims[c - 1].append(None)
+            self.kids[c - 1].append(None)
         return i
 
     def read(self, c: int, i: int) -> list:
@@ -93,6 +97,19 @@ class RimTable:
                        for key, cont, rem, a, b, _
                        in component_rim(lam, self.p.charge[c - 1], c)]
         return rims[i]
+
+    def children(self, c: int, i: int) -> dict:
+        """{j: the ids of partition i of component c grown at each of
+        its addable j-nodes, in rim order}, built from its rim on first
+        call."""
+        kids = self.kids[c - 1]
+        if kids[i] is None:
+            out = {}
+            for _, j, child in self.read(c, i):
+                if child is not None:
+                    out.setdefault(j, []).append(child)
+            kids[i] = out
+        return kids[i]
 
     def pair(self, bp: Bipartition) -> tuple[int, int]:
         """bp in this table: the ids of its two components."""
@@ -132,22 +149,20 @@ def good_additions(pair: tuple[int, int], table: RimTable) -> list:
 
 def f_action(vec: dict, j, table: RimTable) -> dict:
     """Linear extension of: sum over mu obtained by adding a j-node, for
-    vec a Fock vector over the pairs of table, read from each pair's two
-    stored rims.  Coefficients are positive, so no term cancels.  The
-    caller shares table between the calls of one sweep, so each
-    component partition's rim is read once."""
-    rims1, rims2 = table.rims
+    vec a Fock vector over the pairs of table, read from the children of
+    each pair's two components.  Coefficients are positive, so no term
+    cancels.  The caller shares table between the calls of one sweep, so
+    each component partition's rim is read once."""
+    kids1, kids2 = table.kids
     out: dict = {}
     for pair, coeff in vec.items():
         i1, i2 = pair
-        for _, r, child in rims1[i1] or table.read(1, i1):
-            if r == j and child is not None:
-                kid = (child, i2)
-                out[kid] = out.get(kid, 0) + coeff
-        for _, r, child in rims2[i2] or table.read(2, i2):
-            if r == j and child is not None:
-                kid = (i1, child)
-                out[kid] = out.get(kid, 0) + coeff
+        for child in (kids1[i1] or table.children(1, i1)).get(j, ()):
+            kid = (child, i2)
+            out[kid] = out.get(kid, 0) + coeff
+        for child in (kids2[i2] or table.children(2, i2)).get(j, ()):
+            kid = (i1, child)
+            out[kid] = out.get(kid, 0) + coeff
     return out
 
 

@@ -405,6 +405,12 @@ def bipartition_to_json(bp: Bipartition) -> dict:
     return {"c1": list(bp.c1), "c2": list(bp.c2)}
 
 
+def bipartition_json_text(bp: Bipartition) -> str:
+    """json.dumps(bipartition_to_json(bp)), written directly."""
+    return '{"c1": [%s], "c2": [%s]}' % (", ".join(map(str, bp.c1)),
+                                         ", ".join(map(str, bp.c2)))
+
+
 def render_nature_table(label: str, slots: list) -> str:
     """Aligned text rendering of the slot list from nature_table: Component
     row, Content row and the nature row named label, virtual nodes

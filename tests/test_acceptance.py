@@ -190,9 +190,9 @@ def test_criterion_2_forward_sweep():
     for e in (2, 3):
         for charge in CHARGES:
             p = CrystalParams(e, charge)
-            for r in verify_djm_forward(7, p):
+            for _, passed in verify_djm_forward(7, p):
                 checked += 1
-                ok = ok and r["pass"]
+                ok = ok and passed
     ok = ok and checked > 0
     report("2 (forward sweep, %d instances)" % checked, ok)
 

@@ -408,10 +408,16 @@ def forward_oracle(bp, p):
     }
 
 
+def forward_lines(n, p):
+    """The sweep's report lines up to rank n, sorted."""
+    return sorted(line for line, _ in verify_djm_forward(n, p))
+
+
 def forward_reports(n, p):
-    """The sweep's reports up to rank n, by bipartition."""
+    """The sweep's reports up to rank n, parsed, by bipartition."""
+    reports = map(json.loads, forward_lines(n, p))
     return {Bipartition(tuple(r["bp"]["c1"]), tuple(r["bp"]["c2"])): r
-            for r in verify_djm_forward(n, p)}
+            for r in reports}
 
 
 def test_verify_djm_forward_examples():
@@ -430,7 +436,7 @@ def test_verify_djm_forward_small_grid():
             p = CrystalParams(e, charge)
             reports = list(verify_djm_forward(4, p))
             assert len(reports) == sum(map(len, uglov_layers(4, p)))
-            assert all(r["pass"] for r in reports)
+            assert all(ok for _, ok in reports)
 
 
 FORWARD_GRID = [CrystalParams(e, charge) for e in (2, 3, 4)
@@ -440,16 +446,31 @@ FORWARD_GRID = [CrystalParams(e, charge) for e in (2, 3, 4)
 
 @pytest.mark.parametrize("p", FORWARD_GRID, ids=str)
 def test_verify_djm_forward_matches_oracle(p):
-    def line(report):
-        return json.dumps(report, sort_keys=True)
-
-    swept = sorted(map(line, verify_djm_forward(7, p)))
-    expected = sorted(line(forward_oracle(bp, p))
+    # The swept lines are the bytes of json.dumps of the oracle's reports,
+    # and each verdict is its line's "pass".
+    pairs = list(verify_djm_forward(7, p))
+    swept = sorted(line for line, _ in pairs)
+    expected = sorted(json.dumps(forward_oracle(bp, p), sort_keys=True)
                       for layer in uglov_layers(7, p) for bp in layer)
     assert swept == expected
-    # up to rank 7, only the cells with |s1 - s2| > e at e = 3, 4 fail
+    assert all(json.loads(line)["pass"] is ok for line, ok in pairs)
+    # up to rank 7, only the cells with |s1 - s2| > e at e = 3, 4 fail,
+    # with "max": null
     fails = p.e > 2 and abs(p.charge[0] - p.charge[1]) > p.e
     assert any('"pass": false' in x for x in swept) == fails
+    assert any('"max": null, "pass": false' in x for x in swept) == fails
+
+
+def test_verify_djm_forward_error_line_matches_json():
+    # The class step of 3.2.1,3.1 fails at e=3, s=(0,0): its line is the
+    # bytes of json.dumps of its error report.
+    p = CrystalParams(3, (0, 0))
+    bp = P("3.2.1,3.1")
+    errors = [(line, ok) for line, ok in verify_djm_forward(10, p)
+              if '"error": ' in line]
+    report = forward_oracle(bp, p)
+    assert set(report) == {"bp", "error", "pass"}
+    assert errors == [(json.dumps(report, sort_keys=True), False)]
 
 
 def test_forward_reads_children_once_per_bipartition(monkeypatch):
@@ -510,18 +531,18 @@ def test_forward_reads_each_fact_once(monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     count(admissible, "uglov_key")
-    count(admissible, "bipartition_to_json")
+    count(admissible, "bipartition_json_text")
     count(admissible, "is_flotw")
     real_rim = crystal.component_rim
 
-    def counted_rim(lam, s, c):  # under RimTable.read
-        if sys._getframe(2).f_code.co_name == "f_action":
+    def counted_rim(lam, s, c):  # under RimTable.children, then read
+        if sys._getframe(3).f_code.co_name == "f_action":
             fills.append((c, s, lam))
         return real_rim(lam, s, c)
 
     monkeypatch.setattr(crystal, "component_rim", counted_rim)
     assert list(verify_djm_forward(9, P01)) == reports
-    assert calls == {"uglov_key": 734, "bipartition_to_json": 734}
+    assert calls == {"uglov_key": 734, "bipartition_json_text": 734}
     assert len(fills) == len(set(fills)) == 134
 
 
@@ -1149,9 +1170,10 @@ def test_verify_djm_corollary_matches_oracle(p, monkeypatch):
 
 
 @pytest.mark.parametrize("sweep, oracle", [
-    (verify_djm_forward, forward_oracle),
-    (verify_djm_corollary, corollary_oracle),
-])
+    (forward_lines, forward_oracle),
+    (lambda n, p: _lines(verify_djm_corollary(n, p)), corollary_oracle),
+], ids=["verify_djm_forward-forward_oracle",
+        "verify_djm_corollary-corollary_oracle"])
 def test_non_flotw_rest_is_an_error(monkeypatch, sweep, oracle):
     # No class step of the sweeps leaves a non-FLOTW rest, so one is
     # forced: the class of 1,1.1 at e=3, s=(0,1) becomes its node (1,1,1),
@@ -1166,7 +1188,7 @@ def test_non_flotw_rest_is_an_error(monkeypatch, sweep, oracle):
         return (0, [g], [g]) if bp == chosen else real(bp, q)
 
     monkeypatch.setattr(admissible, "top_class", forced)
-    swept = _lines(sweep(6, P01))
+    swept = sweep(6, P01)
     assert swept == _oracle_lines(oracle, 6, P01)
     text = ('"error": "class removal left non-FLOTW '
             'Bipartition(c1=(), c2=(1, 1))"')

@@ -124,6 +124,24 @@ def f_action_oracle(vec, j, table):
     return out
 
 
+def f_action_rim_scan(vec, j, table):
+    """The pair-keyed f_action that RimTable.children replaced: each
+    pair's two stored rims are scanned whole for the addable j-nodes."""
+    rims1, rims2 = table.rims
+    out = {}
+    for pair, coeff in vec.items():
+        i1, i2 = pair
+        for _, r, child in rims1[i1] or table.read(1, i1):
+            if r == j and child is not None:
+                kid = (child, i2)
+                out[kid] = out.get(kid, 0) + coeff
+        for _, r, child in rims2[i2] or table.read(2, i2):
+            if r == j and child is not None:
+                kid = (i1, child)
+                out[kid] = out.get(kid, 0) + coeff
+    return out
+
+
 def f_action_bps(vec, j, table):
     """f_action of vec, a dict Bipartition -> coefficient, through the
     pairs of table, read back as Bipartitions."""
@@ -194,6 +212,66 @@ def test_f_action_matches_bipartition_oracle():
                     p, k, j)
                 cases += bool(expected)
     assert cases > len(SCAN_GRID) * SCAN_RANK
+
+
+def record_f_actions(monkeypatch, module) -> list:
+    """Patch module.f_action to record (vec, j, table, its result) for
+    every call; return the list of calls."""
+    calls = []
+
+    def recorded(vec, j, table):
+        out = f_action(vec, j, table)
+        calls.append((vec, j, table, out))
+        return out
+
+    monkeypatch.setattr(module, "f_action", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("p", [P01, CrystalParams(4, (1, 3))], ids=str)
+def test_f_action_matches_rim_scan_on_forward_vectors(monkeypatch, p):
+    # Every vector the forward sweep expands to rank 9, through the
+    # sweep's own table, gives the vector of the whole-rim scan.
+    calls = record_f_actions(monkeypatch, admissible)
+    for _ in admissible.verify_djm_forward(9, p):
+        pass
+    assert len(calls) > 200
+    for vec, j, table, out in calls:
+        assert out == f_action_rim_scan(vec, j, table), (vec, j)
+
+
+@pytest.mark.parametrize("charge", [(0, 1), (2, -1), (0, 0)])
+def test_f_action_matches_rim_scan_on_monomials_at_e_infinity(monkeypatch,
+                                                              charge):
+    # expand_monomial's vectors at e = infinity, where a residue is a
+    # content: every word of length <= 4 over the residues -3..3.
+    p = CrystalParams(None, charge)
+    calls = record_f_actions(monkeypatch, crystal)
+    for k in range(5):
+        for word in itertools.product(range(-3, 4), repeat=k):
+            expand_monomial(word, p)
+    assert sum(bool(out) for *_, out in calls) > 500
+    for vec, j, table, out in calls:
+        assert out == f_action_rim_scan(vec, j, table), (vec, j)
+
+
+def test_children_lists_the_rim_children_by_residue():
+    # children(c, i) is the rim's (residue, child) entries grouped by
+    # residue in rim order, built once and kept.
+    for p in SCAN_GRID:
+        table = RimTable(p)
+        for k in range(6):
+            for lam in partitions_of(k):
+                for c in (1, 2):
+                    i = table.intern(c, lam)
+                    expected = {}
+                    for _, j, child in table.read(c, i):
+                        if child is not None:
+                            expected.setdefault(j, []).append(child)
+                    kids = table.children(c, i)
+                    assert kids == expected
+                    assert table.children(c, i) is kids
+                    assert table.kids[c - 1][i] is kids
 
 
 def e_action(vec, j, p):

@@ -1,6 +1,7 @@
 """Unit tests for bipartitions, extended diagrams, natures and orders."""
 
 import itertools
+import json
 from functools import cmp_to_key
 
 import pytest
@@ -13,6 +14,7 @@ from uglov.diagrams import (
     add_node,
     addable_nodes,
     beta_set,
+    bipartition_json_text,
     bipartition_to_json,
     bipartitions_of,
     boundary_sequence,
@@ -608,3 +610,11 @@ def test_json_round_trip():
     for n in range(4):
         for bp in bipartitions_of(n):
             assert bipartition_from_json(bipartition_to_json(bp)) == bp
+
+
+def test_json_text_is_json_dumps():
+    # rank 12 gives two-digit parts
+    for n in list(range(7)) + [12]:
+        for bp in bipartitions_of(n):
+            assert (bipartition_json_text(bp)
+                    == json.dumps(bipartition_to_json(bp), sort_keys=True))
