@@ -104,10 +104,12 @@ def cmd_enumerate(args) -> int:
         return 0
     bps = sorted(crystal.top_layer(args.n, p))
     if args.format == "json":
-        print("[", end="")  # json.dumps's bytes, a chunk of dicts at a time
+        print("[", end="")  # json.dumps's bytes, a chunk of texts at a time
         for i in range(0, len(bps), LISTING_CHUNK):
-            chunk = map(diagrams.bipartition_to_json, bps[i:i + LISTING_CHUNK])
-            print(", " * (i > 0) + json.dumps(list(chunk))[1:-1], end="")
+            chunk = bps[i:i + LISTING_CHUNK]
+            print(", " * (i > 0)
+                  + ", ".join(map(diagrams.bipartition_json_text, chunk)),
+                  end="")
         print("]")
     else:
         for bp in bps:
@@ -132,10 +134,10 @@ def render_dot(n: int, p: CrystalParams) -> str:
 
 
 # json.dumps(r, sort_keys=True) without the cycle check, for the report
-# dicts of every sweep but forward, which writes its own lines: reports
-# share bipartition forms but hold no cycles
+# dicts of every sweep but forward and psi-nature, which write their own
+# lines: reports share bipartition forms but hold no cycles
 REPORT_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
-LISTING_CHUNK = 4096  # bipartitions per json.dumps of an enumerate listing
+LISTING_CHUNK = 4096  # bipartitions per print of an enumerate listing
 
 
 def cmd_verify(args) -> int:
@@ -150,7 +152,7 @@ def cmd_verify(args) -> int:
         "psi-nature": isomorphism.verify_psi_nature,
     }
     reports = sweeps[args.mode](args.n, CrystalParams(args.e, args.charge))
-    if args.mode == "forward":  # (line, ok) pairs, each line written once
+    if args.mode in ("forward", "psi-nature"):  # (line, ok) pairs
         lines = sorted(reports)
     else:
         # each report serialized once, as it arrives: its line is also its

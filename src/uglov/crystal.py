@@ -6,12 +6,14 @@ A walk owns one RimTable at its parameters.  The table interns each
 component partition as a small int on first sight, so a bipartition of
 the walk is a pair (id1, id2), and reads each interned partition's rim
 once: its addable and removable nodes with their residues, and for each
-addable node the id of the grown partition.  good_additions scans a pair
-from the two stored rims with one counter per residue, and a child swaps
-one id.  layer_walk is the one walk of the crystal component of the
-empty bipartition: uglov_layers lists its layers, and top_layer keeps
-the last for `uglov enumerate`.  edge_walk walks the same layers keeping
-their edges, for isomorphism.psi_images and cli.render_dot.
+addable node the id of the grown partition.  good_additions scans a
+batch of pairs, a whole layer in one call, each pair from its two stored
+rims with one counter per residue met, and a child swaps one id.
+layer_walk is the one walk of the crystal component of the empty
+bipartition, one batch per layer: uglov_layers lists its layers, and
+top_layer keeps the last for `uglov enumerate`.  edge_walk walks the
+same layers keeping their edges, for cli.render_dot and
+isomorphism.psi_images, which scans its images in batches of one.
 Bipartitions are built only where a caller reads them.  A Fock vector is
 a dict pair -> positive int over one table, its keys of one rank:
 f_action swaps in the child ids of each pair's addable j-nodes, which
@@ -119,9 +121,11 @@ class RimTable:
         return Bipartition(self.parts[0][pair[0]], self.parts[1][pair[1]])
 
 
-def good_additions(pair: tuple[int, int], table: RimTable) -> list:
-    """(j, the pair of bp plus its good addable j-node) for every residue
-    j that has one, in increasing j, where pair is bp in table.
+def good_additions(pairs, table: RimTable):
+    """Yield (pair, good) for each pair of pairs, in order, where good is
+    {j: the pair of bp plus its good addable j-node} over every residue
+    j that has one, and pair is bp in table.  One call scans a batch,
+    such as a whole layer, reading the table's rims once per batch.
 
     The two stored component rims, merged, are the rim of bp (keys are
     odd in component 1 and even in component 2).  Read in increasing
@@ -129,22 +133,23 @@ def good_additions(pair: tuple[int, int], table: RimTable) -> list:
     removable j-node waits below it, and otherwise cancels one; the good
     one is the last normal one.  So one pass with a counter of waiting
     removable nodes per residue finds every good node, and its child
-    swaps one id of the pair.
+    swaps one id of the pair.  The counter holds only the residues met,
+    so a scan costs the same at any e.
     """
-    i1, i2 = pair
-    rims1, rims2 = table.rims
-    entries = (rims1[i1] or table.read(1, i1)) + (rims2[i2]
-                                                  or table.read(2, i2))
-    entries.sort()
-    waiting, good = {}, {}
-    for key, j, child in entries:
-        if child is None:
-            waiting[j] = waiting.get(j, 0) + 1
-        elif waiting.get(j):
-            waiting[j] -= 1
-        else:
-            good[j] = (child, i2) if key & 1 else (i1, child)
-    return sorted(good.items())
+    (rims1, rims2), read = table.rims, table.read
+    for pair in pairs:
+        i1, i2 = pair
+        entries = (rims1[i1] or read(1, i1)) + (rims2[i2] or read(2, i2))
+        entries.sort()
+        waiting, good = {}, {}
+        for key, j, child in entries:
+            if child is None:
+                waiting[j] = waiting.get(j, 0) + 1
+            elif waiting.get(j):
+                waiting[j] -= 1
+            else:
+                good[j] = (child, i2) if key & 1 else (i1, child)
+        yield pair, good
 
 
 def f_action(vec: dict, j, table: RimTable) -> dict:
@@ -241,14 +246,16 @@ def is_uglov(bp: Bipartition, p: CrystalParams) -> bool:
 
 def layer_walk(n: int, table: RimTable):
     """Yield layers 0..n of the crystal component of the empty
-    bipartition, each a set of pairs of table: one good_additions scan
-    per bipartition of rank below n.  Between yields it holds one layer,
-    so a caller that keeps only the last holds two."""
+    bipartition, each a set of pairs of table: one good_additions batch
+    per layer below n, one scan per bipartition.  Between yields it holds
+    one layer, so a caller that keeps only the last holds two."""
     layer = {ROOT}
     yield layer
     for _ in range(n):
-        layer = {kid for pair in layer
-                 for _, kid in good_additions(pair, table)}
+        nxt = set()
+        for _, good in good_additions(layer, table):
+            nxt.update(good.values())
+        layer = nxt
         yield layer
 
 
@@ -277,8 +284,8 @@ def edge_walk(n: int, table: RimTable):
     layer = {ROOT}
     for _ in range(n):
         nxt = set()
-        for pair in layer:
-            for j, kid in good_additions(pair, table):
+        for pair, good in good_additions(layer, table):
+            for j, kid in good.items():
                 nxt.add(kid)
                 yield pair, j, kid
         layer = nxt

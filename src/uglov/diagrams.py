@@ -406,9 +406,9 @@ def bipartition_to_json(bp: Bipartition) -> dict:
 
 
 def bipartition_json_text(bp: Bipartition) -> str:
-    """json.dumps(bipartition_to_json(bp)), written directly."""
-    return '{"c1": [%s], "c2": [%s]}' % (", ".join(map(str, bp.c1)),
-                                         ", ".join(map(str, bp.c2)))
+    """json.dumps(bipartition_to_json(bp)), written directly: a list of
+    ints prints as JSON writes it."""
+    return '{"c1": %s, "c2": %s}' % (list(bp.c1), list(bp.c2))
 
 
 def render_nature_table(label: str, slots: list) -> str:

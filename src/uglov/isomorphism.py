@@ -48,7 +48,7 @@ from .diagrams import (
     EMPTY,
     Bipartition,
     add_node,
-    bipartition_to_json,
+    bipartition_json_text,
     nature_core,
 )
 
@@ -113,9 +113,10 @@ def psi_images(n: int, p_from: CrystalParams, charge_to) -> dict:
     dst is the image of bp plus its good j-node at charge_to.  The walk
     runs on pairs of two RimTables, one per charge.  The edges of one bp
     arrive together, and the good additions of its image are read once,
-    when the first of them reaches a new dst: at most one scan per
-    image.  At its own charge the isomorphism is the identity, read from
-    uglov_layers with no image scanned.
+    in a good_additions batch of one, when the first of them reaches a
+    new dst: at most one scan per image.  At its own charge the
+    isomorphism is the identity, read from uglov_layers with no image
+    scanned.
     """
     require_same_orbit(p_from.charge, charge_to, p_from.e)
     p_to = CrystalParams(p_from.e, tuple(charge_to))
@@ -128,7 +129,7 @@ def psi_images(n: int, p_from: CrystalParams, charge_to) -> dict:
         if kid in images:
             continue
         if pair != last:
-            last, kids = pair, dict(good_additions(images[pair], dst))
+            last, (_, kids) = pair, next(good_additions((images[pair],), dst))
         if j not in kids:
             raise ValueError("no good addable %r-node on %r"
                              % (j, dst.bipartition(images[pair])))
@@ -205,11 +206,15 @@ def psi_nature_check(bp: Bipartition, image: Bipartition, charge,
 
 
 def verify_psi_nature(n: int, p: CrystalParams):
-    """Yield one psi_nature_check report per Uglov bipartition of rank
-    <= n at p, with its psi_images image at the swapped charge, through
-    one cache of nature_core: one core per partition of the sweep."""
+    """Yield (line, ok) per Uglov bipartition bp of rank <= n at p, where
+    ok is the psi_nature_check of bp and its psi_images image at the
+    swapped charge, through one cache of nature_core (one core per
+    partition of the sweep), and line its report as json.dumps(report,
+    sort_keys=True) writes it, with keys bp, image and pass, joined from
+    the bipartitions' JSON texts."""
     core = cache(nature_core)
     for bp, image in psi_images(n, p, p.charge[::-1]).items():
-        yield {"bp": bipartition_to_json(bp),
-               "image": bipartition_to_json(image),
-               "pass": psi_nature_check(bp, image, p.charge, core)}
+        ok = psi_nature_check(bp, image, p.charge, core)
+        yield ('{"bp": %s, "image": %s, "pass": %s}'
+               % (bipartition_json_text(bp), bipartition_json_text(image),
+                  "true" if ok else "false"), ok)

@@ -57,6 +57,11 @@ def _grid() -> list[str]:
         "--charge=0,100000 --format json verify --mode propb --n 3",
         "--charge=100000,0 --format json verify --mode propb --n 3",
         "--e 2 --charge=0,37 --format json verify --mode propb --n 8",
+        # the good-node scan at e = infinity, and at an e past the rank,
+        # whose listing equals the one at infinity
+        "--e inf --format json enumerate --n 12",
+        "--e inf --format dot enumerate --n 5",
+        "--e 100000 --format json enumerate --n 12",
         # the four benchmark sweeps
         "--format json enumerate --n 19",
         "--format json verify --mode forward --n 9",

@@ -29,7 +29,6 @@ from uglov.crystal import (
     RimTable,
     expand_monomial,
     f_action,
-    good_additions,
     is_uglov,
     signature_word,
     uglov_layers,
@@ -59,10 +58,12 @@ from test_crystal import (
     component_keys,
     count_component_reads,
     count_rim_passes,
+    counting_scan,
     f_action_oracle,
     forbid_validating_primitives,
     read_keys,
 )
+from test_isomorphism import psi_nature_check_oracle
 
 P = parse_bipartition
 P01 = CrystalParams(3, (0, 1))
@@ -444,21 +445,49 @@ FORWARD_GRID = [CrystalParams(e, charge) for e in (2, 3, 4)
                                (11, 0), (5, -2))]
 
 
+def assert_lines_are_json_dumps(pairs, oracle, n, p):
+    """The (line, ok) pairs of a sweep up to rank n at p are the bytes of
+    json.dumps of the oracle's reports, one per Uglov bipartition, and
+    each verdict is its line's "pass"."""
+    assert sorted(line for line, _ in pairs) == _oracle_lines(oracle, n, p)
+    assert all(json.loads(line)["pass"] is ok for line, ok in pairs)
+
+
 @pytest.mark.parametrize("p", FORWARD_GRID, ids=str)
 def test_verify_djm_forward_matches_oracle(p):
-    # The swept lines are the bytes of json.dumps of the oracle's reports,
-    # and each verdict is its line's "pass".
     pairs = list(verify_djm_forward(7, p))
-    swept = sorted(line for line, _ in pairs)
-    expected = sorted(json.dumps(forward_oracle(bp, p), sort_keys=True)
-                      for layer in uglov_layers(7, p) for bp in layer)
-    assert swept == expected
-    assert all(json.loads(line)["pass"] is ok for line, ok in pairs)
+    assert_lines_are_json_dumps(pairs, forward_oracle, 7, p)
+    swept = [line for line, _ in pairs]
     # up to rank 7, only the cells with |s1 - s2| > e at e = 3, 4 fail,
     # with "max": null
     fails = p.e > 2 and abs(p.charge[0] - p.charge[1]) > p.e
     assert any('"pass": false' in x for x in swept) == fails
     assert any('"max": null, "pass": false' in x for x in swept) == fails
+
+
+def psi_nature_oracle(bp, p):
+    # Reference: bp's image by its own peel and rebuild, and the verdict
+    # over a window that holds both.
+    image = psi_to(bp, p.charge, p.charge[::-1], p.e)
+    return {"bp": bipartition_to_json(bp),
+            "image": bipartition_to_json(image),
+            "pass": psi_nature_check_oracle(bp, image, p.charge)}
+
+
+@pytest.mark.parametrize("p", [P01, CrystalParams(3, (4, 0)),
+                               CrystalParams(2, (2, -1))], ids=str)
+def test_verify_psi_nature_matches_oracle(p):
+    # Also with s1 > s2, where the table is read from the image back.
+    pairs = list(verify_psi_nature(7, p))
+    assert_lines_are_json_dumps(pairs, psi_nature_oracle, 7, p)
+
+
+def test_verify_psi_nature_writes_a_failing_line(monkeypatch):
+    # No sweep of the grid fails, so every check is forced to.
+    monkeypatch.setattr(isomorphism, "psi_nature_check", lambda *args: False)
+    pairs = list(verify_psi_nature(4, P01))
+    assert_lines_are_json_dumps(pairs, lambda bp, p: {
+        **psi_nature_oracle(bp, p), "pass": False}, 4, P01)
 
 
 def test_verify_djm_forward_error_line_matches_json():
@@ -611,15 +640,8 @@ def test_forward_reads_no_psi_image_at_a_fundamental_charge(monkeypatch):
     # one per Uglov bipartition below rank 9.
     reports = list(verify_djm_forward(9, P01))
     images, scans = [], []
-
-    def counted(calls):
-        def scan(pair, table):
-            calls.append(table.bipartition(pair))
-            return good_additions(pair, table)
-        return scan
-
-    monkeypatch.setattr(isomorphism, "good_additions", counted(images))
-    monkeypatch.setattr(crystal, "good_additions", counted(scans))
+    monkeypatch.setattr(isomorphism, "good_additions", counting_scan(images))
+    monkeypatch.setattr(crystal, "good_additions", counting_scan(scans))
     assert list(verify_djm_forward(9, P01)) == reports
     assert images == []
     assert len(scans) == len(set(scans))

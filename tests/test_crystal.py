@@ -2,6 +2,7 @@
 
 import itertools
 import sys
+import tracemalloc
 
 import pytest
 
@@ -94,9 +95,21 @@ def scan_cases():
 
 
 def scan(bp, table):
-    """good_additions of bp, interned in table, as bipartitions."""
-    return [(j, table.bipartition(kid))
-            for j, kid in good_additions(table.pair(bp), table)]
+    """good_additions of bp, interned in table, as bipartitions in
+    increasing j."""
+    (_, good), = good_additions((table.pair(bp),), table)
+    return [(j, table.bipartition(kid)) for j, kid in sorted(good.items())]
+
+
+def counting_scan(scans, charge=None):
+    """good_additions, appending each bipartition it scans to scans, at
+    every charge or only at charge."""
+    def counted(pairs, table):
+        for pair, good in good_additions(pairs, table):
+            if charge in (None, table.p.charge):
+                scans.append(table.bipartition(pair))
+            yield pair, good
+    return counted
 
 
 def children_oracle(bp, table):
@@ -376,7 +389,7 @@ def test_children_match_addable_nodes():
 
 # the grid of the differential check of the component-rim kernel
 KERNEL_CHARGES = ((0, 1), (0, 0), (11, 0), (5, -2), (0, 1000))
-KERNEL_ES = (2, 3, 4, None)
+KERNEL_ES = (2, 3, 4, 10**6, None)
 
 
 def whole_rim_oracle(bp, charge):
@@ -502,6 +515,46 @@ def test_top_layer_is_the_last_layer(monkeypatch):
         top = crystal.top_layer(9, p)
         assert len(top) == len(set(top))
         assert set(top) == layer
+
+
+def test_enumerate_walk_scans_each_pair_once_in_one_batch_per_layer(
+        monkeypatch):
+    # The walk of the enumerate benchmark, e=3, s=(0,1) at rank 19, scans
+    # each Uglov bipartition of rank below 19 once, 5,304 in all, in one
+    # good_additions batch per layer.
+    scans, batches = [], []
+    counted = counting_scan(scans)
+
+    def batched(pairs, table):
+        batches.append(len(pairs))
+        return counted(pairs, table)
+
+    monkeypatch.setattr(crystal, "good_additions", batched)
+    top = crystal.top_layer(19, P01)
+    assert len(scans) == len(set(scans)) == sum(batches) == 5304
+    assert len(batches) == 19
+    assert len(top) == 1782
+
+
+def traced_peak(fn, *args) -> int:
+    """The tracemalloc peak, in bytes, of fn(*args)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_huge_e_walk_holds_no_more_than_infinite_e():
+    # Below rank e the residues are the contents mod e and the walk is
+    # the one at e = infinity: the scan's counters hold only the
+    # residues met, so e = 10**6 costs what e = None does.  The first
+    # walk of a process also allocates for itself, so one runs before.
+    crystal.top_layer(12, CrystalParams(None, (0, 1)))
+    peaks = {e: traced_peak(crystal.top_layer, 12, CrystalParams(e, (0, 1)))
+             for e in (None, 10**6)}
+    assert peaks[10**6] <= 2 * peaks[None]
 
 
 def test_component_rim_table_keeps_components_and_charges_apart():
@@ -741,12 +794,7 @@ def test_uglov_layers_reads_one_rim_per_bipartition(monkeypatch, p):
     n = 9
     layers = uglov_layers(n, p)
     scans = []
-
-    def counted(pair, table):
-        scans.append(table.bipartition(pair))
-        return good_additions(pair, table)
-
-    monkeypatch.setattr(crystal, "good_additions", counted)
+    monkeypatch.setattr(crystal, "good_additions", counting_scan(scans))
     passes = count_rim_passes(monkeypatch)
     reads = count_component_reads(monkeypatch)
     forbid_validating_primitives(monkeypatch)

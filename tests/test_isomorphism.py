@@ -8,7 +8,6 @@ from uglov import crystal, isomorphism
 from uglov.crystal import (
     CrystalParams,
     good_addable_node,
-    good_additions,
     signature_word,
     uglov_layers,
 )
@@ -34,6 +33,7 @@ from test_crystal import (
     component_keys,
     count_component_reads,
     count_rim_passes,
+    counting_scan,
     forbid_validating_primitives,
 )
 import test_diagrams
@@ -263,13 +263,8 @@ def test_psi_images_scan_each_image_once(monkeypatch, c_from, c_to):
     p = CrystalParams(3, c_from)
     expected = psi_images(9, p, c_to)
     scans = []
-
-    def counted(pair, table):
-        if table.p.charge == c_to:
-            scans.append(table.bipartition(pair))
-        return good_additions(pair, table)
-
-    monkeypatch.setattr(isomorphism, "good_additions", counted)
+    monkeypatch.setattr(isomorphism, "good_additions",
+                        counting_scan(scans, c_to))
     passes = count_rim_passes(monkeypatch)
     reads = count_component_reads(monkeypatch)
     forbid_validating_primitives(monkeypatch)
@@ -287,7 +282,7 @@ def test_psi_images_scan_each_image_once(monkeypatch, c_from, c_to):
 def test_psi_images_needs_the_good_child(monkeypatch):
     # An image without the good j-node of its edge is a ValueError.
     monkeypatch.setattr(isomorphism, "good_additions",
-                        lambda pair, table: [])
+                        lambda pairs, table: ((pair, {}) for pair in pairs))
     with pytest.raises(ValueError, match="no good addable 0-node"):
         psi_images(1, CrystalParams(3, (0, 1)), (1, 0))
 
