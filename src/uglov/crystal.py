@@ -12,8 +12,9 @@ rims with one counter per residue met, and a child swaps one id.
 layer_walk is the one walk of the crystal component of the empty
 bipartition, one batch per layer: uglov_layers lists its layers, and
 top_layer keeps the last for `uglov enumerate`.  edge_walk walks the
-same layers keeping their edges, for cli.render_dot and
-isomorphism.psi_images, which scans its images in batches of one.
+same layers keeping their edges, for cli.render_dot, and
+isomorphism.image_walk zips each layer's batch with one batch of its
+images in a second table.
 Bipartitions are built only where a caller reads them.  A Fock vector is
 a dict pair -> positive int over one table, its keys of one rank:
 f_action swaps in the child ids of each pair's addable j-nodes, which

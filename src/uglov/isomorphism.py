@@ -10,21 +10,24 @@ the reversed residue word at the end charge; being a crystal
 isomorphism fixing the empty bipartition, this is forced to agree with
 the map itself.
 
-A sweep over a whole crystal component needs no peeling: psi_images
-walks the good edges of the component once and adds one good node per
-image; at its own charge, where the isomorphism is the identity, it
-lists the component's uglov_layers.  It feeds four sweeps:
-verify_psi_nature checks its images against the sigma1 nature table,
-and at the fundamental charge propb reads their classes and
-admissible.adm_walk the Adm of the forward and corollary sweeps.
+A sweep over a whole crystal component needs no peeling: image_walk
+walks the component in two RimTables, one per charge, one
+good_additions batch per layer at each in lockstep, and maps each pair
+to its image pair; at its own charge, where the isomorphism is the
+identity, it is one layer_walk with no image scanned.  psi_images is its
+view over Bipartitions, from which admissible.adm_walk and propb read
+the images at the fundamental charge.
 
-psi_nature_check reads each component as its core (diagrams.nature_core)
-through a reader that its sweep owns, one functools.cache of nature_core:
-the swap moves each partition between the two charges, and its core is
-built once.  Below the core a component is a run of virtual Bv, above
-it a run of virtual Bh.  Only the cores and one content of the gap
-between the cores at s1 and those at s2 are compared, so the check
-costs O(rank) at any charge.
+verify_psi_nature reads the pairs of image_walk directly: each
+partition of each (table, component) is read once, by id, into a slot
+holding its JSON text, its core (diagrams.nature_core, through one
+functools.cache shared by both tables, so each distinct partition's
+core is built once) and its floor, and each report line is joined from
+the stored texts.  psi_nature_check takes the four cores and floors.
+Below the core a component is a run of virtual Bv, above it a run of
+virtual Bh.  Only the cores and one content of the gap between the
+cores at s1 and those at s2 are compared, so the check costs O(rank) at
+any charge.
 """
 
 from __future__ import annotations
@@ -36,11 +39,10 @@ from .crystal import (
     ROOT,
     CrystalParams,
     RimTable,
-    edge_walk,
     good_addable_node,
     good_additions,
+    layer_walk,
     peel_word,
-    uglov_layers,
 )
 from .diagrams import (
     BH,
@@ -48,7 +50,6 @@ from .diagrams import (
     EMPTY,
     Bipartition,
     add_node,
-    bipartition_json_text,
     nature_core,
 )
 
@@ -104,36 +105,50 @@ def psi_to(bp: Bipartition, charge_from, charge_to,
     return rebuild_from_residues(reversed(word), p_to)
 
 
-def psi_images(n: int, p_from: CrystalParams, charge_to) -> dict:
-    """{bp: psi_to(bp, p_from.charge, charge_to, p_from.e)} for every
-    Uglov bipartition bp of rank <= n at p_from, in increasing rank.
+def image_walk(n: int, p_from: CrystalParams, charge_to):
+    """(src, dst, images): src a RimTable at p_from, dst one at charge_to
+    and images {pair: its image pair} for every Uglov bipartition of rank
+    <= n at p_from, as a pair of src, in increasing rank.
 
     The isomorphism fixes the empty bipartition and commutes with the
-    crystal operators, so along each good edge (bp, j, dst) the image of
-    dst is the image of bp plus its good j-node at charge_to.  The walk
-    runs on pairs of two RimTables, one per charge.  The edges of one bp
-    arrive together, and the good additions of its image are read once,
-    in a good_additions batch of one, when the first of them reaches a
-    new dst: at most one scan per image.  At its own charge the
-    isomorphism is the identity, read from uglov_layers with no image
-    scanned.
+    crystal operators, so along each good edge (bp, j, kid) the image of
+    kid is the image of bp plus its good j-node at charge_to.  Each layer
+    is one good_additions batch at p_from, zipped in lockstep with one
+    batch of its images at charge_to: one scan per bipartition below
+    rank n at each charge.  At its own charge the isomorphism is the
+    identity over one layer_walk, dst is src, and no image is scanned.
     """
     require_same_orbit(p_from.charge, charge_to, p_from.e)
     p_to = CrystalParams(p_from.e, tuple(charge_to))
+    src = RimTable(p_from)
     if p_to == p_from:
-        return {bp: bp for layer in uglov_layers(n, p_from) for bp in layer}
-    src, dst = RimTable(p_from), RimTable(p_to)
-    images = {ROOT: ROOT}  # pair of src -> pair of dst
-    last = kids = None
-    for pair, j, kid in edge_walk(n, src):
-        if kid in images:
-            continue
-        if pair != last:
-            last, (_, kids) = pair, next(good_additions((images[pair],), dst))
-        if j not in kids:
-            raise ValueError("no good addable %r-node on %r"
-                             % (j, dst.bipartition(images[pair])))
-        images[kid] = kids[j]
+        return src, src, {pair: pair for layer in layer_walk(n, src)
+                          for pair in layer}
+    dst = RimTable(p_to)
+    images = {ROOT: ROOT}
+    layer = [ROOT]
+    for _ in range(n):
+        nxt = []
+        for (_, good), (image, kids) in zip(
+                good_additions(layer, src),
+                good_additions([images[pair] for pair in layer], dst)):
+            for j, kid in good.items():
+                if kid in images:
+                    continue
+                if j not in kids:
+                    raise ValueError("no good addable %r-node on %r"
+                                     % (j, dst.bipartition(image)))
+                images[kid] = kids[j]
+                nxt.append(kid)
+        layer = nxt
+    return src, dst, images
+
+
+def psi_images(n: int, p_from: CrystalParams, charge_to) -> dict:
+    """{bp: psi_to(bp, p_from.charge, charge_to, p_from.e)} for every
+    Uglov bipartition bp of rank <= n at p_from, in increasing rank: the
+    image_walk, read as Bipartitions."""
+    src, dst, images = image_walk(n, p_from, charge_to)
     return {src.bipartition(pair): dst.bipartition(image)
             for pair, image in images.items()}
 
@@ -170,31 +185,26 @@ SIGMA1_NATURE_PAIRS = frozenset(before + after
                                 for after in afters)
 
 
-def psi_nature_check(bp: Bipartition, image: Bipartition, charge,
-                     core: Callable) -> bool:
-    """Per-content nature pairs of bp at charge (s1, s2) and of its image
-    at (s2, s1) must transform along the sigma1 table.
+def psi_nature_check(k1, f1, k2, f2, m1, g1, m2, g2) -> bool:
+    """Per-content nature pairs of bp at charge (s1, s2), s1 <= s2, and
+    of its image at (s2, s1) must transform along the sigma1 table.
 
-    The table maps the pairs at the charge (s1, s2) with s1 <= s2 to those
-    at its swap, so when s1 > s2 it maps the image's pairs to bp's.
+    Each component is given as its core (diagrams.nature_core) and its
+    floor s - len(lam), where its core starts; it ends below floor +
+    len(core): k1, f1 for bp's component 1 at s1 and k2, f2 for its
+    component 2 at s2, m1, g1 for the image's component 1 at s2 and
+    m2, g2 for its component 2 at s1.  The table maps the pairs at the
+    charge with s1 <= s2 to those at its swap, so for a bp whose charge
+    has s1 > s2 the caller passes its image as bp, and bp as the image.
 
-    The four components are read through core, nature_core or the
-    sweep's cache of it, each placed at its floor s - len(lam) and ending
-    below floor + len(core).  Below its core a component is all Bv,
-    above it all Bh, and (Bv, Bv) and (Bh, Bh) map to themselves, so
-    only the contents of the cores count.  The core of a component of
-    charge s holds s, so the two cores at s1 make one interval and the
-    two at s2 >= s1 another.  In a gap between the two intervals every
-    component is constant, so the cores at s2 move down by d until the
-    gap is one content: the check reads O(rank) contents at any charge.
+    Below its core a component is all Bv, above it all Bh, and (Bv, Bv)
+    and (Bh, Bh) map to themselves, so only the contents of the cores
+    count.  The core of a component of charge s holds s, so the two
+    cores at s1 make one interval and the two at s2 >= s1 another.  In a
+    gap between the two intervals every component is constant, so the
+    cores at s2 move down by d until the gap is one content: the check
+    reads O(rank) contents at any charge.
     """
-    s1, s2 = charge
-    if s1 > s2:
-        bp, image, s1, s2 = image, bp, s2, s1
-    k1, m2, k2, m1 = (core(bp.c1), core(image.c2), core(bp.c2),
-                      core(image.c1))
-    f1, g2 = s1 - len(bp.c1), s1 - len(image.c2)  # the floors
-    f2, g1 = s2 - len(bp.c2), s2 - len(image.c1)
     t1, u2, t2, u1 = f1 + len(k1), g2 + len(m2), f2 + len(k2), g1 + len(m1)
     d = max(min(f2, g1) - max(t1, u2) - 1, 0)
     lo, hi = min(f1, g2, f2, g1), max(t1, u2, t2 - d, u1 - d)
@@ -205,16 +215,48 @@ def psi_nature_check(bp: Bipartition, image: Bipartition, charge,
         (BV,) * (g1 - d - lo) + m1 + (BH,) * (hi - u1 + d)))
 
 
+def _slots(table: RimTable, c: int, core: Callable):
+    """(slots, fill): one slot per partition id of component c of table,
+    None until fill(i) stores (its JSON text, its core, its floor at the
+    table's charge s_c) there and returns it."""
+    parts, s = table.parts[c - 1], table.p.charge[c - 1]
+    slots = [None] * len(parts)
+
+    def fill(i):
+        lam = parts[i]
+        slots[i] = slot = (str(list(lam)), core(lam), s - len(lam))
+        return slot
+
+    return slots, fill
+
+
 def verify_psi_nature(n: int, p: CrystalParams):
     """Yield (line, ok) per Uglov bipartition bp of rank <= n at p, where
-    ok is the psi_nature_check of bp and its psi_images image at the
-    swapped charge, through one cache of nature_core (one core per
-    partition of the sweep), and line its report as json.dumps(report,
-    sort_keys=True) writes it, with keys bp, image and pass, joined from
-    the bipartitions' JSON texts."""
+    ok is the psi_nature_check of bp and its image_walk image at the
+    swapped charge, and line its report as json.dumps(report,
+    sort_keys=True) writes it, with keys bp, image and pass.
+
+    Each (table, component) partition is read once, by id, into a slot
+    holding its JSON text, its core and its floor; one cache of
+    nature_core serves both tables, so each distinct partition's core is
+    built once.
+    """
+    src, dst, images = image_walk(n, p, p.charge[::-1])
     core = cache(nature_core)
-    for bp, image in psi_images(n, p, p.charge[::-1]).items():
-        ok = psi_nature_check(bp, image, p.charge, core)
-        yield ('{"bp": %s, "image": %s, "pass": %s}'
-               % (bipartition_json_text(bp), bipartition_json_text(image),
-                  "true" if ok else "false"), ok)
+    slots = {table: (_slots(table, 1, core), _slots(table, 2, core))
+             for table in (src, dst)}  # one entry when dst is src
+    ((a1, read_a1), (a2, read_a2)), ((b1, read_b1), (b2, read_b2)) = (
+        slots[src], slots[dst])
+    swapped = p.charge[0] > p.charge[1]
+    for (i1, i2), (j1, j2) in images.items():
+        t1, k1, f1 = a1[i1] or read_a1(i1)
+        t2, k2, f2 = a2[i2] or read_a2(i2)
+        u1, m1, g1 = b1[j1] or read_b1(j1)
+        u2, m2, g2 = b2[j2] or read_b2(j2)
+        if swapped:
+            ok = psi_nature_check(m1, g1, m2, g2, k1, f1, k2, f2)
+        else:
+            ok = psi_nature_check(k1, f1, k2, f2, m1, g1, m2, g2)
+        yield ('{"bp": {"c1": %s, "c2": %s}, '
+               '"image": {"c1": %s, "c2": %s}, "pass": %s}'
+               % (t1, t2, u1, u2, "true" if ok else "false"), ok)

@@ -44,17 +44,16 @@ from uglov.diagrams import (
     bipartitions_of,
     compare_uglov,
     nature_at,
-    nature_core,
     nature_table,
     parse_bipartition,
     remove_node,
     residue,
 )
-from uglov.isomorphism import psi_nature_check, psi_to
+from uglov.isomorphism import psi_to
 
 from test_admissible import forward_reports
 from test_diagrams import NATURE_TRANSITIONS, compare_lex
-from test_isomorphism import psi_e_independence_check
+from test_isomorphism import nature_check, psi_e_independence_check
 
 P = parse_bipartition
 CHARGES = ((0, 0), (0, 1), (0, 2), (1, 0), (3, 0), (-2, 1))
@@ -266,7 +265,7 @@ def test_criterion_6_isomorphism_suite():
                         list(map(len, sig_bp.get(j, ([], []))))
                         == list(map(len, sig_image.get(j, ([], [])))))
                 # sigma1 nature-table conformance
-                ok = ok and psi_nature_check(bp, image, c_from, nature_core)
+                ok = ok and nature_check(bp, image, c_from)
                 # e-independence of the sigma1 map
                 verdict = psi_e_independence_check(bp, c_from, e)
                 ok = ok and verdict is not False

@@ -636,7 +636,7 @@ def test_propb_reads_one_rim_per_bipartition_at_a_fundamental_charge(
 
 def test_forward_reads_no_psi_image_at_a_fundamental_charge(monkeypatch):
     # psi_images at its own charge is the identity: it scans no image, so
-    # the sweep's good-addition scans are those of its uglov_layers walk,
+    # the sweep's good-addition scans are those of its one layer_walk,
     # one per Uglov bipartition below rank 9.
     reports = list(verify_djm_forward(9, P01))
     images, scans = [], []

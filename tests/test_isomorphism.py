@@ -4,10 +4,11 @@ from functools import cache
 
 import pytest
 
-from uglov import crystal, isomorphism
+from uglov import crystal, diagrams, isomorphism
 from uglov.crystal import (
     CrystalParams,
     good_addable_node,
+    good_additions,
     signature_word,
     uglov_layers,
 )
@@ -28,6 +29,7 @@ from uglov.isomorphism import (
     rebuild_from_residues,
     reduce_to_fundamental,
     require_same_orbit,
+    verify_psi_nature,
 )
 from test_crystal import (
     component_keys,
@@ -188,6 +190,19 @@ def test_psi_preserves_normal_node_counts():
                 assert len(adds) == len(image_adds)
 
 
+def nature_check(bp, image, charge, core=nature_core):
+    """psi_nature_check of bp at charge and image at its swap, each
+    component read as its core (through core) and its floor; when
+    s1 > s2 the image is passed as bp."""
+    s1, s2 = charge
+    if s1 > s2:
+        bp, image, s1, s2 = image, bp, s2, s1
+    return psi_nature_check(
+        core(bp.c1), s1 - len(bp.c1), core(bp.c2), s2 - len(bp.c2),
+        core(image.c1), s2 - len(image.c1), core(image.c2),
+        s1 - len(image.c2))
+
+
 def test_sigma1_nature_map():
     # with s1 > s2 the table is read from the image back to bp
     for e, c_from in ((2, (0, 1)), (3, (0, 1)), (5, (3, -2)), (2, (2, -1)),
@@ -198,7 +213,7 @@ def test_sigma1_nature_map():
         for n in range(5):
             for bp in uglov_layers(n, p)[n]:
                 image = psi_to(bp, c_from, c_to, e)
-                assert psi_nature_check(bp, image, c_from, nature_core)
+                assert nature_check(bp, image, c_from)
 
 
 def psi_nature_check_oracle(bp, image, charge):
@@ -229,7 +244,7 @@ def test_psi_nature_check_matches_default_window_oracle():
         core = cache(nature_core)
         for bp in bps:
             for image in bps:
-                ok = psi_nature_check(bp, image, charge, core)
+                ok = nature_check(bp, image, charge, core)
                 assert ok == psi_nature_check_oracle(bp, image, charge), (
                     bp, image, charge)
                 verdicts.add(ok)
@@ -257,7 +272,7 @@ def test_psi_images_scan_each_image_once(monkeypatch, c_from, c_to):
     # The good additions of an image are read in one scan at c_to, at
     # most once per image, through one table at c_to that reads each
     # (component, partition) of the scanned images once, as the
-    # edge_walk at c_from reads those of its sources, with no
+    # walk at c_from reads those of its sources, with no
     # other pass over a whole bipartition's rim at either charge; the
     # images grow without validation.
     p = CrystalParams(3, c_from)
@@ -280,11 +295,58 @@ def test_psi_images_scan_each_image_once(monkeypatch, c_from, c_to):
 
 
 def test_psi_images_needs_the_good_child(monkeypatch):
-    # An image without the good j-node of its edge is a ValueError.
-    monkeypatch.setattr(isomorphism, "good_additions",
-                        lambda pairs, table: ((pair, {}) for pair in pairs))
+    # An image without the good j-node of its edge is a ValueError: the
+    # scan at the target charge finds no good node, while the scan at the
+    # source charge, in lockstep with it, finds the edges.
+    def scan(pairs, table):
+        for pair, good in good_additions(pairs, table):
+            yield pair, {} if table.p.charge == (1, 0) else good
+
+    monkeypatch.setattr(isomorphism, "good_additions", scan)
     with pytest.raises(ValueError, match="no good addable 0-node"):
         psi_images(1, CrystalParams(3, (0, 1)), (1, 0))
+
+
+@pytest.mark.parametrize("charge", [(0, 1), (1, 0)])
+def test_verify_psi_nature_reads_each_partition_once_by_id(monkeypatch,
+                                                           charge):
+    # The sweep builds no Bipartition and no bipartition text: each line
+    # is joined from the texts of its four (table, component) slots, and
+    # each slot is filled once, with one lookup of the sweep's core cache.
+    p = CrystalParams(3, charge)
+    expected = list(verify_psi_nature(11, p))
+    walks, lookups = [], []
+    real_walk = isomorphism.image_walk
+
+    def recorded_walk(*args):
+        walks.append(real_walk(*args))
+        return walks[-1]
+
+    def counted_cache(reader):
+        cached = cache(reader)
+
+        def lookup(lam):
+            lookups.append(lam)
+            return cached(lam)
+        return lookup
+
+    def forbidden(*args):
+        raise AssertionError("bipartition built from %r" % (args,))
+
+    monkeypatch.setattr(isomorphism, "image_walk", recorded_walk)
+    monkeypatch.setattr(isomorphism, "cache", counted_cache)
+    monkeypatch.setattr(crystal.RimTable, "bipartition", forbidden)
+    monkeypatch.setattr(diagrams, "bipartition_json_text", forbidden)
+    monkeypatch.setattr(isomorphism, "bipartition_json_text", forbidden,
+                        raising=False)
+    assert list(verify_psi_nature(11, p)) == expected
+    (src, dst, images), = walks
+    assert dst is not src
+    slots = ({(src, c, pair[c - 1]) for pair in images for c in (1, 2)}
+             | {(dst, c, image[c - 1]) for image in images.values()
+                for c in (1, 2)})
+    assert sorted(lookups) == sorted(table.parts[c - 1][i]
+                                     for table, c, i in slots)
 
 
 def test_e_independence_of_sigma1():

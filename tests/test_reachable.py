@@ -12,6 +12,7 @@ KEPT = {
     ("diagrams", "compare_uglov"),
     ("diagrams", "removable_nodes"),
     ("crystal", "expand_monomial"),
+    ("crystal", "uglov_layers"),
     ("crystal", "good_removable_node"),
     ("crystal", "is_uglov"),
     ("admissible", "removable_class"),
