@@ -1,6 +1,11 @@
 """Connectedness relations, admissible residue sequences and the
 Dipper-James-Murphy verifiers.
 
+Each verifier is a sweep that yields (line, checked, failed) per report:
+line is the report as json.dumps(report, sort_keys=True) writes it,
+checked the instances it covers (one bipartition, or the e**k words of
+a converse rank) and failed how many of those are counterexamples.
+
 A period is a run of e beads of the rows of a bipartition (the contents
 of its non-virtual vertical-boundary nodes) at consecutive contents,
 whose components weakly increase; its presence excludes membership in
@@ -15,19 +20,19 @@ is the run of removable j-nodes around its seed whose neighbours are
 in top_class; its rest is FLOTW exactly when adm_walk has stepped it
 already.  The forward sweep keys its Fock vectors by the pairs of one
 crystal.RimTable, builds each pair's Bipartition, uglov_key and JSON
-text once, and yields each report as its JSON line, joined from those
-texts, with its verdict.  Propb reads the natures of each bipartition
-at its own charge from the cores of its two components
-(diagrams.nature_core), through one functools.cache of nature_core per
-sweep, each core placed at its floor, so a wide charge gap costs it
-nothing.
+text once, and joins each report's line from those texts.  Propb reads
+the natures of each bipartition at its own charge from the cores of its
+two components (diagrams.nature_core), through one functools.cache of
+nature_core per sweep, each core placed at its floor, so a wide charge
+gap costs it nothing.
 
 The converse sweep walks the distinct supports of monomials rank by
 rank, each an int over the bipartitions of its rank in Uglov order, as
 pairs of one RimTable.  Its membership verdicts come from one layer_walk
 on that table, its children from the table's children by residue, the
 child masks of a support from chunk tables that every support of a rank
-shares, and each support's (residue, parent) records by support index.
+shares, and each support's (residue, parent) records by support index;
+each rank's line is written as the rank is done.
 
 The corollary sweep fills each shape's rows in one greedy pass: a letter
 goes to the row that waits for it and has the most boxes left.
@@ -266,11 +271,10 @@ def adm_walk(n: int, p: CrystalParams):
 
 
 def verify_djm_forward(n: int, p: CrystalParams):
-    """Yield (line, ok) for every Uglov bipartition bp of rank <= n: ok
-    when bp is the strict Uglov maximum of its Adm monomial, and line its
-    report as json.dumps(report, sort_keys=True) writes it, with keys
-    adm, bp, expansion, max and pass, or bp, error and pass when the walk
-    fails on bp.
+    """Yield (line, 1, failed) for every Uglov bipartition bp of rank
+    <= n: failed is 0 when bp is the strict Uglov maximum of its Adm
+    monomial, and its report has keys adm, bp, expansion, max and pass,
+    or bp, error and pass when the walk fails on bp.
 
     Adm comes from adm_walk, and the vector of each image's monomial,
     f-operators applied oldest residue first, is the vector of its rest
@@ -284,7 +288,7 @@ def verify_djm_forward(n: int, p: CrystalParams):
     for bp, image, found in adm_walk(n, p):
         if isinstance(found, str):
             yield ('{"bp": %s, "error": %s, "pass": false}'
-                   % (bipartition_json_text(bp), json.dumps(found)), False)
+                   % (bipartition_json_text(bp), json.dumps(found)), 1, 1)
             continue
         seq, step = found
         if step:
@@ -305,7 +309,7 @@ def verify_djm_forward(n: int, p: CrystalParams):
         yield ('{"adm": [%s], "bp": %s, "expansion": [%s], "max": %s, '
                '"pass": %s}' % (", ".join(map(str, seq)), forms[pair], terms,
                                 forms[pair] if ok else "null",
-                                "true" if ok else "false"), ok)
+                                "true" if ok else "false"), 1, int(not ok))
 
 
 CHUNK = 64  # bits of a support per chunk-table lookup: one "Q" word
@@ -332,8 +336,10 @@ class _ChunkTable(dict):
         return entry
 
 
-def verify_djm_converse(n: int, p: CrystalParams) -> list[dict]:
-    """Every monomial maximum is Uglov: one report per rank 0..n.
+def verify_djm_converse(n: int, p: CrystalParams):
+    """Every monomial maximum is Uglov: yield (line, e**k, failed) per
+    rank k = 0..n, failed its failing words, with keys failures, n, pass
+    and words.
 
     Every f_action coefficient is positive, so no term of a monomial's
     expansion cancels: the support of f_j(v) is the union of the
@@ -376,7 +382,6 @@ def verify_djm_converse(n: int, p: CrystalParams) -> list[dict]:
         return [(j,) + w for j, parent in records[k][i]
                 for w in words(k - 1, parent)]
 
-    reports = []
     supports = {1: []}  # the supports of rank k -> their records
     bps = [ROOT]  # the bipartitions of rank k, increasing, as pairs
     for k in range(n + 1):
@@ -390,8 +395,9 @@ def verify_djm_converse(n: int, p: CrystalParams) -> list[dict]:
                 found += ({"word": list(w), "max": bipartition_to_json(best)}
                           for w in words(k, i))
         found.sort(key=lambda f: f["word"])
-        reports.append({"n": k, "words": e ** k, "failures": found,
-                        "pass": not found})
+        yield (json.dumps({"n": k, "words": e ** k, "failures": found,
+                           "pass": not found}, sort_keys=True),
+               e ** k, len(found))
         if k == n:
             break
         up = [rims.pair(bp) for bp in sorted(
@@ -429,7 +435,6 @@ def verify_djm_converse(n: int, p: CrystalParams) -> list[dict]:
                     nxt.setdefault(child, []).append((j, i))
         supports = nxt
         bps = up
-    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -469,35 +474,34 @@ def row_standard_shapes(word, p: CrystalParams, bps) -> set[Bipartition]:
 
 
 def verify_djm_corollary(n: int, p: CrystalParams):
-    """Yield one report per Uglov bipartition bp of rank <= n, row-standard
-    reformulation: bp dominates every shape of its word, Adm from
-    adm_walk."""
+    """Yield (line, 1, failed) per Uglov bipartition bp of rank <= n,
+    row-standard reformulation: failed is 0 when bp dominates every shape
+    of its word, Adm from adm_walk."""
     keys = {}  # bipartition -> its uglov_key, read once per sweep
     ranks = {}  # rank -> its bipartitions, the candidate shapes
     for bp, _, found in adm_walk(n, p):
         if isinstance(found, str):
-            yield {"bp": bipartition_to_json(bp), "pass": False,
-                   "error": found}
+            yield (json.dumps({"bp": bipartition_to_json(bp), "pass": False,
+                               "error": found}, sort_keys=True), 1, 1)
             continue
         seq = found[0]
         if bp.rank not in ranks:
             ranks[bp.rank] = bipartitions_of(bp.rank)
         shapes = row_standard_shapes(seq, p, ranks[bp.rank])
         ok = bp in shapes and uglov_max(shapes, p.charge, keys) == bp
-        yield {
-            "bp": bipartition_to_json(bp),
-            "adm": list(seq),
-            "shapes": [bipartition_to_json(mu) for mu in sorted(shapes)],
-            "pass": ok,
-        }
+        yield (json.dumps({"bp": bipartition_to_json(bp), "adm": list(seq),
+                           "shapes": [bipartition_to_json(mu)
+                                      for mu in sorted(shapes)],
+                           "pass": ok}, sort_keys=True), 1, int(not ok))
 
 
 # ---------------------------------------------------------------------------
 # structural checks on the transported class
 
 def propb_checks(n: int, p: CrystalParams):
-    """Yield one report per Uglov bipartition bp of rank <= n: dominance
-    of the smallest transported class node over addable nodes and the
+    """Yield (line, 1, failed) per Uglov bipartition bp of rank <= n,
+    failed 1 when its report holds failures: dominance of the smallest
+    transported class node over addable nodes and the
     vertical/horizontal exclusion at its residue.  The class is the
     top_class of bp's psi_images image at the fundamental charge; the
     natures of bp come from one cache of nature_core, one core per
@@ -509,8 +513,9 @@ def propb_checks(n: int, p: CrystalParams):
     for bp, image in psi_images(n, p, fp.charge).items():
         failures = ([] if bp == EMPTY
                     else _propb_failures(bp, image, p, fp, core))
-        yield {"bp": bipartition_to_json(bp), "pass": not failures,
-               "failures": failures}
+        yield (json.dumps({"bp": bipartition_to_json(bp),
+                           "pass": not failures, "failures": failures},
+                          sort_keys=True), 1, int(bool(failures)))
 
 
 def _propb_failures(bp: Bipartition, image: Bipartition, p: CrystalParams,

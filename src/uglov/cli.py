@@ -133,10 +133,6 @@ def render_dot(n: int, p: CrystalParams) -> str:
     return "\n".join(lines)
 
 
-# json.dumps(r, sort_keys=True) without the cycle check, for the report
-# dicts of every sweep but forward and psi-nature, which write their own
-# lines: reports share bipartition forms but hold no cycles
-REPORT_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
 LISTING_CHUNK = 4096  # bipartitions per print of an enumerate listing
 
 
@@ -145,33 +141,26 @@ def cmd_verify(args) -> int:
         print("verify needs finite e", file=sys.stderr)
         return 2
     sweeps = {  # built per call, so a rebound sweep function is seen
-        "forward": admissible.verify_djm_forward,
-        "converse": admissible.verify_djm_converse,
-        "corollary": admissible.verify_djm_corollary,
-        "propb": admissible.propb_checks,
-        "psi-nature": isomorphism.verify_psi_nature,
+        "forward": (admissible.verify_djm_forward, "instances"),
+        "converse": (admissible.verify_djm_converse, "words"),
+        "corollary": (admissible.verify_djm_corollary, "instances"),
+        "propb": (admissible.propb_checks, "instances"),
+        "psi-nature": (isomorphism.verify_psi_nature, "instances"),
     }
-    reports = sweeps[args.mode](args.n, CrystalParams(args.e, args.charge))
-    if args.mode in ("forward", "psi-nature"):  # (line, ok) pairs
-        lines = sorted(reports)
-    else:
-        # each report serialized once, as it arrives: its line is also its
-        # sort key, and no report dict outlives its line
-        lines = sorted((REPORT_ENCODER.encode(r), r["pass"]) for r in reports)
-    failed = [line for line, ok in lines if not ok]
+    sweep, unit = sweeps[args.mode]
+    # (line, checked, failed) per report, ordered by its unique line
+    reports = sorted(sweep(args.n, CrystalParams(args.e, args.charge)))
+    failing = [line for line, _, failed in reports if failed]
     if args.format == "json":
-        for line, _ in lines:
+        for line, _, _ in reports:
             print(line)
     else:
-        if args.mode == "converse":  # one report per rank, many words each
-            checked = "%d words" % sum(r["words"] for r in reports)
-            count = sum(len(r["failures"]) for r in reports)
-        else:
-            checked, count = "%d instances" % len(lines), len(failed)
-        print("checked %s, %d counterexamples" % (checked, count))
-        for line in failed:
+        print("checked %d %s, %d counterexamples"
+              % (sum(r[1] for r in reports), unit,
+                 sum(r[2] for r in reports)))
+        for line in failing:
             print(line)
-    return 1 if failed else 0
+    return 1 if failing else 0
 
 
 def cmd_show(args) -> int:

@@ -380,7 +380,8 @@ def uglov_max(bps, charge: tuple[int, int], keys: dict) -> Bipartition:
 # text notation and JSON encoding
 
 def parse_bipartition(text: str) -> Bipartition:
-    """Parse the dotted notation, e.g. "6.1,2.2" or "-,3.1"."""
+    """Parse the dotted notation, e.g. "6.1,2.2" or "-,3.1"; a part is
+    ASCII digits alone, not "1_0", "+1" or other digits int() reads."""
     pieces = text.strip().split(",")
     if len(pieces) != 2:
         raise ValueError("expected two comma-separated components: %r" % text)
@@ -389,7 +390,10 @@ def parse_bipartition(text: str) -> Bipartition:
         piece = piece.strip()
         if piece in ("-", ""):
             return ()
-        return make_partition(int(p) for p in piece.split("."))
+        parts = piece.split(".")
+        if not all(p.isascii() and p.isdigit() for p in parts):
+            raise ValueError("parts must be ASCII digits: %r" % text)
+        return make_partition(map(int, parts))
 
     return Bipartition(comp(pieces[0]), comp(pieces[1]))
 

@@ -231,10 +231,10 @@ def _slots(table: RimTable, c: int, core: Callable):
 
 
 def verify_psi_nature(n: int, p: CrystalParams):
-    """Yield (line, ok) per Uglov bipartition bp of rank <= n at p, where
-    ok is the psi_nature_check of bp and its image_walk image at the
-    swapped charge, and line its report as json.dumps(report,
-    sort_keys=True) writes it, with keys bp, image and pass.
+    """Yield (line, 1, failed) per Uglov bipartition bp of rank <= n at
+    p: failed is 0 when bp and its image_walk image at the swapped charge
+    pass psi_nature_check, and line is json.dumps(report, sort_keys=True)
+    of its report, with keys bp, image and pass.
 
     Each (table, component) partition is read once, by id, into a slot
     holding its JSON text, its core and its floor; one cache of
@@ -259,4 +259,4 @@ def verify_psi_nature(n: int, p: CrystalParams):
             ok = psi_nature_check(k1, f1, k2, f2, m1, g1, m2, g2)
         yield ('{"bp": {"c1": %s, "c2": %s}, '
                '"image": {"c1": %s, "c2": %s}, "pass": %s}'
-               % (t1, t2, u1, u2, "true" if ok else "false"), ok)
+               % (t1, t2, u1, u2, "true" if ok else "false"), 1, int(not ok))

@@ -80,6 +80,11 @@ def _grid() -> list[str]:
         "verify --mode corollary --n 5",
         "verify --mode propb --n 5",
         "verify --mode psi-nature --n 5",
+        # failing sweeps in text mode, each exit 1: the header's counts
+        # and the failing lines alone
+        "--charge 11,0 verify --mode forward --n 4",
+        "verify --mode corollary --n 6",
+        "verify --mode propb --n 10",
         # exit 2 from the commands themselves, not from argparse, whose
         # messages differ between Python versions
         "--e inf verify --mode forward --n 3",

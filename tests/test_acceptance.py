@@ -189,9 +189,9 @@ def test_criterion_2_forward_sweep():
     for e in (2, 3):
         for charge in CHARGES:
             p = CrystalParams(e, charge)
-            for _, passed in verify_djm_forward(7, p):
-                checked += 1
-                ok = ok and passed
+            for _, instances, failed in verify_djm_forward(7, p):
+                checked += instances
+                ok = ok and not failed
     ok = ok and checked > 0
     report("2 (forward sweep, %d instances)" % checked, ok)
 
@@ -201,7 +201,8 @@ def test_criterion_3_converse_sweep():
     for e, nmax in ((2, 5), (3, 4)):
         for charge in ((0, 0), (0, 1)):
             p = CrystalParams(e, charge)
-            ok = ok and all(r["pass"] for r in verify_djm_converse(nmax, p))
+            ok = ok and not any(failed for _, _, failed
+                                in verify_djm_converse(nmax, p))
     report("3 (converse sweep)", ok)
 
 
@@ -321,7 +322,8 @@ def test_criterion_7_structural_suites():
                             ok = ok and good_removable_node(
                                 add_node(bp, g), j, p) == g
             # recursion law of the admissible sequence and propb
-            ok = ok and all(r["pass"] for r in propb_checks(6, p))
+            ok = ok and not any(failed for _, _, failed
+                                in propb_checks(6, p))
         for s1 in range(e):
             for s2 in range(s1, e):
                 fp = CrystalParams(e, (s1, s2))

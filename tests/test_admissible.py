@@ -409,9 +409,35 @@ def forward_oracle(bp, p):
     }
 
 
+def checked_lines(triples):
+    """The lines of a sweep's (line, checked, failed) triples, in order,
+    each triple's counts checked against its line: a converse rank line
+    covers its words and fails on each of its failures, any other line
+    covers one instance and fails when it does not pass."""
+    lines = []
+    for line, checked, failed in triples:
+        r = json.loads(line)
+        if "words" in r:
+            assert (checked, failed) == (r["words"], len(r["failures"]))
+        else:
+            assert (checked, failed) == (1, int(not r["pass"]))
+        lines.append(line)
+    return lines
+
+
+def swept_lines(triples):
+    """The lines of a sweep's triples, checked, sorted."""
+    return sorted(checked_lines(triples))
+
+
+def passing(triples):
+    """Whether every line of a sweep passes, its counts checked."""
+    return all(json.loads(line)["pass"] for line in checked_lines(triples))
+
+
 def forward_lines(n, p):
     """The sweep's report lines up to rank n, sorted."""
-    return sorted(line for line, _ in verify_djm_forward(n, p))
+    return swept_lines(verify_djm_forward(n, p))
 
 
 def forward_reports(n, p):
@@ -437,7 +463,7 @@ def test_verify_djm_forward_small_grid():
             p = CrystalParams(e, charge)
             reports = list(verify_djm_forward(4, p))
             assert len(reports) == sum(map(len, uglov_layers(4, p)))
-            assert all(ok for _, ok in reports)
+            assert passing(reports)
 
 
 FORWARD_GRID = [CrystalParams(e, charge) for e in (2, 3, 4)
@@ -445,19 +471,18 @@ FORWARD_GRID = [CrystalParams(e, charge) for e in (2, 3, 4)
                                (11, 0), (5, -2))]
 
 
-def assert_lines_are_json_dumps(pairs, oracle, n, p):
-    """The (line, ok) pairs of a sweep up to rank n at p are the bytes of
-    json.dumps of the oracle's reports, one per Uglov bipartition, and
-    each verdict is its line's "pass"."""
-    assert sorted(line for line, _ in pairs) == _oracle_lines(oracle, n, p)
-    assert all(json.loads(line)["pass"] is ok for line, ok in pairs)
+def assert_lines_are_json_dumps(triples, oracle, n, p):
+    """The (line, checked, failed) triples of a sweep up to rank n at p
+    are the bytes of json.dumps of the oracle's reports, one per Uglov
+    bipartition, and each triple's counts follow its line's "pass"."""
+    assert swept_lines(triples) == _oracle_lines(oracle, n, p)
 
 
 @pytest.mark.parametrize("p", FORWARD_GRID, ids=str)
 def test_verify_djm_forward_matches_oracle(p):
-    pairs = list(verify_djm_forward(7, p))
-    assert_lines_are_json_dumps(pairs, forward_oracle, 7, p)
-    swept = [line for line, _ in pairs]
+    triples = list(verify_djm_forward(7, p))
+    assert_lines_are_json_dumps(triples, forward_oracle, 7, p)
+    swept = [line for line, _, _ in triples]
     # up to rank 7, only the cells with |s1 - s2| > e at e = 3, 4 fail,
     # with "max": null
     fails = p.e > 2 and abs(p.charge[0] - p.charge[1]) > p.e
@@ -478,15 +503,15 @@ def psi_nature_oracle(bp, p):
                                CrystalParams(2, (2, -1))], ids=str)
 def test_verify_psi_nature_matches_oracle(p):
     # Also with s1 > s2, where the table is read from the image back.
-    pairs = list(verify_psi_nature(7, p))
-    assert_lines_are_json_dumps(pairs, psi_nature_oracle, 7, p)
+    triples = list(verify_psi_nature(7, p))
+    assert_lines_are_json_dumps(triples, psi_nature_oracle, 7, p)
 
 
 def test_verify_psi_nature_writes_a_failing_line(monkeypatch):
     # No sweep of the grid fails, so every check is forced to.
     monkeypatch.setattr(isomorphism, "psi_nature_check", lambda *args: False)
-    pairs = list(verify_psi_nature(4, P01))
-    assert_lines_are_json_dumps(pairs, lambda bp, p: {
+    triples = list(verify_psi_nature(4, P01))
+    assert_lines_are_json_dumps(triples, lambda bp, p: {
         **psi_nature_oracle(bp, p), "pass": False}, 4, P01)
 
 
@@ -495,11 +520,11 @@ def test_verify_djm_forward_error_line_matches_json():
     # bytes of json.dumps of its error report.
     p = CrystalParams(3, (0, 0))
     bp = P("3.2.1,3.1")
-    errors = [(line, ok) for line, ok in verify_djm_forward(10, p)
-              if '"error": ' in line]
+    errors = [triple for triple in verify_djm_forward(10, p)
+              if '"error": ' in triple[0]]
     report = forward_oracle(bp, p)
     assert set(report) == {"bp", "error", "pass"}
-    assert errors == [(json.dumps(report, sort_keys=True), False)]
+    assert errors == [(json.dumps(report, sort_keys=True), 1, 1)]
 
 
 def test_forward_reads_children_once_per_bipartition(monkeypatch):
@@ -715,14 +740,15 @@ def test_adm_oracle_pins_a_failure():
 
 def test_verify_djm_converse_small():
     p = CrystalParams(2, (0, 1))
-    reports = verify_djm_converse(3, p)
-    assert [r["n"] for r in reports] == [0, 1, 2, 3]
-    for n, report in enumerate(reports):
-        assert report == _converse_brute(n, p, is_uglov)
-        assert report["pass"]
-        assert report["words"] == 2 ** n
+    triples = list(verify_djm_converse(3, p))
+    assert checked_lines(triples) == _dumps(
+        _converse_brute(n, p, is_uglov) for n in range(4))
+    assert [(json.loads(line)["n"], checked, failed)
+            for line, checked, failed in triples] == [
+        (n, 2 ** n, 0) for n in range(4)]
+    assert passing(triples)
     with pytest.raises(ValueError):
-        verify_djm_converse(2, CrystalParams(None, (0, 1)))
+        list(verify_djm_converse(2, CrystalParams(None, (0, 1))))
 
 
 def _converse_brute(n, p, member):
@@ -757,16 +783,17 @@ CONVERSE_GRID = [CrystalParams(e, charge) for e in (2, 3, 4)
 
 @pytest.mark.parametrize("p", CONVERSE_GRID, ids=str)
 def test_verify_djm_converse_matches_brute_force(p, monkeypatch):
-    assert verify_djm_converse(5, p) == [_converse_brute(n, p, is_uglov)
-                                         for n in range(6)]
+    assert checked_lines(verify_djm_converse(5, p)) == _dumps(
+        _converse_brute(n, p, is_uglov) for n in range(6))
 
     def member(bp, p):  # forces failures, to check their order
         return bp.c1[:1] != (1,) and is_uglov(bp, p)
 
     keep_members(monkeypatch, member)
-    reports = verify_djm_converse(5, p)
-    assert reports == [_converse_brute(n, p, member) for n in range(6)]
-    assert sum(len(r["failures"]) for r in reports) > 1
+    triples = list(verify_djm_converse(5, p))
+    assert checked_lines(triples) == _dumps(
+        _converse_brute(n, p, member) for n in range(6))
+    assert sum(failed for _, _, failed in triples) > 1
 
 
 def converse_word_oracle(n, p, member):
@@ -806,11 +833,13 @@ WALK_GRID = [CrystalParams(e, charge) for e in (2, 3, 4)
 
 @pytest.mark.parametrize("p", WALK_GRID, ids=str)
 def test_verify_djm_converse_matches_word_oracle(p, monkeypatch):
-    assert verify_djm_converse(7, p) == converse_word_oracle(7, p, is_uglov)
+    assert checked_lines(verify_djm_converse(7, p)) == _dumps(
+        converse_word_oracle(7, p, is_uglov))
     keep_members(monkeypatch, _forced_member)
-    reports = verify_djm_converse(7, p)
-    assert reports == converse_word_oracle(7, p, _forced_member)
-    assert sum(len(r["failures"]) for r in reports) > 1
+    triples = list(verify_djm_converse(7, p))
+    assert checked_lines(triples) == _dumps(
+        converse_word_oracle(7, p, _forced_member))
+    assert sum(failed for _, _, failed in triples) > 1
 
 
 def converse_support_oracle(n, p, member):
@@ -868,12 +897,13 @@ def converse_support_oracle(n, p, member):
 @pytest.mark.parametrize("p", WALK_GRID, ids=str)
 def test_verify_djm_converse_matches_support_oracle(p, monkeypatch):
     # two ranks past the word oracle's reach
-    assert verify_djm_converse(9, p) == converse_support_oracle(9, p,
-                                                                 is_uglov)
+    assert checked_lines(verify_djm_converse(9, p)) == _dumps(
+        converse_support_oracle(9, p, is_uglov))
     keep_members(monkeypatch, _forced_member)
-    reports = verify_djm_converse(9, p)
-    assert reports == converse_support_oracle(9, p, _forced_member)
-    assert sum(len(r["failures"]) for r in reports) > 1
+    triples = list(verify_djm_converse(9, p))
+    assert checked_lines(triples) == _dumps(
+        converse_support_oracle(9, p, _forced_member))
+    assert sum(failed for _, _, failed in triples) > 1
 
 
 def test_converse_takes_verdicts_from_one_edge_walk(monkeypatch):
@@ -902,11 +932,11 @@ def test_converse_takes_verdicts_from_one_edge_walk(monkeypatch):
             monkeypatch.setattr(module, name, forbidden)
             patched.add(name)
     assert patched == names  # each forbidden name exists somewhere
-    reports = verify_djm_converse(8, P01)
+    triples = list(verify_djm_converse(8, P01))
     assert len(tables) == 1
     assert walks == [(8, tables[0])]
-    assert [r["n"] for r in reports] == list(range(9))
-    assert all(r["pass"] for r in reports)
+    assert [json.loads(line)["n"] for line, _, _ in triples] == list(range(9))
+    assert passing(triples)
 
 
 def test_converse_chunk_table_is_shared(monkeypatch):
@@ -926,7 +956,7 @@ def test_converse_chunk_table_is_shared(monkeypatch):
 
     monkeypatch.setattr(table, "__getitem__", lookup)
     monkeypatch.setattr(table, "__missing__", fill)
-    assert all(r["pass"] for r in verify_djm_converse(12, P01))
+    assert passing(verify_djm_converse(12, P01))
     assert len(lookups) > 2 * len(fills) > 0
 
 
@@ -969,7 +999,7 @@ def test_converse_reads_children_once_per_bipartition(monkeypatch):
     monkeypatch.setattr(admissible, "uglov_key", counted_key)
     reads = count_component_reads(monkeypatch)
     forbid_validating_primitives(monkeypatch)
-    verify_djm_converse(8, P01)
+    list(verify_djm_converse(8, P01))
     assert passes == []
     assert len(reads) == len(set(reads))
     assert set(reads) == component_keys(
@@ -1161,8 +1191,12 @@ def propb_oracle(bp, p):
                 "error": str(exc)}
 
 
+def _dumps(reports):
+    return [json.dumps(r, sort_keys=True) for r in reports]
+
+
 def _lines(reports):
-    return sorted(json.dumps(r, sort_keys=True) for r in reports)
+    return sorted(_dumps(reports))
 
 
 def _oracle_lines(oracle, n, p):
@@ -1172,7 +1206,7 @@ def _oracle_lines(oracle, n, p):
 
 @pytest.mark.parametrize("p", WALK_GRID, ids=str)
 def test_verify_djm_corollary_matches_oracle(p, monkeypatch):
-    assert (_lines(verify_djm_corollary(6, p))
+    assert (swept_lines(verify_djm_corollary(6, p))
             == _oracle_lines(corollary_oracle, 6, p))
     # a class step forced to fail on one image: every bipartition whose
     # chain of class steps passes through it carries its text
@@ -1186,14 +1220,14 @@ def test_verify_djm_corollary_matches_oracle(p, monkeypatch):
         return real(bp, q)
 
     monkeypatch.setattr(admissible, "class_step", forced)
-    swept = _lines(verify_djm_corollary(6, p))
+    swept = swept_lines(verify_djm_corollary(6, p))
     assert swept == _oracle_lines(corollary_oracle, 6, p)
     assert sum('"error": "forced on' in x for x in swept) > 1
 
 
 @pytest.mark.parametrize("sweep, oracle", [
     (forward_lines, forward_oracle),
-    (lambda n, p: _lines(verify_djm_corollary(n, p)), corollary_oracle),
+    (lambda n, p: swept_lines(verify_djm_corollary(n, p)), corollary_oracle),
 ], ids=["verify_djm_forward-forward_oracle",
         "verify_djm_corollary-corollary_oracle"])
 def test_non_flotw_rest_is_an_error(monkeypatch, sweep, oracle):
@@ -1219,7 +1253,7 @@ def test_non_flotw_rest_is_an_error(monkeypatch, sweep, oracle):
 
 @pytest.mark.parametrize("p", WALK_GRID, ids=str)
 def test_propb_checks_matches_oracle(p):
-    assert (_lines(propb_checks(7, p))
+    assert (swept_lines(propb_checks(7, p))
             == _oracle_lines(propb_oracle, 7, p))
 
 
@@ -1229,7 +1263,7 @@ def test_propb_checks_matches_oracle_at_wide_charges(e, charge):
     # The oracle reads a nature table as wide as the charge gap; the
     # sweep reads the two cores and the Bv run below each by arithmetic.
     p = CrystalParams(e, charge)
-    assert (_lines(propb_checks(6, p))
+    assert (swept_lines(propb_checks(6, p))
             == _oracle_lines(propb_oracle, 6, p))
 
 
@@ -1241,7 +1275,7 @@ def test_propb_checks_matches_oracle_at_wide_charges(e, charge):
 ])
 def test_propb_checks_matches_oracle_where_it_fails(e, charge, n):
     p = CrystalParams(e, charge)
-    swept = _lines(propb_checks(n, p))
+    swept = swept_lines(propb_checks(n, p))
     assert swept == _oracle_lines(propb_oracle, n, p)
     assert any('"pass": false' in x for x in swept)
 
@@ -1331,8 +1365,8 @@ def test_propb_class_longer_than_the_normal_nodes():
     assert (j, len(cls), len(normal)) == (1, 3, 2)
     expected = {"bp": bipartition_to_json(bp), "pass": False, "failures": [
         "class is not the top normal nodes at the fundamental charge"]}
-    assert [r for r in propb_checks(bp.rank, p)
-            if r["bp"] == expected["bp"]] == [expected]
+    assert [line for line in checked_lines(propb_checks(bp.rank, p))
+            if json.loads(line)["bp"] == expected["bp"]] == _lines([expected])
     assert propb_oracle(bp, p) == expected
 
 
@@ -1365,7 +1399,7 @@ def test_corollary_and_propb_transport_nothing(monkeypatch):
 def test_verify_djm_corollary_small():
     reports = list(verify_djm_corollary(4, P01))
     assert len(reports) == sum(map(len, uglov_layers(4, P01)))
-    assert all(r["pass"] for r in reports)
+    assert passing(reports)
     with pytest.raises(ValueError):
         list(verify_djm_corollary(2, CrystalParams(None, (0, 1))))
 
@@ -1376,7 +1410,7 @@ def test_propb_checks_small():
             p = CrystalParams(e, charge)
             reports = list(propb_checks(4, p))
             assert len(reports) == sum(map(len, uglov_layers(4, p)))
-            for report in reports:
-                assert report["pass"], report["failures"]
+            for line in checked_lines(reports):
+                assert json.loads(line)["pass"], line
     with pytest.raises(ValueError):
         list(propb_checks(2, CrystalParams(None, (0, 1))))

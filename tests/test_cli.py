@@ -10,6 +10,8 @@ import sys
 import pytest
 
 import uglov
+from test_admissible import _forced_member, keep_members
+from uglov import isomorphism
 from uglov.cli import main, parse_charge, parse_e, parse_window
 
 
@@ -211,6 +213,63 @@ def test_verify_psi_nature_first_charge_larger(capsys):
     assert out == "checked 166 instances, 0 counterexamples\n"
 
 
+def assert_one_report_protocol(capsys, options, mode, n):
+    """The text and JSON runs of one sweep agree: the text header counts
+    the JSON lines as instances (converse: their summed words) and the
+    failing ones as counterexamples (converse: their summed failing
+    words), the text body is the failing JSON lines in order, and both
+    runs exit 1 exactly when a line fails.  Returns the header."""
+    verify = ["verify", "--mode", mode, "--n", str(n)]
+    code, out, _ = run(capsys, options + ["--format", "json"] + verify)
+    lines = out.splitlines()
+    reports = [json.loads(line) for line in lines]
+    failing = [line for line, r in zip(lines, reports) if not r["pass"]]
+    if mode == "converse":
+        checked = "%d words" % sum(r["words"] for r in reports)
+        count = sum(len(r["failures"]) for r in reports)
+    else:
+        checked, count = "%d instances" % len(lines), len(failing)
+    header = "checked %s, %d counterexamples" % (checked, count)
+    text_code, text, _ = run(capsys, options + verify)
+    assert text.splitlines() == [header] + failing
+    assert text_code == code == (1 if failing else 0)
+    return header
+
+
+@pytest.mark.parametrize("options, mode, n, fails", [
+    # one passing cell per mode
+    ([], "forward", 6, False),
+    ([], "converse", 5, False),
+    ([], "corollary", 5, False),
+    ([], "propb", 6, False),
+    ([], "psi-nature", 6, False),
+    # the known failing sweeps
+    (["--charge", "11,0"], "forward", 4, True),
+    ([], "forward", 12, True),
+    (["--charge", "0,0"], "forward", 10, True),
+    ([], "corollary", 6, True),
+    ([], "propb", 10, True),
+    (["--e", "4", "--charge", "1,3"], "propb", 13, True),
+], ids=lambda x: " ".join(x) or "defaults" if isinstance(x, list) else str(x))
+def test_one_report_protocol(capsys, options, mode, n, fails):
+    header = assert_one_report_protocol(capsys, options, mode, n)
+    assert header.endswith(" 0 counterexamples") != fails
+
+
+def test_one_report_protocol_on_forced_failures(capsys, monkeypatch):
+    # converse and psi-nature have no known failing sweep, so their
+    # failures are forced, as in test_admissible.  A failing converse
+    # rank line holds several failing words, and the text header counts
+    # every one of them over the 40 words of ranks 0..3 at e = 3.
+    keep_members(monkeypatch, _forced_member)
+    monkeypatch.setattr(isomorphism, "psi_nature_check", lambda *args: False)
+    header = assert_one_report_protocol(capsys, [], "converse", 3)
+    assert header.startswith("checked 40 words, ")
+    assert int(header.split()[-2]) > 3  # more than one word per rank line
+    header = assert_one_report_protocol(capsys, [], "psi-nature", 4)
+    assert not header.endswith(" 0 counterexamples")
+
+
 def test_verify_forward_internal_error_is_a_counterexample(capsys):
     # adm_flotw's class assertion fails on 3.2.1,3.1 at e=3, s=(0,0)
     code, out, err = run(capsys, ["--charge", "0,0", "verify",
@@ -329,6 +388,9 @@ def test_show_unknown_rendering(capsys):
     ["show", "1,-", "natures", "--window=5,1"],
     ["show", "0.1,1", "natures"],
     ["show", "2.0.1,-", "adm"],
+    ["show", "1_0,2", "adm"],  # int() reads these parts
+    ["show", "+1,2", "adm"],
+    ["show", "\u0661,2", "adm"],
     ["show", "1,-", "psi:x,1"],
     ["show", "1,-", "psi:1"],
     ["--e", "inf", "verify", "--mode", "forward", "--n", "2"],

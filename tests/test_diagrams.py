@@ -604,6 +604,9 @@ def test_parse_format_round_trip():
         parse_bipartition("1.2,3")  # not weakly decreasing
     with pytest.raises(ValueError):
         parse_bipartition("1,2,3")
+    for text in ("1_0,2", "+1,2", "\u0661,2", "1. 2,-"):
+        with pytest.raises(ValueError, match="ASCII digits"):
+            parse_bipartition(text)  # int() reads each of these parts
 
 
 def test_json_round_trip():
