@@ -43,6 +43,13 @@ def _grid() -> list[str]:
         # deeper forward sweeps, each exit 0
         "--format json verify --mode forward --n 11",
         "--e 4 --charge 1,3 --format json verify --mode forward --n 10",
+        # sweeps whose charge is off the fundamental domain, so the walk's
+        # two tables differ: forward exit 0, then 1 on the transport
+        # defect; propb exit 0; corollary exit 1
+        "--e 4 --charge=3,1 --format json verify --mode forward --n 10",
+        "--e 3 --charge=2,-1 --format json verify --mode forward --n 11",
+        "--e 4 --charge=3,1 --format json verify --mode propb --n 11",
+        "--e 3 --charge=1,0 --format json verify --mode corollary --n 8",
         # deeper corollary sweeps: exit 1, 0 and 1
         "--format json verify --mode corollary --n 9",
         "--e 2 --format json verify --mode corollary --n 9",
