@@ -11,20 +11,20 @@ of its non-virtual vertical-boundary nodes) at consecutive contents,
 whose components weakly increase; its presence excludes membership in
 the crystal component of the empty bipartition.
 
-The forward, corollary and propb sweeps read their bipartitions at the
-fundamental charge from one isomorphism.psi_images walk: propb checks
-each image's top_class, and adm_walk, feeding forward and corollary,
-takes one class_step per image onto the Adm of its remainder.  A class
-is the run of removable j-nodes around its seed whose neighbours are
-(1)- or (2)-connected.  Each class step reads its image in one rim pass,
-in top_class; its rest is FLOTW exactly when adm_walk has stepped it
-already.  The forward sweep keys its Fock vectors by the pairs of one
-crystal.RimTable, builds each pair's Bipartition, uglov_key and JSON
-text once, and joins each report's line from those texts.  Propb reads
-the natures of each bipartition at its own charge from the cores of its
-two components (diagrams.nature_core), through one functools.cache of
-nature_core per sweep, each core placed at its floor, so a wide charge
-gap costs it nothing.
+The forward, corollary and propb sweeps each read the pairs of one
+isomorphism.image_walk to the fundamental charge: propb checks each
+image's top_class, and adm_walk, feeding forward and corollary, takes
+one class_step per image onto the Adm of its remainder.  A class is the
+run of removable j-nodes around its seed whose neighbours are (1)- or
+(2)-connected.  Each class step reads its image in one rim pass, in
+top_class; its rest is FLOTW exactly when adm_walk has stepped it
+already.  The forward sweep keys its Fock vectors by the pairs of the
+walk's table at its own charge, builds each pair's Bipartition,
+uglov_key and JSON text once, and joins each line from those texts.
+Propb reads the natures of each bipartition at its own charge from the
+cores of its two components (diagrams.nature_core), through one
+functools.cache of nature_core per sweep, each core placed at its
+floor, so a wide charge gap costs it nothing.
 
 The converse sweep walks the distinct supports of monomials rank by
 rank, each an int over the bipartitions of its rank in Uglov order, as
@@ -79,7 +79,7 @@ from .diagrams import (
     uglov_key,
     uglov_max,
 )
-from .isomorphism import psi_images, psi_to, reduce_to_fundamental
+from .isomorphism import fundamental, image_walk, psi_to
 
 
 def has_period(bp: Bipartition, p: CrystalParams) -> bool:
@@ -231,35 +231,32 @@ def adm_flotw(bp: Bipartition, p: CrystalParams) -> list:
 
 def adm(bp: Bipartition, p: CrystalParams) -> list:
     """Admissible residue sequence of an arbitrary Uglov bipartition."""
-    if p.e is None:
-        raise ValueError("admissible sequences need finite e")
-    fundamental = reduce_to_fundamental(p.charge, p.e)
-    image = psi_to(bp, p.charge, fundamental, p.e)
-    return adm_flotw(image, CrystalParams(p.e, fundamental))
+    fp = fundamental(p)
+    return adm_flotw(psi_to(bp, p.charge, fp.charge, p.e), fp)
 
 
 # ---------------------------------------------------------------------------
 # theorem verifiers
 
-def adm_walk(n: int, p: CrystalParams):
-    """Yield (bp, image, found) for every Uglov bipartition bp of rank
-    <= n, in increasing rank: image is its psi_images image at the
-    fundamental charge, and found is (Adm(bp), the class_step of image,
-    None if empty) or the AssertionError text of the first failing class
-    step from image down to empty.  The rest of each step, of lower rank,
-    already holds its found: Adm(bp) = Adm(rest) followed by [j]^r.
+def adm_walk(walk):
+    """Yield (pair, image, found) for every pair of walk, an image_walk
+    (src, dst, images) to a fundamental charge, in increasing rank: image
+    is the pair's image, a Bipartition, and found is (Adm of the pair's
+    bipartition, the class_step of image, None if empty) or the
+    AssertionError text of the first failing class step from image down
+    to empty.  The rest of each step, of lower rank, already holds its
+    found: Adm(bp) = Adm(rest) followed by [j]^r.
 
-    The images come in increasing rank and are the FLOTW bipartitions of
-    rank <= n, so a rest is FLOTW exactly when done holds it: no is_flotw.
+    The images, in increasing rank, are the FLOTW bipartitions of the
+    walk's ranks, so a rest is FLOTW exactly when done holds it: no is_flotw.
     """
-    if p.e is None:
-        raise ValueError("admissible sequences need finite e")
-    fp = CrystalParams(p.e, reduce_to_fundamental(p.charge, p.e))
+    _, dst, images = walk
     done = {EMPTY: ([], None)}  # image -> found; psi is a bijection
-    for bp, image in psi_images(n, p, fp.charge).items():
+    for pair, image in images.items():
+        image = dst.bipartition(image)
         if image != EMPTY:
             try:
-                j, r, rest = step = class_step(image, fp)
+                j, r, rest = step = class_step(image, dst.p)
             except AssertionError as exc:
                 done[image] = str(exc)
             else:
@@ -267,7 +264,7 @@ def adm_walk(n: int, p: CrystalParams):
                          or "class removal left non-FLOTW %r" % (rest,))
                 done[image] = (below if isinstance(below, str)
                                else (below[0] + [j] * r, step))
-        yield bp, image, done[image]
+        yield pair, image, done[image]
 
 
 def verify_djm_forward(n: int, p: CrystalParams):
@@ -278,17 +275,19 @@ def verify_djm_forward(n: int, p: CrystalParams):
 
     Adm comes from adm_walk, and the vector of each image's monomial,
     f-operators applied oldest residue first, is the vector of its rest
-    extended by r f_action steps over the pairs of one table.  Each pair
+    extended by r f_action steps over the pairs of the walk's table at
+    p, so each component partition's rim at p is read once.  Each pair
     is built once into a Bipartition, for its uglov_key, the sort of the
     expansion and its JSON text; each line is joined from those texts.
     """
-    table = RimTable(p)  # f_action's, shared by the sweep
+    table, _, _ = walk = image_walk(n, p, fundamental(p).charge)  # at p
     vecs = {EMPTY: {ROOT: 1}}  # image -> vector of its Adm monomial
     bps, keys, forms = {}, {}, {}  # pair -> its bipartition, key, JSON text
-    for bp, image, found in adm_walk(n, p):
+    for pair, image, found in adm_walk(walk):
         if isinstance(found, str):
             yield ('{"bp": %s, "error": %s, "pass": false}'
-                   % (bipartition_json_text(bp), json.dumps(found)), 1, 1)
+                   % (bipartition_json_text(table.bipartition(pair)),
+                      json.dumps(found)), 1, 1)
             continue
         seq, step = found
         if step:
@@ -297,7 +296,7 @@ def verify_djm_forward(n: int, p: CrystalParams):
             for _ in range(r):
                 vec = f_action(vec, j, table)
             vecs[image] = vec
-        vec, pair = vecs[image], table.pair(bp)
+        vec = vecs[image]
         for mu in (pair, *vec):
             if mu not in bps:
                 bps[mu] = table.bipartition(mu)
@@ -477,9 +476,11 @@ def verify_djm_corollary(n: int, p: CrystalParams):
     """Yield (line, 1, failed) per Uglov bipartition bp of rank <= n,
     row-standard reformulation: failed is 0 when bp dominates every shape
     of its word, Adm from adm_walk."""
+    src, _, _ = walk = image_walk(n, p, fundamental(p).charge)
     keys = {}  # bipartition -> its uglov_key, read once per sweep
     ranks = {}  # rank -> its bipartitions, the candidate shapes
-    for bp, _, found in adm_walk(n, p):
+    for pair, _, found in adm_walk(walk):
+        bp = src.bipartition(pair)
         if isinstance(found, str):
             yield (json.dumps({"bp": bipartition_to_json(bp), "pass": False,
                                "error": found}, sort_keys=True), 1, 1)
@@ -503,16 +504,15 @@ def propb_checks(n: int, p: CrystalParams):
     failed 1 when its report holds failures: dominance of the smallest
     transported class node over addable nodes and the
     vertical/horizontal exclusion at its residue.  The class is the
-    top_class of bp's psi_images image at the fundamental charge; the
+    top_class of bp's image_walk image at the fundamental charge; the
     natures of bp come from one cache of nature_core, one core per
     component partition of the sweep."""
-    if p.e is None:
-        raise ValueError("needs finite e")
-    fp = CrystalParams(p.e, reduce_to_fundamental(p.charge, p.e))
+    src, dst, images = image_walk(n, p, fundamental(p).charge)
     core = cache(nature_core)
-    for bp, image in psi_images(n, p, fp.charge).items():
-        failures = ([] if bp == EMPTY
-                    else _propb_failures(bp, image, p, fp, core))
+    for pair, image in images.items():
+        bp = src.bipartition(pair)
+        failures = ([] if bp == EMPTY else _propb_failures(
+            bp, dst.bipartition(image), p, dst.p, core))
         yield (json.dumps({"bp": bipartition_to_json(bp),
                            "pass": not failures, "failures": failures},
                           sort_keys=True), 1, int(bool(failures)))

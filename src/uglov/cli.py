@@ -21,37 +21,40 @@ from .crystal import CrystalParams
 from .diagrams import format_bipartition, parse_bipartition
 
 
+def parse_int(text: str, least=None, usage="") -> int:
+    """ASCII digits after an optional '-', and >= least if least is given."""
+    digits = text[text.startswith("-"):]
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError("not an integer: %r" % (text,))
+    if least is not None and int(text) < least:
+        raise argparse.ArgumentTypeError(usage)
+    return int(text)
+
+
 def parse_e(text: str):
-    if text == "inf":
-        return None
-    e = int(text)
-    if e < 2:
-        raise argparse.ArgumentTypeError("e must be >= 2 or 'inf'")
-    return e
+    usage = "e must be >= 2 or 'inf'"
+    return None if text == "inf" else parse_int(text, 2, usage)
 
 
 def parse_charge(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("charge must be 's1,s2'")
-    return (int(parts[0]), int(parts[1]))
+    return tuple(map(parse_int, parts))
 
 
 def parse_window(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("window must be 'lo,hi'")
-    lo, hi = int(parts[0]), int(parts[1])
+    lo, hi = map(parse_int, parts)
     if lo > hi:
         raise argparse.ArgumentTypeError("window needs lo <= hi")
     return (lo, hi)
 
 
 def parse_rank(text: str) -> int:
-    n = int(text)
-    if n < 0:
-        raise argparse.ArgumentTypeError("n must be >= 0")
-    return n
+    return parse_int(text, 0, "n must be >= 0")
 
 
 def parse_rendering(text: str):
@@ -73,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "a leading '-' reads as an option")
     parser.add_argument("--format", choices=("text", "json", "dot"),
                         default="text")
-    parser.add_argument("--workers", type=int, choices=(1,), default=1)
+    parser.add_argument("--workers", type=parse_int, choices=(1,), default=1)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_enum = sub.add_parser("enumerate",

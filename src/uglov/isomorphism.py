@@ -14,20 +14,17 @@ A sweep over a whole crystal component needs no peeling: image_walk
 walks the component in two RimTables, one per charge, one
 good_additions batch per layer at each in lockstep, and maps each pair
 to its image pair; at its own charge, where the isomorphism is the
-identity, it is one layer_walk with no image scanned.  psi_images is its
-view over Bipartitions, from which admissible.adm_walk and propb read
-the images at the fundamental charge.
-
-verify_psi_nature reads the pairs of image_walk directly: each
-partition of each (table, component) is read once, by id, into a slot
-holding its JSON text, its core (diagrams.nature_core, through one
-functools.cache shared by both tables, so each distinct partition's
-core is built once) and its floor, and each report line is joined from
-the stored texts.  psi_nature_check takes the four cores and floors.
-Below the core a component is a run of virtual Bv, above it a run of
-virtual Bh.  Only the cores and one content of the gap between the
-cores at s1 and those at s2 are compared, so the check costs O(rank) at
-any charge.
+identity, it is one layer_walk with no image scanned.  The image sweeps
+read its pairs: admissible's forward, corollary and propb sweeps to the
+fundamental charge, and verify_psi_nature to the swapped one.  That
+sweep reads each partition of each (table, component) once, by id, into
+a slot holding its JSON text, its core (diagrams.nature_core, through
+one functools.cache shared by both tables) and its floor, and joins
+each line from the stored texts.  psi_nature_check takes the four cores
+and floors.  Below the core a component is a run of virtual Bv, above
+it a run of virtual Bh.  Only the cores and one content of the gap
+between the cores at s1 and those at s2 are compared, so the check
+costs O(rank) at any charge.
 """
 
 from __future__ import annotations
@@ -61,6 +58,13 @@ def reduce_to_fundamental(charge, e: Optional[int]) -> tuple[int, int]:
         return tuple(sorted(charge))
     s1, s2 = charge
     return tuple(sorted((s1 % e, s2 % e)))
+
+
+def fundamental(p: CrystalParams) -> CrystalParams:
+    """p at the fundamental member of its orbit, where Adm is read."""
+    if p.e is None:
+        raise ValueError("admissible sequences need finite e")
+    return CrystalParams(p.e, reduce_to_fundamental(p.charge, p.e))
 
 
 def require_same_orbit(c1, c2, e: Optional[int]):
@@ -142,15 +146,6 @@ def image_walk(n: int, p_from: CrystalParams, charge_to):
                 nxt.append(kid)
         layer = nxt
     return src, dst, images
-
-
-def psi_images(n: int, p_from: CrystalParams, charge_to) -> dict:
-    """{bp: psi_to(bp, p_from.charge, charge_to, p_from.e)} for every
-    Uglov bipartition bp of rank <= n at p_from, in increasing rank: the
-    image_walk, read as Bipartitions."""
-    src, dst, images = image_walk(n, p_from, charge_to)
-    return {src.bipartition(pair): dst.bipartition(image)
-            for pair, image in images.items()}
 
 
 # ---------------------------------------------------------------------------

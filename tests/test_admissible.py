@@ -53,7 +53,13 @@ from uglov.diagrams import (
     uglov_key,
     uglov_max,
 )
-from uglov.isomorphism import psi_to, reduce_to_fundamental, verify_psi_nature
+from uglov.isomorphism import (
+    fundamental,
+    image_walk,
+    psi_to,
+    reduce_to_fundamental,
+    verify_psi_nature,
+)
 from test_crystal import (
     component_keys,
     count_component_reads,
@@ -530,10 +536,10 @@ def test_verify_djm_forward_error_line_matches_json():
 def test_forward_reads_children_once_per_bipartition(monkeypatch):
     # Every whole-rim pass of the sweep is top_class's, one per nonempty
     # image (249 at rank <= 9), and none comes from crystal.rim; the
-    # sweep's f_action calls share one table, which reads each
-    # (component, partition) of the bipartitions they scan once, and the
-    # walk of psi_images reads each (component, partition) of the Uglov
-    # bipartitions below rank 9 once.
+    # sweep's f_action calls share the walk's one table, and every
+    # (component, partition) it reads is read once: the Uglov
+    # bipartitions below rank 9, which the walk scans, lie among those
+    # f_action scans, so the reads are exactly f_action's.
     reports = list(verify_djm_forward(9, P01))
     layers = uglov_layers(9, P01)
     images = set().union(*layers) - {EMPTY}
@@ -561,16 +567,53 @@ def test_forward_reads_children_once_per_bipartition(monkeypatch):
     assert passes == []
     assert sorted(readers) == sorted(("top_class", bp) for bp in images)
     kid_reads = component_keys(kids, P01.charge)
+    assert component_keys(sources, P01.charge) <= kid_reads
     assert read_keys(tables[0]) == kid_reads
-    assert sorted(reads) == sorted(
-        list(component_keys(sources, P01.charge)) + list(kid_reads))
+    assert len(reads) == len(set(reads))
+    assert set(reads) == kid_reads
+
+
+def test_forward_reads_each_rim_at_p_once_off_the_fundamental_domain(
+        monkeypatch):
+    # At e=4, s=(3,1) the walk's two tables differ: f_action runs on its
+    # src table, at p, so no (component, partition) at p is read twice,
+    # and the images' rims are read in dst alone.
+    p = CrystalParams(4, (3, 1))
+    reports = list(verify_djm_forward(9, p))
+    assert passing(reports)
+    walks, tables = [], []
+    real_walk = admissible.image_walk
+
+    def recorded_walk(*args):
+        walks.append(real_walk(*args))
+        return walks[-1]
+
+    def counted(vec, j, table):
+        tables.append(table)
+        return f_action(vec, j, table)
+
+    monkeypatch.setattr(admissible, "image_walk", recorded_walk)
+    monkeypatch.setattr(admissible, "f_action", counted)
+    reads = count_component_reads(monkeypatch)
+    assert list(verify_djm_forward(9, p)) == reports
+    (src, dst, images), = walks
+    assert dst is not src and dst.p == CrystalParams(4, (1, 3))
+    assert tables and all(table is src for table in tables)
+    at_p = [(c, s, lam) for c, s, lam in reads if s == p.charge[c - 1]]
+    assert len(at_p) == len(set(at_p))
+    assert set(at_p) == read_keys(src)
+    assert set(reads) - set(at_p) == read_keys(dst)
+    scanned = {bp for bp in map(dst.bipartition, images.values())
+               if bp.rank < 9}
+    assert read_keys(dst) == component_keys(scanned, dst.p.charge)
 
 
 def test_forward_reads_each_fact_once(monkeypatch):
     # At rank <= 9 every one of the 734 bipartitions lies in an expansion:
-    # the sweep keys each once and encodes each once, reads each of the
-    # 134 (component, partition) of the bipartitions below rank 9 once for
-    # f_action, and tests no rest with is_flotw.
+    # the sweep keys each once and encodes each once, and tests no rest
+    # with is_flotw.  Of the 134 (component, partition) of the
+    # bipartitions below rank 9, f_action reads the 78 the walk has not
+    # read in their shared table, each once.
     reports = list(verify_djm_forward(9, P01))
     assert sum(len(bipartitions_of(k)) for k in range(10)) == 734
     calls, fills = {}, []
@@ -597,7 +640,7 @@ def test_forward_reads_each_fact_once(monkeypatch):
     monkeypatch.setattr(crystal, "component_rim", counted_rim)
     assert list(verify_djm_forward(9, P01)) == reports
     assert calls == {"uglov_key": 734, "bipartition_json_text": 734}
-    assert len(fills) == len(set(fills)) == 134
+    assert len(fills) == len(set(fills)) == 78
 
 
 @pytest.mark.parametrize("sweep, n, steps, tests, partners", [
@@ -660,7 +703,7 @@ def test_propb_reads_one_rim_per_bipartition_at_a_fundamental_charge(
 
 
 def test_forward_reads_no_psi_image_at_a_fundamental_charge(monkeypatch):
-    # psi_images at its own charge is the identity: it scans no image, so
+    # image_walk at its own charge is the identity: it scans no image, so
     # the sweep's good-addition scans are those of its one layer_walk,
     # one per Uglov bipartition below rank 9.
     reports = list(verify_djm_forward(9, P01))
@@ -724,8 +767,12 @@ def test_adm_oracle_matches_forward(p):
     n = {2: 6, 3: 5, 4: 4}[p.e]
     words = words_by_max(n, p)
     assert set(words) == {bp for layer in uglov_layers(n, p) for bp in layer}
-    missed = {format_bipartition(bp) for bp, _, found in adm_walk(n, p)
-              if isinstance(found, str) or found[0] not in words[bp]}
+    src, _, _ = walk = image_walk(n, p, fundamental(p).charge)
+    missed = set()
+    for pair, _, found in adm_walk(walk):
+        bp = src.bipartition(pair)
+        if isinstance(found, str) or found[0] not in words[bp]:
+            missed.add(format_bipartition(bp))
     failing = {format_bipartition(bp)
                for bp, r in forward_reports(n, p).items() if not r["pass"]}
     assert missed == failing == ORACLE_FAILURES.get(p, set())
@@ -1371,7 +1418,7 @@ def test_propb_class_longer_than_the_normal_nodes():
 
 
 def test_corollary_and_propb_transport_nothing(monkeypatch):
-    # Both sweeps read their images from one psi_images walk: no
+    # Both sweeps read their images from one image_walk: no
     # bipartition is transported on its own, and no image takes a second
     # class step.
     p = CrystalParams(3, (0, 1))

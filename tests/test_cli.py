@@ -12,7 +12,14 @@ import pytest
 import uglov
 from test_admissible import _forced_member, keep_members
 from uglov import isomorphism
-from uglov.cli import main, parse_charge, parse_e, parse_window
+from uglov.cli import (
+    main,
+    parse_charge,
+    parse_e,
+    parse_int,
+    parse_rank,
+    parse_window,
+)
 
 
 def run(capsys, argv):
@@ -31,6 +38,30 @@ def test_flag_parsers():
         parse_e("1")
     with pytest.raises(argparse.ArgumentTypeError):
         parse_charge("0")
+
+
+@pytest.mark.parametrize("parser, text", [
+    (parse_e, "+3"), (parse_e, "1_0"), (parse_e, "\u0663"), (parse_e, " 3"),
+    (parse_charge, "1_0,+0"), (parse_charge, "0,\u0661"),
+    (parse_charge, "--2,1"), (parse_charge, "0,"),
+    (parse_window, "-1_0,2"), (parse_window, "0,+5"),
+    (parse_rank, "\u0663"), (parse_rank, "1_0"), (parse_rank, "3 "),
+    (parse_rank, ""), (parse_int, "-"),
+])
+def test_number_parsers_read_ascii_digits_alone(parser, text):
+    # One strict reader, as parse_bipartition reads a part: ASCII digits
+    # with an optional leading '-', not the other texts int() reads.
+    import argparse
+    with pytest.raises(argparse.ArgumentTypeError, match="not an integer"):
+        parser(text)
+
+
+def test_number_parsers_keep_negative_numbers():
+    assert parse_charge("-2,1") == (-2, 1)
+    assert parse_charge("0,-100000") == (0, -100000)
+    assert parse_window("-10,-3") == (-10, -3)
+    assert parse_e("100000") == 100000
+    assert parse_rank("0") == parse_rank("-0") == 0
 
 
 def test_enumerate_text(capsys):
@@ -407,6 +438,15 @@ def test_show_unknown_rendering(capsys):
     ["--workers", "2", "verify", "--mode", "corollary", "--n", "2"],
     ["--workers", "2", "verify", "--mode", "propb", "--n", "2"],
     ["--workers", "2", "enumerate", "--n", "2"],
+    # int() reads these numbers; the flag parsers do not
+    ["--charge", "1_0,+0", "--format", "json", "verify", "--mode", "forward",
+     "--n", "\u0663"],
+    ["--e", "+3", "enumerate", "--n", "2"],
+    ["enumerate", "--n", "1_0"],
+    ["--e", "\u0663", "show", "1,-", "natures", "--window=-1,2"],
+    ["show", "1,-", "natures", "--window=-1_0,2"],
+    ["show", "1,-", "psi:+1,0"],
+    ["--workers", "\u0661", "enumerate", "--n", "1"],
 ])
 def test_bad_arguments_exit_2(capsys, argv):
     try:

@@ -22,8 +22,9 @@ from uglov.diagrams import (
 )
 from uglov.isomorphism import (
     SIGMA1_NATURE_MAP,
+    fundamental,
+    image_walk,
     peel_residues,
-    psi_images,
     psi_nature_check,
     psi_to,
     rebuild_from_residues,
@@ -64,6 +65,14 @@ def psi_e_independence_check(bp, charge_from, e):
         images.append(rebuild_from_residues(
             reversed(word), CrystalParams(e_or_inf, (s2, s1))))
     return images[0] == images[1]
+
+
+def test_fundamental():
+    # p at the fundamental member of its orbit, where Adm is read
+    assert fundamental(CrystalParams(3, (7, -2))) == CrystalParams(3, (1, 1))
+    assert fundamental(CrystalParams(4, (1, 3))) == CrystalParams(4, (1, 3))
+    with pytest.raises(ValueError, match="admissible sequences need finite"):
+        fundamental(CrystalParams(None, (0, 1)))
 
 
 def test_reduce_to_fundamental():
@@ -256,14 +265,18 @@ def test_psi_images_match_psi_to(e):
     for c_from in ((0, 1), (1, 0), (0, 0), (2, -1), (5, -2)):
         c_to = (c_from[1], c_from[0])
         layers = uglov_layers(8, CrystalParams(e, c_from))
-        images = psi_images(8, CrystalParams(e, c_from), c_to)
+        src, dst, pairs = image_walk(8, CrystalParams(e, c_from), c_to)
+        assert (src.p, dst.p) == (CrystalParams(e, c_from),
+                                  CrystalParams(e, c_to))
+        images = {src.bipartition(pair): dst.bipartition(image)
+                  for pair, image in pairs.items()}
         assert set(images) == set().union(*layers)
         ranks = [bp.rank for bp in images]
         assert ranks == sorted(ranks)
         for bp, image in images.items():
             assert image == psi_to(bp, c_from, c_to, e)
     with pytest.raises(ValueError, match="not in one orbit"):
-        psi_images(0, CrystalParams(e, (0, 1)), (0, 0))
+        image_walk(0, CrystalParams(e, (0, 1)), (0, 0))
 
 
 @pytest.mark.parametrize("c_from, c_to", [((0, 1), (1, 0)),
@@ -276,14 +289,20 @@ def test_psi_images_scan_each_image_once(monkeypatch, c_from, c_to):
     # other pass over a whole bipartition's rim at either charge; the
     # images grow without validation.
     p = CrystalParams(3, c_from)
-    expected = psi_images(9, p, c_to)
+
+    def images():
+        src, dst, pairs = image_walk(9, p, c_to)
+        return {src.bipartition(pair): dst.bipartition(image)
+                for pair, image in pairs.items()}
+
+    expected = images()
     scans = []
     monkeypatch.setattr(isomorphism, "good_additions",
                         counting_scan(scans, c_to))
     passes = count_rim_passes(monkeypatch)
     reads = count_component_reads(monkeypatch)
     forbid_validating_primitives(monkeypatch)
-    assert psi_images(9, p, c_to) == expected
+    assert images() == expected
     assert passes == []
     assert len(scans) == len(set(scans))
     assert set(scans) <= set(expected.values())
@@ -304,7 +323,7 @@ def test_psi_images_needs_the_good_child(monkeypatch):
 
     monkeypatch.setattr(isomorphism, "good_additions", scan)
     with pytest.raises(ValueError, match="no good addable 0-node"):
-        psi_images(1, CrystalParams(3, (0, 1)), (1, 0))
+        image_walk(1, CrystalParams(3, (0, 1)), (1, 0))
 
 
 @pytest.mark.parametrize("charge", [(0, 1), (1, 0)])
