@@ -19,8 +19,9 @@ run of removable j-nodes around its seed whose neighbours are (1)- or
 (2)-connected.  Each class step reads its image in one rim pass, in
 top_class; its rest is FLOTW exactly when adm_walk has stepped it
 already.  The forward sweep keys its Fock vectors by the pairs of the
-walk's table at its own charge, builds each pair's Bipartition,
-uglov_key and JSON text once, and joins each line from those texts.
+walk's table at its own charge, builds the Bipartition, uglov_key and
+JSON text of every pair of rank <= n once, before its walk, and joins
+each line from those texts.
 Propb reads the natures of each bipartition at its own charge from the
 cores of its two components (diagrams.nature_core), through one
 functools.cache of nature_core per sweep, each core placed at its
@@ -276,18 +277,21 @@ def verify_djm_forward(n: int, p: CrystalParams):
     Adm comes from adm_walk, and the vector of each image's monomial,
     f-operators applied oldest residue first, is the vector of its rest
     extended by r f_action steps over the pairs of the walk's table at
-    p, so each component partition's rim at p is read once.  Each pair
-    is built once into a Bipartition, for its uglov_key, the sort of the
-    expansion and its JSON text; each line is joined from those texts.
+    p, so each component partition's rim at p is read once.  Every
+    bipartition of rank <= n is keyed once as a pair of that table before
+    the walk, with its uglov_key, for the maximum, and its JSON text;
+    each line is joined from those texts.
     """
     table, _, _ = walk = image_walk(n, p, fundamental(p).charge)  # at p
     vecs = {EMPTY: {ROOT: 1}}  # image -> vector of its Adm monomial
-    bps, keys, forms = {}, {}, {}  # pair -> its bipartition, key, JSON text
+    bps = {table.pair(bp): bp for k in range(n + 1)
+           for bp in bipartitions_of(k)}  # pair -> its bipartition
+    keys = {pair: uglov_key(bp, p.charge) for pair, bp in bps.items()}
+    forms = {pair: bipartition_json_text(bp) for pair, bp in bps.items()}
     for pair, image, found in adm_walk(walk):
         if isinstance(found, str):
             yield ('{"bp": %s, "error": %s, "pass": false}'
-                   % (bipartition_json_text(table.bipartition(pair)),
-                      json.dumps(found)), 1, 1)
+                   % (forms[pair], json.dumps(found)), 1, 1)
             continue
         seq, step = found
         if step:
@@ -297,11 +301,6 @@ def verify_djm_forward(n: int, p: CrystalParams):
                 vec = f_action(vec, j, table)
             vecs[image] = vec
         vec = vecs[image]
-        for mu in (pair, *vec):
-            if mu not in bps:
-                bps[mu] = table.bipartition(mu)
-                keys[mu] = uglov_key(bps[mu], p.charge)
-                forms[mu] = bipartition_json_text(bps[mu])
         ok = pair in vec and max(vec, key=keys.__getitem__) == pair
         terms = ", ".join('{"bp": %s, "coeff": %d}' % (forms[mu], vec[mu])
                           for mu in sorted(vec, key=bps.__getitem__))
@@ -478,7 +477,7 @@ def verify_djm_corollary(n: int, p: CrystalParams):
     of its word, Adm from adm_walk."""
     src, _, _ = walk = image_walk(n, p, fundamental(p).charge)
     keys = {}  # bipartition -> its uglov_key, read once per sweep
-    ranks = {}  # rank -> its bipartitions, the candidate shapes
+    ranks = [bipartitions_of(k) for k in range(n + 1)]  # candidate shapes
     for pair, _, found in adm_walk(walk):
         bp = src.bipartition(pair)
         if isinstance(found, str):
@@ -486,8 +485,6 @@ def verify_djm_corollary(n: int, p: CrystalParams):
                                "error": found}, sort_keys=True), 1, 1)
             continue
         seq = found[0]
-        if bp.rank not in ranks:
-            ranks[bp.rank] = bipartitions_of(bp.rank)
         shapes = row_standard_shapes(seq, p, ranks[bp.rank])
         ok = bp in shapes and uglov_max(shapes, p.charge, keys) == bp
         yield (json.dumps({"bp": bipartition_to_json(bp), "adm": list(seq),

@@ -122,12 +122,18 @@ def cmd_enumerate(args) -> int:
 
 
 def render_dot(n: int, p: CrystalParams) -> str:
-    """The crystal graph up to rank n, from one edge_walk, in DOT."""
+    """The crystal graph up to rank n in DOT: the nodes are the layers of
+    one layer_walk, and the edges of each layer below n come from one
+    more good_additions scan of it."""
     table = crystal.RimTable(p)
-    edges = sorted((table.bipartition(pair), j, table.bipartition(kid))
-                   for pair, j, kid in crystal.edge_walk(n, table))
+    layers = list(crystal.layer_walk(n, table))
+    bps = {pair: table.bipartition(pair) for layer in layers
+           for pair in layer}
+    edges = sorted((bps[pair], j, bps[kid]) for layer in layers[:n]
+                   for pair, good in crystal.good_additions(layer, table)
+                   for j, kid in good.items())
     lines = ["digraph crystal {"]
-    for bp in sorted({diagrams.EMPTY}.union(dst for _, _, dst in edges)):
+    for bp in sorted(bps.values()):
         lines.append('  "%s";' % format_bipartition(bp))
     for src, j, dst in edges:
         lines.append('  "%s" -> "%s" [label="%s"];'

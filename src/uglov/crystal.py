@@ -10,11 +10,10 @@ addable node the id of the grown partition.  good_additions scans a
 batch of pairs, a whole layer in one call, each pair from its two stored
 rims with one counter per residue met, and a child swaps one id.
 layer_walk is the one walk of the crystal component of the empty
-bipartition, one batch per layer: uglov_layers lists its layers, and
-top_layer keeps the last for `uglov enumerate`.  edge_walk walks the
-same layers keeping their edges, for cli.render_dot, and
-isomorphism.image_walk zips each layer's batch with one batch of its
-images in a second table.
+bipartition, one batch per layer: uglov_layers lists its layers,
+top_layer keeps the last for `uglov enumerate`, cli.render_dot scans
+each layer below n again for its edges, and isomorphism.image_walk zips
+each layer's batch with one batch of its images in a second table.
 Bipartitions are built only where a caller reads them.  A Fock vector is
 a dict pair -> positive int over one table, its keys of one rank:
 f_action swaps in the child ids of each pair's addable j-nodes, which
@@ -275,21 +274,6 @@ def top_layer(n: int, p: CrystalParams) -> list[Bipartition]:
     for layer in layer_walk(n, table):
         pass
     return list(map(table.bipartition, layer))
-
-
-def edge_walk(n: int, table: RimTable):
-    """Yield the good-node edges (pair, residue, pair') of the crystal
-    component of the empty bipartition up to rank n, as pairs of table,
-    in increasing rank of the source: the layers of layer_walk, with the
-    edges each scan finds."""
-    layer = {ROOT}
-    for _ in range(n):
-        nxt = set()
-        for pair, good in good_additions(layer, table):
-            for j, kid in good.items():
-                nxt.add(kid)
-                yield pair, j, kid
-        layer = nxt
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,9 @@ merge whole rims: crystal.RimTable interns each component partition of
 the walk and keeps its component_rim, with the partition grown at each
 addable node (grow_partition, unchecked).  addable_nodes and
 removable_nodes are set views of rim.  Every child of a bipartition is
-with_component(bp, c, lam plus the node); add_node checks the node
-first.  removable is the one row test of a removable node, behind
-remove_node.
+with_component(bp, c, lam plus the node); add_node first looks the node
+up in addable_nodes, so the rim is its one test of addability.
+removable is the one row test of a removable node, behind remove_node.
 
 The vertical-boundary node (a, lambda^c_a, c) has content
 lambda^c_a - a + s_c, a beta-number of lambda^c; with the virtual
@@ -201,12 +201,10 @@ def with_component(bp: Bipartition, c: int,
 
 
 def add_node(bp: Bipartition, node: Node) -> Bipartition:
-    a, b, c = node
-    lam = bp.c1 if c == 1 else bp.c2
-    if (not 1 <= a <= len(lam) + 1) or part(lam, a) + 1 != b \
-            or (a > 1 and lam[a - 2] < b):
+    if node not in addable_nodes(bp):
         raise ValueError("node %r not addable to %r" % (node, bp))
-    return with_component(bp, c, grow_partition(lam, a, b))
+    a, b, c = node
+    return with_component(bp, c, grow_partition(bp.component(c), a, b))
 
 
 def removable(bp: Bipartition, node: Node) -> bool:

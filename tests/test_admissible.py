@@ -953,9 +953,9 @@ def test_verify_djm_converse_matches_support_oracle(p, monkeypatch):
     assert sum(failed for _, _, failed in triples) > 1
 
 
-def test_converse_takes_verdicts_from_one_edge_walk(monkeypatch):
+def test_converse_takes_verdicts_from_one_layer_walk(monkeypatch):
     # No membership peel: every verdict comes from one layer_walk on the
-    # sweep's one table, and no edge_walk or uglov_layers walk runs.
+    # sweep's one table, and no uglov_layers walk runs.
     walks, tables = [], []
 
     class Counted(RimTable):
@@ -972,7 +972,7 @@ def test_converse_takes_verdicts_from_one_edge_walk(monkeypatch):
 
     monkeypatch.setattr(admissible, "RimTable", Counted)
     monkeypatch.setattr(admissible, "layer_walk", counted)
-    names = {"is_uglov", "peel_word", "edge_walk", "uglov_layers"}
+    names = {"is_uglov", "peel_word", "uglov_layers"}
     patched = set()
     for module in (diagrams, crystal, isomorphism, admissible):
         for name in names & set(vars(module)):

@@ -1,6 +1,7 @@
 """Unit tests for Fock-space operators, good nodes and Uglov membership."""
 
 import itertools
+import re
 import sys
 import tracemalloc
 
@@ -11,7 +12,6 @@ from uglov.crystal import (
     ROOT,
     CrystalParams,
     RimTable,
-    edge_walk,
     expand_monomial,
     f_action,
     good_addable_node,
@@ -726,17 +726,28 @@ def test_is_uglov_matches_enumeration():
 
 
 def test_uglov_layers_nested_by_edges():
-    p = CrystalParams(2, (0, 0))
-    layers = uglov_layers(4, p)
-    table = RimTable(p)
-    bp = table.bipartition
-    edges = [(bp(pair), j, bp(kid)) for pair, j, kid in edge_walk(4, table)]
-    assert len(edges) == len(set(edges))
-    assert {dst for _, _, dst in edges} == set().union(*layers[1:])
-    for src, j, dst in edges:
-        assert src.rank + 1 == dst.rank
-        assert dst in layers[dst.rank]
-        assert good_addable_node(src, j, p) is not None
+    # The DOT graph's nodes are the layers of uglov_layers, and its edges
+    # are good-node additions, each one rank up.
+    edge = re.compile(r'  "(.*)" -> "(.*)" \[label="(-?\d+)"\];')
+    for p in (CrystalParams(2, (0, 0)), P01, CrystalParams(None, (0, 1))):
+        layers = uglov_layers(4, p)
+        lines = cli.render_dot(4, p).split("\n")
+        assert lines[0] == "digraph crystal {" and lines[-1] == "}"
+        nodes, edges = [], []
+        for line in lines[1:-1]:
+            parts = edge.fullmatch(line)
+            if parts:
+                src, dst, j = parts.groups()
+                edges.append((P(src), int(j), P(dst)))
+            else:
+                nodes.append(P(re.fullmatch(r'  "(.*)";', line).group(1)))
+        assert len(edges) == len(set(edges))
+        assert sorted(nodes) == sorted(set().union(*layers))
+        assert {dst for _, _, dst in edges} == set().union(*layers[1:])
+        for src, j, dst in edges:
+            assert src.rank + 1 == dst.rank
+            assert dst in layers[dst.rank]
+            assert add_node(src, good_addable_node(src, j, p)) == dst
 
 
 def forbid_validating_primitives(monkeypatch):

@@ -338,6 +338,8 @@ def test_add_remove_preconditions():
     with pytest.raises(ValueError):
         add_node(bp, Node(2, 3, 1))  # would break monotonicity
     with pytest.raises(ValueError):
+        add_node(EMPTY, Node(1, 1, 3))  # no component 3
+    with pytest.raises(ValueError):
         remove_node(bp, Node(1, 1, 1))  # not the row end
     with pytest.raises(ValueError):
         remove_node(bp, Node(1, 1, 2))  # empty component

@@ -8,7 +8,6 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "uglov"
 
 KEPT = {
     # traced by perfbench/child.py, which needs them until it is retraced
-    ("diagrams", "addable_nodes"),
     ("diagrams", "compare_uglov"),
     ("diagrams", "removable_nodes"),
     ("crystal", "expand_monomial"),
@@ -76,3 +75,12 @@ def test_every_top_level_name_is_reached_from_main():
     assert ("cli", "main") in defs
     assert set(defs) - reached(defs, scopes, ("cli", "main")) == KEPT
 
+
+def test_every_kept_name_is_traced():
+    # KEPT holds only names the tracer needs, so it hides no dead code.
+    path = SRC.parent.parent / "perfbench" / "child.py"
+    traced = next(ast.literal_eval(node.value)
+                  for node in ast.parse(path.read_text()).body
+                  if isinstance(node, ast.Assign)
+                  and [t.id for t in node.targets] == ["TRACED"])
+    assert all(name in traced.get(mod, ()) for mod, name in KEPT)
