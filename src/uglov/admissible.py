@@ -21,7 +21,7 @@ top_class; its rest is FLOTW exactly when adm_walk has stepped it
 already.  The forward sweep keys its Fock vectors by the pairs of the
 walk's table at its own charge, builds the Bipartition, uglov_key and
 JSON text of every pair of rank <= n once, before its walk, and joins
-each line from those texts.
+each line from those texts, each expansion sorted by RimTable.order.
 Propb reads the natures of each bipartition at its own charge from the
 cores of its two components (diagrams.nature_core), through one
 functools.cache of nature_core per sweep, each core placed at its
@@ -280,7 +280,8 @@ def verify_djm_forward(n: int, p: CrystalParams):
     p, so each component partition's rim at p is read once.  Every
     bipartition of rank <= n is keyed once as a pair of that table before
     the walk, with its uglov_key, for the maximum, and its JSON text;
-    each line is joined from those texts.
+    each line is joined from those texts, its expansion sorted by the
+    table's order.
     """
     table, _, _ = walk = image_walk(n, p, fundamental(p).charge)  # at p
     vecs = {EMPTY: {ROOT: 1}}  # image -> vector of its Adm monomial
@@ -288,6 +289,7 @@ def verify_djm_forward(n: int, p: CrystalParams):
            for bp in bipartitions_of(k)}  # pair -> its bipartition
     keys = {pair: uglov_key(bp, p.charge) for pair, bp in bps.items()}
     forms = {pair: bipartition_json_text(bp) for pair, bp in bps.items()}
+    order = table.order()  # after bps has interned every term's pair
     for pair, image, found in adm_walk(walk):
         if isinstance(found, str):
             yield ('{"bp": %s, "error": %s, "pass": false}'
@@ -303,7 +305,7 @@ def verify_djm_forward(n: int, p: CrystalParams):
         vec = vecs[image]
         ok = pair in vec and max(vec, key=keys.__getitem__) == pair
         terms = ", ".join('{"bp": %s, "coeff": %d}' % (forms[mu], vec[mu])
-                          for mu in sorted(vec, key=bps.__getitem__))
+                          for mu in sorted(vec, key=order))
         yield ('{"adm": [%s], "bp": %s, "expansion": [%s], "max": %s, '
                '"pass": %s}' % (", ".join(map(str, seq)), forms[pair], terms,
                                 forms[pair] if ok else "null",

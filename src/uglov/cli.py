@@ -105,19 +105,20 @@ def cmd_enumerate(args) -> int:
     if args.format == "dot":
         print(render_dot(args.n, p))
         return 0
-    bps = sorted(crystal.top_layer(args.n, p))
+    table, pairs = crystal.top_layer(args.n, p)
     if args.format == "json":
         print("[", end="")  # json.dumps's bytes, a chunk of texts at a time
-        for i in range(0, len(bps), LISTING_CHUNK):
-            chunk = bps[i:i + LISTING_CHUNK]
-            print(", " * (i > 0)
-                  + ", ".join(map(diagrams.bipartition_json_text, chunk)),
-                  end="")
+        text = table.text
+        for i in range(0, len(pairs), LISTING_CHUNK):
+            chunk = pairs[i:i + LISTING_CHUNK]
+            print(", " * (i > 0) + ", ".join(
+                '{"c1": %s, "c2": %s}' % (text(1, i1), text(2, i2))
+                for i1, i2 in chunk), end="")
         print("]")
     else:
-        for bp in bps:
+        for bp in map(table.bipartition, pairs):
             print(format_bipartition(bp))
-        print("count: %d" % len(bps))
+        print("count: %d" % len(pairs))
     return 0
 
 

@@ -4,16 +4,18 @@ CrystalParams bundles e (None for infinity) with the charge (s1, s2).
 
 A walk owns one RimTable at its parameters.  The table interns each
 component partition as a small int on first sight, so a bipartition of
-the walk is a pair (id1, id2), and reads each interned partition's rim
-once: its addable and removable nodes with their residues, and for each
-addable node the id of the grown partition.  good_additions scans a
-batch of pairs, a whole layer in one call, each pair from its two stored
-rims with one counter per residue met, and a child swaps one id.
-layer_walk is the one walk of the crystal component of the empty
-bipartition, one batch per layer: uglov_layers lists its layers,
-top_layer keeps the last for `uglov enumerate`, cli.render_dot scans
-each layer below n again for its edges, and isomorphism.image_walk zips
-each layer's batch with one batch of its images in a second table.
+the walk is a pair (id1, id2), and each residue it meets as a small int
+too.  It reads each interned partition's rim once: its addable and
+removable nodes with their residue ids, and for each addable node the id
+of the grown partition.  good_additions scans a batch of pairs, a whole
+layer in one call, each pair from its two stored rims with a list of
+counters indexed by residue id, and a child swaps one id.  layer_walk is
+the one walk of the crystal component of the empty bipartition, one
+batch per layer: uglov_layers lists its layers, top_layer keeps the last
+for `uglov enumerate`, sorted by RimTable.order and written from
+RimTable.text, cli.render_dot scans each layer below n again for its
+edges, and isomorphism.image_walk zips each layer's batch with one batch
+of its images in a second table.
 Bipartitions are built only where a caller reads them.  A Fock vector is
 a dict pair -> positive int over one table, its keys of one rank:
 f_action swaps in the child ids of each pair's addable j-nodes, which
@@ -63,11 +65,17 @@ class RimTable:
     For component c, parts[c - 1] maps an id to its partition, ids[c - 1]
     a partition to its id, and rims[c - 1] an id to its rim, None until
     read.  A rim lists the addable and removable nodes of the partition
-    at charge s_c as (node_key, residue, child), increasing, where child
-    is the id of the partition grown at an addable node and None at a
-    removable one.  kids[c - 1] maps an id to its children, None until
-    asked for.  The id 0 is the empty partition, so ROOT is the empty
-    bipartition.
+    at charge s_c as (node_key, rid, child), increasing, where rid is the
+    id of the node's residue, residues[rid], and child is the id of the
+    partition grown at an addable node and None at a removable one.  The
+    residues are interned as the rims meet them, rids their inverse, so
+    residues holds only the residues met, at any e.  kids[c - 1] maps an
+    id to its children, None until asked for.  The id 0 is the empty
+    partition, so ROOT is the empty bipartition.
+
+    order() ranks the pairs interned so far as their Bipartitions
+    compare, and text(c, i) is partition i of component c as JSON text,
+    kept once written, so a listing is sorted and written from ids.
     """
 
     def __init__(self, p: CrystalParams):
@@ -77,6 +85,8 @@ class RimTable:
         self.ids = ({(): 0}, {(): 0})
         self.rims = ([None], [None])
         self.kids = ([None], [None])
+        self.texts = ({}, {})
+        self.residues, self.rids = [], {}
 
     def intern(self, c: int, lam: tuple[int, ...]) -> int:
         ids = self.ids[c - 1]
@@ -88,12 +98,20 @@ class RimTable:
             self.kids[c - 1].append(None)
         return i
 
+    def rid(self, j) -> int:
+        """The id of residue j, interned on first sight."""
+        rid = self.rids.get(j)
+        if rid is None:
+            rid = self.rids[j] = len(self.residues)
+            self.residues.append(j)
+        return rid
+
     def read(self, c: int, i: int) -> list:
         """The rim of partition i of component c, read on first call."""
         rims = self.rims[c - 1]
         if rims[i] is None:
             lam, e = self.parts[c - 1][i], self.p.e
-            rims[i] = [(key, cont if e is None else cont % e,
+            rims[i] = [(key, self.rid(cont if e is None else cont % e),
                         None if rem else self.intern(c, grow_partition(
                             lam, a, b)))
                        for key, cont, rem, a, b, _
@@ -106,10 +124,10 @@ class RimTable:
         call."""
         kids = self.kids[c - 1]
         if kids[i] is None:
-            out = {}
-            for _, j, child in self.read(c, i):
+            out, residues = {}, self.residues
+            for _, rid, child in self.read(c, i):
                 if child is not None:
-                    out.setdefault(j, []).append(child)
+                    out.setdefault(residues[rid], []).append(child)
             kids[i] = out
         return kids[i]
 
@@ -119,6 +137,31 @@ class RimTable:
 
     def bipartition(self, pair: tuple[int, int]) -> Bipartition:
         return Bipartition(self.parts[0][pair[0]], self.parts[1][pair[1]])
+
+    def order(self):
+        """A key function pair -> int that orders the pairs interned so
+        far as their Bipartitions compare: component 1 first, then
+        component 2, each by the rank of its partition among the
+        component's parts, sorted."""
+        ranks = []
+        for parts in self.parts:
+            rank = [0] * len(parts)
+            for r, i in enumerate(sorted(range(len(parts)),
+                                         key=parts.__getitem__)):
+                rank[i] = r
+            ranks.append(rank)
+        rank1, rank2 = ranks
+        width = len(rank2)
+        return lambda pair: rank1[pair[0]] * width + rank2[pair[1]]
+
+    def text(self, c: int, i: int) -> str:
+        """Partition i of component c as JSON text, json.dumps of its
+        list, written on first call."""
+        texts = self.texts[c - 1]
+        out = texts.get(i)
+        if out is None:
+            out = texts[i] = str(list(self.parts[c - 1][i]))
+        return out
 
 
 def good_additions(pairs, table: RimTable):
@@ -133,22 +176,24 @@ def good_additions(pairs, table: RimTable):
     removable j-node waits below it, and otherwise cancels one; the good
     one is the last normal one.  So one pass with a counter of waiting
     removable nodes per residue finds every good node, and its child
-    swaps one id of the pair.  The counter holds only the residues met,
-    so a scan costs the same at any e.
+    swaps one id of the pair.  The counter is a list indexed by residue
+    id, over the residues the table has met, so a scan costs the same at
+    any e.
     """
     (rims1, rims2), read = table.rims, table.read
+    residues = table.residues
     for pair in pairs:
         i1, i2 = pair
         entries = (rims1[i1] or read(1, i1)) + (rims2[i2] or read(2, i2))
         entries.sort()
-        waiting, good = {}, {}
-        for key, j, child in entries:
+        waiting, good = [0] * len(residues), {}
+        for key, rid, child in entries:
             if child is None:
-                waiting[j] = waiting.get(j, 0) + 1
-            elif waiting.get(j):
-                waiting[j] -= 1
+                waiting[rid] += 1
+            elif waiting[rid]:
+                waiting[rid] -= 1
             else:
-                good[j] = (child, i2) if key & 1 else (i1, child)
+                good[residues[rid]] = (child, i2) if key & 1 else (i1, child)
         yield pair, good
 
 
@@ -267,13 +312,15 @@ def uglov_layers(n: int, p: CrystalParams) -> list[set[Bipartition]]:
             for layer in layer_walk(n, table)]
 
 
-def top_layer(n: int, p: CrystalParams) -> list[Bipartition]:
-    """Layer n of the crystal component of the empty bipartition: the
-    last layer of one layer_walk, which holds two layers at a time."""
+def top_layer(n: int, p: CrystalParams) -> tuple[RimTable, list]:
+    """(table, pairs): layer n of the crystal component of the empty
+    bipartition, the last layer of one layer_walk on table, which holds
+    two layers at a time, as pairs sorted by table.order(), so as their
+    Bipartitions compare."""
     table = RimTable(p)
     for layer in layer_walk(n, table):
         pass
-    return list(map(table.bipartition, layer))
+    return table, sorted(layer, key=table.order())
 
 
 # ---------------------------------------------------------------------------

@@ -212,14 +212,14 @@ def psi_nature_check(k1, f1, k2, f2, m1, g1, m2, g2) -> bool:
 
 def _slots(table: RimTable, c: int, core: Callable):
     """(slots, fill): one slot per partition id of component c of table,
-    None until fill(i) stores (its JSON text, its core, its floor at the
-    table's charge s_c) there and returns it."""
+    None until fill(i) stores (its JSON text, table.text(c, i); its core;
+    its floor at the table's charge s_c) there and returns it."""
     parts, s = table.parts[c - 1], table.p.charge[c - 1]
     slots = [None] * len(parts)
 
     def fill(i):
         lam = parts[i]
-        slots[i] = slot = (str(list(lam)), core(lam), s - len(lam))
+        slots[i] = slot = (table.text(c, i), core(lam), s - len(lam))
         return slot
 
     return slots, fill

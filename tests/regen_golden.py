@@ -74,6 +74,10 @@ def _grid() -> list[str]:
         "--format json verify --mode forward --n 9",
         "--format json verify --mode converse --n 7",
         "--format json verify --mode psi-nature --n 11",
+        # a listing longer than one cli.LISTING_CHUNK, and a text listing
+        # off the fundamental domain
+        "--format json enumerate --n 24",
+        "--e 2 --charge=5,-2 enumerate --n 9",
         # the README lines, in text and dot
         "enumerate --n 11",
         "--format json enumerate --n 4",

@@ -220,8 +220,9 @@ def test_enumerate_json_chunks_join_to_one_list(capsys, monkeypatch):
     p = crystal.CrystalParams(3, (0, 1))
     monkeypatch.setattr(cli, "LISTING_CHUNK", 5)
     for n in (0, 1, 5):
-        whole = json.dumps([diagrams.bipartition_to_json(bp)
-                            for bp in sorted(crystal.top_layer(n, p))])
+        table, pairs = crystal.top_layer(n, p)
+        whole = json.dumps([diagrams.bipartition_to_json(bp) for bp
+                            in sorted(map(table.bipartition, pairs))])
         code, out, _ = run(capsys, ["--format", "json", "enumerate",
                                     "--n", str(n)])
         assert code == 0

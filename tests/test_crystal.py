@@ -1,6 +1,7 @@
 """Unit tests for Fock-space operators, good nodes and Uglov membership."""
 
 import itertools
+import json
 import re
 import sys
 import tracemalloc
@@ -119,9 +120,9 @@ def children_oracle(bp, table):
     out = {}
     for c, lam in ((1, bp.c1), (2, bp.c2)):
         grown = table.parts[c - 1]
-        for _, j, child in table.read(c, table.intern(c, lam)):
+        for _, rid, child in table.read(c, table.intern(c, lam)):
             if child is not None:
-                out.setdefault(j, []).append(
+                out.setdefault(table.residues[rid], []).append(
                     with_component(bp, c, grown[child]))
     return out
 
@@ -139,17 +140,19 @@ def f_action_oracle(vec, j, table):
 
 def f_action_rim_scan(vec, j, table):
     """The pair-keyed f_action that RimTable.children replaced: each
-    pair's two stored rims are scanned whole for the addable j-nodes."""
+    pair's two stored rims are scanned whole for the addable j-nodes,
+    each entry's residue read through table.residues."""
     rims1, rims2 = table.rims
+    residues = table.residues
     out = {}
     for pair, coeff in vec.items():
         i1, i2 = pair
         for _, r, child in rims1[i1] or table.read(1, i1):
-            if r == j and child is not None:
+            if residues[r] == j and child is not None:
                 kid = (child, i2)
                 out[kid] = out.get(kid, 0) + coeff
         for _, r, child in rims2[i2] or table.read(2, i2):
-            if r == j and child is not None:
+            if residues[r] == j and child is not None:
                 kid = (i1, child)
                 out[kid] = out.get(kid, 0) + coeff
     return out
@@ -269,7 +272,7 @@ def test_f_action_matches_rim_scan_on_monomials_at_e_infinity(monkeypatch,
 
 
 def test_children_lists_the_rim_children_by_residue():
-    # children(c, i) is the rim's (residue, child) entries grouped by
+    # children(c, i) is the rim's (residue id, child) entries grouped by
     # residue in rim order, built once and kept.
     for p in SCAN_GRID:
         table = RimTable(p)
@@ -278,9 +281,10 @@ def test_children_lists_the_rim_children_by_residue():
                 for c in (1, 2):
                     i = table.intern(c, lam)
                     expected = {}
-                    for _, j, child in table.read(c, i):
+                    for _, rid, child in table.read(c, i):
                         if child is not None:
-                            expected.setdefault(j, []).append(child)
+                            expected.setdefault(table.residues[rid],
+                                                []).append(child)
                     kids = table.children(c, i)
                     assert kids == expected
                     assert table.children(c, i) is kids
@@ -443,9 +447,10 @@ def test_component_rim_kernel_matches_whole_bipartition_oracle():
                 assert table.bipartition(pair) == bp
                 stored = sorted(table.read(1, i1) + table.read(2, i2))
                 assert len(stored) == len(whole), (bp, p)
-                for (key, j, child), (key0, cont, rem, a, b, c) in zip(
+                for (key, rid, child), (key0, cont, rem, a, b, c) in zip(
                         stored, whole):
-                    assert (key, j) == (key0, cont if e is None else cont % e)
+                    assert (key, table.residues[rid]) == (
+                        key0, cont if e is None else cont % e)
                     assert (child is None) == rem
                     if not rem:
                         assert (table.parts[c - 1][child]
@@ -469,7 +474,8 @@ def test_component_rim_kernel_matches_whole_bipartition_oracle():
                 kids = {j: sorted(mus) for j, mus in kids.items()}
                 for rims in (table, RimTable(p)):  # shared, and fresh
                     got = {j: sorted(f_action_bps({bp: 1}, j, rims))
-                           for _, j, _ in stored}
+                           for j in (table.residues[rid]
+                                     for _, rid, _ in stored)}
                     assert {j: mus for j, mus in got.items() if mus} == kids, (
                         bp, p)
                 cases += 1
@@ -501,6 +507,65 @@ def test_good_additions_match_normal_nodes_oracle():
     assert cases == 434 * len(KERNEL_CHARGES) * len(KERNEL_ES)
 
 
+def kernel_tables(n):
+    """{p: a RimTable at p} over the KERNEL_CHARGES x KERNEL_ES grid,
+    each holding the pairs of one layer_walk to rank n, interned in walk
+    order, and then of every bipartition of rank <= SCAN_RANK - 2."""
+    tables = {}
+    for charge in KERNEL_CHARGES:
+        for e in KERNEL_ES:
+            p = CrystalParams(e, charge)
+            table = tables[p] = RimTable(p)
+            for _ in layer_walk(n, table):
+                pass
+            for k in range(SCAN_RANK - 1):
+                for bp in bipartitions_of(k):
+                    table.pair(bp)
+    return tables
+
+
+def test_order_sorts_pairs_as_bipartitions_compare():
+    # Every pair of ids of each table, listed in reverse so that a tie
+    # of the key would keep the wrong order: table.order() sorts them as
+    # table.bipartition does, each key distinct.
+    for p, table in kernel_tables(8).items():
+        key = table.order()
+        pairs = list(itertools.product(range(len(table.parts[0])),
+                                       range(len(table.parts[1]))))[::-1]
+        assert len(pairs) > 1000, p
+        assert sorted(pairs, key=key) == sorted(pairs,
+                                                key=table.bipartition), p
+        assert len(set(map(key, pairs))) == len(pairs), p
+
+
+def test_text_is_the_json_of_each_partition():
+    for p, table in kernel_tables(8).items():
+        for c in (1, 2):
+            for i, lam in enumerate(table.parts[c - 1]):
+                text = table.text(c, i)
+                assert text == json.dumps(list(lam)), (p, c, lam)
+                assert table.text(c, i) is text  # written once, kept
+
+
+def test_residue_ids_hold_only_the_residues_met():
+    # After a rank-12 walk the table has interned the residues its rims
+    # met, rids their inverse: as many at e = 10**6 as at e = infinity,
+    # where the walk is the same, and at most e at finite e.
+    for charge in KERNEL_CHARGES:
+        met = {}
+        for e in KERNEL_ES:
+            table = RimTable(CrystalParams(e, charge))
+            for _ in layer_walk(12, table):
+                pass
+            assert table.rids == {j: rid for rid, j
+                                  in enumerate(table.residues)}
+            assert table.residues
+            met[e] = len(table.residues)
+            if e is not None:
+                assert met[e] <= e, (charge, e)
+        assert met[10**6] == met[None], charge
+
+
 def test_top_layer_is_the_last_layer(monkeypatch):
     # enumerate's layer: the last of one layer_walk, each bipartition
     # once, without uglov_layers.
@@ -512,9 +577,11 @@ def test_top_layer_is_the_last_layer(monkeypatch):
 
     monkeypatch.setattr(crystal, "uglov_layers", forbidden)
     for p, layer in expected.items():
-        top = crystal.top_layer(9, p)
+        table, pairs = crystal.top_layer(9, p)
+        top = list(map(table.bipartition, pairs))
         assert len(top) == len(set(top))
         assert set(top) == layer
+        assert top == sorted(layer)  # in table.order(), as enumerate lists
 
 
 def test_enumerate_walk_scans_each_pair_once_in_one_batch_per_layer(
@@ -530,7 +597,7 @@ def test_enumerate_walk_scans_each_pair_once_in_one_batch_per_layer(
         return counted(pairs, table)
 
     monkeypatch.setattr(crystal, "good_additions", batched)
-    top = crystal.top_layer(19, P01)
+    _, top = crystal.top_layer(19, P01)
     assert len(scans) == len(set(scans)) == sum(batches) == 5304
     assert len(batches) == 19
     assert len(top) == 1782
