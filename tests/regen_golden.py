@@ -54,6 +54,13 @@ def _grid() -> list[str]:
         "--format json verify --mode corollary --n 9",
         "--e 2 --format json verify --mode corollary --n 9",
         "--e 4 --charge 1,3 --format json verify --mode corollary --n 8",
+        # deeper converse sweeps, each exit 0, and a corollary sweep off
+        # the fundamental domain whose shapes' Uglov maximum is not the
+        # bipartition: exit 1
+        "--format json verify --mode converse --n 11",
+        "--e 4 --charge 1,3 --format json verify --mode converse --n 9",
+        "--e 2 --charge=5,-2 --format json verify --mode converse --n 10",
+        "--e 2 --charge=5,-2 --format json verify --mode corollary --n 8",
         # deeper propb sweeps: exit 0, then 1 at 4.4,2.1.1.1
         "--e 4 --charge 1,3 --format json verify --mode propb --n 12",
         "--e 4 --charge 1,3 --format json verify --mode propb --n 13",
