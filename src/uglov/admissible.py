@@ -19,24 +19,26 @@ run of removable j-nodes around its seed whose neighbours are (1)- or
 (2)-connected.  Each class step reads its image in one rim pass, in
 top_class; its rest is FLOTW exactly when adm_walk has stepped it
 already.  The forward sweep keys its Fock vectors by the pairs of the
-walk's table at its own charge, builds the Bipartition, uglov_key and
-JSON text of every pair of rank <= n once, before its walk, and joins
-each line from those texts, each expansion sorted by RimTable.order.
+walk's table at its own charge, reads each pair's place in the Uglov
+order of its rank from RimTable.ranked and its JSON text from
+RimTable.json before its walk, and joins each line from those texts,
+each expansion sorted by RimTable.order.
 Propb reads the natures of each bipartition at its own charge from the
 cores of its two components (diagrams.nature_core), through one
 functools.cache of nature_core per sweep, each core placed at its
 floor, so a wide charge gap costs it nothing.
 
 The converse sweep walks the distinct supports of monomials rank by
-rank, each an int over the bipartitions of its rank in Uglov order, as
-pairs of one RimTable.  Its membership verdicts come from one layer_walk
+rank, each an int over the pairs of its rank as RimTable.ranked lists
+them, in Uglov order.  Its membership verdicts come from one layer_walk
 on that table, its children from the table's children by residue, the
 child masks of a support from chunk tables that every support of a rank
 shares, and each support's (residue, parent) records by support index;
 each rank's line is written as the rank is done.
 
-The corollary sweep fills each shape's rows in one greedy pass: a letter
-goes to the row that waits for it and has the most boxes left.
+The corollary sweep lists each rank's shapes in RimTable.ranked's
+order, so a word's largest shape is its last.  It fills a shape's rows
+in one greedy pass: a letter goes to the waiting row with most boxes.
 """
 
 from __future__ import annotations
@@ -66,9 +68,7 @@ from .diagrams import (
     Bipartition,
     Node,
     beta_set,
-    bipartition_json_text,
     bipartition_to_json,
-    bipartitions_of,
     nature_at,
     nature_core,
     node_key,
@@ -77,8 +77,6 @@ from .diagrams import (
     remove_node,
     residue,
     rim,
-    uglov_key,
-    uglov_max,
 )
 from .isomorphism import fundamental, image_walk, psi_to
 
@@ -277,19 +275,18 @@ def verify_djm_forward(n: int, p: CrystalParams):
     Adm comes from adm_walk, and the vector of each image's monomial,
     f-operators applied oldest residue first, is the vector of its rest
     extended by r f_action steps over the pairs of the walk's table at
-    p, so each component partition's rim at p is read once.  Every
-    bipartition of rank <= n is keyed once as a pair of that table before
-    the walk, with its uglov_key, for the maximum, and its JSON text;
-    each line is joined from those texts, its expansion sorted by the
-    table's order.
+    p, so each component partition's rim at p is read once.  Before the
+    walk every bipartition of rank <= n gets its place in the Uglov order
+    of its rank, from the table's ranked, for the maximum, and its JSON
+    text, from the table's json; each line is joined from those texts,
+    its expansion sorted by the table's order.
     """
     table, _, _ = walk = image_walk(n, p, fundamental(p).charge)  # at p
     vecs = {EMPTY: {ROOT: 1}}  # image -> vector of its Adm monomial
-    bps = {table.pair(bp): bp for k in range(n + 1)
-           for bp in bipartitions_of(k)}  # pair -> its bipartition
-    keys = {pair: uglov_key(bp, p.charge) for pair, bp in bps.items()}
-    forms = {pair: bipartition_json_text(bp) for pair, bp in bps.items()}
-    order = table.order()  # after bps has interned every term's pair
+    place = {pair: i for k in range(n + 1)
+             for i, pair in enumerate(table.ranked(k))}
+    forms = {pair: table.json(pair) for pair in place}
+    order = table.order()  # after place has interned every term's pair
     for pair, image, found in adm_walk(walk):
         if isinstance(found, str):
             yield ('{"bp": %s, "error": %s, "pass": false}'
@@ -303,7 +300,7 @@ def verify_djm_forward(n: int, p: CrystalParams):
                 vec = f_action(vec, j, table)
             vecs[image] = vec
         vec = vecs[image]
-        ok = pair in vec and max(vec, key=keys.__getitem__) == pair
+        ok = pair in vec and max(vec, key=place.__getitem__) == pair
         terms = ", ".join('{"bp": %s, "coeff": %d}' % (forms[mu], vec[mu])
                           for mu in sorted(vec, key=order))
         yield ('{"adm": [%s], "bp": %s, "expansion": [%s], "max": %s, '
@@ -350,8 +347,8 @@ def verify_djm_converse(n: int, p: CrystalParams):
     residue first), and its support is the j-children of that word's
     support; a support records each such (j, parent support index).
 
-    A support of rank k is an int: bit i stands for the i-th bipartition
-    of rank k in increasing Uglov order, so its maximum is its top bit.
+    A support of rank k is an int: bit i stands for the i-th pair of
+    RimTable.ranked(k), in Uglov order, so its maximum is its top bit.
     Bipartitions are pairs of one RimTable, whose layer_walk up to rank n
     gives the membership verdicts, kept as one set of Uglov pairs.  Each
     bipartition has one child mask per residue of its addable nodes, over
@@ -370,7 +367,6 @@ def verify_djm_converse(n: int, p: CrystalParams):
     """
     if p.e is None:
         raise ValueError("the converse sweep needs finite e")
-    e, charge = p.e, p.charge
     rims = RimTable(p)  # the walk's and the child masks'
     uglov = set().union(*layer_walk(n, rims))
     records = []  # by rank, by support index: its (j, parent index)
@@ -395,13 +391,12 @@ def verify_djm_converse(n: int, p: CrystalParams):
                 found += ({"word": list(w), "max": bipartition_to_json(best)}
                           for w in words(k, i))
         found.sort(key=lambda f: f["word"])
-        yield (json.dumps({"n": k, "words": e ** k, "failures": found,
+        yield (json.dumps({"n": k, "words": p.e ** k, "failures": found,
                            "pass": not found}, sort_keys=True),
-               e ** k, len(found))
+               p.e ** k, len(found))
         if k == n:
             break
-        up = [rims.pair(bp) for bp in sorted(
-            bipartitions_of(k + 1), key=lambda bp: uglov_key(bp, charge))]
+        up = rims.ranked(k + 1)
         index = {pair: i for i, pair in enumerate(up)}
         # rows[i]: {j: the mask of the j-children of bps[i]}
         rows = [{} for _ in bps]
@@ -466,20 +461,19 @@ def _row_standard_filling_exists(bp: Bipartition, word, charge, e) -> bool:
     return not any(left for _, left in rows)
 
 
-def row_standard_shapes(word, p: CrystalParams, bps) -> set[Bipartition]:
+def row_standard_shapes(word, p: CrystalParams, bps) -> list[Bipartition]:
     """Shapes admitting a row-standard tableau with this residue word,
-    among bps, the bipartitions of rank len(word)."""
-    return {bp for bp in bps
-            if _row_standard_filling_exists(bp, word, p.charge, p.e)}
+    among bps, the bipartitions of rank len(word), in the order of bps."""
+    return [bp for bp in bps
+            if _row_standard_filling_exists(bp, word, p.charge, p.e)]
 
 
 def verify_djm_corollary(n: int, p: CrystalParams):
     """Yield (line, 1, failed) per Uglov bipartition bp of rank <= n,
     row-standard reformulation: failed is 0 when bp dominates every shape
-    of its word, Adm from adm_walk."""
+    of its word, the last of them in Uglov order, Adm from adm_walk."""
     src, _, _ = walk = image_walk(n, p, fundamental(p).charge)
-    keys = {}  # bipartition -> its uglov_key, read once per sweep
-    ranks = [bipartitions_of(k) for k in range(n + 1)]  # candidate shapes
+    ranks = [list(map(src.bipartition, src.ranked(k))) for k in range(n + 1)]
     for pair, _, found in adm_walk(walk):
         bp = src.bipartition(pair)
         if isinstance(found, str):
@@ -488,7 +482,7 @@ def verify_djm_corollary(n: int, p: CrystalParams):
             continue
         seq = found[0]
         shapes = row_standard_shapes(seq, p, ranks[bp.rank])
-        ok = bp in shapes and uglov_max(shapes, p.charge, keys) == bp
+        ok = shapes[-1:] == [bp]
         yield (json.dumps({"bp": bipartition_to_json(bp), "adm": list(seq),
                            "shapes": [bipartition_to_json(mu)
                                       for mu in sorted(shapes)],

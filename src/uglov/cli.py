@@ -108,12 +108,9 @@ def cmd_enumerate(args) -> int:
     table, pairs = crystal.top_layer(args.n, p)
     if args.format == "json":
         print("[", end="")  # json.dumps's bytes, a chunk of texts at a time
-        text = table.text
         for i in range(0, len(pairs), LISTING_CHUNK):
             chunk = pairs[i:i + LISTING_CHUNK]
-            print(", " * (i > 0) + ", ".join(
-                '{"c1": %s, "c2": %s}' % (text(1, i1), text(2, i2))
-                for i1, i2 in chunk), end="")
+            print(", " * (i > 0) + ", ".join(map(table.json, chunk)), end="")
         print("]")
     else:
         for bp in map(table.bipartition, pairs):

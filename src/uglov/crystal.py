@@ -13,9 +13,10 @@ counters indexed by residue id, and a child swaps one id.  layer_walk is
 the one walk of the crystal component of the empty bipartition, one
 batch per layer: uglov_layers lists its layers, top_layer keeps the last
 for `uglov enumerate`, sorted by RimTable.order and written from
-RimTable.text, cli.render_dot scans each layer below n again for its
+RimTable.json, cli.render_dot scans each layer below n again for its
 edges, and isomorphism.image_walk zips each layer's batch with one batch
-of its images in a second table.
+of its images in a second table.  RimTable.ranked lays out a rank in
+Uglov order for admissible's forward, converse and corollary sweeps.
 Bipartitions are built only where a caller reads them.  A Fock vector is
 a dict pair -> positive int over one table, its keys of one rank:
 f_action swaps in the child ids of each pair's addable j-nodes, which
@@ -37,11 +38,13 @@ from .diagrams import (
     Bipartition,
     Node,
     beta_set,
+    bipartitions_of,
     component_rim,
     grow_partition,
     part,
     remove_node,
     rim,
+    uglov_key,
 )
 
 
@@ -74,8 +77,9 @@ class RimTable:
     partition, so ROOT is the empty bipartition.
 
     order() ranks the pairs interned so far as their Bipartitions
-    compare, and text(c, i) is partition i of component c as JSON text,
-    kept once written, so a listing is sorted and written from ids.
+    compare, text(c, i) is partition i of component c as JSON text, kept
+    once written, and json(pair) joins a pair's, so a listing is sorted
+    and written from ids.  ranked(k) lays out rank k in Uglov order.
     """
 
     def __init__(self, p: CrystalParams):
@@ -162,6 +166,18 @@ class RimTable:
         if out is None:
             out = texts[i] = str(list(self.parts[c - 1][i]))
         return out
+
+    def json(self, pair: tuple[int, int]) -> str:
+        """json.dumps(bipartition_to_json(bp)) of pair's bp, by text."""
+        return '{"c1": %s, "c2": %s}' % (self.text(1, pair[0]),
+                                         self.text(2, pair[1]))
+
+    def ranked(self, k: int) -> list:
+        """The pairs of every bipartition of rank k, interned here, in
+        increasing Uglov order at this table's charge (uglov_key), so the
+        maximum of some of them is the one listed last."""
+        return [self.pair(bp) for bp in sorted(
+            bipartitions_of(k), key=lambda bp: uglov_key(bp, self.p.charge))]
 
 
 def good_additions(pairs, table: RimTable):

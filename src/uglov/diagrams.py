@@ -45,7 +45,8 @@ boundary_sequence lists the beads in the window row by row.  Periods
 (admissible.has_period) are runs of beads.  The Uglov order compares
 boundary sequences, so it is the lexicographic order on the merged
 beta-set {2 beta - c}, Uglov's level-two to level-one wedge, which
-uglov_key builds as a decreasing tuple of integers.
+uglov_key builds as a decreasing tuple of integers: crystal.RimTable's
+ranked sorts each rank by it, and compare_uglov compares two by it.
 """
 
 from __future__ import annotations
@@ -340,7 +341,7 @@ def boundary_sequence(bp: Bipartition, charge: tuple[int, int],
 def uglov_key(bp: Bipartition, charge: tuple[int, int]) -> tuple[int, ...]:
     """The node_key values of the row-end vertical-boundary nodes of both
     components, decreasing: 2 * beta_set - c over both components, merged
-    (computed inline: the hot key of uglov_max, once per bipartition).
+    (computed inline: the sort key of RimTable.ranked, per bipartition).
 
     Keys compare as the boundary sequences do.  Those sequences go on
     with the virtual column-0 nodes (a, 0, c) below each component's last
@@ -362,16 +363,6 @@ def compare_uglov(bp1: Bipartition, bp2: Bipartition,
     """-1, 0 or 1 for the boundary-sequence order on bipartitions."""
     k1, k2 = uglov_key(bp1, charge), uglov_key(bp2, charge)
     return (k1 > k2) - (k1 < k2)
-
-
-def uglov_max(bps, charge: tuple[int, int], keys: dict) -> Bipartition:
-    """The largest of a nonempty collection of bipartitions under
-    compare_uglov, keyed through keys, a dict bipartition -> uglov_key
-    that its caller owns (one per sweep, {} for one call)."""
-    for bp in bps:
-        if bp not in keys:
-            keys[bp] = uglov_key(bp, charge)
-    return max(bps, key=keys.__getitem__)
 
 
 # ---------------------------------------------------------------------------
@@ -405,12 +396,6 @@ def format_bipartition(bp: Bipartition) -> str:
 
 def bipartition_to_json(bp: Bipartition) -> dict:
     return {"c1": list(bp.c1), "c2": list(bp.c2)}
-
-
-def bipartition_json_text(bp: Bipartition) -> str:
-    """json.dumps(bipartition_to_json(bp)), written directly: a list of
-    ints prints as JSON writes it."""
-    return '{"c1": %s, "c2": %s}' % (list(bp.c1), list(bp.c2))
 
 
 def render_nature_table(label: str, slots: list) -> str:

@@ -46,12 +46,12 @@ from uglov.diagrams import (
     nature_table,
     node_key,
     parse_bipartition,
+    partitions_of,
     remove_node,
     removable_nodes,
     residue,
     rim,
     uglov_key,
-    uglov_max,
 )
 from uglov.isomorphism import (
     fundamental,
@@ -68,6 +68,7 @@ from test_crystal import (
     f_action_oracle,
     forbid_validating_primitives,
     read_keys,
+    uglov_max,
 )
 from test_isomorphism import psi_nature_check_oracle
 
@@ -388,7 +389,7 @@ def test_adm_word_reaches_bp_as_monomial_maximum():
     # reversed(Adm) read as a monomial applies the oldest residue first.
     bp = P("6.1,2.2")
     vec = expand_monomial(list(reversed(adm(bp, P01))), P01)
-    assert uglov_max(vec, P01.charge, {}) == bp
+    assert uglov_max(vec, P01.charge) == bp
 
 
 def forward_oracle(bp, p):
@@ -404,7 +405,7 @@ def forward_oracle(bp, p):
     vec = {EMPTY: 1}
     for j in seq:
         vec = f_action_oracle(vec, j, RimTable(p))
-    ok = bp in vec and uglov_max(vec, p.charge, {}) == bp
+    ok = bp in vec and uglov_max(vec, p.charge) == bp
     return {
         "bp": bipartition_to_json(bp),
         "adm": list(seq),
@@ -610,13 +611,14 @@ def test_forward_reads_each_rim_at_p_once_off_the_fundamental_domain(
 
 def test_forward_reads_each_fact_once(monkeypatch):
     # At rank <= 9 every one of the 734 bipartitions lies in an expansion:
-    # the sweep keys each once and encodes each once, and tests no rest
+    # the sweep keys each once and encodes each once, writing the text of
+    # each of the 2 * 97 component partitions once, and tests no rest
     # with is_flotw.  Of the 134 (component, partition) of the
     # bipartitions below rank 9, f_action reads the 78 the walk has not
     # read in their shared table, each once.
     reports = list(verify_djm_forward(9, P01))
     assert sum(len(bipartitions_of(k)) for k in range(10)) == 734
-    calls, fills = {}, []
+    calls, fills, writes = {}, [], []
 
     def count(module, name):
         real = getattr(module, name)
@@ -627,9 +629,21 @@ def test_forward_reads_each_fact_once(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    count(admissible, "uglov_key")
-    count(admissible, "bipartition_json_text")
+    count(crystal, "uglov_key")
     count(admissible, "is_flotw")
+    real_json, real_text = RimTable.json, RimTable.text
+
+    def counted_json(table, pair):
+        calls["json"] = calls.get("json", 0) + 1
+        return real_json(table, pair)
+
+    def counted_text(table, c, i):
+        if i not in table.texts[c - 1]:
+            writes.append((table, c, i))
+        return real_text(table, c, i)
+
+    monkeypatch.setattr(RimTable, "json", counted_json)
+    monkeypatch.setattr(RimTable, "text", counted_text)
     real_rim = crystal.component_rim
 
     def counted_rim(lam, s, c):  # under RimTable.children, then read
@@ -639,7 +653,9 @@ def test_forward_reads_each_fact_once(monkeypatch):
 
     monkeypatch.setattr(crystal, "component_rim", counted_rim)
     assert list(verify_djm_forward(9, P01)) == reports
-    assert calls == {"uglov_key": 734, "bipartition_json_text": 734}
+    assert calls == {"uglov_key": 734, "json": 734}
+    assert len(writes) == len(set(writes)) == 2 * sum(
+        len(list(partitions_of(k))) for k in range(10))
     assert len(fills) == len(set(fills)) == 78
 
 
@@ -739,7 +755,7 @@ def words_by_max(n: int, p: CrystalParams) -> dict:
     todo = [([], {EMPTY: 1})]
     while todo:
         word, vec = todo.pop()
-        out.setdefault(uglov_max(vec, p.charge, {}), []).append(word)
+        out.setdefault(uglov_max(vec, p.charge), []).append(word)
         if len(word) < n:
             for j in range(p.e):
                 child = f_action_oracle(vec, j, RimTable(p))
@@ -804,7 +820,7 @@ def _converse_brute(n, p, member):
     for word in itertools.product(range(p.e), repeat=n):
         vec = expand_monomial(word, p)
         if vec:
-            best = uglov_max(vec, p.charge, {})
+            best = uglov_max(vec, p.charge)
             if not member(best, p):
                 failures.append({"word": list(word),
                                  "max": bipartition_to_json(best)})
@@ -852,7 +868,7 @@ def converse_word_oracle(n, p, member):
     failures = [[] for _ in range(n + 1)]  # by rank
 
     def visit(suffix, vec):
-        best = uglov_max(vec, p.charge, {})
+        best = uglov_max(vec, p.charge)
         if not member(best, p):
             failures[len(suffix)].append({"word": list(suffix),
                                           "max": bipartition_to_json(best)})
@@ -1043,7 +1059,7 @@ def test_converse_reads_children_once_per_bipartition(monkeypatch):
         return uglov_key(bp, charge)
 
     monkeypatch.setattr(admissible, "rim", counted_rim)
-    monkeypatch.setattr(admissible, "uglov_key", counted_key)
+    monkeypatch.setattr(crystal, "uglov_key", counted_key)
     reads = count_component_reads(monkeypatch)
     forbid_validating_primitives(monkeypatch)
     list(verify_djm_converse(8, P01))
@@ -1083,11 +1099,15 @@ def _row_standard_shapes_brute(word, p):
 
 
 def test_row_standard_shapes_examples():
-    assert row_standard_shapes([0], P01, bipartitions_of(1)) == {P("1,-")}
+    assert row_standard_shapes([0], P01, bipartitions_of(1)) == [P("1,-")]
     p = CrystalParams(2, (0, 0))
     for word in itertools.product(range(2), repeat=2):
-        assert (row_standard_shapes(list(word), p, bipartitions_of(2))
-                == _row_standard_shapes_brute(list(word), p))
+        shapes = row_standard_shapes(list(word), p, bipartitions_of(2))
+        assert set(shapes) == _row_standard_shapes_brute(list(word), p)
+        # the list keeps the order of the candidates, reversed or not
+        assert shapes == [bp for bp in bipartitions_of(2) if bp in shapes]
+        assert (row_standard_shapes(list(word), p, bipartitions_of(2)[::-1])
+                == shapes[::-1])
 
 
 def row_filling_oracle(bp, word, charge, e):
@@ -1168,11 +1188,13 @@ def test_row_standard_shapes_match_unfiltered():
     words.append(([2, 2], P01))  # no shape has two boxes of residue 2
     empty = 0
     for word, p in words:
-        shapes = row_standard_shapes(word, p, bipartitions_of(len(word)))
-        assert shapes == _row_standard_shapes_unfiltered(word, p)
+        bps = bipartitions_of(len(word))
+        shapes = row_standard_shapes(word, p, bps)
+        assert set(shapes) == _row_standard_shapes_unfiltered(word, p)
+        assert shapes == [bp for bp in bps if bp in shapes]  # bps' order
         empty += not shapes
     assert 0 < empty < len(words)
-    assert row_standard_shapes([2, 2], P01, bipartitions_of(2)) == set()
+    assert row_standard_shapes([2, 2], P01, bipartitions_of(2)) == []
 
 
 def corollary_oracle(bp, p):
@@ -1185,7 +1207,7 @@ def corollary_oracle(bp, p):
         return {"bp": bipartition_to_json(bp), "pass": False,
                 "error": str(exc)}
     shapes = row_standard_shapes(seq, p, bipartitions_of(len(seq)))
-    ok = bp in shapes and uglov_max(shapes, p.charge, {}) == bp
+    ok = bp in shapes and uglov_max(shapes, p.charge) == bp
     return {
         "bp": bipartition_to_json(bp),
         "adm": list(seq),

@@ -33,7 +33,9 @@ from uglov.diagrams import (
     Node,
     add_node,
     addable_nodes,
+    bipartition_to_json,
     bipartitions_of,
+    compare_uglov,
     component_rim,
     grow_partition,
     node_key,
@@ -43,7 +45,7 @@ from uglov.diagrams import (
     removable_nodes,
     residue,
     rim,
-    uglov_max,
+    uglov_key,
     with_component,
 )
 
@@ -55,6 +57,11 @@ SCAN_GRID = [CrystalParams(e, charge) for e in (2, 3, 4, 5, None)
              for charge in ((0, 0), (0, 1), (1, 0), (0, 2), (2, -1),
                             (-2, 3), (5, 0))]
 SCAN_RANK = 8
+
+
+def uglov_max(bps, charge):
+    """Oracle: the largest of bps in the Uglov order."""
+    return max(bps, key=lambda bp: uglov_key(bp, charge))
 
 
 def signature_word_oracle(bp, j, p):
@@ -547,6 +554,29 @@ def test_text_is_the_json_of_each_partition():
                 assert table.text(c, i) is text  # written once, kept
 
 
+def test_ranked_lists_each_rank_in_uglov_order():
+    # ranked(k) holds the pairs of every bipartition of rank k, as
+    # uglov_key sorts them at the table's charge, each strictly below the
+    # next under compare_uglov, so a maximum is the last of its members.
+    for p, table in kernel_tables(8).items():
+        for k in range(8):
+            ranked = table.ranked(k)
+            assert ranked == [table.pair(bp) for bp in sorted(
+                bipartitions_of(k), key=lambda bp: uglov_key(bp, p.charge))]
+            bps = list(map(table.bipartition, ranked))
+            assert all(compare_uglov(x, y, p.charge) == -1
+                       for x, y in zip(bps, bps[1:])), (p, k)
+
+
+def test_json_is_the_json_of_each_bipartition():
+    for p, table in kernel_tables(8).items():
+        for k in range(8):
+            for pair in table.ranked(k):
+                bp = table.bipartition(pair)
+                assert (table.json(pair)
+                        == json.dumps(bipartition_to_json(bp))), (p, bp)
+
+
 def test_residue_ids_hold_only_the_residues_met():
     # After a rank-12 walk the table has interned the residues its rims
     # met, rids their inverse: as many at e = 10**6 as at e = infinity,
@@ -928,8 +958,8 @@ def test_expand_monomial_applies_last_residue_first():
 
 
 def test_max_of_monomial_examples():
-    assert uglov_max(expand_monomial([0], P01), P01.charge, {}) == P("1,-")
-    assert (uglov_max(expand_monomial([1, 0], P01), P01.charge, {})
+    assert uglov_max(expand_monomial([0], P01), P01.charge) == P("1,-")
+    assert (uglov_max(expand_monomial([1, 0], P01), P01.charge)
             == P("2,-"))
     assert expand_monomial([2], P01) == {}
 
@@ -942,4 +972,4 @@ def test_monomial_maxima_are_uglov_small():
             # positive coefficients: f_action never drops a cancelled term
             assert all(coeff > 0 for coeff in vec.values())
             if vec:
-                assert is_uglov(uglov_max(vec, p.charge, {}), p)
+                assert is_uglov(uglov_max(vec, p.charge), p)

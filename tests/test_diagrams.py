@@ -6,6 +6,7 @@ from functools import cmp_to_key
 
 import pytest
 
+from uglov.crystal import CrystalParams, RimTable
 from uglov.diagrams import (
     EMPTY,
     Bipartition,
@@ -14,7 +15,6 @@ from uglov.diagrams import (
     add_node,
     addable_nodes,
     beta_set,
-    bipartition_json_text,
     bipartition_to_json,
     bipartitions_of,
     boundary_sequence,
@@ -38,10 +38,9 @@ from uglov.diagrams import (
     residue,
     rim,
     uglov_key,
-    uglov_max,
     with_component,
 )
-from test_crystal import SCAN_GRID
+from test_crystal import SCAN_GRID, uglov_max
 
 P = parse_bipartition
 
@@ -566,7 +565,7 @@ def test_uglov_key_matches_boundary_sequence_oracle(charge):
     expected = sorted(bps, key=cmp_to_key(
         lambda x, y: compare_uglov_oracle(x, y, charge)))
     assert sorted(bps, key=lambda bp: uglov_key(bp, charge)) == expected
-    assert uglov_max(bps, charge, {}) == expected[-1]
+    assert uglov_max(bps, charge) == expected[-1]
     for x, y in zip(expected, expected[1:]):
         assert compare_uglov(x, y, charge) == -1
         assert compare_uglov(y, x, charge) == 1
@@ -619,7 +618,8 @@ def test_json_round_trip():
 
 def test_json_text_is_json_dumps():
     # rank 12 gives two-digit parts
+    table = RimTable(CrystalParams(3, (0, 1)))
     for n in list(range(7)) + [12]:
         for bp in bipartitions_of(n):
-            assert (bipartition_json_text(bp)
+            assert (table.json(table.pair(bp))
                     == json.dumps(bipartition_to_json(bp), sort_keys=True))

@@ -4,7 +4,7 @@ from functools import cache
 
 import pytest
 
-from uglov import crystal, diagrams, isomorphism
+from uglov import crystal, isomorphism
 from uglov.crystal import (
     CrystalParams,
     good_addable_node,
@@ -355,9 +355,7 @@ def test_verify_psi_nature_reads_each_partition_once_by_id(monkeypatch,
     monkeypatch.setattr(isomorphism, "image_walk", recorded_walk)
     monkeypatch.setattr(isomorphism, "cache", counted_cache)
     monkeypatch.setattr(crystal.RimTable, "bipartition", forbidden)
-    monkeypatch.setattr(diagrams, "bipartition_json_text", forbidden)
-    monkeypatch.setattr(isomorphism, "bipartition_json_text", forbidden,
-                        raising=False)
+    monkeypatch.setattr(crystal.RimTable, "json", forbidden)
     assert list(verify_psi_nature(11, p)) == expected
     (src, dst, images), = walks
     assert dst is not src
