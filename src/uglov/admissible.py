@@ -18,7 +18,8 @@ one class_step per image onto the Adm of its remainder.  A class is the
 run of removable j-nodes around its seed whose neighbours are (1)- or
 (2)-connected.  Each class step reads its image in one rim pass, in
 top_class; its rest is FLOTW exactly when adm_walk has stepped it
-already.  The forward sweep keys its Fock vectors by the pairs of the
+already, and adm_flotw, behind `uglov show BP adm`, asks is_uglov
+instead.  The forward sweep keys its Fock vectors by the pairs of the
 walk's table at its own charge, reads each pair's place in the Uglov
 order of its rank from RimTable.ranked and its JSON text from
 RimTable.json before its walk, and joins each line from those texts,
@@ -54,10 +55,9 @@ from .crystal import (
     CrystalParams,
     RimTable,
     f_action,
-    is_flotw,
+    is_uglov,
     layer_walk,
     normal_nodes,
-    require_fundamental,
     signature_word,
 )
 from .diagrams import (
@@ -78,7 +78,7 @@ from .diagrams import (
     residue,
     rim,
 )
-from .isomorphism import fundamental, image_walk, psi_to
+from .isomorphism import fundamental, image_walk, psi_to, require_fundamental
 
 
 def has_period(bp: Bipartition, p: CrystalParams) -> bool:
@@ -211,15 +211,17 @@ def class_step(bp: Bipartition, p: CrystalParams) -> tuple:
 
 
 def adm_flotw(bp: Bipartition, p: CrystalParams) -> list:
-    """Admissible residue sequence by successive class removals, each
-    rest tested with is_flotw: AssertionError if one is not FLOTW."""
+    """Admissible residue sequence by successive class removals.  At a
+    fundamental charge the FLOTW bipartitions are the Uglov ones, so bp
+    and each rest are tested in the crystal, with is_uglov:
+    AssertionError if a rest is not FLOTW."""
     require_fundamental(p)
-    if not is_flotw(bp, p):
+    if not is_uglov(bp, p):
         raise ValueError("%r is not FLOTW at %r" % (bp, p))
     segments = []
     while bp != EMPTY:
         j, r, bp = class_step(bp, p)
-        if not is_flotw(bp, p):
+        if not is_uglov(bp, p):
             raise AssertionError("class removal left non-FLOTW %r" % (bp,))
         segments.append((j, r))
     out = []
@@ -247,7 +249,8 @@ def adm_walk(walk):
     found: Adm(bp) = Adm(rest) followed by [j]^r.
 
     The images, in increasing rank, are the FLOTW bipartitions of the
-    walk's ranks, so a rest is FLOTW exactly when done holds it: no is_flotw.
+    walk's ranks, so a rest is FLOTW exactly when done holds it: no rest
+    is peeled.
     """
     _, dst, images = walk
     done = {EMPTY: ([], None)}  # image -> found; psi is a bijection

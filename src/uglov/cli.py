@@ -155,19 +155,18 @@ def cmd_verify(args) -> int:
         "psi-nature": (isomorphism.verify_psi_nature, "instances"),
     }
     sweep, unit = sweeps[args.mode]
-    # (line, checked, failed) per report, ordered by its unique line
-    reports = sorted(sweep(args.n, CrystalParams(args.e, args.charge)))
-    failing = [line for line, _, failed in reports if failed]
-    if args.format == "json":
-        for line, _, _ in reports:
-            print(line)
-    else:
-        print("checked %d %s, %d counterexamples"
-              % (sum(r[1] for r in reports), unit,
-                 sum(r[2] for r in reports)))
-        for line in failing:
-            print(line)
-    return 1 if failing else 0
+    # (line, checked, failed) per report; text mode keeps failing lines
+    text, kept, checked, failed = args.format == "text", [], 0, 0
+    for line, count, bad in sweep(args.n, CrystalParams(args.e, args.charge)):
+        checked, failed = checked + count, failed + bad
+        if bad or not text:
+            kept.append(line)
+    kept.sort()  # each line is unique, so this orders the reports
+    if text:
+        print("checked %d %s, %d counterexamples" % (checked, unit, failed))
+    for line in kept:
+        print(line)
+    return 1 if failed else 0
 
 
 def cmd_show(args) -> int:

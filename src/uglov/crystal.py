@@ -1,4 +1,4 @@
-"""Integral Fock-space operators, good nodes and Uglov/FLOTW membership.
+"""Integral Fock-space operators, good nodes and Uglov membership.
 
 CrystalParams bundles e (None for infinity) with the charge (s1, s2).
 
@@ -37,11 +37,9 @@ from .diagrams import (
     EMPTY,
     Bipartition,
     Node,
-    beta_set,
     bipartitions_of,
     component_rim,
     grow_partition,
-    part,
     remove_node,
     rim,
     uglov_key,
@@ -337,34 +335,6 @@ def top_layer(n: int, p: CrystalParams) -> tuple[RimTable, list]:
     for layer in layer_walk(n, table):
         pass
     return table, sorted(layer, key=table.order())
-
-
-# ---------------------------------------------------------------------------
-# FLOTW characterization (charge in the fundamental domain)
-
-def require_fundamental(p: CrystalParams):
-    """Raise ValueError unless e is finite and the charge is in the
-    fundamental domain."""
-    if p.e is None or not 0 <= p.charge[0] <= p.charge[1] < p.e:
-        raise ValueError("charge %r not in the fundamental domain for e=%r"
-                         % (p.charge, p.e))
-
-
-def is_flotw(bp: Bipartition, p: CrystalParams) -> bool:
-    """Cyclic dominance inequalities plus the missing-residue condition."""
-    require_fundamental(p)
-    e, (s1, s2) = p.e, p.charge
-    lam1, lam2 = bp.c1, bp.c2
-    for i in range(1, max(len(lam1), len(lam2)) + 1):
-        if part(lam1, i) < part(lam2, i + s2 - s1):
-            return False
-        if part(lam2, i) < part(lam1, i + e + s1 - s2):
-            return False
-    found: dict[int, set[int]] = {}  # part -> residues of its row ends
-    for lam, s in ((lam1, s1), (lam2, s2)):
-        for k, x in zip(lam, beta_set(lam, s)):
-            found.setdefault(k, set()).add(x % e)
-    return all(len(res) < e for res in found.values())
 
 
 # ---------------------------------------------------------------------------

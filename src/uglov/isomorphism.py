@@ -3,12 +3,13 @@
 The isomorphisms relate charges in one orbit of the extended affine
 symmetric group, generated by (s1,s2) -> (s2,s1), (s1+e,s2) and
 (s1,s2+e).  Each orbit meets the fundamental domain 0 <= s1 <= s2 < e
-once, at the sorted residues mod e.  The charge-change bijection is
-computed by peeling a bipartition to empty at the start charge
-(recording the residues of the good nodes removed) and rebuilding along
-the reversed residue word at the end charge; being a crystal
-isomorphism fixing the empty bipartition, this is forced to agree with
-the map itself.
+once, at the sorted residues mod e: fundamental(p) moves p there, and
+require_fundamental(p) checks that p is there, so the domain has this
+one definition.  The charge-change bijection is computed by peeling a
+bipartition to empty at the start charge (recording the residues of the
+good nodes removed) and rebuilding along the reversed residue word at
+the end charge; being a crystal isomorphism fixing the empty
+bipartition, this is forced to agree with the map itself.
 
 A sweep over a whole crystal component needs no peeling: image_walk
 walks the component in two RimTables, one per charge, one
@@ -65,6 +66,13 @@ def fundamental(p: CrystalParams) -> CrystalParams:
     if p.e is None:
         raise ValueError("admissible sequences need finite e")
     return CrystalParams(p.e, reduce_to_fundamental(p.charge, p.e))
+
+
+def require_fundamental(p: CrystalParams):
+    """Raise ValueError unless e is finite and the charge fundamental."""
+    if p.e is None or tuple(p.charge) != reduce_to_fundamental(p.charge, p.e):
+        raise ValueError("charge %r not in the fundamental domain for e=%r"
+                         % (p.charge, p.e))
 
 
 def require_same_orbit(c1, c2, e: Optional[int]):

@@ -44,8 +44,9 @@ def _grid() -> list[str]:
         "--format json verify --mode forward --n 11",
         "--e 4 --charge 1,3 --format json verify --mode forward --n 10",
         # sweeps whose charge is off the fundamental domain, so the walk's
-        # two tables differ: forward exit 0, then 1 on the transport
-        # defect; propb exit 0; corollary exit 1
+        # two tables differ: forward exit 0, then 1 on two class-step
+        # errors on the image 3.2.1,3.1 at the fundamental charge (2,2);
+        # propb exit 0; corollary exit 1
         "--e 4 --charge=3,1 --format json verify --mode forward --n 10",
         "--e 3 --charge=2,-1 --format json verify --mode forward --n 11",
         "--e 4 --charge=3,1 --format json verify --mode propb --n 11",

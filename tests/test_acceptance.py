@@ -31,7 +31,6 @@ from uglov.crystal import (
     CrystalParams,
     good_addable_node,
     good_removable_node,
-    is_flotw,
     is_uglov,
     signature_word,
     uglov_layers,
@@ -52,6 +51,7 @@ from uglov.diagrams import (
 from uglov.isomorphism import psi_to
 
 from test_admissible import forward_reports
+from test_crystal import is_flotw
 from test_diagrams import NATURE_TRANSITIONS, compare_lex
 from test_isomorphism import nature_check, psi_e_independence_check
 

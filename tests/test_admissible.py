@@ -67,6 +67,7 @@ from test_crystal import (
     counting_scan,
     f_action_oracle,
     forbid_validating_primitives,
+    is_flotw,
     read_keys,
     uglov_max,
 )
@@ -329,7 +330,6 @@ def test_removable_class_example():
     bp = P("3.1.1,3.2.2.1.1")
     cls = removable_class(bp, Node(1, 3, 2), P02)
     assert cls == [Node(5, 1, 2), Node(3, 1, 1), Node(3, 2, 2), Node(1, 3, 2)]
-    from uglov.crystal import is_flotw
     child = remove_all(bp, cls)
     assert child.rank == bp.rank - 4
     assert is_flotw(child, P02)
@@ -613,7 +613,7 @@ def test_forward_reads_each_fact_once(monkeypatch):
     # At rank <= 9 every one of the 734 bipartitions lies in an expansion:
     # the sweep keys each once and encodes each once, writing the text of
     # each of the 2 * 97 component partitions once, and tests no rest
-    # with is_flotw.  Of the 134 (component, partition) of the
+    # with is_uglov.  Of the 134 (component, partition) of the
     # bipartitions below rank 9, f_action reads the 78 the walk has not
     # read in their shared table, each once.
     reports = list(verify_djm_forward(9, P01))
@@ -630,7 +630,7 @@ def test_forward_reads_each_fact_once(monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     count(crystal, "uglov_key")
-    count(admissible, "is_flotw")
+    count(admissible, "is_uglov")
     real_json, real_text = RimTable.json, RimTable.text
 
     def counted_json(table, pair):
@@ -653,7 +653,7 @@ def test_forward_reads_each_fact_once(monkeypatch):
 
     monkeypatch.setattr(crystal, "component_rim", counted_rim)
     assert list(verify_djm_forward(9, P01)) == reports
-    assert calls == {"uglov_key": 734, "json": 734}
+    assert calls == {"uglov_key": 734, "json": 734}  # no is_uglov call
     assert len(writes) == len(set(writes)) == 2 * sum(
         len(list(partitions_of(k))) for k in range(10))
     assert len(fills) == len(set(fills)) == 78
@@ -1303,10 +1303,10 @@ def test_non_flotw_rest_is_an_error(monkeypatch, sweep, oracle):
     # No class step of the sweeps leaves a non-FLOTW rest, so one is
     # forced: the class of 1,1.1 at e=3, s=(0,1) becomes its node (1,1,1),
     # which leaves -,1.1.  The walk finds that rest among no image and
-    # records the text that adm_flotw's is_flotw test raises, and every
+    # records the text that adm_flotw's is_uglov test raises, and every
     # bipartition whose class steps pass through 1,1.1 inherits it.
     chosen, g = P("1,1.1"), Node(1, 1, 1)
-    assert not crystal.is_flotw(remove_node(chosen, g), P01)
+    assert not is_flotw(remove_node(chosen, g), P01)
     real = admissible.top_class
 
     def forced(bp, q):

@@ -11,7 +11,8 @@ import pytest
 
 import uglov
 from test_admissible import _forced_member, keep_members
-from uglov import isomorphism
+from test_crystal import traced_peak
+from uglov import admissible, isomorphism
 from uglov.cli import (
     main,
     parse_charge,
@@ -300,6 +301,30 @@ def test_one_report_protocol_on_forced_failures(capsys, monkeypatch):
     assert int(header.split()[-2]) > 3  # more than one word per rank line
     header = assert_one_report_protocol(capsys, [], "psi-nature", 4)
     assert not header.endswith(" 0 counterexamples")
+
+
+def test_text_mode_keeps_only_the_failing_lines(capsys, monkeypatch):
+    # A forced sweep of 2,000 passing lines of about 4 KB and 3 failing
+    # ones, each line made as it is yielded: text mode holds the 3
+    # failing lines, JSON mode all of them, so text mode's tracemalloc
+    # peak stays far below JSON mode's, with the same failing lines.
+    def sweep(n, p):
+        for i in range(2000):
+            if i % 700 == 1:
+                yield '{"bp": %d, "pass": false}' % i, 1, 1
+            pad = "x" * 4096
+            yield '{"bp": %d, "pad": "%s", "pass": true}' % (i, pad), 1, 0
+
+    monkeypatch.setattr(admissible, "verify_djm_forward", sweep)
+    header = assert_one_report_protocol(capsys, [], "forward", 1)
+    assert header == "checked 2003 instances, 3 counterexamples"
+    peaks = {}
+    for mode in ("text", "json"):
+        peaks[mode] = traced_peak(main, ["--format", mode, "verify",
+                                         "--mode", "forward", "--n", "1"])
+        assert capsys.readouterr().out.count('"pass": false') == 3
+    assert peaks["json"] > 2000 * 4096
+    assert peaks["text"] < peaks["json"] // 20
 
 
 def test_verify_forward_internal_error_is_a_counterexample(capsys):

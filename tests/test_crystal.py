@@ -18,12 +18,10 @@ from uglov.crystal import (
     good_addable_node,
     good_additions,
     good_removable_node,
-    is_flotw,
     is_uglov,
     layer_walk,
     normal_nodes,
     peel_word,
-    require_fundamental,
     signature_word,
     uglov_layers,
 )
@@ -33,6 +31,7 @@ from uglov.diagrams import (
     Node,
     add_node,
     addable_nodes,
+    beta_set,
     bipartition_to_json,
     bipartitions_of,
     compare_uglov,
@@ -40,6 +39,7 @@ from uglov.diagrams import (
     grow_partition,
     node_key,
     parse_bipartition,
+    part,
     partitions_of,
     remove_node,
     removable_nodes,
@@ -48,6 +48,7 @@ from uglov.diagrams import (
     uglov_key,
     with_component,
 )
+from uglov.isomorphism import require_fundamental
 
 P = parse_bipartition
 P01 = CrystalParams(3, (0, 1))
@@ -924,10 +925,38 @@ def test_f_action_grows_without_validation(monkeypatch):
 
 
 def test_fundamental_domain():
-    require_fundamental(CrystalParams(3, (0, 1)))
-    for charge in ((1, 0), (0, 3)):
-        with pytest.raises(ValueError, match="fundamental domain"):
-            require_fundamental(CrystalParams(3, charge))
+    # require_fundamental reads the domain through reduce_to_fundamental,
+    # and raises exactly where the inequality 0 <= s1 <= s2 < e fails.
+    for e in range(2, 7):
+        for s1, s2 in itertools.product(range(-2 * e, 2 * e + 1), repeat=2):
+            p = CrystalParams(e, (s1, s2))
+            if 0 <= s1 <= s2 < e:
+                require_fundamental(p)
+            else:
+                with pytest.raises(ValueError, match=re.escape(
+                        "charge (%d, %d) not in the fundamental domain for "
+                        "e=%d" % (s1, s2, e))):
+                    require_fundamental(p)
+    with pytest.raises(ValueError, match=re.escape(
+            "charge (0, 1) not in the fundamental domain for e=None")):
+        require_fundamental(CrystalParams(None, (0, 1)))
+
+
+def is_flotw(bp: Bipartition, p: CrystalParams) -> bool:
+    """Cyclic dominance inequalities plus the missing-residue condition."""
+    require_fundamental(p)
+    e, (s1, s2) = p.e, p.charge
+    lam1, lam2 = bp.c1, bp.c2
+    for i in range(1, max(len(lam1), len(lam2)) + 1):
+        if part(lam1, i) < part(lam2, i + s2 - s1):
+            return False
+        if part(lam2, i) < part(lam1, i + e + s1 - s2):
+            return False
+    found: dict[int, set[int]] = {}  # part -> residues of its row ends
+    for lam, s in ((lam1, s1), (lam2, s2)):
+        for k, x in zip(lam, beta_set(lam, s)):
+            found.setdefault(k, set()).add(x % e)
+    return all(len(res) < e for res in found.values())
 
 
 def test_is_flotw_examples():
@@ -941,13 +970,15 @@ def test_is_flotw_examples():
 
 
 def test_flotw_equals_uglov_small():
-    for e in (2, 3):
+    # adm_flotw tests FLOTW membership with is_uglov, so it rests on this
+    # equality at every fundamental charge.
+    for e in (2, 3, 4, 5):
         for s1 in range(e):
             for s2 in range(s1, e):
                 p = CrystalParams(e, (s1, s2))
-                for n in range(5):
+                for n in range(8):
                     for bp in bipartitions_of(n):
-                        assert is_flotw(bp, p) == is_uglov(bp, p)
+                        assert is_flotw(bp, p) == is_uglov(bp, p), (bp, p)
 
 
 def test_expand_monomial_applies_last_residue_first():

@@ -13,7 +13,6 @@ KEPT = {
     ("crystal", "expand_monomial"),
     ("crystal", "uglov_layers"),
     ("crystal", "good_removable_node"),
-    ("crystal", "is_uglov"),
     ("admissible", "removable_class"),
 }
 
