@@ -99,6 +99,16 @@ def _grid() -> list[str]:
         "verify --mode corollary --n 5",
         "verify --mode propb --n 5",
         "verify --mode psi-nature --n 5",
+        # per-bipartition words, each exit 0: psi there and back at a far
+        # charge, and psi and adm off the fundamental domain, each one
+        # peel_word then rebuild_from_residues
+        "show 6.1,2.2 psi:1000,0",
+        "--charge 1000,0 show 5.2.1,3 psi:0,1",
+        "--charge=5,-2 show 6.1,2.2 adm",
+        "--e 2 --charge=4,-1 show 3.2,2.1 psi:0,1",
+        "--e 2 --charge=4,-1 show 3.2,2.1 adm",
+        "--e inf --charge 0,3 show 2.1,1 psi:3,0",
+        "--format json --e 4 --charge 9,-1 show 4.2,2.1 adm",
         # failing sweeps in text mode, each exit 1: the header's counts
         # and the failing lines alone
         "--charge 11,0 verify --mode forward --n 4",
