@@ -45,7 +45,7 @@ in one greedy pass: a letter goes to the waiting row with most boxes.
 from __future__ import annotations
 
 import json
-import sys
+import struct
 from functools import cache, reduce
 from operator import or_
 from typing import Callable, Optional
@@ -218,15 +218,12 @@ def adm_flotw(bp: Bipartition, p: CrystalParams) -> list:
     require_fundamental(p)
     if not is_uglov(bp, p):
         raise ValueError("%r is not FLOTW at %r" % (bp, p))
-    segments = []
+    out = []
     while bp != EMPTY:
         j, r, bp = class_step(bp, p)
         if not is_uglov(bp, p):
             raise AssertionError("class removal left non-FLOTW %r" % (bp,))
-        segments.append((j, r))
-    out = []
-    for j, r in reversed(segments):
-        out.extend([j] * r)
+        out[:0] = [j] * r  # Adm(bp) = Adm(rest) followed by [j]^r
     return out
 
 
@@ -345,10 +342,10 @@ def verify_djm_converse(n: int, p: CrystalParams):
     expansion cancels: the support of f_j(v) is the union of the
     j-children of the support of v, and the Uglov maximum of a word's
     monomial depends on its support alone.  So the walk goes rank by rank
-    over distinct supports, not words.  A word w of rank k+1 is j
-    followed by a word of rank k (expand_monomial applies the last
-    residue first), and its support is the j-children of that word's
-    support; a support records each such (j, parent support index).
+    over distinct supports, not words.  A word of rank k+1 is a word of
+    rank k followed by j, and its support is the j-children of that
+    word's support; a support records each such (j, parent support
+    index).
 
     A support of rank k is an int: bit i stands for the i-th pair of
     RimTable.ranked(k), in Uglov order, so its maximum is its top bit.
@@ -378,7 +375,7 @@ def verify_djm_converse(n: int, p: CrystalParams):
     def words(k, i):  # the words of support i of rank k, on demand
         if k == 0:
             return [()]
-        return [(j,) + w for j, parent in records[k][i]
+        return [w + (j,) for j, parent in records[k][i]
                 for w in words(k - 1, parent)]
 
     supports = {1: []}  # the supports of rank k -> their records
@@ -421,11 +418,11 @@ def verify_djm_converse(n: int, p: CrystalParams):
         tables = [_ChunkTable(masks[i:i + CHUNK], combine)
                   for i in range(0, len(masks), CHUNK)]
         size = len(tables) * CHUNK // 8  # bytes of a support, as chunks
+        unpack = struct.Struct("<%dQ" % len(tables)).unpack  # low chunk first
         nxt = {}
         for i, support in enumerate(supports):
-            chunks = memoryview(support.to_bytes(size, sys.byteorder))
-            entries = [table[value]
-                       for table, value in zip(tables, chunks.cast("Q"))
+            entries = [table[value] for table, value
+                       in zip(tables, unpack(support.to_bytes(size, "little")))
                        if value]
             for j, column in zip(residues, zip(*entries)):
                 child = reduce(combine, column)

@@ -21,7 +21,8 @@ Bipartitions are built only where a caller reads them.  A Fock vector is
 a dict pair -> positive int over one table, its keys of one rank:
 f_action swaps in the child ids of each pair's addable j-nodes, which
 RimTable.children lists by residue, and expand_monomial returns its
-vector over Bipartitions.
+vector over Bipartitions.  A residue word lists its residues in the
+order their nodes are added, so expand_monomial applies word[0] first.
 
 normal_nodes applies the signature rule over a whole rim (diagrams.rim),
 listing every residue's normal addable and normal removable nodes as rim
@@ -279,7 +280,7 @@ def good_removable_node(bp, j, p: CrystalParams) -> Optional[Node]:
 # Uglov bipartitions
 
 def peel_word(bp: Bipartition, p: CrystalParams) -> Optional[list]:
-    """Residues of successive good-node removals down to empty, or None.
+    """A good-addition word of bp, its good removals last first, or None.
 
     Each step removes the good node of the smallest residue that has one.
     The e-operators never leave a crystal component, and the empty
@@ -295,6 +296,7 @@ def peel_word(bp: Bipartition, p: CrystalParams) -> Optional[list]:
             return None
         bp = remove_node(bp, sig[j][1][0][3:])
         out.append(j)
+    out.reverse()
     return out
 
 
@@ -341,8 +343,8 @@ def top_layer(n: int, p: CrystalParams) -> tuple[RimTable, list]:
 # monomials in the Chevalley operators
 
 def expand_monomial(word, p: CrystalParams) -> dict[Bipartition, int]:
-    """Apply f-operators to the empty bipartition, last residue first."""
+    """Apply f-operators to the empty bipartition, first residue first."""
     vec, table = {ROOT: 1}, RimTable(p)
-    for j in reversed(list(word)):
+    for j in word:
         vec = f_action(vec, j, table)
     return {table.bipartition(pair): coeff for pair, coeff in vec.items()}

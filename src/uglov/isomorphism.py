@@ -7,8 +7,8 @@ once, at the sorted residues mod e: fundamental(p) moves p there, and
 require_fundamental(p) checks that p is there, so the domain has this
 one definition.  The charge-change bijection is computed by peeling a
 bipartition to empty at the start charge (recording the residues of the
-good nodes removed) and rebuilding along the reversed residue word at
-the end charge; being a crystal isomorphism fixing the empty
+good nodes removed) and rebuilding along its good-addition word at the
+end charge; being a crystal isomorphism fixing the empty
 bipartition, this is forced to agree with the map itself.
 
 A sweep over a whole crystal component needs no peeling: image_walk
@@ -113,8 +113,7 @@ def psi_to(bp: Bipartition, charge_from, charge_to,
     """Image of bp under the crystal isomorphism between the two charges."""
     require_same_orbit(charge_from, charge_to, e)
     word = peel_residues(bp, CrystalParams(e, tuple(charge_from)))
-    p_to = CrystalParams(e, tuple(charge_to))
-    return rebuild_from_residues(reversed(word), p_to)
+    return rebuild_from_residues(word, CrystalParams(e, tuple(charge_to)))
 
 
 def image_walk(n: int, p_from: CrystalParams, charge_to):

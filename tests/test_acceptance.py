@@ -9,7 +9,7 @@ the analysis inline (details in the project decisions ledger):
   so no sequence of residue operators can realize it;
 * the "rebuild by good nodes along the admissible sequence" law: class
   removals take the largest normal nodes while good removals take the
-  smallest, so the reversed sequence is not a good-addition word.
+  smallest, so the sequence is not a good-addition word.
 """
 
 import itertools
@@ -343,7 +343,7 @@ def test_criterion_7_structural_suites():
 
 @pytest.mark.xfail(strict=True, reason=(
     "class removal takes the largest normal nodes, good removal the "
-    "smallest, so the reversed admissible sequence is not a good-addition "
+    "smallest, so the admissible sequence is not a good-addition "
     "word; e.g. rebuilding along Adm((6.1,2.2)) by good additions ends at "
     "(3.1.1,3.2.1) (decisions ledger)"))
 def test_criterion_7_adm_rebuild_by_good_nodes():

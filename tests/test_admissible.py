@@ -386,10 +386,20 @@ def test_adm_residue_multiset_matches_diagram():
 
 
 def test_adm_word_reaches_bp_as_monomial_maximum():
-    # reversed(Adm) read as a monomial applies the oldest residue first.
+    # Adm read as a monomial applies its first residue first, and every
+    # Uglov bipartition of rank <= n on three fundamental cells is the
+    # maximum of its Adm monomial.
     bp = P("6.1,2.2")
-    vec = expand_monomial(list(reversed(adm(bp, P01))), P01)
-    assert uglov_max(vec, P01.charge) == bp
+    assert uglov_max(expand_monomial(adm(bp, P01), P01), P01.charge) == bp
+    checked = 0
+    for p, n in ((P01, 8), (CrystalParams(2, (0, 1)), 9),
+                 (CrystalParams(4, (1, 3)), 7)):
+        for layer in uglov_layers(n, p):
+            for bp in layer:
+                vec = expand_monomial(adm(bp, p), p)
+                assert uglov_max(vec, p.charge) == bp, (bp, p)
+                checked += 1
+    assert checked == 426
 
 
 def forward_oracle(bp, p):
@@ -860,23 +870,23 @@ def test_verify_djm_converse_matches_brute_force(p, monkeypatch):
 
 
 def converse_word_oracle(n, p, member):
-    # Reference: the words visited depth first by shared suffix.
-    # expand_monomial applies the last residue first, so prepending one
-    # residue to a suffix is one f_action on the suffix's vector, and a
-    # suffix whose vector vanishes is pruned with every word that ends in
-    # it.  Every word's maximum takes its own membership verdict.
+    # Reference: the words visited depth first by shared prefix.
+    # expand_monomial applies the first residue first, so appending one
+    # residue to a prefix is one f_action on the prefix's vector, and a
+    # prefix whose vector vanishes is pruned with every word that starts
+    # with it.  Every word's maximum takes its own membership verdict.
     failures = [[] for _ in range(n + 1)]  # by rank
 
-    def visit(suffix, vec):
+    def visit(prefix, vec):
         best = uglov_max(vec, p.charge)
         if not member(best, p):
-            failures[len(suffix)].append({"word": list(suffix),
+            failures[len(prefix)].append({"word": list(prefix),
                                           "max": bipartition_to_json(best)})
-        if len(suffix) < n:
+        if len(prefix) < n:
             for j in range(p.e):
                 nxt = f_action_oracle(vec, j, RimTable(p))
                 if nxt:
-                    visit((j,) + suffix, nxt)
+                    visit(prefix + (j,), nxt)
 
     visit((), {EMPTY: 1})
     for found in failures:
@@ -927,7 +937,7 @@ def converse_support_oracle(n, p, member):
     def words(support):
         if not parents[support]:
             return [()]
-        return [(j,) + w for j, parent in parents[support]
+        return [w + (j,) for j, parent in parents[support]
                 for w in words(parent)]
 
     parents = {frozenset([EMPTY]): []}
@@ -1037,8 +1047,19 @@ def test_converse_forced_failures_share_supports():
     for f in failures:
         word = f["word"]
         parents.setdefault(support(word), set()).add(
-            (word[0], support(word[1:])))
+            (word[-1], support(word[:-1])))
     assert max(map(len, parents.values())) > 1
+
+
+def test_converse_lines_do_not_depend_on_byte_order(monkeypatch):
+    # A support of rank 9 spans several CHUNK-bit chunks, each looked up
+    # in its own position's table, so the chunks must come out low chunk
+    # first on a big-endian host as on a little-endian one.
+    assert len(bipartitions_of(9)) > 2 * admissible.CHUNK
+    expected = checked_lines(verify_djm_converse(10, P01))
+    other = "big" if sys.byteorder == "little" else "little"
+    monkeypatch.setattr(sys, "byteorder", other)
+    assert checked_lines(verify_djm_converse(10, P01)) == expected
 
 
 def test_converse_reads_children_once_per_bipartition(monkeypatch):

@@ -707,7 +707,7 @@ def test_peel_word_matches_oracle_peel():
                 rems = normal_pair_oracle(bp, j, p)[1]
                 if rems:
                     rest = peels[p][remove_node(bp, rems[0])]
-                    expected = None if rest is None else [j] + rest
+                    expected = None if rest is None else rest + [j]
                     break
             peels[p][bp] = expected
         assert peel_word(bp, p) == expected, (bp, p)
@@ -726,7 +726,7 @@ def test_shared_f_action_table_keeps_every_monomial(e):
         for k in range(6):
             for word in itertools.product(range(e), repeat=k):
                 vec = {ROOT: 1}
-                for j in reversed(word):
+                for j in word:
                     scanned.update(vec)
                     vec = f_action(vec, j, table)
                 assert ({table.bipartition(pair): c
@@ -981,16 +981,16 @@ def test_flotw_equals_uglov_small():
                         assert is_flotw(bp, p) == is_uglov(bp, p), (bp, p)
 
 
-def test_expand_monomial_applies_last_residue_first():
-    # word [1, 0]: f_1 f_0 acts on empty, so the 0-node is added first.
-    vec = expand_monomial([1, 0], P01)
+def test_expand_monomial_applies_first_residue_first():
+    # word [0, 1]: f_1 f_0 acts on empty, so the 0-node is added first.
+    vec = expand_monomial([0, 1], P01)
     assert vec == {P("2,-"): 1, P("1,1"): 1}
-    assert expand_monomial([0, 1], P01) == {P("1,1"): 1, P("-,1.1"): 1}
+    assert expand_monomial([1, 0], P01) == {P("1,1"): 1, P("-,1.1"): 1}
 
 
 def test_max_of_monomial_examples():
     assert uglov_max(expand_monomial([0], P01), P01.charge) == P("1,-")
-    assert (uglov_max(expand_monomial([1, 0], P01), P01.charge)
+    assert (uglov_max(expand_monomial([0, 1], P01), P01.charge)
             == P("2,-"))
     assert expand_monomial([2], P01) == {}
 

@@ -63,7 +63,7 @@ def psi_e_independence_check(bp, charge_from, e):
         if word is None:
             return None
         images.append(rebuild_from_residues(
-            reversed(word), CrystalParams(e_or_inf, (s2, s1))))
+            word, CrystalParams(e_or_inf, (s2, s1))))
     return images[0] == images[1]
 
 
@@ -104,16 +104,19 @@ def test_same_orbit():
 
 
 def test_peel_rebuild_identity():
-    p = CrystalParams(3, (0, 1))
-    for n in range(6):
-        for bp in uglov_layers(n, p)[n]:
-            word = peel_residues(bp, p)
-            assert len(word) == n
-            assert rebuild_from_residues(reversed(word), p) == bp
+    # peel_word lists a good-addition word, first node first, so the
+    # rebuild along it at its own charge gives bp back.
+    for p in (CrystalParams(3, (0, 1)), CrystalParams(2, (5, -2)),
+              CrystalParams(None, (0, 2))):
+        for n in range(6):
+            for bp in uglov_layers(n, p)[n]:
+                word = peel_residues(bp, p)
+                assert len(word) == n and word == crystal.peel_word(bp, p)
+                assert rebuild_from_residues(word, p) == bp
     # the empty bipartition has addable 0- and 1-nodes only
     with pytest.raises(ValueError, match=r"^no good addable 2-node on "
                        r"Bipartition\(c1=\(\), c2=\(\)\)$"):
-        rebuild_from_residues([2], p)
+        rebuild_from_residues([2], CrystalParams(3, (0, 1)))
 
 
 def test_peel_rejects_non_member():
