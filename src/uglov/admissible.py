@@ -20,10 +20,8 @@ run of removable j-nodes around its seed whose neighbours are (1)- or
 top_class; its rest is FLOTW exactly when adm_walk has stepped it
 already, and adm_flotw, behind `uglov show BP adm`, asks is_uglov
 instead.  The forward sweep keys its Fock vectors by the pairs of the
-walk's table at its own charge, reads each pair's place in the Uglov
-order of its rank from RimTable.ranked and its JSON text from
-RimTable.json before its walk, and joins each line from those texts,
-each expansion sorted by RimTable.order.
+walk's table at its own charge, and reads each pair's bead key, sort
+key and JSON text from the table before its walk.
 Propb reads the natures of each bipartition at its own charge from the
 cores of its two components (diagrams.nature_core), through one
 functools.cache of nature_core per sweep, each core placed at its
@@ -276,17 +274,17 @@ def verify_djm_forward(n: int, p: CrystalParams):
     f-operators applied oldest residue first, is the vector of its rest
     extended by r f_action steps over the pairs of the walk's table at
     p, so each component partition's rim at p is read once.  Before the
-    walk every bipartition of rank <= n gets its place in the Uglov order
-    of its rank, from the table's ranked, for the maximum, and its JSON
-    text, from the table's json; each line is joined from those texts,
-    its expansion sorted by the table's order.
+    walk each pair of rank <= n gets its bead key, for the maximum, its
+    sort key and its JSON text, so a line costs no call per term.
     """
     table, _, _ = walk = image_walk(n, p, fundamental(p).charge)  # at p
     vecs = {EMPTY: {ROOT: 1}}  # image -> vector of its Adm monomial
-    place = {pair: i for k in range(n + 1)
-             for i, pair in enumerate(table.ranked(k))}
+    place = {pair: key for k in range(n + 1)  # its Uglov order, one int
+             for pair, key in table.bead_keys(k).items()}
     forms = {pair: table.json(pair) for pair in place}
+    heads = {pair: '{"bp": %s, "coeff": ' % forms[pair] for pair in place}
     order = table.order()  # after place has interned every term's pair
+    ranks = {pair: order(pair) for pair in place}
     for pair, image, found in adm_walk(walk):
         if isinstance(found, str):
             yield ('{"bp": %s, "error": %s, "pass": false}'
@@ -301,8 +299,8 @@ def verify_djm_forward(n: int, p: CrystalParams):
             vecs[image] = vec
         vec = vecs[image]
         ok = pair in vec and max(vec, key=place.__getitem__) == pair
-        terms = ", ".join('{"bp": %s, "coeff": %d}' % (forms[mu], vec[mu])
-                          for mu in sorted(vec, key=order))
+        terms = ", ".join("%s%d}" % (heads[mu], vec[mu])
+                          for mu in sorted(vec, key=ranks.__getitem__))
         yield ('{"adm": [%s], "bp": %s, "expansion": [%s], "max": %s, '
                '"pass": %s}' % (", ".join(map(str, seq)), forms[pair], terms,
                                 forms[pair] if ok else "null",

@@ -16,7 +16,7 @@ for `uglov enumerate`, sorted by RimTable.order and written from
 RimTable.json, cli.render_dot scans each layer below n again for its
 edges, and isomorphism.image_walk zips each layer's batch with one batch
 of its images in a second table.  RimTable.ranked lays out a rank in
-Uglov order for admissible's forward, converse and corollary sweeps.
+Uglov order by its bead_keys, for admissible's sweeps.
 Bipartitions are built only where a caller reads them.  A Fock vector is
 a dict pair -> positive int over one table, its keys of one rank:
 f_action swaps in the child ids of each pair's addable j-nodes, which
@@ -38,12 +38,13 @@ from .diagrams import (
     EMPTY,
     Bipartition,
     Node,
-    bipartitions_of,
+    bead_mask,
+    bead_shifts,
     component_rim,
     grow_partition,
+    partitions_of,
     remove_node,
     rim,
-    uglov_key,
 )
 
 
@@ -73,7 +74,8 @@ class RimTable:
     residues are interned as the rims meet them, rids their inverse, so
     residues holds only the residues met, at any e.  kids[c - 1] maps an
     id to its children, None until asked for.  The id 0 is the empty
-    partition, so ROOT is the empty bipartition.
+    partition, so ROOT is the empty bipartition.  beads[m] holds each
+    partition of m as (id1, id2, bead_mask, 2 * length), for bead_keys.
 
     order() ranks the pairs interned so far as their Bipartitions
     compare, text(c, i) is partition i of component c as JSON text, kept
@@ -89,7 +91,7 @@ class RimTable:
         self.rims = ([None], [None])
         self.kids = ([None], [None])
         self.texts = ({}, {})
-        self.residues, self.rids = [], {}
+        self.residues, self.rids, self.beads = [], {}, []
 
     def intern(self, c: int, lam: tuple[int, ...]) -> int:
         ids = self.ids[c - 1]
@@ -134,10 +136,6 @@ class RimTable:
             kids[i] = out
         return kids[i]
 
-    def pair(self, bp: Bipartition) -> tuple[int, int]:
-        """bp in this table: the ids of its two components."""
-        return self.intern(1, bp.c1), self.intern(2, bp.c2)
-
     def bipartition(self, pair: tuple[int, int]) -> Bipartition:
         return Bipartition(self.parts[0][pair[0]], self.parts[1][pair[1]])
 
@@ -171,12 +169,25 @@ class RimTable:
         return '{"c1": %s, "c2": %s}' % (self.text(1, pair[0]),
                                          self.text(2, pair[1]))
 
+    def bead_keys(self, k: int) -> dict:
+        """{pair: its bead key} over every bipartition of rank k, interned
+        here: its components' bead masks, shifted by diagrams.bead_shifts
+        at rank k and ORed, so keys compare in Uglov order."""
+        beads = self.beads
+        for m in range(len(beads), k + 1):
+            beads.append([(self.intern(1, lam), self.intern(2, lam),
+                           bead_mask(lam), 2 * len(lam))
+                          for lam in partitions_of(m)])
+        t1, t2 = bead_shifts(self.p.charge, k)
+        return {(i1, i2): mask1 << t1 - d1 | mask2 << t2 - d2
+                for m in range(k + 1) for i1, _, mask1, d1 in beads[m]
+                for _, i2, mask2, d2 in beads[k - m]}
+
     def ranked(self, k: int) -> list:
         """The pairs of every bipartition of rank k, interned here, in
-        increasing Uglov order at this table's charge (uglov_key), so the
-        maximum of some of them is the one listed last."""
-        return [self.pair(bp) for bp in sorted(
-            bipartitions_of(k), key=lambda bp: uglov_key(bp, self.p.charge))]
+        increasing Uglov order (bead_keys), so a maximum is listed last."""
+        keys = self.bead_keys(k)
+        return sorted(keys, key=keys.__getitem__)
 
 
 def good_additions(pairs, table: RimTable):

@@ -44,9 +44,9 @@ bipartition costs O(rank) contents at any charge.
 boundary_sequence lists the beads in the window row by row.  Periods
 (admissible.has_period) are runs of beads.  The Uglov order compares
 boundary sequences, so it is the lexicographic order on the merged
-beta-set {2 beta - c}, Uglov's level-two to level-one wedge, which
-uglov_key builds as a decreasing tuple of integers: crystal.RimTable's
-ranked sorts each rank by it, and compare_uglov compares two by it.
+beta-set {2 beta - c}, Uglov's level-two to level-one wedge, read from
+the top: the integer order of the sets as bits, which bead_mask and
+bead_shifts build for crystal.RimTable.bead_keys and compare_uglov.
 """
 
 from __future__ import annotations
@@ -112,14 +112,6 @@ def partitions_of(n: int) -> Iterator[tuple[int, ...]]:
                 yield (first,) + tail
 
     yield from gen(n, n)
-
-
-def bipartitions_of(n: int) -> list[Bipartition]:
-    """All bipartitions of rank n, by the size of the first component,
-    each size's partitions built once."""
-    parts = [list(partitions_of(k)) for k in range(n + 1)]
-    return [Bipartition(p1, p2) for k in range(n + 1) for p1 in parts[k]
-            for p2 in parts[n - k]]
 
 
 # ---------------------------------------------------------------------------
@@ -338,30 +330,29 @@ def boundary_sequence(bp: Bipartition, charge: tuple[int, int],
     return out
 
 
-def uglov_key(bp: Bipartition, charge: tuple[int, int]) -> tuple[int, ...]:
-    """The node_key values of the row-end vertical-boundary nodes of both
-    components, decreasing: 2 * beta_set - c over both components, merged
-    (computed inline: the sort key of RimTable.ranked, per bipartition).
+def bead_mask(lam: tuple[int, ...]) -> int:
+    """The beta-numbers lam_a - a + len(lam) of lam's rows as the bits at
+    twice each: its beads at any charge but the virtual column-0 ones,
+    which never decide an order (rows 1..a-1 lie above (a, 0, c) in both)."""
+    return sum(1 << 2 * (x - a + len(lam)) for a, x in enumerate(lam, 1))
 
-    Keys compare as the boundary sequences do.  Those sequences go on
-    with the virtual column-0 nodes (a, 0, c) below each component's last
-    row, which the key leaves out.  They never decide a comparison: if
-    the largest node in only one of two sequences were (a, 0, c), both
-    sequences would hold rows 1..a-1 of component c above it, and the
-    other's row-a node, of content at least that of (a, 0, c), would be
-    above it too.
-    """
-    s1, s2 = charge
-    out = [2 * (x - a + s1) - 1 for a, x in enumerate(bp.c1, 1)]
-    out += [2 * (x - a + s2) - 2 for a, x in enumerate(bp.c2, 1)]
-    out.sort(reverse=True)
-    return tuple(out)
+
+def bead_shifts(charge: tuple[int, int], k: int) -> tuple[int, int]:
+    """(t1, t2): bead_mask(lam) << t_c - 2 * len(lam) sets the node keys of
+    lam's rows in component c, plus 2k + 2, at rank k or below; summed over
+    both components, such ints compare as the boundary sequences do.  From
+    a charge gap of k on, the top bead in only one upper component tops all
+    lower ones, so the gap is clamped to k + 1: keys stay under 6k + 2 bits."""
+    gap = max(-k - 1, min(k + 1, charge[0] - charge[1]))
+    return 2 * max(gap, 0) + 2 * k + 1, 2 * max(-gap, 0) + 2 * k
 
 
 def compare_uglov(bp1: Bipartition, bp2: Bipartition,
                   charge: tuple[int, int]) -> int:
-    """-1, 0 or 1 for the boundary-sequence order on bipartitions."""
-    k1, k2 = uglov_key(bp1, charge), uglov_key(bp2, charge)
+    """-1, 0 or 1 for the Uglov order: bead keys at the larger rank."""
+    shifts = bead_shifts(charge, max(bp1.rank, bp2.rank))
+    k1, k2 = (sum(bead_mask(lam) << t - 2 * len(lam)
+                  for lam, t in zip(bp, shifts)) for bp in (bp1, bp2))
     return (k1 > k2) - (k1 < k2)
 
 

@@ -40,7 +40,6 @@ from uglov.diagrams import (
     Bipartition,
     Node,
     add_node,
-    bipartitions_of,
     compare_uglov,
     nature_at,
     nature_table,
@@ -52,7 +51,7 @@ from uglov.isomorphism import psi_to
 
 from test_admissible import forward_reports
 from test_crystal import is_flotw
-from test_diagrams import NATURE_TRANSITIONS, compare_lex
+from test_diagrams import NATURE_TRANSITIONS, bipartitions_of, compare_lex
 from test_isomorphism import nature_check, psi_e_independence_check
 
 P = parse_bipartition

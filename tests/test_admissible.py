@@ -39,7 +39,6 @@ from uglov.diagrams import (
     Node,
     addable_nodes,
     bipartition_to_json,
-    bipartitions_of,
     content,
     default_window,
     format_bipartition,
@@ -51,7 +50,6 @@ from uglov.diagrams import (
     removable_nodes,
     residue,
     rim,
-    uglov_key,
 )
 from uglov.isomorphism import (
     fundamental,
@@ -69,8 +67,8 @@ from test_crystal import (
     forbid_validating_primitives,
     is_flotw,
     read_keys,
-    uglov_max,
 )
+from test_diagrams import bipartitions_of, uglov_key, uglov_max
 from test_isomorphism import psi_nature_check_oracle
 
 P = parse_bipartition
@@ -621,14 +619,15 @@ def test_forward_reads_each_rim_at_p_once_off_the_fundamental_domain(
 
 def test_forward_reads_each_fact_once(monkeypatch):
     # At rank <= 9 every one of the 734 bipartitions lies in an expansion:
-    # the sweep keys each once and encodes each once, writing the text of
-    # each of the 2 * 97 component partitions once, and tests no rest
-    # with is_uglov.  Of the 134 (component, partition) of the
+    # the sweep keys each once, from the bead masks of the 97 partitions,
+    # each built once in the table, and encodes each once, writing the
+    # text of each of the 2 * 97 component partitions once, and tests no
+    # rest with is_uglov.  Of the 134 (component, partition) of the
     # bipartitions below rank 9, f_action reads the 78 the walk has not
     # read in their shared table, each once.
     reports = list(verify_djm_forward(9, P01))
     assert sum(len(bipartitions_of(k)) for k in range(10)) == 734
-    calls, fills, writes = {}, [], []
+    calls, fills, writes, keyed, masked = {}, [], [], [], []
 
     def count(module, name):
         real = getattr(module, name)
@@ -639,9 +638,21 @@ def test_forward_reads_each_fact_once(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    count(crystal, "uglov_key")
     count(admissible, "is_uglov")
     real_json, real_text = RimTable.json, RimTable.text
+    real_keys, real_mask = RimTable.bead_keys, crystal.bead_mask
+
+    def counted_keys(table, k):
+        out = real_keys(table, k)
+        keyed.extend((table, pair) for pair in out)
+        return out
+
+    def counted_mask(lam):
+        masked.append(lam)
+        return real_mask(lam)
+
+    monkeypatch.setattr(RimTable, "bead_keys", counted_keys)
+    monkeypatch.setattr(crystal, "bead_mask", counted_mask)
 
     def counted_json(table, pair):
         calls["json"] = calls.get("json", 0) + 1
@@ -663,7 +674,11 @@ def test_forward_reads_each_fact_once(monkeypatch):
 
     monkeypatch.setattr(crystal, "component_rim", counted_rim)
     assert list(verify_djm_forward(9, P01)) == reports
-    assert calls == {"uglov_key": 734, "json": 734}  # no is_uglov call
+    assert calls == {"json": 734}  # no is_uglov call
+    assert len(keyed) == len(set(keyed)) == 734
+    assert len({table for table, _ in keyed}) == 1
+    assert len(masked) == len(set(masked)) == sum(
+        len(list(partitions_of(k))) for k in range(10))
     assert len(writes) == len(set(writes)) == 2 * sum(
         len(list(partitions_of(k))) for k in range(10))
     assert len(fills) == len(set(fills)) == 78
@@ -1068,19 +1083,21 @@ def test_converse_reads_children_once_per_bipartition(monkeypatch):
     # every bipartition of rank below n lies in some support, and its
     # layer_walk reads the same table.  It makes no whole-rim pass of its
     # own and no validating add_node or addable_nodes call.  It keys each
-    # bipartition at most once, to order its rank.
+    # bipartition at most once, to order its rank, by RimTable.bead_keys.
     passes, keyed = [], []
+    real_keys = RimTable.bead_keys
 
     def counted_rim(bp, charge):
         passes.append(bp)
         return rim(bp, charge)
 
-    def counted_key(bp, charge):
-        keyed.append(bp)
-        return uglov_key(bp, charge)
+    def counted_keys(table, k):
+        out = real_keys(table, k)
+        keyed.extend(map(table.bipartition, out))
+        return out
 
     monkeypatch.setattr(admissible, "rim", counted_rim)
-    monkeypatch.setattr(crystal, "uglov_key", counted_key)
+    monkeypatch.setattr(RimTable, "bead_keys", counted_keys)
     reads = count_component_reads(monkeypatch)
     forbid_validating_primitives(monkeypatch)
     list(verify_djm_converse(8, P01))

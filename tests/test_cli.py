@@ -82,7 +82,7 @@ def test_enumerate_contains_paper_bipartition(capsys):
 
 def test_enumerate_matches_membership_filter(capsys):
     from uglov.crystal import CrystalParams, is_uglov
-    from uglov.diagrams import bipartitions_of
+    from test_diagrams import bipartitions_of
     code, out, _ = run(capsys, ["--e", "2", "--charge", "0,0",
                                 "enumerate", "--n", "4"])
     assert code == 0

@@ -33,7 +33,6 @@ from uglov.diagrams import (
     addable_nodes,
     beta_set,
     bipartition_to_json,
-    bipartitions_of,
     compare_uglov,
     component_rim,
     grow_partition,
@@ -45,10 +44,10 @@ from uglov.diagrams import (
     removable_nodes,
     residue,
     rim,
-    uglov_key,
     with_component,
 )
 from uglov.isomorphism import require_fundamental
+from test_diagrams import bipartitions_of, uglov_key, uglov_max
 
 P = parse_bipartition
 P01 = CrystalParams(3, (0, 1))
@@ -60,9 +59,9 @@ SCAN_GRID = [CrystalParams(e, charge) for e in (2, 3, 4, 5, None)
 SCAN_RANK = 8
 
 
-def uglov_max(bps, charge):
-    """Oracle: the largest of bps in the Uglov order."""
-    return max(bps, key=lambda bp: uglov_key(bp, charge))
+def pair_of(table, bp):
+    """bp in table: the ids of its two components, interned."""
+    return table.intern(1, bp.c1), table.intern(2, bp.c2)
 
 
 def signature_word_oracle(bp, j, p):
@@ -106,7 +105,7 @@ def scan_cases():
 def scan(bp, table):
     """good_additions of bp, interned in table, as bipartitions in
     increasing j."""
-    (_, good), = good_additions((table.pair(bp),), table)
+    (_, good), = good_additions((pair_of(table, bp),), table)
     return [(j, table.bipartition(kid)) for j, kid in sorted(good.items())]
 
 
@@ -169,7 +168,8 @@ def f_action_rim_scan(vec, j, table):
 def f_action_bps(vec, j, table):
     """f_action of vec, a dict Bipartition -> coefficient, through the
     pairs of table, read back as Bipartitions."""
-    out = f_action({table.pair(bp): c for bp, c in vec.items()}, j, table)
+    out = f_action({pair_of(table, bp): c for bp, c in vec.items()}, j,
+                   table)
     return {table.bipartition(pair): c for pair, c in out.items()}
 
 
@@ -451,7 +451,7 @@ def test_component_rim_kernel_matches_whole_bipartition_oracle():
             for e in KERNEL_ES:
                 p = CrystalParams(e, charge)
                 table = tables.get(p) or tables.setdefault(p, RimTable(p))
-                i1, i2 = pair = table.pair(bp)
+                i1, i2 = pair = pair_of(table, bp)
                 assert table.bipartition(pair) == bp
                 stored = sorted(table.read(1, i1) + table.read(2, i2))
                 assert len(stored) == len(whole), (bp, p)
@@ -528,7 +528,7 @@ def kernel_tables(n):
                 pass
             for k in range(SCAN_RANK - 1):
                 for bp in bipartitions_of(k):
-                    table.pair(bp)
+                    pair_of(table, bp)
     return tables
 
 
@@ -562,11 +562,32 @@ def test_ranked_lists_each_rank_in_uglov_order():
     for p, table in kernel_tables(8).items():
         for k in range(8):
             ranked = table.ranked(k)
-            assert ranked == [table.pair(bp) for bp in sorted(
+            assert ranked == [pair_of(table, bp) for bp in sorted(
                 bipartitions_of(k), key=lambda bp: uglov_key(bp, p.charge))]
             bps = list(map(table.bipartition, ranked))
             assert all(compare_uglov(x, y, p.charge) == -1
                        for x, y in zip(bps, bps[1:])), (p, k)
+
+
+@pytest.mark.parametrize("e", [2, 3, None])
+def test_ranked_matches_the_oracle_order_at_the_clamp(e):
+    # bead_keys clamp the charge gap to k + 1 contents at rank k, so the
+    # gaps k - 3 .. k + 3 either way cross the clamp, and at a gap of
+    # 100000 the keys stay as wide as near it: each rank is laid out as
+    # uglov_key sorts it, at charges on both sides of the clamp.
+    for k in range(11):
+        charges = [(0, d) for d in range(k - 3, k + 4)]
+        charges += [(d, 0) for d in range(k - 3, k + 4)]
+        charges += [(-50, 3), (0, 100000), (100000, 0)]
+        for charge in charges:
+            table = RimTable(CrystalParams(e, charge))
+            assert table.ranked(k) == [pair_of(table, bp) for bp in sorted(
+                bipartitions_of(k), key=lambda bp: uglov_key(bp, charge))], (
+                    charge, k)
+            if 100000 in charge:
+                assert all(key.bit_length() <= 8 * k + 8
+                           for key in table.bead_keys(k).values()), (
+                               charge, k)
 
 
 def test_json_is_the_json_of_each_bipartition():
@@ -666,7 +687,7 @@ def test_component_rim_table_keeps_components_and_charges_apart():
         p = CrystalParams(3, charge)
         table = RimTable(p)
         assert scan(bp, table) == good_additions_oracle(bp, p)
-        assert table.pair(bp) == (1, 1)
+        assert pair_of(table, bp) == (1, 1)
         rims[charge] = (table.read(1, 1), table.read(2, 1))
         assert read_keys(table) == {(1, charge[0], lam), (2, charge[1], lam)}
     assert rims[0, 0][0] != rims[0, 0][1]

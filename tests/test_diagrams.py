@@ -15,8 +15,9 @@ from uglov.diagrams import (
     add_node,
     addable_nodes,
     beta_set,
+    bead_mask,
+    bead_shifts,
     bipartition_to_json,
-    bipartitions_of,
     boundary_sequence,
     compare_uglov,
     content,
@@ -37,10 +38,8 @@ from uglov.diagrams import (
     removable_nodes,
     residue,
     rim,
-    uglov_key,
     with_component,
 )
-from test_crystal import SCAN_GRID, uglov_max
 
 P = parse_bipartition
 
@@ -59,6 +58,38 @@ def nature_kinds(lam, s, lo, hi):
     if lo > hi:
         return ()
     return tuple(ent.kind for ent in nature_entries(lam, s, 1, lo, hi))
+
+
+def bipartitions_of(n):
+    """Oracle: all bipartitions of rank n, by the size of the first
+    component, each size's partitions built once."""
+    parts = [list(partitions_of(k)) for k in range(n + 1)]
+    return [Bipartition(p1, p2) for k in range(n + 1) for p1 in parts[k]
+            for p2 in parts[n - k]]
+
+
+def uglov_key(bp, charge):
+    """Oracle: the node_key values of the row-end vertical-boundary nodes
+    of both components, decreasing, 2 * beta_set - c over both merged.
+
+    As tuples, keys compare as the boundary sequences do.  Those sequences
+    go on with the virtual column-0 nodes (a, 0, c) below each component's
+    last row, which the key leaves out.  They never decide a comparison:
+    if the largest node in only one of two sequences were (a, 0, c), both
+    sequences would hold rows 1..a-1 of component c above it, and the
+    other's row-a node, of content at least that of (a, 0, c), would be
+    above it too.
+    """
+    s1, s2 = charge
+    out = [2 * (x - a + s1) - 1 for a, x in enumerate(bp.c1, 1)]
+    out += [2 * (x - a + s2) - 2 for a, x in enumerate(bp.c2, 1)]
+    out.sort(reverse=True)
+    return tuple(out)
+
+
+def uglov_max(bps, charge):
+    """Oracle: the largest of bps in the Uglov order."""
+    return max(bps, key=lambda bp: uglov_key(bp, charge))
 
 
 def compare_lex(bp1, bp2):
@@ -509,6 +540,29 @@ def test_boundary_sequence_leading_entries():
                    Node(4, 0, 2)]
 
 
+def test_bead_mask_examples():
+    # beta-numbers lam_a - a + len(lam), at twice each
+    assert bead_mask((3, 3, 1)) == 1 << 10 | 1 << 8 | 1 << 2
+    assert bead_mask((6, 1)) == 1 << 14 | 1 << 2
+    assert bead_mask(()) == 0
+
+
+@pytest.mark.parametrize("charge", [(0, 0), (0, 1), (1, 0), (2, -1),
+                                    (-3, 4)])
+def test_bead_shifts_place_the_masks_on_the_node_keys(charge):
+    # Where the gap is within the clamp, k + 1 >= |s1 - s2|, the bits of a
+    # bead key at rank k >= bp.rank are bp's uglov_key entries, moved by
+    # 2k + 2 and by the charge's smaller entry to 0.
+    low, gap = min(charge), abs(charge[0] - charge[1])
+    for bp in _bipartitions_up_to(7):
+        for k in range(max(bp.rank, gap - 1), 9):
+            key = sum(bead_mask(lam) << t - 2 * len(lam)
+                      for lam, t in zip(bp, bead_shifts(charge, k)))
+            bits = {i for i in range(key.bit_length()) if key >> i & 1}
+            assert bits == {x - 2 * low + 2 * k + 2
+                            for x in uglov_key(bp, charge)}, (bp, k)
+
+
 def test_compare_uglov_examples():
     assert compare_uglov(P("6.1,2.2"), P("6.3,2"), (0, 1)) == -1
     assert compare_uglov(P("6.3,2"), P("6.1,2.2"), (0, 1)) == 1
@@ -538,6 +592,7 @@ def test_rim_matches_reference():
     # charge of the signature-scan grid: the same nodes, each with its
     # node_key and content, keys unique, and a child grown from an addable
     # node it lists, as crystal.RimTable.read grows it, is add_node's.
+    from test_crystal import SCAN_GRID
     charges = sorted({p.charge for p in SCAN_GRID})
     for bp in _bipartitions_up_to(8):
         for charge in charges:
@@ -621,5 +676,6 @@ def test_json_text_is_json_dumps():
     table = RimTable(CrystalParams(3, (0, 1)))
     for n in list(range(7)) + [12]:
         for bp in bipartitions_of(n):
-            assert (table.json(table.pair(bp))
+            pair = table.intern(1, bp.c1), table.intern(2, bp.c2)
+            assert (table.json(pair)
                     == json.dumps(bipartition_to_json(bp), sort_keys=True))

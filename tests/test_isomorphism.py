@@ -15,7 +15,6 @@ from uglov.crystal import (
 from uglov.diagrams import (
     Bipartition,
     add_node,
-    bipartitions_of,
     default_window,
     nature_core,
     parse_bipartition,
@@ -40,6 +39,7 @@ from test_crystal import (
     forbid_validating_primitives,
 )
 import test_diagrams
+from test_diagrams import bipartitions_of
 
 P = parse_bipartition
 

@@ -51,9 +51,13 @@ def bipartitions(draw):
 
 
 charges = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+# gaps s2 - s1 up to 50 either way: past the bead keys' clamp of k + 1
+# contents at every rank up to MAX_RANK, and across it
+gapped_charges = st.builds(lambda s1, gap: (s1, s1 + gap),
+                           st.integers(-6, 6), st.integers(-50, 50))
 
 
-@given(bipartitions(), bipartitions(), charges)
+@given(bipartitions(), bipartitions(), gapped_charges)
 def test_compare_uglov_matches_oracle(bp1, bp2, charge):
     assert compare_uglov(bp1, bp2, charge) \
         == compare_uglov_oracle(bp1, bp2, charge)

@@ -86,13 +86,13 @@ def test_every_kept_name_is_traced():
 
 
 def test_the_uglov_order_has_one_home():
-    # The sweeps take the Uglov order from RimTable.ranked alone, and
+    # The sweeps take the Uglov order from RimTable.bead_keys alone, and
     # compare_uglov keeps it for the tracer: no other top-level name or
-    # method reads uglov_key, so no sweep keys bipartitions of its own.
+    # method reads the bead masks or their shifts, so no sweep keys
+    # bipartitions of its own.
     defs, scopes = package()
-    key = ("diagrams", "uglov_key")
 
-    def reads(node, scope):
+    def reads(node, scope, key):
         return any(
             scope.get(sub.id) == key if isinstance(sub, ast.Name) else
             isinstance(sub, ast.Attribute) and sub.attr == key[1]
@@ -100,12 +100,13 @@ def test_the_uglov_order_has_one_home():
             and scope.get(sub.value.id) == (key[0], None)
             for sub in ast.walk(node))
 
-    readers = set()
-    for (mod, name), node in defs.items():
-        parts = ([(name + "." + sub.name, sub) for sub in node.body
-                  if isinstance(sub, ast.FunctionDef)]
-                 if isinstance(node, ast.ClassDef) else [(name, node)])
-        readers |= {(mod, label) for label, part in parts
-                    if reads(part, scopes[mod])}
-    assert readers == {("crystal", "RimTable.ranked"),
-                       ("diagrams", "compare_uglov")}
+    for key in (("diagrams", "bead_mask"), ("diagrams", "bead_shifts")):
+        readers = set()
+        for (mod, name), node in defs.items():
+            parts = ([(name + "." + sub.name, sub) for sub in node.body
+                      if isinstance(sub, ast.FunctionDef)]
+                     if isinstance(node, ast.ClassDef) else [(name, node)])
+            readers |= {(mod, label) for label, part in parts
+                        if reads(part, scopes[mod], key)}
+        assert readers == {("crystal", "RimTable.bead_keys"),
+                           ("diagrams", "compare_uglov")}, key
