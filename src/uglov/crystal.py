@@ -2,27 +2,29 @@
 
 CrystalParams bundles e (None for infinity) with the charge (s1, s2).
 
-A walk owns one RimTable at its parameters.  The table interns each
-component partition as a small int on first sight, so a bipartition of
-the walk is a pair (id1, id2), and each residue it meets as a small int
-too.  It reads each interned partition's rim once: its addable and
-removable nodes with their residue ids, and for each addable node the id
-of the grown partition.  good_additions scans a batch of pairs, a whole
-layer in one call, each pair from its two stored rims with a list of
-counters indexed by residue id, and a child swaps one id.  layer_walk is
-the one walk of the crystal component of the empty bipartition, one
-batch per layer: uglov_layers lists its layers, top_layer keeps the last
-for `uglov enumerate`, sorted by RimTable.order and written from
-RimTable.json, cli.render_dot scans each layer below n again for its
-edges, and isomorphism.image_walk zips each layer's batch with one batch
-of its images in a second table.  RimTable.ranked lays out a rank in
-Uglov order by its bead_keys, for admissible's sweeps.
-Bipartitions are built only where a caller reads them.  A Fock vector is
-a dict pair -> positive int over one table, its keys of one rank:
-f_action swaps in the child ids of each pair's addable j-nodes, which
-RimTable.children lists by residue, and expand_monomial returns its
-vector over Bipartitions.  A residue word lists its residues in the
-order their nodes are added, so expand_monomial applies word[0] first.
+A walk reads one RimTable per charge: layer_walk one at its parameters,
+isomorphism.image_walk one at each end.  The table interns each
+partition as a small int on first sight, one id whichever component
+holds it, so a bipartition of the walk is a pair (id1, id2), and each
+residue it meets as a small int too.  It reads each interned partition's
+rim once per component: its addable and removable nodes with their
+residue ids, and for each addable node the id of the grown partition.
+good_additions scans a batch of pairs, a whole layer in one call, each
+pair from its two stored rims with a list of counters indexed by residue
+id, and a child swaps one id.  layer_walk is the one walk of the crystal
+component of the empty bipartition, one batch per layer: uglov_layers
+lists its layers, top_layer keeps the last for `uglov enumerate`, sorted
+by RimTable.order and written from RimTable.json, cli.render_dot scans
+each layer below n again for its edges, and isomorphism.image_walk zips
+each layer's batch with one batch of its images in a second table.
+RimTable.ranked lays out a rank in Uglov order by its bead_keys, for
+admissible's sweeps.  Bipartitions are built only where a caller reads
+them.  A Fock vector is a dict pair -> positive int over one table, its
+keys of one rank: f_action swaps in the child ids of each pair's addable
+j-nodes, which RimTable.children lists by residue, and expand_monomial
+returns its vector over Bipartitions.  A residue word lists its residues
+in the order their nodes are added, so expand_monomial applies word[0]
+first.
 
 normal_nodes applies the signature rule over a whole rim (diagrams.rim),
 listing every residue's normal addable and normal removable nodes as rim
@@ -62,45 +64,46 @@ ROOT = (0, 0)  # the empty bipartition in every RimTable
 
 
 class RimTable:
-    """The component partitions of one walk at p, each interned as a
-    small int on first sight, and their rims, each read once.
+    """The component partitions of one walk at p, each interned once as
+    a small int on first sight, whichever component holds it, and their
+    rims, each read once per component.
 
-    For component c, parts[c - 1] maps an id to its partition, ids[c - 1]
-    a partition to its id, and rims[c - 1] an id to its rim, None until
-    read.  A rim lists the addable and removable nodes of the partition
-    at charge s_c as (node_key, rid, child), increasing, where rid is the
-    id of the node's residue, residues[rid], and child is the id of the
-    partition grown at an addable node and None at a removable one.  The
-    residues are interned as the rims meet them, rids their inverse, so
-    residues holds only the residues met, at any e.  kids[c - 1] maps an
-    id to its children, None until asked for.  The id 0 is the empty
-    partition, so ROOT is the empty bipartition.  beads[m] holds each
-    partition of m as (id1, id2, bead_mask, 2 * length), for bead_keys.
+    parts maps an id to its partition and ids a partition to its id, one
+    id space for both components: a partition's text, bead mask and core
+    do not depend on its component.  Its rim does, through s_c and the
+    key parity c, so rims[c - 1] maps an id to its rim in component c,
+    None until read.  A rim lists the addable and removable nodes of the
+    partition at charge s_c as (node_key, rid, child), increasing, where
+    rid is the id of the node's residue, residues[rid], and child is the
+    id of the partition grown at an addable node and None at a removable
+    one.  The residues are interned as the rims meet them, rids their
+    inverse, so residues holds only the residues met, at any e.
+    kids[c - 1] maps an id to its children in component c, None until
+    asked for.  The id 0 is the empty partition, so ROOT is the empty
+    bipartition.  beads[m] holds each partition of m as (id, bead_mask,
+    2 * length), for bead_keys.
 
     order() ranks the pairs interned so far as their Bipartitions
-    compare, text(c, i) is partition i of component c as JSON text, kept
-    once written, and json(pair) joins a pair's, so a listing is sorted
-    and written from ids.  ranked(k) lays out rank k in Uglov order.
+    compare, text(i) is partition i as JSON text, kept once written, and
+    json(pair) joins a pair's, so a listing is sorted and written from
+    ids.  ranked(k) lays out rank k in Uglov order.
     """
 
     def __init__(self, p: CrystalParams):
         _check_e(p.e)
         self.p = p
-        self.parts = ([()], [()])
-        self.ids = ({(): 0}, {(): 0})
+        self.parts, self.ids, self.texts = [()], {(): 0}, {}
         self.rims = ([None], [None])
         self.kids = ([None], [None])
-        self.texts = ({}, {})
         self.residues, self.rids, self.beads = [], {}, []
 
-    def intern(self, c: int, lam: tuple[int, ...]) -> int:
-        ids = self.ids[c - 1]
-        i = ids.get(lam)
+    def intern(self, lam: tuple[int, ...]) -> int:
+        i = self.ids.get(lam)
         if i is None:
-            i = ids[lam] = len(self.parts[c - 1])
-            self.parts[c - 1].append(lam)
-            self.rims[c - 1].append(None)
-            self.kids[c - 1].append(None)
+            i = self.ids[lam] = len(self.parts)
+            self.parts.append(lam)
+            for store in self.rims + self.kids:
+                store.append(None)
         return i
 
     def rid(self, j) -> int:
@@ -115,9 +118,9 @@ class RimTable:
         """The rim of partition i of component c, read on first call."""
         rims = self.rims[c - 1]
         if rims[i] is None:
-            lam, e = self.parts[c - 1][i], self.p.e
+            lam, e = self.parts[i], self.p.e
             rims[i] = [(key, self.rid(cont if e is None else cont % e),
-                        None if rem else self.intern(c, grow_partition(
+                        None if rem else self.intern(grow_partition(
                             lam, a, b)))
                        for key, cont, rem, a, b, _
                        in component_rim(lam, self.p.charge[c - 1], c)]
@@ -137,37 +140,33 @@ class RimTable:
         return kids[i]
 
     def bipartition(self, pair: tuple[int, int]) -> Bipartition:
-        return Bipartition(self.parts[0][pair[0]], self.parts[1][pair[1]])
+        return Bipartition(self.parts[pair[0]], self.parts[pair[1]])
 
     def order(self):
         """A key function pair -> int that orders the pairs interned so
         far as their Bipartitions compare: component 1 first, then
-        component 2, each by the rank of its partition among the
-        component's parts, sorted."""
-        ranks = []
-        for parts in self.parts:
-            rank = [0] * len(parts)
-            for r, i in enumerate(sorted(range(len(parts)),
-                                         key=parts.__getitem__)):
-                rank[i] = r
-            ranks.append(rank)
-        rank1, rank2 = ranks
-        width = len(rank2)
-        return lambda pair: rank1[pair[0]] * width + rank2[pair[1]]
+        component 2, each by the rank of its partition among parts,
+        sorted."""
+        parts = self.parts
+        rank = [0] * len(parts)
+        for r, i in enumerate(sorted(range(len(parts)),
+                                     key=parts.__getitem__)):
+            rank[i] = r
+        width = len(rank)
+        return lambda pair: rank[pair[0]] * width + rank[pair[1]]
 
-    def text(self, c: int, i: int) -> str:
-        """Partition i of component c as JSON text, json.dumps of its
-        list, written on first call."""
-        texts = self.texts[c - 1]
-        out = texts.get(i)
+    def text(self, i: int) -> str:
+        """Partition i as JSON text, json.dumps of its list, written on
+        first call."""
+        out = self.texts.get(i)
         if out is None:
-            out = texts[i] = str(list(self.parts[c - 1][i]))
+            out = self.texts[i] = str(list(self.parts[i]))
         return out
 
     def json(self, pair: tuple[int, int]) -> str:
         """json.dumps(bipartition_to_json(bp)) of pair's bp, by text."""
-        return '{"c1": %s, "c2": %s}' % (self.text(1, pair[0]),
-                                         self.text(2, pair[1]))
+        return '{"c1": %s, "c2": %s}' % (self.text(pair[0]),
+                                         self.text(pair[1]))
 
     def bead_keys(self, k: int) -> dict:
         """{pair: its bead key} over every bipartition of rank k, interned
@@ -175,13 +174,12 @@ class RimTable:
         at rank k and ORed, so keys compare in Uglov order."""
         beads = self.beads
         for m in range(len(beads), k + 1):
-            beads.append([(self.intern(1, lam), self.intern(2, lam),
-                           bead_mask(lam), 2 * len(lam))
+            beads.append([(self.intern(lam), bead_mask(lam), 2 * len(lam))
                           for lam in partitions_of(m)])
         t1, t2 = bead_shifts(self.p.charge, k)
         return {(i1, i2): mask1 << t1 - d1 | mask2 << t2 - d2
-                for m in range(k + 1) for i1, _, mask1, d1 in beads[m]
-                for _, i2, mask2, d2 in beads[k - m]}
+                for m in range(k + 1) for i1, mask1, d1 in beads[m]
+                for i2, mask2, d2 in beads[k - m]}
 
     def ranked(self, k: int) -> list:
         """The pairs of every bipartition of rank k, interned here, in

@@ -15,13 +15,14 @@ pass over the rows of a partition in one component at its charge lists
 them in increasing node_key, each with its content.  A bipartition's rim
 is the merge of its two component rims; keys are odd in component 1 and
 even in component 2, so the merge compares keys only.  A walk does not
-merge whole rims: crystal.RimTable interns each component partition of
-the walk and keeps its component_rim, with the partition grown at each
-addable node (grow_partition, unchecked).  addable_nodes and
-removable_nodes are set views of rim.  Every child of a bipartition is
-with_component(bp, c, lam plus the node); add_node first looks the node
-up in addable_nodes, so the rim is its one test of addability.
-removable is the one row test of a removable node, behind remove_node.
+merge whole rims: crystal.RimTable interns each partition of the walk
+once and keeps its component_rim in each component that holds it, with
+the partition grown at each addable node (grow_partition, unchecked).
+addable_nodes and removable_nodes are set views of rim.  Every child of
+a bipartition is with_component(bp, c, lam plus the node); add_node
+first looks the node up in addable_nodes, so the rim is its one test of
+addability.  removable is the one row test of a removable node, behind
+remove_node.
 
 The vertical-boundary node (a, lambda^c_a, c) has content
 lambda^c_a - a + s_c, a beta-number of lambda^c; with the virtual

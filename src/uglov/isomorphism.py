@@ -12,20 +12,20 @@ end charge; being a crystal isomorphism fixing the empty
 bipartition, this is forced to agree with the map itself.
 
 A sweep over a whole crystal component needs no peeling: image_walk
-walks the component in two RimTables, one per charge, one
-good_additions batch per layer at each in lockstep, and maps each pair
-to its image pair; at its own charge, where the isomorphism is the
-identity, it is one layer_walk with no image scanned.  The image sweeps
-read its pairs: admissible's forward, corollary and propb sweeps to the
-fundamental charge, and verify_psi_nature to the swapped one.  That
-sweep reads each partition of each (table, component) once, by id, into
+walks the component in two RimTables, one per charge, one good_additions
+batch per layer at each in lockstep, and maps each pair to its image
+pair; at its own charge, where the isomorphism is the identity, it is
+one layer_walk with no image scanned.  The image sweeps read its pairs:
+admissible's forward, corollary and propb sweeps to the fundamental
+charge, and verify_psi_nature to the swapped one.  That sweep reads each
+partition of each table once, by id, whichever component holds it, into
 a slot holding its JSON text, its core (diagrams.nature_core, through
-one functools.cache shared by both tables) and its floor, and joins
-each line from the stored texts.  psi_nature_check takes the four cores
-and floors.  Below the core a component is a run of virtual Bv, above
-it a run of virtual Bh.  Only the cores and one content of the gap
-between the cores at s1 and those at s2 are compared, so the check
-costs O(rank) at any charge.
+one functools.cache shared by both tables) and its length, and joins
+each line from the stored texts; a floor s_c - len(lam) is where a core
+starts, and psi_nature_check takes the four cores and floors.  Below the
+core a component is a run of virtual Bv, above it a run of virtual Bh.
+Only the cores and one content of the gap between the cores at s1 and
+those at s2 are compared, so the check costs O(rank) at any charge.
 """
 
 from __future__ import annotations
@@ -217,16 +217,16 @@ def psi_nature_check(k1, f1, k2, f2, m1, g1, m2, g2) -> bool:
         (BV,) * (g1 - d - lo) + m1 + (BH,) * (hi - u1 + d)))
 
 
-def _slots(table: RimTable, c: int, core: Callable):
-    """(slots, fill): one slot per partition id of component c of table,
-    None until fill(i) stores (its JSON text, table.text(c, i); its core;
-    its floor at the table's charge s_c) there and returns it."""
-    parts, s = table.parts[c - 1], table.p.charge[c - 1]
+def _slots(table: RimTable, core: Callable):
+    """(slots, fill): one slot per partition id of table, None until
+    fill(i) stores (its JSON text, table.text(i); its core; its length)
+    there and returns it."""
+    parts = table.parts
     slots = [None] * len(parts)
 
     def fill(i):
         lam = parts[i]
-        slots[i] = slot = (table.text(c, i), core(lam), s - len(lam))
+        slots[i] = slot = (table.text(i), core(lam), len(lam))
         return slot
 
     return slots, fill
@@ -238,23 +238,23 @@ def verify_psi_nature(n: int, p: CrystalParams):
     pass psi_nature_check, and line is json.dumps(report, sort_keys=True)
     of its report, with keys bp, image and pass.
 
-    Each (table, component) partition is read once, by id, into a slot
-    holding its JSON text, its core and its floor; one cache of
+    Each table's partition is read once, by id, into a slot holding its
+    JSON text, its core and its length, whichever component holds it,
+    and a component's floor is s_c minus that length; one cache of
     nature_core serves both tables, so each distinct partition's core is
     built once.
     """
     src, dst, images = image_walk(n, p, p.charge[::-1])
     core = cache(nature_core)
-    slots = {table: (_slots(table, 1, core), _slots(table, 2, core))
-             for table in (src, dst)}  # one entry when dst is src
-    ((a1, read_a1), (a2, read_a2)), ((b1, read_b1), (b2, read_b2)) = (
-        slots[src], slots[dst])
-    swapped = p.charge[0] > p.charge[1]
+    a, read_a = _slots(src, core)
+    b, read_b = (a, read_a) if dst is src else _slots(dst, core)
+    (s1, s2), swapped = p.charge, p.charge[0] > p.charge[1]
     for (i1, i2), (j1, j2) in images.items():
-        t1, k1, f1 = a1[i1] or read_a1(i1)
-        t2, k2, f2 = a2[i2] or read_a2(i2)
-        u1, m1, g1 = b1[j1] or read_b1(j1)
-        u2, m2, g2 = b2[j2] or read_b2(j2)
+        t1, k1, l1 = a[i1] or read_a(i1)
+        t2, k2, l2 = a[i2] or read_a(i2)
+        u1, m1, h1 = b[j1] or read_b(j1)
+        u2, m2, h2 = b[j2] or read_b(j2)
+        f1, f2, g1, g2 = s1 - l1, s2 - l2, s2 - h1, s1 - h2
         if swapped:
             ok = psi_nature_check(m1, g1, m2, g2, k1, f1, k2, f2)
         else:

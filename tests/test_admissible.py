@@ -621,10 +621,10 @@ def test_forward_reads_each_fact_once(monkeypatch):
     # At rank <= 9 every one of the 734 bipartitions lies in an expansion:
     # the sweep keys each once, from the bead masks of the 97 partitions,
     # each built once in the table, and encodes each once, writing the
-    # text of each of the 2 * 97 component partitions once, and tests no
-    # rest with is_uglov.  Of the 134 (component, partition) of the
-    # bipartitions below rank 9, f_action reads the 78 the walk has not
-    # read in their shared table, each once.
+    # text of each of the 97 partitions once, whichever component holds
+    # it, and tests no rest with is_uglov.  Of the 134 (component,
+    # partition) of the bipartitions below rank 9, f_action reads the 78
+    # the walk has not read in their shared table, each once.
     reports = list(verify_djm_forward(9, P01))
     assert sum(len(bipartitions_of(k)) for k in range(10)) == 734
     calls, fills, writes, keyed, masked = {}, [], [], [], []
@@ -658,10 +658,10 @@ def test_forward_reads_each_fact_once(monkeypatch):
         calls["json"] = calls.get("json", 0) + 1
         return real_json(table, pair)
 
-    def counted_text(table, c, i):
-        if i not in table.texts[c - 1]:
-            writes.append((table, c, i))
-        return real_text(table, c, i)
+    def counted_text(table, i):
+        if i not in table.texts:
+            writes.append((table, i))
+        return real_text(table, i)
 
     monkeypatch.setattr(RimTable, "json", counted_json)
     monkeypatch.setattr(RimTable, "text", counted_text)
@@ -679,7 +679,7 @@ def test_forward_reads_each_fact_once(monkeypatch):
     assert len({table for table, _ in keyed}) == 1
     assert len(masked) == len(set(masked)) == sum(
         len(list(partitions_of(k))) for k in range(10))
-    assert len(writes) == len(set(writes)) == 2 * sum(
+    assert len(writes) == len(set(writes)) == sum(
         len(list(partitions_of(k))) for k in range(10))
     assert len(fills) == len(set(fills)) == 78
 

@@ -61,7 +61,7 @@ SCAN_RANK = 8
 
 def pair_of(table, bp):
     """bp in table: the ids of its two components, interned."""
-    return table.intern(1, bp.c1), table.intern(2, bp.c2)
+    return table.intern(bp.c1), table.intern(bp.c2)
 
 
 def signature_word_oracle(bp, j, p):
@@ -126,11 +126,10 @@ def children_oracle(bp, table):
     children reader of the Bipartition-keyed f_action_oracle."""
     out = {}
     for c, lam in ((1, bp.c1), (2, bp.c2)):
-        grown = table.parts[c - 1]
-        for _, rid, child in table.read(c, table.intern(c, lam)):
+        for _, rid, child in table.read(c, table.intern(lam)):
             if child is not None:
                 out.setdefault(table.residues[rid], []).append(
-                    with_component(bp, c, grown[child]))
+                    with_component(bp, c, table.parts[child]))
     return out
 
 
@@ -194,7 +193,7 @@ def good_additions_oracle(bp, p):
 
 def read_keys(table) -> set:
     """The (c, s, lam) of every partition whose rim table has read."""
-    return {(c, table.p.charge[c - 1], table.parts[c - 1][i])
+    return {(c, table.p.charge[c - 1], table.parts[i])
             for c in (1, 2)
             for i, entries in enumerate(table.rims[c - 1]) if entries}
 
@@ -287,7 +286,7 @@ def test_children_lists_the_rim_children_by_residue():
         for k in range(6):
             for lam in partitions_of(k):
                 for c in (1, 2):
-                    i = table.intern(c, lam)
+                    i = table.intern(lam)
                     expected = {}
                     for _, rid, child in table.read(c, i):
                         if child is not None:
@@ -440,9 +439,9 @@ def whole_normal_nodes_oracle(bp, p):
 
 def test_component_rim_kernel_matches_whole_bipartition_oracle():
     # One table per CrystalParams, shared by the whole scan: a stale rim,
-    # or an id or a rim shared between the two components, gives some
-    # bipartition another's rim.  Equal partitions in the two components
-    # at charge (0, 0) share a table.
+    # or a rim shared between the two components, gives some bipartition
+    # another's rim.  Equal partitions in the two components at charge
+    # (0, 0) share a table.
     tables, cases = {}, 0
     for bp in (bp for k in range(SCAN_RANK + 1) for bp in bipartitions_of(k)):
         for charge in KERNEL_CHARGES:
@@ -461,7 +460,7 @@ def test_component_rim_kernel_matches_whole_bipartition_oracle():
                         key0, cont if e is None else cont % e)
                     assert (child is None) == rem
                     if not rem:
-                        assert (table.parts[c - 1][child]
+                        assert (table.parts[child]
                                 == add_node(bp, Node(a, b, c)).component(c))
                 sig = whole_normal_nodes_oracle(bp, p)
                 core = normal_nodes(rim(bp, charge), e)
@@ -489,10 +488,8 @@ def test_component_rim_kernel_matches_whole_bipartition_oracle():
                 cases += 1
     assert cases == 434 * len(KERNEL_CHARGES) * len(KERNEL_ES)
     assert len(tables) == len(KERNEL_CHARGES) * len(KERNEL_ES)
-    for p, table in tables.items():
-        for c in (1, 2):  # ids and partitions are inverse
-            assert table.ids[c - 1] == {lam: i for i, lam
-                                        in enumerate(table.parts[c - 1])}
+    for p, table in tables.items():  # ids and partitions are inverse
+        assert table.ids == {lam: i for i, lam in enumerate(table.parts)}
         assert read_keys(table) == {(c, p.charge[c - 1], lam)
                                     for k in range(SCAN_RANK + 1)
                                     for lam in partitions_of(k)
@@ -538,8 +535,8 @@ def test_order_sorts_pairs_as_bipartitions_compare():
     # table.bipartition does, each key distinct.
     for p, table in kernel_tables(8).items():
         key = table.order()
-        pairs = list(itertools.product(range(len(table.parts[0])),
-                                       range(len(table.parts[1]))))[::-1]
+        pairs = list(itertools.product(range(len(table.parts)),
+                                       repeat=2))[::-1]
         assert len(pairs) > 1000, p
         assert sorted(pairs, key=key) == sorted(pairs,
                                                 key=table.bipartition), p
@@ -548,11 +545,10 @@ def test_order_sorts_pairs_as_bipartitions_compare():
 
 def test_text_is_the_json_of_each_partition():
     for p, table in kernel_tables(8).items():
-        for c in (1, 2):
-            for i, lam in enumerate(table.parts[c - 1]):
-                text = table.text(c, i)
-                assert text == json.dumps(list(lam)), (p, c, lam)
-                assert table.text(c, i) is text  # written once, kept
+        for i, lam in enumerate(table.parts):
+            text = table.text(i)
+            assert text == json.dumps(list(lam)), (p, lam)
+            assert table.text(i) is text  # written once, kept
 
 
 def test_ranked_lists_each_rank_in_uglov_order():
@@ -677,9 +673,9 @@ def test_huge_e_walk_holds_no_more_than_infinite_e():
 
 
 def test_component_rim_table_keeps_components_and_charges_apart():
-    # Equal partitions in the two components of one table take the same
-    # id in each but keep two rims, and the same partition at two charges
-    # is read into two tables, each its own.
+    # Equal partitions in the two components of one table take one id
+    # but keep two rims, and the same partition at two charges is read
+    # into two tables, each its own.
     lam = (2, 1)
     bp = Bipartition(lam, lam)
     rims = {}
@@ -698,6 +694,41 @@ def test_component_rim_table_keeps_components_and_charges_apart():
     assert scan(bp, RimTable(CrystalParams(3, (0, 0)))) == [
         (0, Bipartition((2, 2), lam)),
         (1, Bipartition((2, 1, 1), lam))]
+
+
+def test_one_id_per_partition_whichever_component_holds_it():
+    # After a walk, and after bead_keys, ids and parts are inverse over
+    # one id space, every per-component store is indexed by it, and
+    # (lam, lam) interns as (i, i); bead_keys(0..8) interns each
+    # partition of rank <= 8 once.
+    walked, _ = crystal.top_layer(12, CrystalParams(3, (0, 0)))
+    keyed = RimTable(P01)
+    for k in range(9):
+        keyed.bead_keys(k)
+    assert len(keyed.parts) == sum(len(list(partitions_of(k)))
+                                   for k in range(9))
+    for table in (walked, keyed):
+        assert table.ids == {lam: i for i, lam in enumerate(table.parts)}
+        assert all(len(store) == len(table.parts)
+                   for store in table.rims + table.kids)
+        for i, lam in enumerate(table.parts):
+            assert pair_of(table, Bipartition(lam, lam)) == (i, i)
+
+
+def test_sweeps_intern_each_partition_once():
+    # enumerate's walk to rank 30 at e=3, s=(0,1) interns its 3,265
+    # distinct partitions once each, whichever component meets them, and
+    # forward's table at e=4, s=(1,3) to rank 12 the 272 partitions of
+    # rank <= 12.
+    table, _ = crystal.top_layer(30, P01)
+    assert len(table.parts) == len(table.ids) == 3265
+    p = CrystalParams(4, (1, 3))
+    src, dst, _ = isomorphism.image_walk(12, p, p.charge)
+    for k in range(13):
+        src.bead_keys(k)
+    assert dst is src
+    assert len(src.parts) == len(src.ids) == sum(
+        len(list(partitions_of(k))) for k in range(13)) == 272
 
 
 def test_layer_walk_lists_uglov_layers():

@@ -676,6 +676,6 @@ def test_json_text_is_json_dumps():
     table = RimTable(CrystalParams(3, (0, 1)))
     for n in list(range(7)) + [12]:
         for bp in bipartitions_of(n):
-            pair = table.intern(1, bp.c1), table.intern(2, bp.c2)
+            pair = table.intern(bp.c1), table.intern(bp.c2)
             assert (table.json(pair)
                     == json.dumps(bipartition_to_json(bp), sort_keys=True))

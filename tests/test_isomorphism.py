@@ -329,20 +329,27 @@ def test_psi_images_needs_the_good_child(monkeypatch):
         image_walk(1, CrystalParams(3, (0, 1)), (1, 0))
 
 
-@pytest.mark.parametrize("charge", [(0, 1), (1, 0)])
+@pytest.mark.parametrize("charge", [(0, 1), (1, 0), (0, 0)])
 def test_verify_psi_nature_reads_each_partition_once_by_id(monkeypatch,
                                                            charge):
     # The sweep builds no Bipartition and no bipartition text: each line
-    # is joined from the texts of its four (table, component) slots, and
-    # each slot is filled once, with one lookup of the sweep's core cache.
+    # is joined from the texts of its four slots, one slot per (table,
+    # partition id) whichever component holds it, and each slot is
+    # filled once, with one lookup of the sweep's core cache.  At its own
+    # swap, s = (0, 0), dst is src and the two share one slot list.
     p = CrystalParams(3, charge)
     expected = list(verify_psi_nature(11, p))
-    walks, lookups = [], []
-    real_walk = isomorphism.image_walk
+    walks, lookups, lists = [], [], []
+    real_walk, real_slots = isomorphism.image_walk, isomorphism._slots
 
     def recorded_walk(*args):
         walks.append(real_walk(*args))
         return walks[-1]
+
+    def recorded_slots(table, core):
+        slots, fill = real_slots(table, core)
+        lists.append((table, slots))
+        return slots, fill
 
     def counted_cache(reader):
         cached = cache(reader)
@@ -356,17 +363,19 @@ def test_verify_psi_nature_reads_each_partition_once_by_id(monkeypatch,
         raise AssertionError("bipartition built from %r" % (args,))
 
     monkeypatch.setattr(isomorphism, "image_walk", recorded_walk)
+    monkeypatch.setattr(isomorphism, "_slots", recorded_slots)
     monkeypatch.setattr(isomorphism, "cache", counted_cache)
     monkeypatch.setattr(crystal.RimTable, "bipartition", forbidden)
     monkeypatch.setattr(crystal.RimTable, "json", forbidden)
     assert list(verify_psi_nature(11, p)) == expected
     (src, dst, images), = walks
-    assert dst is not src
-    slots = ({(src, c, pair[c - 1]) for pair in images for c in (1, 2)}
-             | {(dst, c, image[c - 1]) for image in images.values()
-                for c in (1, 2)})
-    assert sorted(lookups) == sorted(table.parts[c - 1][i]
-                                     for table, c, i in slots)
+    assert (dst is src) == (charge == (0, 0))
+    assert [table for table, _ in lists] == list(dict.fromkeys((src, dst)))
+    slots = ({(src, i) for pair in images for i in pair}
+             | {(dst, j) for image in images.values() for j in image})
+    assert {(table, i) for table, filled in lists
+            for i, slot in enumerate(filled) if slot} == slots
+    assert sorted(lookups) == sorted(table.parts[i] for table, i in slots)
 
 
 def test_e_independence_of_sigma1():

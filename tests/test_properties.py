@@ -14,6 +14,7 @@ from test_diagrams import (  # noqa: E402
 )
 from uglov.crystal import (  # noqa: E402
     CrystalParams,
+    RimTable,
     good_addable_node,
     is_uglov,
     signature_word,
@@ -66,6 +67,21 @@ def test_compare_uglov_matches_oracle(bp1, bp2, charge):
 @given(bipartitions())
 def test_parse_format_round_trip(bp):
     assert parse_bipartition(format_bipartition(bp)) == bp
+
+
+@given(st.lists(bipartitions(), min_size=1, max_size=8), charges)
+def test_rim_table_pairs_read_back_and_order_as_bipartitions(bps, charge):
+    # One id space for both components, each drawn bipartition interned
+    # with its swap so that partitions recur across components: a pair
+    # reads back as its bipartition, and order() sorts the pairs as
+    # their Bipartitions compare.
+    bps += [Bipartition(bp.c2, bp.c1) for bp in bps]
+    table = RimTable(CrystalParams(3, charge))
+    pairs = [tuple(map(table.intern, bp)) for bp in bps]
+    assert list(map(table.bipartition, pairs)) == bps
+    assert table.ids == {lam: i for i, lam in enumerate(table.parts)}
+    assert sorted(pairs, key=table.order()) == sorted(
+        pairs, key=table.bipartition)
 
 
 @given(bipartitions(), charges)
