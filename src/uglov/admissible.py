@@ -9,18 +9,29 @@ a converse rank) and failed how many of those are counterexamples.
 A period is a run of e beads of the rows of a bipartition (the contents
 of its non-virtual vertical-boundary nodes) at consecutive contents,
 whose components weakly increase; its presence excludes membership in
-the crystal component of the empty bipartition.
+the crystal component of the empty bipartition.  period tests it on the
+beads of the two components.
+
+class_step is the one home of the class rule.  It takes a pair of a
+crystal.RimTable at a fundamental charge, reads the pair's two stored
+rims through RimTable.read, finds the normal removable nodes in one
+bracket scan per residue id, and gives the class of the largest one, its
+residue j, the normal j-nodes and the rest: the pair of interned
+partitions left after one row decrement per class node.  A class is the
+run of removable j-nodes around its seed whose neighbours are (1)- or
+(2)-connected: the (1)-link is a period once one bead moves down, the
+(2)-link row arithmetic.  Two recursions read it.  adm_walk, feeding
+forward and corollary, takes one class step per image of the walk,
+keyed by the image pairs, and a rest is FLOTW exactly when adm_walk has
+stepped it already; adm_flotw, behind `uglov show BP adm`, interns its
+bipartition into a table of its own and asks is_uglov of each rest.
+Propb and removable_class read the class step too.  A Bipartition or a
+Node is built only for an error text or for a caller that asks for one.
 
 The forward, corollary and propb sweeps each read the pairs of one
-isomorphism.image_walk to the fundamental charge: propb checks each
-image's top_class, and adm_walk, feeding forward and corollary, takes
-one class_step per image onto the Adm of its remainder.  A class is the
-run of removable j-nodes around its seed whose neighbours are (1)- or
-(2)-connected.  Each class step reads its image in one rim pass, in
-top_class; its rest is FLOTW exactly when adm_walk has stepped it
-already, and adm_flotw, behind `uglov show BP adm`, asks is_uglov
-instead.  The forward sweep keys its Fock vectors by the pairs of the
-walk's table at its own charge, and reads each pair's bead key, sort
+isomorphism.image_walk to the fundamental charge.  The forward sweep
+keys its Fock vectors by the image pairs, sums them over the pairs of
+the walk's table at its own charge, and reads each pair's bead key, sort
 key and JSON text from the table before its walk.
 Propb reads the natures of each bipartition at its own charge from the
 cores of its two components (diagrams.nature_core), through one
@@ -46,7 +57,7 @@ import json
 import struct
 from functools import cache, reduce
 from operator import or_
-from typing import Callable, Optional
+from typing import Callable
 
 from .crystal import (
     ROOT,
@@ -55,7 +66,6 @@ from .crystal import (
     f_action,
     is_uglov,
     layer_walk,
-    normal_nodes,
     signature_word,
 )
 from .diagrams import (
@@ -70,26 +80,18 @@ from .diagrams import (
     nature_at,
     nature_core,
     node_key,
-    part,
-    removable,
-    remove_node,
-    residue,
-    rim,
 )
 from .isomorphism import fundamental, image_walk, psi_to, require_fundamental
 
 
-def has_period(bp: Bipartition, p: CrystalParams) -> bool:
-    """Whether bp has a period: beads of its rows at e contents x..x+e-1
-    with weakly increasing components, a run of component-1 beads, then
-    one of component-2 beads.  From each bead the run stays in component
-    1 while it can: a chain that leaves it sooner needs component-2 beads
-    at every content this one does."""
-    if p.e is None:
-        raise ValueError("periods need finite e")
-    (s1, s2), e = p.charge, p.e
-    beads1, beads2 = set(beta_set(bp.c1, s1)), set(beta_set(bp.c2, s2))
-    for x in beads1 | beads2:
+def period(beads1, beads2, e: int) -> bool:
+    """Whether the beads of component 1 and of component 2 (each a set
+    of contents, or a dict keyed by them) hold a period: beads at e
+    contents x..x+e-1 with weakly increasing components, a run of
+    component-1 beads, then one of component-2 beads.  From each bead
+    the run stays in component 1 while it can: a chain that leaves it
+    sooner needs component-2 beads at every content this one does."""
+    for x in (*beads1, *beads2):
         j, end = x, x + e
         while j < end and j in beads1:
             j += 1
@@ -100,46 +102,38 @@ def has_period(bp: Bipartition, p: CrystalParams) -> bool:
     return False
 
 
-def one_connected(bp: Bipartition, g1: Node, g2: Node,
-                  p: CrystalParams) -> bool:
-    """True when removing the larger node g2 creates a period."""
-    if p.e is None:
-        raise ValueError("(1)-connectedness needs finite e")
-    if not (removable(bp, g1) and removable(bp, g2)):
-        raise ValueError("both nodes must be removable")
-    if residue(g1, p.charge, p.e) != residue(g2, p.charge, p.e):
-        raise ValueError("nodes must share one residue")
-    if node_key(g1, p.charge) >= node_key(g2, p.charge):
-        raise ValueError("expected g1 < g2, got %r, %r" % (g1, g2))
-    return has_period(remove_node(bp, g2), p)
+def _partner(node: tuple, p: CrystalParams) -> tuple:
+    # The (2)-link: the place (a2, b, 3 - c) of the shifted equal-part
+    # partner of the removable node (a, b, c), at a fundamental charge.
+    a, b, c = node
+    (s1, s2), e = p.charge, p.e
+    return (a + s2 - s1, b, 2) if c == 1 else (a + e + s1 - s2, b, 1)
 
 
-def two_connected(bp: Bipartition, g1: Node,
-                  p: CrystalParams) -> Optional[Node]:
-    """The shifted equal-part partner of a removable node, if any."""
-    require_fundamental(p)
-    e, (s1, s2) = p.e, p.charge
-    if not removable(bp, g1):
-        raise ValueError("%r is not removable from %r" % (g1, bp))
-    a, b, c = g1
-    a2, other = (a + s2 - s1, bp.c2) if c == 1 else (a + e + s1 - s2, bp.c1)
-    return Node(a2, b, 3 - c) if part(other, a2) == b else None
+def _connected_class(seed: tuple, nodes: list, rows: list,
+                     p: CrystalParams) -> list:
+    # The class of seed among nodes, a bipartition's removable j-nodes as
+    # (a, b, c), increasing, where rows[c - 1] maps each bead of component
+    # c (the content of a row's last node) to its row.  Nodes g1 < g2 are
+    # (1)-linked when removing g2 leaves a period, which is blind to g1:
+    # g2's bead moves one content down, or leaves with its row when b = 1.
+    # So the (1)-links fill the run nodes[0..top], top the highest such g2,
+    # and a (2)-partner in nodes is the node just below: that of (a, b, 1)
+    # at content x has content x and node_key one less, that of (a, b, 2)
+    # has content x - e, and no j-node has a content between.  So the class
+    # is the run of linked neighbours around seed.
+    def moved(i):  # (beads1, beads2) once nodes[i] is removed
+        a, b, c = nodes[i]
+        x = b - a + p.charge[c - 1]
+        out = list(rows)
+        out[c - 1] = rows[c - 1].keys() - {x} | ({x - 1} if b > 1 else set())
+        return out
 
-
-def _connected_class(bp: Bipartition, seed: Node, nodes: list,
-                     p: CrystalParams) -> list[Node]:
-    # The class of seed among nodes, bp's removable j-nodes, increasing, is
-    # a run: one_connected(bp, g1, g2, p) is has_period(bp minus g2), blind
-    # to g1, so the (1)-links fill the run nodes[0..top], top the highest
-    # positive g2, and a (2)-partner in nodes is the node just below: that
-    # of (a, b, 1) at content x has content x and node_key one less, that of
-    # (a, b, 2) has content x - e, and no j-node has a content between.  So
-    # the class is the run of linked neighbours around seed.
     top = next((i for i in range(len(nodes) - 1, 0, -1)
-                if one_connected(bp, nodes[0], nodes[i], p)), 0)
+                if period(*moved(i), p.e)), 0)
 
     def linked(i):  # nodes[i - 1] and nodes[i]
-        return i <= top or two_connected(bp, nodes[i], p) == nodes[i - 1]
+        return i <= top or _partner(nodes[i], p) == nodes[i - 1]
 
     lo = hi = nodes.index(seed)
     while lo > 0 and linked(lo):
@@ -149,79 +143,114 @@ def _connected_class(bp: Bipartition, seed: Node, nodes: list,
     return nodes[lo:hi + 1]
 
 
+def class_step(table: RimTable, pair: tuple) -> tuple:
+    """(j, class, normal, rest) of a nonempty pair of table, a RimTable
+    at a fundamental charge: the class of its largest normal removable
+    node, of residue j, and its normal removable j-nodes, both increasing,
+    each node a plain (a, b, c), and rest the pair left once the class is
+    removed, None unless the class is the top normal j-nodes.
+    AssertionError if the pair has no normal removable node.
+
+    One pass over the pair's two stored rims, merged, with a stack of
+    uncancelled removable nodes per residue id, leaves the normal
+    removable nodes.  The seed is the largest normal removable node, not
+    the largest removable node, which a larger addable node of its
+    residue can cancel (e.g. (1,1,2) in ((1),(1)) at e=3, s=(0,1), below
+    the addable (1,2,1)): the removed set would not be normal nodes, and
+    the monomial of Adm would overshoot the bipartition.  A removable
+    node's key 2x - c gives its component c and content x, and its row
+    is the row whose bead is x.  The rest takes one from the row of each
+    class node, so it is interned, not peeled.
+    """
+    (rims1, rims2), read = table.rims, table.read
+    i1, i2 = pair
+    entries = (rims1[i1] or read(1, i1)) + (rims2[i2] or read(2, i2))
+    entries.sort()
+    stacks = [[] for _ in table.residues]
+    for entry in entries:
+        rems = stacks[entry[1]]
+        if entry[2] is None:
+            rems.append(entry)
+        elif rems:
+            rems.pop()
+    seed = max((rems[-1] for rems in stacks if rems), default=None)
+    if seed is None:
+        raise AssertionError("no normal removable node on %r"
+                             % (table.bipartition(pair),))
+    p, rid, parts = table.p, seed[1], table.parts
+    (s1, s2), lam1, lam2 = p.charge, parts[i1], parts[i2]
+    rows = [{x: a for a, x in enumerate(beta_set(lam1, s1), 1)},
+            {x: a for a, x in enumerate(beta_set(lam2, s2), 1)}]
+    js = [g for g in entries if g[2] is None and g[1] == rid]
+    nodes = []
+    for key, _, _ in js:  # (a, b, c) from the key 2x - c and x's row
+        c = 2 - (key & 1)
+        x = (key + c) >> 1
+        a = rows[c - 1][x]
+        nodes.append((a, x - p.charge[c - 1] + a, c))
+    normal = [nodes[js.index(g)] for g in stacks[rid]]
+    cls = _connected_class(normal[-1], nodes, rows, p)
+    rest = None
+    if cls == normal[len(normal) - len(cls):]:
+        left = [list(lam1), list(lam2)]
+        for a, b, c in cls:
+            left[c - 1][a - 1] = b - 1
+        rest = (table.intern(tuple(filter(None, left[0]))),
+                table.intern(tuple(filter(None, left[1]))))
+    return table.residues[rid], cls, normal, rest
+
+
+def class_error(table: RimTable, pair: tuple, j, cls: list) -> str:
+    """The text of a class step whose class is not the top normal
+    j-nodes."""
+    return ("class %r is not the top normal %r-nodes of %r"
+            % ([Node(*g) for g in cls], j, table.bipartition(pair)))
+
+
+def _interned(bp: Bipartition, p: CrystalParams) -> tuple:
+    """(table, pair): bp as a pair of a new RimTable at p."""
+    table = RimTable(p)
+    return table, (table.intern(bp.c1), table.intern(bp.c2))
+
+
 def removable_class(bp: Bipartition, seed: Node,
                     p: CrystalParams) -> list[Node]:
     """Equivalence class of the maximal normal removable node under the
     transitive closure of (1)- and (2)-connectedness, increasing, as
-    top_class finds it; ValueError for another seed.  Kept for perfbench."""
+    class_step finds it; ValueError for another seed.  Kept for
+    perfbench."""
     require_fundamental(p)
     try:
-        _, cls, normal = top_class(bp, p)
+        _, cls, normal, _ = class_step(*_interned(bp, p))
     except AssertionError:  # no normal removable node: no seed is right
         normal = []
     if seed not in normal[-1:]:
         raise ValueError("seed %r is not the maximal normal removable node"
                          % (seed,))
-    return cls
-
-
-def remove_all(bp: Bipartition, nodes) -> Bipartition:
-    for g in sorted(nodes, key=lambda g: (g.c, -g.a)):
-        bp = remove_node(bp, g)
-    return bp
-
-
-def top_class(bp: Bipartition, p: CrystalParams) -> tuple:
-    """(j, class, normal j-nodes) of a nonempty bp at a fundamental charge:
-    the class of the maximal normal removable node, of residue j, and the
-    normal removable j-nodes, both increasing, from one rim pass.
-    AssertionError if bp has no normal removable node."""
-    entries = rim(bp, p.charge)
-    sig = normal_nodes(entries, p.e)
-    # The seed is the largest normal removable node (rim entries start with
-    # their node_key), not the largest removable node, which a larger
-    # addable node of its residue can cancel (e.g. (1,1,2) in ((1),(1)) at
-    # e=3, s=(0,1), below the addable (1,2,1)): the removed set would not be
-    # normal nodes, and the monomial of Adm would overshoot the bipartition.
-    seed = max((rems[-1] for _, rems in sig.values() if rems), default=None)
-    if seed is None:
-        raise AssertionError("no normal removable node on %r" % (bp,))
-    j = seed[1] % p.e
-    nodes = [Node(*g[3:]) for g in entries if g[2] and g[1] % p.e == j]
-    cls = _connected_class(bp, Node(*seed[3:]), nodes, p)
-    return j, cls, [Node(*g[3:]) for g in sig[j][1]]
-
-
-def class_step(bp: Bipartition, p: CrystalParams) -> tuple:
-    """(j, r, rest): one step of the FLOTW a-sequence recursion
-    Adm(bp) = Adm(rest) followed by [j]^r, for a nonempty FLOTW bp at a
-    fundamental charge p.
-
-    The top_class of bp has r nodes of residue j, and rest is bp without
-    it.  AssertionError if the class is not the top normal j-nodes;
-    whether rest is FLOTW is for adm_flotw and adm_walk to ask.
-    """
-    j, cls, normal = top_class(bp, p)
-    if cls != normal[len(normal) - len(cls):]:
-        raise AssertionError("class %r is not the top normal %r-nodes "
-                             "of %r" % (cls, j, bp))
-    return j, len(cls), remove_all(bp, cls)
+    return [Node(*g) for g in cls]
 
 
 def adm_flotw(bp: Bipartition, p: CrystalParams) -> list:
-    """Admissible residue sequence by successive class removals.  At a
+    """Admissible residue sequence by successive class steps,
+    Adm(bp) = Adm(rest) followed by [j]^r for a class of r nodes.  At a
     fundamental charge the FLOTW bipartitions are the Uglov ones, so bp
     and each rest are tested in the crystal, with is_uglov:
-    AssertionError if a rest is not FLOTW."""
+    AssertionError if a class is not the top normal j-nodes or a rest is
+    not FLOTW."""
     require_fundamental(p)
     if not is_uglov(bp, p):
         raise ValueError("%r is not FLOTW at %r" % (bp, p))
+    table, pair = _interned(bp, p)
     out = []
-    while bp != EMPTY:
-        j, r, bp = class_step(bp, p)
-        if not is_uglov(bp, p):
-            raise AssertionError("class removal left non-FLOTW %r" % (bp,))
-        out[:0] = [j] * r  # Adm(bp) = Adm(rest) followed by [j]^r
+    while pair != ROOT:
+        j, cls, _, rest = class_step(table, pair)
+        if rest is None:
+            raise AssertionError(class_error(table, pair, j, cls))
+        if not is_uglov(table.bipartition(rest), p):
+            raise AssertionError("class removal left non-FLOTW %r"
+                                 % (table.bipartition(rest),))
+        out[:0] = [j] * len(cls)
+        pair = rest
     return out
 
 
@@ -237,30 +266,34 @@ def adm(bp: Bipartition, p: CrystalParams) -> list:
 def adm_walk(walk):
     """Yield (pair, image, found) for every pair of walk, an image_walk
     (src, dst, images) to a fundamental charge, in increasing rank: image
-    is the pair's image, a Bipartition, and found is (Adm of the pair's
-    bipartition, the class_step of image, None if empty) or the
-    AssertionError text of the first failing class step from image down
-    to empty.  The rest of each step, of lower rank, already holds its
-    found: Adm(bp) = Adm(rest) followed by [j]^r.
+    is the pair's image, a pair of dst, and found is (Adm of the pair's
+    bipartition, (j, r, rest) of image's class step, None if empty) or
+    the AssertionError text of the first failing class step from image
+    down to empty.  The rest of each step, a pair of dst of lower rank,
+    already holds its found: Adm(bp) = Adm(rest) followed by [j]^r.
 
     The images, in increasing rank, are the FLOTW bipartitions of the
     walk's ranks, so a rest is FLOTW exactly when done holds it: no rest
     is peeled.
     """
     _, dst, images = walk
-    done = {EMPTY: ([], None)}  # image -> found; psi is a bijection
+    done = {ROOT: ([], None)}  # image -> found; psi is a bijection
     for pair, image in images.items():
-        image = dst.bipartition(image)
-        if image != EMPTY:
+        if image != ROOT:
             try:
-                j, r, rest = step = class_step(image, dst.p)
+                j, cls, _, rest = class_step(dst, image)
             except AssertionError as exc:
                 done[image] = str(exc)
             else:
-                below = (done.get(rest)
-                         or "class removal left non-FLOTW %r" % (rest,))
+                if rest is None:
+                    below = class_error(dst, image, j, cls)
+                else:
+                    below = (done.get(rest)
+                             or "class removal left non-FLOTW %r"
+                             % (dst.bipartition(rest),))
                 done[image] = (below if isinstance(below, str)
-                               else (below[0] + [j] * r, step))
+                               else (below[0] + [j] * len(cls),
+                                     (j, len(cls), rest)))
         yield pair, image, done[image]
 
 
@@ -273,12 +306,14 @@ def verify_djm_forward(n: int, p: CrystalParams):
     Adm comes from adm_walk, and the vector of each image's monomial,
     f-operators applied oldest residue first, is the vector of its rest
     extended by r f_action steps over the pairs of the walk's table at
-    p, so each component partition's rim at p is read once.  Before the
+    p, so each component partition's rim at p is read once.  The vectors
+    are keyed by the images, pairs of the walk's table at the
+    fundamental charge, as adm_walk's rests are.  Before the
     walk each pair of rank <= n gets its bead key, for the maximum, its
     sort key and its JSON text, so a line costs no call per term.
     """
     table, _, _ = walk = image_walk(n, p, fundamental(p).charge)  # at p
-    vecs = {EMPTY: {ROOT: 1}}  # image -> vector of its Adm monomial
+    vecs = {ROOT: {ROOT: 1}}  # image pair -> its Adm monomial's vector
     place = {pair: key for k in range(n + 1)  # its Uglov order, one int
              for pair, key in table.bead_keys(k).items()}
     forms = {pair: table.json(pair) for pair in place}
@@ -495,7 +530,7 @@ def propb_checks(n: int, p: CrystalParams):
     failed 1 when its report holds failures: dominance of the smallest
     transported class node over addable nodes and the
     vertical/horizontal exclusion at its residue.  The class is the
-    top_class of bp's image_walk image at the fundamental charge; the
+    class_step of bp's image_walk image at the fundamental charge; the
     natures of bp come from one cache of nature_core, one core per
     component partition of the sweep."""
     src, dst, images = image_walk(n, p, fundamental(p).charge)
@@ -503,16 +538,16 @@ def propb_checks(n: int, p: CrystalParams):
     for pair, image in images.items():
         bp = src.bipartition(pair)
         failures = ([] if bp == EMPTY else _propb_failures(
-            bp, dst.bipartition(image), p, dst.p, core))
+            bp, dst, image, p, core))
         yield (json.dumps({"bp": bipartition_to_json(bp),
                            "pass": not failures, "failures": failures},
                           sort_keys=True), 1, int(bool(failures)))
 
 
-def _propb_failures(bp: Bipartition, image: Bipartition, p: CrystalParams,
-                    fp: CrystalParams, core: Callable) -> list:
+def _propb_failures(bp: Bipartition, dst: RimTable, image: tuple,
+                    p: CrystalParams, core: Callable) -> list:
     """The propb failures of bp, whose image at the fundamental charge is
-    image.
+    the pair image of dst, the walk's table there.
 
     The slots read are those of residue j with node_key above eta1's,
     in default_window.  In component c of charge s they are read from the
@@ -526,17 +561,17 @@ def _propb_failures(bp: Bipartition, image: Bipartition, p: CrystalParams,
     content of the run is found by arithmetic.  So the charge gap costs
     nothing.  An addable slot's node comes from nature_at.
     """
-    j, cls, normal_lam = top_class(image, fp)
+    j, cls, normal_lam, rest = class_step(dst, image)
     # at the fundamental charge bp is its own image
-    normal_mu = (normal_lam if p == fp
+    normal_mu = (normal_lam if p == dst.p
                  else signature_word(bp, p).get(j, ([], []))[1])
-    out = ([] if cls == normal_lam[len(normal_lam) - len(cls):] else
+    out = ([] if rest is not None else
            ["class is not the top normal nodes at the fundamental charge"])
     if len(normal_mu) != len(normal_lam):
         return out + ["normal-node count not preserved by the isomorphism"]
     if len(cls) > len(normal_mu):  # then the class failed: no eta1
         return out
-    eta1 = normal_mu[len(normal_mu) - len(cls)]
+    eta1 = Node(*normal_mu[len(normal_mu) - len(cls)])
     key1 = node_key(eta1, p.charge)
     addable, bh, bv = [], False, False
     for c, lam, s in ((1, bp.c1, p.charge[0]), (2, bp.c2, p.charge[1])):

@@ -28,8 +28,9 @@ first.
 
 normal_nodes applies the signature rule over a whole rim (diagrams.rim),
 listing every residue's normal addable and normal removable nodes as rim
-entries, for the readers of one bipartition: greedy peeling, the class
-steps of admissible, and signature_word, its view with Node values.
+entries, for the readers of one bipartition: greedy peeling and
+signature_word, its view with Node values.  The class steps of
+admissible run the same rule on a pair's stored rims, by residue id.
 """
 
 from __future__ import annotations

@@ -43,7 +43,7 @@ partition's core is built once per sweep, whatever its charges, and a
 bipartition costs O(rank) contents at any charge.
 
 boundary_sequence lists the beads in the window row by row.  Periods
-(admissible.has_period) are runs of beads.  The Uglov order compares
+(admissible.period) are runs of beads.  The Uglov order compares
 boundary sequences, so it is the lexicographic order on the merged
 beta-set {2 beta - c}, Uglov's level-two to level-one wedge, read from
 the top: the integer order of the sets as bits, which bead_mask and
@@ -52,7 +52,7 @@ bead_shifts build for crystal.RimTable.bead_keys and compare_uglov.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple
 
 
 class Node(NamedTuple):
@@ -120,11 +120,6 @@ def partitions_of(n: int) -> Iterator[tuple[int, ...]]:
 
 def content(node: Node, charge: tuple[int, int]) -> int:
     return node.b - node.a + charge[node.c - 1]
-
-
-def residue(node: Node, charge: tuple[int, int], e: Optional[int]) -> int:
-    cont = content(node, charge)
-    return cont if e is None else cont % e
 
 
 def beta_set(lam: tuple[int, ...], s: int) -> list[int]:

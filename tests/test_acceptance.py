@@ -19,11 +19,8 @@ import pytest
 from uglov.admissible import (
     adm,
     adm_flotw,
-    one_connected,
     propb_checks,
-    remove_all,
     removable_class,
-    top_class,
     verify_djm_converse,
     verify_djm_forward,
 )
@@ -45,13 +42,22 @@ from uglov.diagrams import (
     nature_table,
     parse_bipartition,
     remove_node,
-    residue,
 )
 from uglov.isomorphism import psi_to
 
-from test_admissible import forward_reports
+from test_admissible import (
+    forward_reports,
+    one_connected,
+    remove_all,
+    top_class,
+)
 from test_crystal import is_flotw
-from test_diagrams import NATURE_TRANSITIONS, bipartitions_of, compare_lex
+from test_diagrams import (
+    NATURE_TRANSITIONS,
+    bipartitions_of,
+    compare_lex,
+    residue,
+)
 from test_isomorphism import nature_check, psi_e_independence_check
 
 P = parse_bipartition

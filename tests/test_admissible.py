@@ -12,13 +12,10 @@ from uglov.admissible import (
     adm,
     adm_flotw,
     adm_walk,
-    has_period,
-    one_connected,
+    class_step,
     propb_checks,
-    remove_all,
     removable_class,
     row_standard_shapes,
-    two_connected,
     verify_djm_converse,
     verify_djm_corollary,
     verify_djm_forward,
@@ -38,6 +35,7 @@ from uglov.diagrams import (
     Bipartition,
     Node,
     addable_nodes,
+    beta_set,
     bipartition_to_json,
     content,
     default_window,
@@ -45,10 +43,11 @@ from uglov.diagrams import (
     nature_table,
     node_key,
     parse_bipartition,
+    part,
     partitions_of,
+    removable,
     remove_node,
     removable_nodes,
-    residue,
     rim,
 )
 from uglov.isomorphism import (
@@ -56,6 +55,7 @@ from uglov.isomorphism import (
     image_walk,
     psi_to,
     reduce_to_fundamental,
+    require_fundamental,
     verify_psi_nature,
 )
 from test_crystal import (
@@ -68,12 +68,63 @@ from test_crystal import (
     is_flotw,
     read_keys,
 )
-from test_diagrams import bipartitions_of, uglov_key, uglov_max
+from test_diagrams import bipartitions_of, residue, uglov_key, uglov_max
 from test_isomorphism import psi_nature_check_oracle
 
 P = parse_bipartition
 P01 = CrystalParams(3, (0, 1))
 P02 = CrystalParams(3, (0, 2))
+
+
+def has_period(bp, p):
+    # Whether bp has a period: admissible.period, the test class_step
+    # makes once one bead moves down, on the beads of bp's rows.
+    if p.e is None:
+        raise ValueError("periods need finite e")
+    (s1, s2), e = p.charge, p.e
+    return admissible.period(set(beta_set(bp.c1, s1)),
+                             set(beta_set(bp.c2, s2)), e)
+
+
+def one_connected(bp, g1, g2, p):
+    # Oracle of the (1)-link: True when removing the larger node g2
+    # creates a period.
+    if p.e is None:
+        raise ValueError("(1)-connectedness needs finite e")
+    if not (removable(bp, g1) and removable(bp, g2)):
+        raise ValueError("both nodes must be removable")
+    if residue(g1, p.charge, p.e) != residue(g2, p.charge, p.e):
+        raise ValueError("nodes must share one residue")
+    if node_key(g1, p.charge) >= node_key(g2, p.charge):
+        raise ValueError("expected g1 < g2, got %r, %r" % (g1, g2))
+    return has_period(remove_node(bp, g2), p)
+
+
+def two_connected(bp, g1, p):
+    # Oracle of the (2)-link: the shifted equal-part partner of a
+    # removable node, if any.
+    require_fundamental(p)
+    e, (s1, s2) = p.e, p.charge
+    if not removable(bp, g1):
+        raise ValueError("%r is not removable from %r" % (g1, bp))
+    a, b, c = g1
+    a2, other = (a + s2 - s1, bp.c2) if c == 1 else (a + e + s1 - s2, bp.c1)
+    return Node(a2, b, 3 - c) if part(other, a2) == b else None
+
+
+def remove_all(bp, nodes):
+    # Oracle of a class step's rest: bp without nodes, one checked
+    # removal each.
+    for g in sorted(nodes, key=lambda g: (g.c, -g.a)):
+        bp = remove_node(bp, g)
+    return bp
+
+
+def top_class(bp, p):
+    # The Bipartition entry point of class_step: (j, class, normal
+    # j-nodes) of bp, interned into a RimTable at p, as Nodes.
+    j, cls, normal, _ = class_step(*admissible._interned(bp, p))
+    return j, [Node(*g) for g in cls], [Node(*g) for g in normal]
 
 
 def test_has_period_examples():
@@ -243,7 +294,7 @@ def test_max_normal_vs_max_removable():
     bp = P("1,1")
     assert (max(removable_nodes(bp), key=lambda g: node_key(g, P01.charge))
             == Node(1, 1, 2))
-    assert admissible.top_class(bp, P01)[2][-1] == Node(1, 1, 1)
+    assert top_class(bp, P01)[2][-1] == Node(1, 1, 1)
     top = top_normal_oracle
     assert top(signature_word(bp, P01), P01.charge) == Node(1, 1, 1)
     assert top(signature_word(EMPTY, P01), P01.charge) is None
@@ -259,7 +310,7 @@ def test_top_class_matches_pairwise_oracle(fp):
     # class of the pairwise oracle on every FLOTW bipartition of rank <= 8.
     for layer in uglov_layers(8, fp)[1:]:
         for bp in layer:
-            assert admissible.top_class(bp, fp) == top_class_oracle(bp, fp)
+            assert top_class(bp, fp) == top_class_oracle(bp, fp)
 
 
 @pytest.mark.parametrize("e, text", [(3, "3.2.1,3.1"), (2, "4.2,4.1")])
@@ -267,9 +318,10 @@ def test_top_class_matches_oracle_where_the_class_fails(e, text):
     # The first bipartitions whose class is not the top normal nodes.
     fp = CrystalParams(e, (0, 0))
     bp = P(text)
-    assert admissible.top_class(bp, fp) == top_class_oracle(bp, fp)
+    assert top_class(bp, fp) == top_class_oracle(bp, fp)
+    assert class_step(*admissible._interned(bp, fp))[3] is None  # no rest
     with pytest.raises(AssertionError, match="is not the top normal"):
-        admissible.class_step(bp, fp)
+        adm_flotw(bp, fp)
 
 
 RUN_GRID = [(CrystalParams(e, (s1, s2)), n)
@@ -292,15 +344,18 @@ def removable_runs():
 
 
 def test_connected_class_is_the_oracle_run():
-    # For every seed the run scan finds the graph search's class.  Each
-    # neighbour pair of a run is linked through the (1)-block nodes[0..top]
-    # or else by two_connected; every mix of the two occurs.
+    # For every seed the run scan of class_step finds the graph search's
+    # class, from the row of each bead.  Each neighbour pair of a run is
+    # linked through the (1)-block nodes[0..top] or else by two_connected;
+    # every mix of the two occurs.
     kinds = {}
     for bp, p, nodes in removable_runs():
         top = max((i for i in range(1, len(nodes))
                    if one_connected(bp, nodes[0], nodes[i], p)), default=0)
+        rows = [{x - a + s: a for a, x in enumerate(lam, 1)}
+                for lam, s in zip(bp, p.charge)]
         for seed in nodes:
-            run = admissible._connected_class(bp, seed, nodes, p)
+            run = admissible._connected_class(seed, nodes, rows, p)
             assert run == connected_class_oracle(bp, seed, p), (bp, p, seed)
             lo = nodes.index(run[0])
             used = frozenset(1 if i <= top else 2
@@ -543,50 +598,92 @@ def test_verify_djm_forward_error_line_matches_json():
 
 
 def test_forward_reads_children_once_per_bipartition(monkeypatch):
-    # Every whole-rim pass of the sweep is top_class's, one per nonempty
-    # image (249 at rank <= 9), and none comes from crystal.rim; the
-    # sweep's f_action calls share the walk's one table, and every
-    # (component, partition) it reads is read once: the Uglov
-    # bipartitions below rank 9, which the walk scans, lie among those
-    # f_action scans, so the reads are exactly f_action's.
+    # The sweep makes no whole-rim pass, neither crystal.rim's nor
+    # diagrams.rim's: each nonempty image (249 at rank <= 9) takes one
+    # class_step on the walk's table, which the sweep's f_action calls
+    # share, and every (component, partition) that table reads is read
+    # once.  The Uglov bipartitions below rank 9, which the walk scans, lie
+    # among those f_action scans, so the reads are f_action's and those of
+    # the class steps of the rank-9 images.
     reports = list(verify_djm_forward(9, P01))
     layers = uglov_layers(9, P01)
     images = set().union(*layers) - {EMPTY}
     sources = set().union(*layers[:9])  # ranks below 9
     assert len(images) == 249
-    scanned, tables, readers = set(), [], []
+    scanned, tables, steps = set(), [], []
     passes = count_rim_passes(monkeypatch)
+    real_step = admissible.class_step
 
     def counted(vec, j, table):
         scanned.update(vec)
         tables.append(table)
         return f_action(vec, j, table)
 
-    def counted_rim(bp, charge):
-        readers.append((sys._getframe(1).f_code.co_name, bp))
-        return rim(bp, charge)
+    def counted_step(table, pair):
+        steps.append((table, pair))
+        return real_step(table, pair)
+
+    def forbidden(*args):
+        raise AssertionError("whole-rim pass on %r" % (args,))
 
     monkeypatch.setattr(admissible, "f_action", counted)
-    monkeypatch.setattr(admissible, "rim", counted_rim)
+    monkeypatch.setattr(admissible, "class_step", counted_step)
+    monkeypatch.setattr(diagrams, "rim", forbidden)
     reads = count_component_reads(monkeypatch)
     assert list(verify_djm_forward(9, P01)) == reports
     assert len({id(table) for table in tables}) == 1
+    assert {id(table) for table, _ in steps} == {id(tables[0])}
+    assert sorted(tables[0].bipartition(pair) for _, pair in steps) == sorted(
+        images)
     kids = set(map(tables[0].bipartition, scanned))
     assert {bp.rank for bp in kids} == set(range(9))
     assert passes == []
-    assert sorted(readers) == sorted(("top_class", bp) for bp in images)
     kid_reads = component_keys(kids, P01.charge)
     assert component_keys(sources, P01.charge) <= kid_reads
-    assert read_keys(tables[0]) == kid_reads
+    step_reads = component_keys(layers[9], P01.charge)
+    assert not step_reads <= kid_reads
+    assert read_keys(tables[0]) == kid_reads | step_reads
     assert len(reads) == len(set(reads))
-    assert set(reads) == kid_reads
+    assert set(reads) == kid_reads | step_reads
+
+
+def test_forward_class_steps_build_no_bipartition(monkeypatch):
+    # The class steps run on the walk's table, by pair: a passing forward
+    # sweep at e=3, s=(0,1), n=9 removes no node with remove_node, makes
+    # no whole-rim pass and builds no Bipartition from a RimTable, where
+    # its class steps made 424 remove_node calls and one rim pass per
+    # image, 249 in all.  Each (component, partition) of the table is
+    # still read once, those of the rank-9 images included.
+    reports = list(verify_djm_forward(9, P01))
+    calls = []
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapper
+
+    for name in ("remove_node", "rim"):
+        wrapper = counted(name, getattr(diagrams, name))
+        for module in (diagrams, crystal, isomorphism, admissible):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    monkeypatch.setattr(RimTable, "bipartition",
+                        counted("bipartition", RimTable.bipartition))
+    reads = count_component_reads(monkeypatch)
+    assert list(verify_djm_forward(9, P01)) == reports
+    assert passing(reports) and len(reports) == 250
+    assert calls == []
+    assert len(reads) == len(set(reads))
+    assert set(reads) >= component_keys(uglov_layers(9, P01)[9], P01.charge)
 
 
 def test_forward_reads_each_rim_at_p_once_off_the_fundamental_domain(
         monkeypatch):
     # At e=4, s=(3,1) the walk's two tables differ: f_action runs on its
     # src table, at p, so no (component, partition) at p is read twice,
-    # and the images' rims are read in dst alone.
+    # and the images' rims are read in dst alone: those below rank 9 by
+    # the walk's scans, and those of every image by its class step.
     p = CrystalParams(4, (3, 1))
     reports = list(verify_djm_forward(9, p))
     assert passing(reports)
@@ -614,7 +711,10 @@ def test_forward_reads_each_rim_at_p_once_off_the_fundamental_domain(
     assert set(reads) - set(at_p) == read_keys(dst)
     scanned = {bp for bp in map(dst.bipartition, images.values())
                if bp.rank < 9}
-    assert read_keys(dst) == component_keys(scanned, dst.p.charge)
+    stepped = set(map(dst.bipartition, images.values()))
+    assert not (component_keys(stepped, dst.p.charge)
+                <= component_keys(scanned, dst.p.charge))
+    assert read_keys(dst) == component_keys(stepped, dst.p.charge)
 
 
 def test_forward_reads_each_fact_once(monkeypatch):
@@ -623,8 +723,9 @@ def test_forward_reads_each_fact_once(monkeypatch):
     # each built once in the table, and encodes each once, writing the
     # text of each of the 97 partitions once, whichever component holds
     # it, and tests no rest with is_uglov.  Of the 134 (component,
-    # partition) of the bipartitions below rank 9, f_action reads the 78
-    # the walk has not read in their shared table, each once.
+    # partition) of the bipartitions below rank 9, f_action and the class
+    # steps read the 78 the walk has not read in their shared table, each
+    # once: a class step reads one of them before f_action would.
     reports = list(verify_djm_forward(9, P01))
     assert sum(len(bipartitions_of(k)) for k in range(10)) == 734
     calls, fills, writes, keyed, masked = {}, [], [], [], []
@@ -667,9 +768,11 @@ def test_forward_reads_each_fact_once(monkeypatch):
     monkeypatch.setattr(RimTable, "text", counted_text)
     real_rim = crystal.component_rim
 
-    def counted_rim(lam, s, c):  # under RimTable.children, then read
-        if sys._getframe(3).f_code.co_name == "f_action":
-            fills.append((c, s, lam))
+    def counted_rim(lam, s, c):  # under RimTable.read
+        caller = sys._getframe(2).f_code.co_name
+        if caller == "children":  # under f_action
+            caller = sys._getframe(3).f_code.co_name
+        fills.append((caller, (c, s, lam)))
         return real_rim(lam, s, c)
 
     monkeypatch.setattr(crystal, "component_rim", counted_rim)
@@ -681,7 +784,13 @@ def test_forward_reads_each_fact_once(monkeypatch):
         len(list(partitions_of(k))) for k in range(10))
     assert len(writes) == len(set(writes)) == sum(
         len(list(partitions_of(k))) for k in range(10))
-    assert len(fills) == len(set(fills)) == 78
+    below = component_keys({bp for k in range(9)
+                            for bp in bipartitions_of(k)}, P01.charge)
+    assert len(below) == 134
+    assert len(fills) == len(set(fills))
+    late = [who for who, key in fills
+            if key in below and who in ("f_action", "class_step")]
+    assert (late.count("f_action"), late.count("class_step")) == (77, 1)
 
 
 @pytest.mark.parametrize("sweep, n, steps, tests, partners", [
@@ -690,13 +799,14 @@ def test_forward_reads_each_fact_once(monkeypatch):
 ])
 def test_class_step_tests_each_candidate_once(monkeypatch, sweep, n, steps,
                                               tests, partners):
-    # one_connected(bp, g1, g2, p) never reads g1, so a class with k
-    # candidates, the removable j-nodes, takes at most k - 1 tests; the
-    # run asks two_connected only of the neighbours it widens across.
+    # The (1)-link of g1 < g2 is a period once g2 is removed, blind to g1,
+    # so a class with k candidates, the removable j-nodes, takes at most
+    # k - 1 period tests; the run asks for a (2)-partner only across the
+    # neighbours it widens across.
     reports = list(sweep(n, P01))
     calls, found, twos = [], [], []
-    real_one, real_top = admissible.one_connected, admissible.top_class
-    real_two = admissible.two_connected
+    real_one, real_step = admissible.period, admissible.class_step
+    real_two = admissible._partner
 
     def counted_one(*args):
         calls.append(args)
@@ -706,16 +816,18 @@ def test_class_step_tests_each_candidate_once(monkeypatch, sweep, n, steps,
         twos.append(args)
         return real_two(*args)
 
-    def counted_top(bp, p):
+    def counted_step(table, pair):
         before = len(calls)
-        j, cls, normal = real_top(bp, p)
-        k = sum(residue(g, p.charge, p.e) == j for g in removable_nodes(bp))
+        out = real_step(table, pair)
+        bp, p = table.bipartition(pair), table.p
+        k = sum(residue(g, p.charge, p.e) == out[0]
+                for g in removable_nodes(bp))
         found.append((len(calls) - before, k))
-        return j, cls, normal
+        return out
 
-    monkeypatch.setattr(admissible, "one_connected", counted_one)
-    monkeypatch.setattr(admissible, "two_connected", counted_two)
-    monkeypatch.setattr(admissible, "top_class", counted_top)
+    monkeypatch.setattr(admissible, "period", counted_one)
+    monkeypatch.setattr(admissible, "_partner", counted_two)
+    monkeypatch.setattr(admissible, "class_step", counted_step)
     assert list(sweep(n, P01)) == reports
     assert len(found) == steps
     assert all(made <= k - 1 for made, k in found)
@@ -727,20 +839,34 @@ def test_class_step_tests_each_candidate_once(monkeypatch, sweep, n, steps,
 def test_propb_reads_one_rim_per_bipartition_at_a_fundamental_charge(
         monkeypatch, p, n):
     # At a fundamental charge each bipartition is its own image, so its
-    # normal nodes are its top_class's: one whole-rim pass per nonempty
-    # bipartition, top_class's, and no signature_word rescan.
+    # normal nodes are its class_step's: one class step per nonempty
+    # bipartition, on the walk's one table, no whole-rim pass and no
+    # signature_word rescan, and each (component, partition) of the
+    # sweep read once in that table.
     reports = list(propb_checks(n, p))
-    bps = set().union(*uglov_layers(n, p)) - {EMPTY}
-    readers, passes = [], count_rim_passes(monkeypatch)
+    layers = uglov_layers(n, p)
+    bps = set().union(*layers) - {EMPTY}
+    steps, passes = [], count_rim_passes(monkeypatch)
+    real_step = admissible.class_step
 
-    def counted_rim(bp, charge):
-        readers.append((sys._getframe(1).f_code.co_name, bp))
-        return rim(bp, charge)
+    def counted_step(table, pair):
+        steps.append((table, pair))
+        return real_step(table, pair)
 
-    monkeypatch.setattr(admissible, "rim", counted_rim)
+    def forbidden(*args):
+        raise AssertionError("whole-rim pass on %r" % (args,))
+
+    monkeypatch.setattr(admissible, "class_step", counted_step)
+    monkeypatch.setattr(diagrams, "rim", forbidden)
+    reads = count_component_reads(monkeypatch)
     assert list(propb_checks(n, p)) == reports
     assert passes == []
-    assert sorted(readers) == sorted(("top_class", bp) for bp in bps)
+    assert len({id(table) for table, _ in steps}) == 1
+    table = steps[0][0]
+    assert sorted(table.bipartition(pair) for _, pair in steps) == sorted(bps)
+    assert len(reads) == len(set(reads))
+    assert set(reads) == read_keys(table) == component_keys(
+        set().union(*layers), p.charge)
 
 
 def test_forward_reads_no_psi_image_at_a_fundamental_charge(monkeypatch):
@@ -1096,7 +1222,8 @@ def test_converse_reads_children_once_per_bipartition(monkeypatch):
         keyed.extend(map(table.bipartition, out))
         return out
 
-    monkeypatch.setattr(admissible, "rim", counted_rim)
+    for module in (diagrams, crystal):  # admissible imports no rim
+        monkeypatch.setattr(module, "rim", counted_rim)
     monkeypatch.setattr(RimTable, "bead_keys", counted_keys)
     reads = count_component_reads(monkeypatch)
     forbid_validating_primitives(monkeypatch)
@@ -1113,7 +1240,6 @@ def test_converse_reads_children_once_per_bipartition(monkeypatch):
 def _row_standard_shapes_brute(word, p):
     # Oracle: try every assignment of 1..n to the boxes of each shape.
     # Row-standard means each box is placed after its left neighbor.
-    from uglov.diagrams import Node as _N, residue as _res
     shapes = set()
     for bp in bipartitions_of(len(word)):
         boxes = [(a, b, c) for c in (1, 2)
@@ -1126,7 +1252,7 @@ def _row_standard_shapes_brute(word, p):
                 if b > 1 and (a, b - 1, c) not in seen:
                     ok = False
                     break
-                if _res(_N(a, b, c), p.charge, p.e) != j:
+                if residue(Node(a, b, c), p.charge, p.e) != j:
                     ok = False
                     break
                 seen.add((a, b, c))
@@ -1321,10 +1447,10 @@ def test_verify_djm_corollary_matches_oracle(p, monkeypatch):
     chosen = min(uglov_layers(2, fp)[2])
     real = admissible.class_step
 
-    def forced(bp, q):
-        if bp == chosen:
-            raise AssertionError("forced on %r" % (bp,))
-        return real(bp, q)
+    def forced(table, pair):
+        if table.bipartition(pair) == chosen:
+            raise AssertionError("forced on %r" % (chosen,))
+        return real(table, pair)
 
     monkeypatch.setattr(admissible, "class_step", forced)
     swept = swept_lines(verify_djm_corollary(6, p))
@@ -1339,18 +1465,22 @@ def test_verify_djm_corollary_matches_oracle(p, monkeypatch):
         "verify_djm_corollary-corollary_oracle"])
 def test_non_flotw_rest_is_an_error(monkeypatch, sweep, oracle):
     # No class step of the sweeps leaves a non-FLOTW rest, so one is
-    # forced: the class of 1,1.1 at e=3, s=(0,1) becomes its node (1,1,1),
-    # which leaves -,1.1.  The walk finds that rest among no image and
-    # records the text that adm_flotw's is_uglov test raises, and every
-    # bipartition whose class steps pass through 1,1.1 inherits it.
+    # forced through class_step, the one home of the class: the class of
+    # 1,1.1 at e=3, s=(0,1) becomes its node (1,1,1), which leaves -,1.1.
+    # The walk finds that rest among no image and records the text that
+    # adm_flotw's is_uglov test raises, and every bipartition whose class
+    # steps pass through 1,1.1 inherits it.
     chosen, g = P("1,1.1"), Node(1, 1, 1)
-    assert not is_flotw(remove_node(chosen, g), P01)
-    real = admissible.top_class
+    rest = remove_node(chosen, g)
+    assert not is_flotw(rest, P01)
+    real = admissible.class_step
 
-    def forced(bp, q):
-        return (0, [g], [g]) if bp == chosen else real(bp, q)
+    def forced(table, pair):
+        if table.bipartition(pair) != chosen:
+            return real(table, pair)
+        return 0, [g], [g], (table.intern(rest.c1), table.intern(rest.c2))
 
-    monkeypatch.setattr(admissible, "top_class", forced)
+    monkeypatch.setattr(admissible, "class_step", forced)
     swept = sweep(6, P01)
     assert swept == _oracle_lines(oracle, 6, P01)
     text = ('"error": "class removal left non-FLOTW '
@@ -1468,7 +1598,7 @@ def test_propb_class_longer_than_the_normal_nodes():
     # holds the class failure alone.
     p = CrystalParams(2, (0, 0))
     bp = P("4.2,4.1")
-    j, cls, normal = admissible.top_class(bp, p)
+    j, cls, normal = top_class(bp, p)
     assert (j, len(cls), len(normal)) == (1, 3, 2)
     expected = {"bp": bipartition_to_json(bp), "pass": False, "failures": [
         "class is not the top normal nodes at the fundamental charge"]}
@@ -1489,9 +1619,9 @@ def test_corollary_and_propb_transport_nothing(monkeypatch):
         psi_calls.append(args)
         return real_psi(*args)
 
-    def counted_step(bp, q):
-        steps.append(bp)
-        return real_step(bp, q)
+    def counted_step(table, pair):
+        steps.append((id(table), pair))
+        return real_step(table, pair)
 
     monkeypatch.setattr(admissible, "psi_to", counted_psi)
     monkeypatch.setattr(admissible, "class_step", counted_step)

@@ -42,12 +42,11 @@ from uglov.diagrams import (
     partitions_of,
     remove_node,
     removable_nodes,
-    residue,
     rim,
     with_component,
 )
 from uglov.isomorphism import require_fundamental
-from test_diagrams import bipartitions_of, uglov_key, uglov_max
+from test_diagrams import bipartitions_of, residue, uglov_key, uglov_max
 
 P = parse_bipartition
 P01 = CrystalParams(3, (0, 1))
@@ -345,10 +344,10 @@ def test_signature_word_matches_oracle():
 
 
 def test_max_normal_removable_node_matches_residue_loop():
-    # The class seed: top_class's at a fundamental charge, the test-only
-    # oracle's elsewhere (imported here, as test_admissible imports this
-    # module).
-    from test_admissible import top_normal_oracle
+    # The class seed: class_step's at a fundamental charge, through
+    # test_admissible's top_class, the test-only oracle's elsewhere
+    # (imported here, as test_admissible imports this module).
+    from test_admissible import top_class, top_normal_oracle
 
     for bp, p in scan_cases():
         if p.e is None:
@@ -364,10 +363,10 @@ def test_max_normal_removable_node_matches_residue_loop():
             top = top_normal_oracle(signature_word(bp, p), p.charge)
         elif best is None:
             with pytest.raises(AssertionError, match="no normal"):
-                admissible.top_class(bp, p)
+                top_class(bp, p)
             continue
         else:
-            top = admissible.top_class(bp, p)[2][-1]
+            top = top_class(bp, p)[2][-1]
         assert top == best, (bp, p)
 
 

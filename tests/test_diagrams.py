@@ -36,12 +36,20 @@ from uglov.diagrams import (
     removable,
     remove_node,
     removable_nodes,
-    residue,
     rim,
     with_component,
 )
 
 P = parse_bipartition
+
+
+def residue(node, charge, e):
+    # The residue of a node, its content mod e (the content itself at
+    # e = infinity): a test oracle, since the package reads residues from
+    # contents in its rims.
+    cont = content(node, charge)
+    return cont if e is None else cont % e
+
 
 # nature at content j -> allowed natures at content j+1, same component
 NATURE_TRANSITIONS = {

@@ -11,6 +11,7 @@ from test_diagrams import (  # noqa: E402
     compare_uglov_oracle,
     nature_at_oracle,
     nature_kinds,
+    residue,
 )
 from uglov.crystal import (  # noqa: E402
     CrystalParams,
@@ -29,7 +30,6 @@ from uglov.diagrams import (  # noqa: E402
     nature_at,
     parse_bipartition,
     removable_nodes,
-    residue,
 )
 from uglov.isomorphism import psi_to  # noqa: E402
 

@@ -85,14 +85,11 @@ def test_every_kept_name_is_traced():
     assert all(name in traced.get(mod, ()) for mod, name in KEPT)
 
 
-def test_the_uglov_order_has_one_home():
-    # The sweeps take the Uglov order from RimTable.bead_keys alone, and
-    # compare_uglov keeps it for the tracer: no other top-level name or
-    # method reads the bead masks or their shifts, so no sweep keys
-    # bipartitions of its own.
-    defs, scopes = package()
-
-    def reads(node, scope, key):
+def readers(defs, scopes, key) -> set:
+    """The (module, label) of every top-level name, or method as
+    Class.method, whose body reads key, a (module, name), by name or as
+    a module attribute."""
+    def reads(node, scope):
         return any(
             scope.get(sub.id) == key if isinstance(sub, ast.Name) else
             isinstance(sub, ast.Attribute) and sub.attr == key[1]
@@ -100,13 +97,41 @@ def test_the_uglov_order_has_one_home():
             and scope.get(sub.value.id) == (key[0], None)
             for sub in ast.walk(node))
 
+    out = set()
+    for (mod, name), node in defs.items():
+        parts = ([(name + "." + sub.name, sub) for sub in node.body
+                  if isinstance(sub, ast.FunctionDef)]
+                 if isinstance(node, ast.ClassDef) else [(name, node)])
+        out |= {(mod, label) for label, part in parts
+                if reads(part, scopes[mod])}
+    return out
+
+
+def test_the_uglov_order_has_one_home():
+    # The sweeps take the Uglov order from RimTable.bead_keys alone, and
+    # compare_uglov keeps it for the tracer: no other top-level name or
+    # method reads the bead masks or their shifts, so no sweep keys
+    # bipartitions of its own.
+    defs, scopes = package()
     for key in (("diagrams", "bead_mask"), ("diagrams", "bead_shifts")):
-        readers = set()
-        for (mod, name), node in defs.items():
-            parts = ([(name + "." + sub.name, sub) for sub in node.body
-                      if isinstance(sub, ast.FunctionDef)]
-                     if isinstance(node, ast.ClassDef) else [(name, node)])
-            readers |= {(mod, label) for label, part in parts
-                        if reads(part, scopes[mod], key)}
-        assert readers == {("crystal", "RimTable.bead_keys"),
-                           ("diagrams", "compare_uglov")}, key
+        assert readers(defs, scopes, key) == {
+            ("crystal", "RimTable.bead_keys"),
+            ("diagrams", "compare_uglov")}, key
+
+
+def test_the_class_rule_has_one_home():
+    # The (1)-link, a period once one bead moves down, and the (2)-link,
+    # the row arithmetic of _partner, are read by the run scan of
+    # class_step alone, and every reader of a class takes it from
+    # class_step: both Adm recursions (adm_walk for the sweeps, adm_flotw
+    # for `uglov show BP adm`), removable_class and propb.  So a change to
+    # the class rule is made in one place, and reaches them all.
+    defs, scopes = package()
+    run = {("admissible", "_connected_class")}
+    assert readers(defs, scopes, ("admissible", "period")) == run
+    assert readers(defs, scopes, ("admissible", "_partner")) == run
+    assert readers(defs, scopes, ("admissible", "_connected_class")) == {
+        ("admissible", "class_step")}
+    assert readers(defs, scopes, ("admissible", "class_step")) == {
+        ("admissible", name) for name in (
+            "adm_walk", "adm_flotw", "removable_class", "_propb_failures")}
